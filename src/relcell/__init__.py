@@ -40,7 +40,6 @@ from .strata import (
     StrataMorphism,
     Stratum,
     body,
-    body_complex,
     body_map,
     compose_strata_morphisms,
     identity_strata_morphism,

@@ -6,10 +6,14 @@ of (k-1)-simplices; entry i is its i-th face.  There are no degeneracies, so
 every hom-set between finite complexes is finite and enumerable.
 
 All values are immutable after construction and all operations are pure.
+This is load-bearing: ``standard_simplex`` and ``boundary_complex`` return
+shared cached instances, and complexes and maps keep lazily built indexes on
+themselves, so mutating one would corrupt every holder of the same value.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -171,7 +175,7 @@ EMPTY = DeltaComplex()
 class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes."""
 
-    __slots__ = ("dom", "cod", "assign", "_key", "_hash")
+    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_fibres")
 
     def __init__(self, dom, cod, assign, validate=True):
         self.dom = dom
@@ -179,6 +183,7 @@ class SimplicialMap:
         self.assign = dict(assign)
         self._key = None
         self._hash = None
+        self._fibres = None
         if validate:
             self._validate()
 
@@ -202,6 +207,15 @@ class SimplicialMap:
             self._key = (self.dom.key(), self.cod.key(),
                          tuple(sorted(self.assign.items())))
         return self._key
+
+    def fibres(self):
+        """The fibre index: ``(k, t)`` -> sorted k-simplices mapped to t."""
+        if self._fibres is None:
+            idx = {}
+            for s, t in self.assign.items():
+                idx.setdefault((self.dom.dim(s), t), []).append(s)
+            self._fibres = {key: tuple(sorted(v)) for key, v in idx.items()}
+        return self._fibres
 
     def __eq__(self, other):
         return isinstance(other, SimplicialMap) and self.key() == other.key()
@@ -286,6 +300,9 @@ class ArrowSquare:
 # -- representable complexes ---------------------------------------------
 
 
+# Cached and shared.  Typed, so a float or bool dimension never hits an int
+# entry and behaves as uncached; calls that raise are not cached.
+@functools.lru_cache(maxsize=None, typed=True)
 def standard_simplex(k):
     """The complex whose m-simplices are the (m+1)-subsets of {0..k}."""
     if k < 0:
@@ -309,6 +326,7 @@ def top_simplex_id(k):
     return "".join(str(v) for v in range(k + 1))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def boundary_complex(k):
     """The standard k-simplex with its unique top simplex removed."""
     full = standard_simplex(k)
@@ -366,10 +384,7 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
         pmap, target = post
         if target.dom != dom or pmap.dom != cod or target.cod != pmap.cod:
             raise DeltaError("post-constraint endpoints do not match")
-        fibers = {}
-        for s, z in pmap.assign.items():
-            fibers.setdefault((pmap.dom.dim(s), z), []).append(s)
-        fibers = {key: tuple(sorted(v)) for key, v in fibers.items()}
+        fibers = pmap.fibres()
 
     order = [s for _, s in dom.all_ids()]
     results = []

@@ -192,7 +192,7 @@ def factor_result_from_json(obj):
     ef = map_from_json(obj["ef"])
     _expect(obj["stage_counts"] == [len(st.cells) for st in kf.strata],
             "stage_counts do not match the complex")
-    return FactorResult(f, kf, ef, (), _map_digest(f))
+    return FactorResult(f, kf, ef, _map_digest(f))
 
 
 # -- filler tables -----------------------------------------------------------

@@ -81,13 +81,12 @@ class KCellKey:
 class FactorResult:
     """A free factorization: input map, complex, and the counit map."""
 
-    __slots__ = ("input", "kf", "ef", "stage_maps", "digest")
+    __slots__ = ("input", "kf", "ef", "digest")
 
-    def __init__(self, input_map, kf, ef, stage_maps, digest):
+    def __init__(self, input_map, kf, ef, digest):
         self.input = input_map
         self.kf = kf
         self.ef = ef
-        self.stage_maps = tuple(stage_maps)
         self.digest = digest
 
     @property
@@ -147,7 +146,6 @@ def free_complex(f, safety_cap=32):
         raise ValueError("safety_cap must be >= 1")
     digest = _map_digest(f)
     strata = []
-    stage_maps = []
     prev_ids = None
     current_ids = f.dom.id_set
     g = f
@@ -160,14 +158,12 @@ def free_complex(f, safety_cap=32):
             raise CapExceededError(
                 [len(s.cells) for s in strata] + [len(st.cells)])
         strata.append(st)
-        stage_maps.append(e1)
         prev_ids = current_ids
         current_ids = e1.dom.id_set
         g = e1
         n += 1
     kf = CellComplex(f.dom, strata, validate=False)
-    ef = stage_maps[-1] if stage_maps else f
-    return FactorResult(f, kf, ef, stage_maps, digest)
+    return FactorResult(f, kf, g, digest)
 
 
 class Factorizer:

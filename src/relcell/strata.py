@@ -4,7 +4,8 @@ A stratum is a boundary complex together with a finite set of cells; each
 cell has a shape dimension k and an attaching map from the boundary of the
 standard k-simplex into the stratum's boundary.  The body of a stratum glues
 one fresh top simplex per cell onto the boundary; the fresh simplex reuses
-the cell's id, so the boundary is a literal subcomplex of the body.
+the cell's id, so the boundary is a literal subcomplex of the body.  Strata
+are immutable, so each one glues its body at most once.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
-    characteristic_map,
     colimit,
     compose,
     inclusion_map,
-    standard_simplex,
     top_simplex_id,
 )
 
@@ -64,12 +63,13 @@ class Cell:
 class Stratum:
     """A boundary complex plus a finite ordered set of cells."""
 
-    __slots__ = ("boundary", "cells", "_by_id")
+    __slots__ = ("boundary", "cells", "_by_id", "_body")
 
     def __init__(self, boundary, cells, validate=True):
         self.boundary = boundary
         self.cells = tuple(sorted(cells, key=lambda c: c.id))
         self._by_id = {c.id: c for c in self.cells}
+        self._body = None
         if validate:
             if len(self._by_id) != len(self.cells):
                 raise StrataError("duplicate cell ids in stratum")
@@ -92,10 +92,14 @@ class Stratum:
 def body(st):
     """Glue all cells onto the boundary.
 
-    Returns (body complex, inclusion of the boundary, characteristic maps by
-    cell id).  The glued top simplex of each cell carries the cell's id; a
-    collision with a boundary id is an error.
+    Returns (body complex, inclusion of the boundary).  The glued top simplex
+    of each cell carries the cell's id; a collision with a boundary id is an
+    error.  The pair is built on the first call and cached on the stratum,
+    so every caller shares one body.  A cell's characteristic map is
+    ``delta.characteristic_map(body complex, cell id)``.
     """
+    if st._body is not None:
+        return st._body
     simp = {k: list(ids) for k, ids in st.boundary.simplices.items()}
     faces = dict(st.boundary.faces)
     for c in st.cells:
@@ -109,19 +113,8 @@ def body(st):
                 c.attach.assign[top[:i] + top[i + 1:]]
                 for i in range(c.dim + 1))
     total = DeltaComplex(simp, faces, validate=False)
-    incl = inclusion_map(st.boundary, total)
-    chars = {}
-    for c in st.cells:
-        delta = standard_simplex(c.dim)
-        assign = dict(c.attach.assign)
-        assign[top_simplex_id(c.dim)] = c.id
-        # interior faces of the standard simplex below the top are boundary
-        chars[c.id] = SimplicialMap(delta, total, assign, validate=False)
-    return total, incl, chars
-
-
-def body_complex(st):
-    return body(st)[0]
+    st._body = (total, inclusion_map(st.boundary, total))
+    return st._body
 
 
 class StrataMorphism:
@@ -175,8 +168,8 @@ def compose_strata_morphisms(m2, m1):
 
 def body_map(m):
     """The induced map between bodies: boundary part by f, glued by p."""
-    bx, _, _ = body(m.dom)
-    by, _, _ = body(m.cod)
+    bx = body(m.dom)[0]
+    by = body(m.cod)[0]
     assign = dict(m.f.assign)
     for cid, tid in m.p.items():
         assign[cid] = tid
@@ -185,8 +178,8 @@ def body_map(m):
 
 def u_of_strata_morphism(m):
     """The square with the underlying-map legs and the induced body map."""
-    bx, inclx, _ = body(m.dom)
-    by, incly, _ = body(m.cod)
+    bx, inclx = body(m.dom)
+    by, incly = body(m.cod)
     assign = dict(m.f.assign)
     for cid, tid in m.p.items():
         assign[cid] = tid

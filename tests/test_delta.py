@@ -75,6 +75,17 @@ class TestComplexes:
         assert [len(b2.ids(k)) for k in range(2)] == [3, 3]
         assert b2.max_dim == 1
 
+    def test_standard_simplices_are_shared(self):
+        for k in range(10):
+            assert standard_simplex(k) is standard_simplex(k)
+            assert boundary_complex(k) is boundary_complex(k)
+        # out-of-range calls raise every time: errors are not cached
+        for k in (10, -1, 10, -1):
+            with pytest.raises(DeltaError):
+                standard_simplex(k)
+            with pytest.raises(DeltaError):
+                boundary_complex(k)
+
     def test_validation_rejects_missing_face(self):
         with pytest.raises(DeltaError):
             DeltaComplex({0: ["a"], 1: [("e")]},
@@ -123,6 +134,19 @@ class TestMaps:
         swap = SimplicialMap(b1, b1, {"0": "1", "1": "0"})
         assert swap.is_bijective()
         assert compose(swap, swap.inverse()) == identity_map(b1)
+
+    def test_fibre_index_matches_brute_force(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            f = gen.rand_map(rng, max_dim=2)
+            brute = {}
+            for k, t in f.cod.all_ids():
+                pre = tuple(sorted(s for s in f.dom.ids(k)
+                                   if f.assign[s] == t))
+                if pre:
+                    brute[(k, t)] = pre
+            assert f.fibres() == brute
+            assert f.fibres() is f.fibres()
 
     def test_characteristic_and_boundary_restriction(self):
         d2 = standard_simplex(2)

@@ -1,0 +1,55 @@
+"""Byte-level regression: CLI output hashes pinned to recorded values.
+
+The digests below were recorded from the implementation before the
+factorization hot path was memoized; any change to cell ids, stage order or
+JSON layout shows up here as a mismatch.
+"""
+
+import hashlib
+import random
+
+from relcell import gen, jsonio
+from relcell.cli import main
+
+# sha256 of (stdout + --out file) of ``factor --format json`` for the first
+# ten criterion-8 maps (gen.rand_map(rng, max_dim=3) at seed 2032)
+FACTOR_DIGESTS = [
+    "0ffde9159b26c2403b870cd70f65fd95ef667aec9e94fa1d98dc094d48db311f",
+    "5fa297d8b8b9d08c1fab58ab2206a53d2e61fd4c1a2b387b52d40f209ed7a77f",
+    "696c7ec467b902614487e61e14efafdd991dbb8d52323da3bcd5ee45abe90463",
+    "52993574771a4f66b06f760cb62129fb96b571c4db98820aec219d9dcd7d2c3c",
+    "edc2ff6315b564b40a00c9bb380dc84d01e21b65c60832e129de1a22afebb305",
+    "1cb5e7689f501a4956525524e07be86abee5665f0de0658871226742525ef9f2",
+    "38618ada10f9333261a9c959f163e3e25a080947539523b420d0656a53446bbd",
+    "3a4c4d8c69daa18d8d9f9e93019f91435b7a0b4f6164a275623552e85331f163",
+    "afc1a5ef59685057cb6866fe7179be139847a890f2d30477fd51c17dd9156f94",
+    "28b651631f6fea6f353b5e82518f4794e54c5fbaa0dca754a60b6b8f4923759a",
+]
+
+# sha256 of the stdout of ``check --format json``
+CHECK_DIGEST = \
+    "e3d25fe8cad34d54e1b20f96df0a5e485242cdffc5524249181ef89790a142ad"
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_factor_output_bytes(tmp_path, capsys):
+    rng = random.Random(2032)
+    got = []
+    for i in range(10):
+        src = tmp_path / f"map{i}.json"
+        src.write_text(jsonio.dumps(jsonio.map_to_json(
+            gen.rand_map(rng, max_dim=3))))
+        out = tmp_path / f"fr{i}.json"
+        assert main(["factor", str(src), "--format", "json",
+                     "--out", str(out)]) == 0
+        got.append(_sha(capsys.readouterr().out.encode() +
+                        out.read_bytes()))
+    assert got == FACTOR_DIGESTS
+
+
+def test_check_output_bytes(capsys):
+    assert main(["check", "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == CHECK_DIGEST

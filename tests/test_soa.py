@@ -14,6 +14,7 @@ from relcell import (
     EMPTY,
     SimplicialMap,
     Stratum,
+    body,
     boundary_complex,
     boundary_restriction,
     check_awfs_laws,
@@ -135,6 +136,14 @@ class TestFreeComplex:
         fr = free_complex(f)
         assert fr.kf.height == 0
         assert fr.ef == f
+
+    def test_each_stratum_glued_once(self):
+        rng = random.Random(2032)
+        for _ in range(10):
+            fr = free_complex(gen.rand_map(rng, max_dim=2))
+            for n, st in enumerate(fr.kf.strata):
+                assert fr.kf.stage(n + 1) is body(st)[0]
+            assert fr.ef.dom is fr.kf.body
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceededError) as exc:

@@ -13,6 +13,7 @@ from relcell import (
     Stratum,
     boundary_complex,
     body,
+    characteristic_map,
     compose,
     compose_strata_morphisms,
     coproduct,
@@ -27,6 +28,7 @@ from relcell import (
     standard_simplex,
     strata_colimit,
     strata_equaliser,
+    top_simplex_id,
     u_of_strata_morphism,
 )
 from relcell import gen
@@ -68,31 +70,36 @@ def iso_over(x, y, fx, fy):
 class TestBody:
     def test_loop(self):
         st = loop_stratum()
-        bx, inc, chis = body(st)
+        bx = body(st)[0]
         assert (len(bx.ids(0)), len(bx.ids(1))) == (1, 1)
         assert bx.faces_of("loop") == ("0", "0")
-        assert chis["loop"].assign["01"] == "loop"
+        assert characteristic_map(bx, "loop").assign["01"] == "loop"
 
     def test_no_cells(self):
         x = standard_simplex(1)
         st = Stratum(x, [])
-        bx, inc, _ = body(st)
+        bx, inc = body(st)
         assert bx == x and inc == identity_map(x)
 
     def test_two_zero_cells_on_empty(self):
         st = Stratum(EMPTY, [
             Cell("a", 0, SimplicialMap(EMPTY, EMPTY, {})),
             Cell("b", 0, SimplicialMap(EMPTY, EMPTY, {}))])
-        bx, _, _ = body(st)
+        bx = body(st)[0]
         assert sorted(bx.ids(0)) == ["a", "b"]
 
     def test_matches_generic_pushout_oracle(self):
         rng = random.Random(31)
         for _ in range(15):
             st = gen.rand_stratum(rng)
-            bx, inc, _ = body(st)
+            bx, inc = body(st)
             p, _, pb = generic_body_oracle(st)
             assert iso_over(bx, p, inc, pb) is not None
+            # each glued cell's characteristic map extends its attach
+            for c in st.cells:
+                want = dict(c.attach.assign)
+                want[top_simplex_id(c.dim)] = c.id
+                assert characteristic_map(bx, c.id).assign == want
 
     def test_cell_validation(self):
         pt = standard_simplex(0)
@@ -106,6 +113,12 @@ class TestBody:
                                SimplicialMap(EMPTY, pt, {}))])
         with pytest.raises(DeltaError):
             body(st)
+
+    def test_glued_once_per_stratum(self):
+        st = gen.rand_stratum(random.Random(5))
+        first = body(st)
+        assert body(st) is first
+        assert body(st)[0] is first[0]
 
 
 class TestMorphisms:
@@ -177,7 +190,7 @@ class TestPushforward:
         st = Stratum(b1, [Cell("e", 1, identity_map(b1))])
         g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
         out = pushforward_stratum(st, g)
-        bx, _, _ = body(out)
+        bx = body(out)[0]
         assert (len(bx.ids(0)), len(bx.ids(1))) == (1, 1)
 
     def test_body_commutes_with_pushforward(self):
@@ -185,9 +198,9 @@ class TestPushforward:
         for _ in range(15):
             st = gen.rand_stratum(rng)
             g = gen.rand_map_from(rng, st.boundary)
-            bx, inc, _ = body(st)
+            bx, inc = body(st)
             p, pbx, pz = pushout(inc, g)
-            out_body, out_inc, _ = body(pushforward_stratum(st, g))
+            out_body, out_inc = body(pushforward_stratum(st, g))
             assert iso_over(out_body, p, compose(pz, g), compose(pbx, inc)) \
                 is not None
 
