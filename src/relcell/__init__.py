@@ -16,6 +16,7 @@ from .delta import (
     Filtration,
     SimplicialMap,
     boundary_complex,
+    boundary_lifts,
     boundary_restriction,
     characteristic_map,
     coequaliser,

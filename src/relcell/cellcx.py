@@ -118,10 +118,6 @@ def trivial_complex(x):
     return CellComplex(x, (), validate=False)
 
 
-def height(c):
-    return c.height
-
-
 def u_of_complex(c):
     """The underlying map: the identifier inclusion of the base in the body."""
     return inclusion_map(c.boundary, c.body)
@@ -299,14 +295,6 @@ class CellComplexMorphism:
         return SimplicialMap(self.dom.stage(min(n, self.dom.height)),
                              self.cod.stage(min(n, self.cod.height)),
                              assign, validate=False)
-
-    def stage_strata_morphism(self, n):
-        fn = SimplicialMap(self.dom.stage(n), self.cod.stage(n),
-                           self.stage_map(n).assign, validate=False)
-        return StrataMorphism(self.dom.strata[n], self.cod.strata[n], fn,
-                              {c.id: self.p[c.id]
-                               for c in self.dom.strata[n].cells},
-                              validate=False)
 
     def __eq__(self, other):
         return isinstance(other, CellComplexMorphism) and \

@@ -47,6 +47,8 @@ def _load(path, loader):
         raise _InputError(
             f"{path}: invalid JSON at line {err.lineno} column "
             f"{err.colno}: {err.msg}") from err
+    except UnicodeDecodeError as err:
+        raise _InputError(f"{path}: cannot decode text: {err.reason}") from err
     try:
         return loader(obj)
     except DeltaError as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -175,7 +176,8 @@ EMPTY = DeltaComplex()
 class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes."""
 
-    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_fibres")
+    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_fibres",
+                 "_prefixes")
 
     def __init__(self, dom, cod, assign, validate=True):
         self.dom = dom
@@ -184,6 +186,7 @@ class SimplicialMap:
         self._key = None
         self._hash = None
         self._fibres = None
+        self._prefixes = None
         if validate:
             self._validate()
 
@@ -217,6 +220,24 @@ class SimplicialMap:
             self._fibres = {key: tuple(sorted(v)) for key, v in idx.items()}
         return self._fibres
 
+    def prefix_index(self, m):
+        """The face-prefix index of the m-simplices: ``(t, p)`` -> sorted
+        m-simplices mapped to t whose face tuple starts with the tuple p,
+        for every prefix length from 0 to m + 1 (vertices: only ``()``)."""
+        if self._prefixes is None:
+            self._prefixes = {}
+        idx = self._prefixes.get(m)
+        if idx is None:
+            idx = {}
+            faces = self.dom.faces
+            for s in self.dom.ids(m):
+                t = self.assign[s]
+                fs = faces.get(s, ())
+                for j in range(len(fs) + 1):
+                    idx.setdefault((t, fs[:j]), []).append(s)
+            self._prefixes[m] = idx
+        return idx
+
     def __eq__(self, other):
         return isinstance(other, SimplicialMap) and self.key() == other.key()
 
@@ -227,10 +248,6 @@ class SimplicialMap:
 
     def __repr__(self):
         return f"SimplicialMap({self.dom!r} -> {self.cod!r})"
-
-    @property
-    def image_ids(self):
-        return frozenset(self.assign.values())
 
     def is_injective(self):
         return len(set(self.assign.values())) == len(self.assign)
@@ -326,6 +343,13 @@ def top_simplex_id(k):
     return "".join(str(v) for v in range(k + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def facet_ids(k):
+    """The ids of the faces d_0..d_k of the top simplex of the standard
+    k-simplex (d_i omits vertex i; none for k == 0)."""
+    return standard_simplex(k).faces_of(top_simplex_id(k))
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def boundary_complex(k):
     """The standard k-simplex with its unique top simplex removed."""
@@ -335,25 +359,45 @@ def boundary_complex(k):
     return full.subcomplex(full.id_set - {top_simplex_id(k)})
 
 
+@functools.lru_cache(maxsize=None)
+def _face_steps(k):
+    """Steps ``(s, parent, i)`` that reach every simplex s of dimension
+    < k - 1 of the standard k-simplex as face i of a parent reached before
+    it, starting from the facets."""
+    delta = standard_simplex(k)
+    done = set(facet_ids(k))
+    steps = []
+    for m in range(k - 1, 0, -1):
+        for sid in delta.ids(m):
+            for i, s in enumerate(delta.faces_of(sid)):
+                if s not in done:
+                    done.add(s)
+                    steps.append((s, sid, i))
+    return tuple(steps)
+
+
+def _boundary_assign(k, facet_images, faces):
+    """The assignment on the boundary of the standard k-simplex whose
+    facets go to ``facet_images``, lower simplices following ``faces``."""
+    assign = dict(zip(facet_ids(k), facet_images))
+    for s, parent, i in _face_steps(k):
+        assign[s] = faces[assign[parent]][i]
+    return assign
+
+
 def characteristic_map(x, b):
     """The map from the standard k-simplex sending the top simplex to b."""
     k = x.dim(b)
-    delta = standard_simplex(k)
-    assign = {top_simplex_id(k): b}
-    for m in range(k - 1, -1, -1):
-        for sid in delta.ids(m + 1):
-            for i, f in enumerate(delta.faces_of(sid)):
-                if f not in assign:
-                    assign[f] = x.face(assign[sid], i)
-    return SimplicialMap(delta, x, assign, validate=False)
+    assign = _boundary_assign(k, x.faces_of(b), x.faces)
+    assign[top_simplex_id(k)] = b
+    return SimplicialMap(standard_simplex(k), x, assign, validate=False)
 
 
 def boundary_restriction(x, b):
     """The restriction of ``characteristic_map(x, b)`` to the boundary."""
     k = x.dim(b)
-    chi = characteristic_map(x, b)
-    bd = boundary_complex(k)
-    return SimplicialMap(bd, x, {s: chi.assign[s] for s in bd._dim_of},
+    return SimplicialMap(boundary_complex(k), x,
+                         _boundary_assign(k, x.faces_of(b), x.faces),
                          validate=False)
 
 
@@ -423,6 +467,56 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
         assign.pop(s, None)
 
     rec(0)
+    return results
+
+
+def boundary_lifts(f, t, new=None):
+    """All boundary lifts of t: maps u from the boundary of the standard
+    k-simplex (k = dim t) into dom(f) with ``f o u`` the boundary of t.
+
+    A lift is fixed by its facets x_0..x_k, subject to ``f(x_i) = d_i t``
+    and ``d_i x_j = d_(j-1) x_i`` for i < j.  So the first j faces of x_j
+    are fixed by x_0..x_(j-1), and ``f.prefix_index`` yields the candidates
+    for x_j directly; the search recurses k + 1 deep.  With ``new`` (a set
+    of domain ids), only lifts with some facet in ``new`` are kept: when no
+    earlier facet is new, x_k is drawn from ``new`` alone, so no other lift
+    is built.  Output order is lexicographic in the facet tuple.
+    """
+    a = f.dom
+    k = f.cod.dim(t)
+    bd = boundary_complex(k)
+    if k == 0:
+        return [] if new is not None else \
+            [SimplicialMap(bd, a, {}, validate=False)]
+    index = f.prefix_index(k - 1)
+    targets = f.cod.faces[t]
+    faces = a.faces
+    # the faces x_0..x_(j-1) fix for x_j: face j - 1 of each
+    lead = [itemgetter(j - 1) for j in range(k + 1)] if k > 1 else None
+    xs = []
+    xfaces = []
+    results = []
+
+    def rec(j, fresh):
+        prefix = tuple(map(lead[j], xfaces)) if lead else ()
+        cands = index.get((targets[j], prefix), ())
+        if j == k:
+            for c in cands:
+                if fresh or c in new:
+                    xs.append(c)
+                    results.append(SimplicialMap(
+                        bd, a, _boundary_assign(k, xs, faces),
+                        validate=False))
+                    xs.pop()
+            return
+        for c in cands:
+            xs.append(c)
+            xfaces.append(faces.get(c))
+            rec(j + 1, fresh or c in new)
+            xs.pop()
+            xfaces.pop()
+
+    rec(0, new is None)
     return results
 
 

@@ -7,6 +7,7 @@ the ordinary constructors and raise DeltaError subclasses on bad input.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .delta import DeltaComplex, DeltaError, SimplicialMap, boundary_complex
@@ -26,6 +27,34 @@ def _expect(cond, msg):
         raise DeltaError(msg)
 
 
+# Type checks for well-formed JSON of the wrong shape: containers are
+# checked where they are read, and ids (the leaves) in one pass per list
+# or object, so that every bad input raises DeltaError.
+
+
+def _strings(values):
+    """True iff every value is a string, as every simplex id is; ``join``
+    makes the check in one C-level pass."""
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
+
+
+def _expect_list(value, what):
+    _expect(isinstance(value, list), f"{what} must be given as a list")
+
+
+def _dim_key(key):
+    try:
+        k = int(key)
+    except ValueError:
+        raise DeltaError(f"dimension key {key!r} is not an integer") from None
+    _expect(k >= 0, "negative dimension")
+    return k
+
+
 # -- delta complexes and maps ----------------------------------------------
 
 
@@ -42,24 +71,30 @@ def complex_to_json(x):
 
 
 def complex_from_json(obj):
-    _expect(isinstance(obj, dict) and "simplices" in obj,
-            "complex JSON must be an object with a 'simplices' field")
+    _expect(isinstance(obj, dict) and
+            isinstance(obj.get("simplices"), dict),
+            "complex JSON must be an object with a 'simplices' object")
     simplices = {}
     faces = {}
     for key, entries in obj["simplices"].items():
-        k = int(key)
-        _expect(k >= 0, "negative dimension")
-        ids = []
-        for e in entries:
-            if k == 0:
-                _expect(isinstance(e, str), "0-simplices must be strings")
-                ids.append(e)
-            else:
-                _expect(isinstance(e, dict) and "id" in e and "faces" in e,
-                        f"{k}-simplices must be objects with id and faces")
+        k = _dim_key(key)
+        _expect_list(entries, f"the {key}-simplices")
+        if k == 0:
+            _expect(_strings(entries), "0-simplices must be strings")
+            ids = entries
+        else:
+            ids = []
+            for e in entries:
+                _expect(isinstance(e, dict) and
+                        isinstance(e.get("id"), str) and
+                        isinstance(e.get("faces"), list),
+                        f"{k}-simplices must be objects with a string id "
+                        f"and a list of faces")
                 ids.append(e["id"])
                 faces[e["id"]] = tuple(e["faces"])
         simplices[k] = ids
+    _expect(_strings(itertools.chain.from_iterable(faces.values())),
+            "faces must be simplex ids")
     return DeltaComplex(simplices, faces)
 
 
@@ -77,8 +112,12 @@ def map_from_json(obj):
             "map JSON must carry dom, cod, and assign")
     dom = complex_from_json(obj["dom"])
     cod = complex_from_json(obj["cod"])
+    _expect(isinstance(obj["assign"], dict),
+            "map JSON 'assign' must be an object")
     assign = {}
     for graded in obj["assign"].values():
+        _expect(isinstance(graded, dict) and _strings(graded.values()),
+                "each graded assignment must map ids to ids")
         assign.update(graded)
     return SimplicialMap(dom, cod, assign)
 
@@ -90,9 +129,17 @@ def _cell_to_json(c):
     return {"id": c.id, "dim": c.dim, "attach": dict(c.attach.assign)}
 
 
+def _check_cell(obj):
+    _expect(isinstance(obj, dict) and isinstance(obj.get("id"), str) and
+            type(obj.get("dim")) is int and
+            isinstance(obj.get("attach"), dict) and
+            _strings(obj["attach"].values()),
+            "cell JSON must carry a string id, an integer dim and an "
+            "attach object from ids to ids")
+
+
 def _cell_from_json(obj, boundary):
-    _expect(isinstance(obj, dict) and {"id", "dim", "attach"} <= set(obj),
-            "cell JSON must carry id, dim, and attach")
+    _check_cell(obj)
     attach = SimplicialMap(boundary_complex(obj["dim"]), boundary,
                            dict(obj["attach"]))
     return Cell(obj["id"], obj["dim"], attach)
@@ -107,6 +154,7 @@ def stratum_from_json(obj):
     _expect(isinstance(obj, dict) and {"boundary", "cells"} <= set(obj),
             "stratum JSON must carry boundary and cells")
     boundary = complex_from_json(obj["boundary"])
+    _expect_list(obj["cells"], "cells")
     return Stratum(boundary,
                    [_cell_from_json(c, boundary) for c in obj["cells"]])
 
@@ -127,15 +175,16 @@ def cellcx_cells_from_json(obj):
     _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
             "complex JSON must carry base and strata")
     base = complex_from_json(obj["base"])
+    _expect_list(obj["strata"], "strata")
     raw = []
     for st in obj["strata"]:
         _expect(isinstance(st, dict) and "cells" in st,
                 "each stratum entry must carry cells")
+        _expect_list(st["cells"], "cells")
         raw.extend(st["cells"])
     pool = dict(base._dim_of)
     for c in raw:
-        _expect(isinstance(c, dict) and {"id", "dim", "attach"} <= set(c),
-                "cell JSON must carry id, dim, and attach")
+        _check_cell(c)
         _expect(c["id"] not in pool, f"duplicate identifier {c['id']!r}")
         pool[c["id"]] = c["dim"]
     cells = []
@@ -160,12 +209,14 @@ def cellcx_from_json(obj):
     _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
             "complex JSON must carry base and strata")
     base = complex_from_json(obj["base"])
+    _expect_list(obj["strata"], "strata")
     from .strata import body
     strata = []
     current = base
     for entry in obj["strata"]:
         _expect(isinstance(entry, dict) and "cells" in entry,
                 "each stratum entry must carry cells")
+        _expect_list(entry["cells"], "cells")
         st = Stratum(current,
                      [_cell_from_json(c, current) for c in entry["cells"]])
         strata.append(st)
@@ -214,11 +265,17 @@ def filler_table_from_json(obj):
     _expect(isinstance(obj, dict) and {"p", "entries", "fallback"} <=
             set(obj), "filler table JSON must carry p, entries, fallback")
     p = map_from_json(obj["p"])
+    _expect_list(obj["entries"], "filler table entries")
     entries = {}
     for e in obj["entries"]:
         _expect(isinstance(e, dict) and
                 {"dim", "boundary", "target", "filler"} <= set(e),
                 "entry must carry dim, boundary, target, filler")
+        _expect(type(e["dim"]) is int and isinstance(e["boundary"], dict) and
+                _strings(e["boundary"].values()) and
+                _strings((e["target"], e["filler"])),
+                "an entry needs an integer dim, a boundary object from ids "
+                "to ids, and string target and filler")
         entries[square_key(e["dim"], e["target"], e["boundary"])] = \
             e["filler"]
     return FillerTable(p, entries, obj["fallback"])

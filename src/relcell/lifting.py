@@ -21,8 +21,8 @@ from .delta import (
     boundary_restriction,
     compose,
     enumerate_homs,
+    facet_ids,
     mec,
-    top_simplex_id,
 )
 from .cellcx import u_of_complex
 from .soa import KCellKey, encode_lift
@@ -42,8 +42,7 @@ def square_key(dim, target, u_assign):
 
 
 def _expected_faces(dim, u_assign):
-    top = top_simplex_id(dim)
-    return tuple(u_assign[top[:i] + top[i + 1:]] for i in range(dim + 1))
+    return tuple(u_assign[s] for s in facet_ids(dim))
 
 
 class FillerTable:

@@ -4,6 +4,10 @@
 followed by a map from its body to B.  Stage n glues one cell for every pair
 of a k-simplex of B and a boundary lift into the stage-n space whose image
 is not contained in stage n - 1; iteration stops at the first empty stage.
+Stage n - 1 is face-closed, so a lift is proper iff some facet is a cell
+newly glued at stage n - 1.  Each stage therefore enumerates only the lifts
+with a new facet (the semi-naive form of the construction), and shape-0
+cells, whose boundary lift is empty, are glued at stage 0 only.
 
 Cells are identified by a canonical key (stage, shape dimension, target
 simplex, hashed boundary lift) prefixed with a short digest of the factored
@@ -20,9 +24,9 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
+    boundary_lifts,
     boundary_restriction,
     compose,
-    enumerate_homs,
     identity_map,
     mediate_pushout,
     pushout,
@@ -110,22 +114,26 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
 
     One cell per pair of a k-simplex b of the codomain and a boundary lift
     u into the domain with ``f o u`` equal to the boundary of b.  Lifts whose
-    image lies inside ``prev_ids`` are omitted (properness filtering).
-    Returns (stratum, extended codomain map from the stratum's body).
+    image lies inside ``prev_ids`` (the face-closed previous stage) are
+    omitted (properness filtering): a lift is kept iff some facet is a new
+    simplex, outside ``prev_ids``.  Only such lifts are enumerated, and only
+    for shapes k whose facet dimension k - 1 has new simplices.  Returns
+    (stratum, extended codomain map from the stratum's body).
     """
     if digest is None:
         digest = _map_digest(f)
     a, b = f.dom, f.cod
+    new = new_dims = None
+    if prev_ids is not None:
+        new = a.id_set - prev_ids
+        new_dims = {a.dim(s) for s in new}
     cells = []
     e_assign = dict(f.assign)
     for k in range(b.max_dim + 1):
-        bd = boundary_complex(k)
+        if new_dims is not None and k - 1 not in new_dims:
+            continue
         for t in b.ids(k):
-            tgt = boundary_restriction(b, t)
-            for u in enumerate_homs(bd, a, post=(f, tgt)):
-                if prev_ids is not None and \
-                        set(u.assign.values()) <= prev_ids:
-                    continue
+            for u in boundary_lifts(f, t, new):
                 key = KCellKey(stage, k, t, encode_lift(u))
                 cid = key.cell_id(digest)
                 cells.append(Cell(cid, k, u, validate=False))

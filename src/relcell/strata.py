@@ -18,8 +18,8 @@ from .delta import (
     boundary_complex,
     colimit,
     compose,
+    facet_ids,
     inclusion_map,
-    top_simplex_id,
 )
 
 
@@ -108,10 +108,8 @@ def body(st):
                 f"cell id {c.id!r} collides with a boundary simplex")
         simp.setdefault(c.dim, []).append(c.id)
         if c.dim >= 1:
-            top = top_simplex_id(c.dim)
-            faces[c.id] = tuple(
-                c.attach.assign[top[:i] + top[i + 1:]]
-                for i in range(c.dim + 1))
+            faces[c.id] = tuple(map(c.attach.assign.__getitem__,
+                                    facet_ids(c.dim)))
     total = DeltaComplex(simp, faces, validate=False)
     st._body = (total, inclusion_map(st.boundary, total))
     return st._body

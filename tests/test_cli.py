@@ -1,10 +1,13 @@
 """Command-line contract: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcell import (
     EMPTY,
@@ -90,6 +93,97 @@ class TestFactor:
         assert code == 2
 
 
+def _factor_argv(mutate):
+    """argv for ``factor`` on the boundary-of-an-edge map, mutated."""
+    def argv(write):
+        obj = jsonio.map_to_json(boundary_inclusion(1))
+        mutate(obj)
+        return ["factor", write("f.json", obj)]
+    return argv
+
+
+def _rename_dim_key(obj):
+    simplices = obj["cod"]["simplices"]
+    simplices["one"] = simplices.pop("1")
+
+
+def _assign_as_list(obj):
+    obj["assign"] = list(obj["assign"].values())
+
+
+def _simplices_as_list(obj):
+    obj["cod"]["simplices"] = list(obj["cod"]["simplices"].values())
+
+
+def _faces_as_int(obj):
+    obj["cod"]["simplices"]["1"][0]["faces"] = 0
+
+
+def _cell_dim_as_string(write):
+    obj = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
+    cell = obj["strata"][0]["cells"][0]
+    cell["dim"] = str(cell["dim"])
+    return ["export-dot", write("kf.json", obj)]
+
+
+def _table_boundary_as_list(write):
+    fold, pc, pu, pv = TestLift._fixture(write)
+    obj = jsonio.filler_table_to_json(
+        FillerTable(fold, {square_key(0, "0", {}): "0.0"}, fallback="fail"))
+    obj["entries"][0]["boundary"] = []
+    return ["lift", pc, write("t.json", obj), pu, pv]
+
+
+@pytest.mark.parametrize("argv", [
+    _factor_argv(_rename_dim_key),
+    _factor_argv(_assign_as_list),
+    _factor_argv(_simplices_as_list),
+    _factor_argv(_faces_as_int),
+    _cell_dim_as_string,
+    _table_boundary_as_list,
+], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
+        "faces-as-int", "cell-dim-as-string", "table-boundary-as-list"])
+def test_schema_invalid_json_exit_2(files, capsys, argv):
+    _, write = files
+    code, _, err = run_cli(capsys, *argv(write))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_IDS = st.sampled_from(["a", "b", "0", "1"])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | _IDS,
+    lambda inner: st.lists(inner, max_size=2) |
+    st.dictionaries(_IDS, inner, max_size=2),
+    max_leaves=4)
+_ID = _IDS | _JUNK
+_ENTRY = st.fixed_dictionaries(
+    {"id": _ID, "faces": st.lists(_ID, max_size=3) | _JUNK})
+_COMPLEX = st.fixed_dictionaries({"simplices": st.dictionaries(
+    st.sampled_from(["0", "1", "2", "x"]),
+    st.lists(_ID, max_size=3) | st.lists(_ENTRY, max_size=2) | _JUNK,
+    max_size=3) | _JUNK}) | _JUNK
+_ASSIGN = st.dictionaries(st.sampled_from(["0", "1", "2"]),
+                          st.dictionaries(_IDS, _ID, max_size=3) | _JUNK,
+                          max_size=3) | _JUNK
+_MAP = st.fixed_dictionaries(
+    {"dom": _COMPLEX, "cod": _COMPLEX, "assign": _ASSIGN}) | _JUNK
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MAP)
+def test_factor_exit_codes_on_random_json(obj):
+    """Whatever JSON a map file holds, ``factor`` ends with a documented
+    exit code: 0, 2 (input error), 3 (cap) or 4 (law failure)."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh)
+        assert main(["factor", path]) in (0, 2, 3, 4)
+    finally:
+        os.unlink(path)
+
+
 class TestComposeNormalizePushout:
     def test_normalize_idempotent_bytes(self, files, capsys, tmp_path):
         import random
@@ -149,7 +243,8 @@ class TestComposeNormalizePushout:
 
 
 class TestLift:
-    def _fixture(self, write):
+    @staticmethod
+    def _fixture(write):
         from relcell import Cell, CellComplex, Stratum, coproduct
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)

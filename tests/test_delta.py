@@ -14,6 +14,7 @@ from relcell import (
     Filtration,
     SimplicialMap,
     boundary_complex,
+    boundary_lifts,
     boundary_restriction,
     characteristic_map,
     coequaliser,
@@ -190,6 +191,25 @@ class TestHomEnumeration:
         homs = enumerate_homs(boundary_complex(1), f.dom, post=(f, tgt))
         assert len(homs) == 1
         assert homs[0].assign == {"0": "0", "1": "1"}
+
+    def test_boundary_lifts_match_post_constrained_homs(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            f = gen.rand_map(rng, max_dim=2)
+            old = gen.rand_subcomplex(rng, f.dom).id_set
+            new = f.dom.id_set - old
+            for k, t in f.cod.all_ids():
+                homs = enumerate_homs(boundary_complex(k), f.dom,
+                                      post=(f, boundary_restriction(f.cod, t)))
+                want = sorted(tuple(sorted(h.assign.items())) for h in homs)
+                proper = [u for u in want
+                          if not {s for _, s in u} <= old]
+                for kept, got in ((want, boundary_lifts(f, t)),
+                                  (proper, boundary_lifts(f, t, new))):
+                    assert sorted(tuple(sorted(u.assign.items()))
+                                  for u in got) == kept
+                    assert all(u.dom is boundary_complex(k) and
+                               u.cod is f.dom for u in got)
 
 
 class TestColimits:

@@ -48,27 +48,23 @@ from conftest import boundary_inclusion, fold_map, law_fixtures
 
 def oracle_squares(g, prev_ids=None):
     """Independent oracle for one gluing stage: brute-force enumeration of
-    commuting squares (k-simplex of cod, boundary lift into dom)."""
+    commuting squares (k-simplex of cod, boundary lift into dom).  Each
+    boundary simplex ranges over the simplices of its dimension over its
+    target; the face equations are checked on every whole assignment."""
     a, b = g.dom, g.cod
     found = []
     for k in range(b.max_dim + 1):
         bd = boundary_complex(k)
         order = [s for _, s in bd.all_ids()]
-        pools = [sorted(a.ids(bd.dim(s))) for s in order]
         for t in sorted(b.ids(k)):
             tgt = boundary_restriction(b, t)
+            pools = [[x for x in sorted(a.ids(bd.dim(s)))
+                      if g.assign[x] == tgt.assign[s]] for s in order]
             for combo in itertools.product(*pools):
                 assign = dict(zip(order, combo))
-                ok = True
-                for s in order:
-                    if bd.dim(s) >= 1 and a.faces_of(assign[s]) != tuple(
-                            assign[f] for f in bd.faces_of(s)):
-                        ok = False
-                        break
-                    if g.assign[assign[s]] != tgt.assign[s]:
-                        ok = False
-                        break
-                if not ok:
+                if any(a.faces_of(assign[s]) !=
+                       tuple(assign[f] for f in bd.faces_of(s))
+                       for s in order if bd.dim(s) >= 1):
                     continue
                 if prev_ids is not None and set(assign.values()) <= prev_ids:
                     continue
@@ -94,11 +90,32 @@ class TestK1Step:
         assert [c.dim for c in st.cells] == [0]
 
     def test_matches_square_oracle(self):
+        """Every stage of ``free_complex``, and the empty stage after the
+        last, glues exactly the squares the brute-force oracle finds, with
+        their full boundary lifts."""
         rng = random.Random(113)
         for _ in range(15):
             f = gen.rand_map(rng, max_dim=2)
-            st, _ = k1_step(f)
-            assert len(st.cells) == len(oracle_squares(f))
+            fr = free_complex(f)
+            prev = None
+            for n in range(fr.kf.height + 1):
+                stage = fr.kf.stage(n)
+                g = SimplicialMap(stage, f.cod,
+                                  {s: fr.ef.assign[s] for s in stage.id_set})
+                glued = [] if n == fr.kf.height else [
+                    (c.dim, fr.ef.assign[c.id],
+                     tuple(sorted(c.attach.assign.items())))
+                    for c in fr.kf.strata[n].cells]
+                assert sorted(glued) == sorted(oracle_squares(g, prev))
+                prev = stage.id_set
+
+    def test_dim_9_boundary(self):
+        # the search recurses once per facet, not once per simplex
+        st, _ = k1_step(boundary_inclusion(9))
+        assert len(st.cells) == 2 ** 10 - 1
+        assert sorted(c.dim for c in st.cells) == sorted(
+            k for k in range(10) for _ in itertools.combinations(range(10),
+                                                                  k + 1))
 
 
 class TestFreeComplex:
