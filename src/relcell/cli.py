@@ -8,10 +8,12 @@ lifting failure.  All output is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .delta import (
+    MAX_DIM,
     DeltaError,
     EMPTY,
     SimplicialMap,
@@ -59,6 +61,16 @@ class _InputError(Exception):
     pass
 
 
+def _factorable_map(obj):
+    """A map loaded for factoring: its codomain, which fixes the largest
+    cell dimension, must stay within the supported dimensions."""
+    f = jsonio.map_from_json(obj)
+    if f.cod.max_dim > MAX_DIM:
+        raise DeltaError(f"the codomain has dimension {f.cod.max_dim}; "
+                         f"maps are factored up to dimension {MAX_DIM} only")
+    return f
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -86,7 +98,7 @@ def builtin_fixtures():
 
 
 def cmd_factor(args):
-    f = _load(args.map, jsonio.map_from_json)
+    f = _load(args.map, _factorable_map)
     fr = free_complex(f, safety_cap=args.cap)
     counts = "; ".join(
         f"stage {n}: {c} cell" + ("s" if c != 1 else "")
@@ -152,7 +164,7 @@ def cmd_lift(args):
 def cmd_check(args):
     fixtures = builtin_fixtures()
     for i, path in enumerate(args.maps):
-        fixtures.append((f"input-{i}", _load(path, jsonio.map_from_json)))
+        fixtures.append((f"input-{i}", _load(path, _factorable_map)))
     rng = rng_from_seed(args.seed)
     fz = Factorizer(args.cap)
     results = {}
@@ -205,6 +217,8 @@ def cmd_export_dot(args):
 # -- entry point -------------------------------------------------------------
 
 
+# Built once per process: parsing never changes the parser.
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relcell",

@@ -317,6 +317,10 @@ class ArrowSquare:
 # -- representable complexes ---------------------------------------------
 
 
+# Vertex-list ids spell each vertex as one digit, so simplices stop at 9.
+MAX_DIM = 9
+
+
 # Cached and shared.  Typed, so a float or bool dimension never hits an int
 # entry and behaves as uncached; calls that raise are not cached.
 @functools.lru_cache(maxsize=None, typed=True)
@@ -324,8 +328,8 @@ def standard_simplex(k):
     """The complex whose m-simplices are the (m+1)-subsets of {0..k}."""
     if k < 0:
         raise DeltaError("k must be >= 0")
-    if k > 9:
-        raise DeltaError("vertex-list ids support k <= 9 only")
+    if k > MAX_DIM:
+        raise DeltaError(f"vertex-list ids support k <= {MAX_DIM} only")
     simp = {}
     faces = {}
     for m in range(k + 1):

@@ -1,12 +1,17 @@
 """JSON serialization for every value the command-line interface handles.
 
 All emitters produce deterministic structures (sorted keys, sorted id
-lists); ``dumps`` fixes the byte-level format.  Loaders validate through
-the ordinary constructors and raise DeltaError subclasses on bad input.
+lists); ``dumps`` fixes the byte-level format, which is exactly
+``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
+``json`` encodes in pure Python, so ``dumps`` walks the containers itself
+and hands each one that holds no container to the C encoder (see
+``dumps``).  Loaders validate through the ordinary constructors and raise
+DeltaError subclasses on bad input.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -17,9 +22,62 @@ from .lifting import FillerTable, square_key
 from .soa import FactorResult, _map_digest
 
 
+_NESTED = (dict, list, tuple)
+_encode = json.JSONEncoder().encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=None)
+def _level(n):
+    """The line break and indent of items ``n`` levels deep, and a C-encoder
+    ``encode`` whose item separator ends in them."""
+    indent = "\n" + "  " * n
+    return indent, json.JSONEncoder(
+        sort_keys=True, separators=("," + indent, ": ")).encode
+
+
+def _write(obj, n, out):
+    """Append to ``out`` the encoding of ``obj``, a non-empty dict, list or
+    tuple whose items are ``n`` levels deep."""
+    indent = _level(n)[0]
+    inner, encode_flat = _level(n + 1)
+    is_dict = isinstance(obj, dict)
+    out.append("{" if is_dict else "[")
+    for k, v in sorted(obj.items()) if is_dict else enumerate(obj):
+        out.append(indent + _encode_key(k) + ": " if is_dict else indent)
+        if not isinstance(v, _NESTED):
+            out.append(_encode(v))
+        elif v and any(map(isinstance,
+                           v.values() if isinstance(v, dict) else v,
+                           itertools.repeat(_NESTED))):
+            _write(v, n + 1, out)
+        else:
+            flat = encode_flat(v)
+            out.append(flat[0] + inner + flat[1:-1] + indent + flat[-1]
+                       if v else flat)
+        out.append(",")
+    out[-1] = _level(n - 1)[0] + ("}" if is_dict else "]")
+
+
 def dumps(obj):
-    """The canonical byte format: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical byte format: exactly
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set, which made writing a factorization cost more than computing it.
+    Here Python walks dicts, lists and tuples only down to the flat ones,
+    which hold no container.  Each flat one is a single call of the C
+    encoder, whose item separator already carries the indent, so only its
+    brackets move onto their own lines.  Keys of the dicts walked in Python
+    must be strings, as every emitter here makes them; any other key raises
+    TypeError rather than change the bytes.
+    """
+    if not isinstance(obj, _NESTED) or not obj:
+        return _encode(obj) + "\n"
+    out = []
+    _write(obj, 1, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _expect(cond, msg):

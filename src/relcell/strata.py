@@ -52,13 +52,6 @@ class Cell:
     def __repr__(self):
         return f"Cell({self.id!r}, dim={self.dim})"
 
-    def retarget(self, new_cod):
-        """The same cell with its attach viewed in a larger codomain."""
-        return Cell(self.id, self.dim,
-                    SimplicialMap(self.attach.dom, new_cod,
-                                  self.attach.assign, validate=False),
-                    validate=False)
-
 
 class Stratum:
     """A boundary complex plus a finite ordered set of cells."""

@@ -1,15 +1,14 @@
 import pytest
 
 from relcell import (
-    EMPTY,
     Factorizer,
     SimplicialMap,
     boundary_complex,
     coproduct,
-    identity_map,
     inclusion_map,
     standard_simplex,
 )
+from relcell.cli import builtin_fixtures
 
 
 @pytest.fixture(scope="session")
@@ -30,11 +29,4 @@ def fold_map():
 
 def law_fixtures():
     """The built-in law-check corpus (named, in a fixed order)."""
-    pt = standard_simplex(0)
-    return [
-        ("empty-to-point", SimplicialMap(EMPTY, pt, {})),
-        ("boundary-1", boundary_inclusion(1)),
-        ("fold", fold_map()),
-        ("boundary-2", boundary_inclusion(2)),
-        ("identity-1", identity_map(standard_simplex(1))),
-    ]
+    return builtin_fixtures()

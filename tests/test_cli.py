@@ -150,6 +150,26 @@ def test_schema_invalid_json_exit_2(files, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _simplex_per_degree(top):
+    """The map from the empty complex to a complex with one simplex in each
+    degree up to ``top``, every face of which is the simplex below."""
+    simplices = {"0": ["s0"]}
+    for k in range(1, top + 1):
+        simplices[str(k)] = [{"id": f"s{k}", "faces": [f"s{k - 1}"] * (k + 1)}]
+    return {"dom": {"simplices": {}}, "cod": {"simplices": simplices},
+            "assign": {}}
+
+
+@pytest.mark.parametrize("command", ["factor", "check"])
+def test_codomain_above_max_dim_exit_2(files, capsys, command):
+    """A codomain above dimension 9 is an input error, not a law failure."""
+    _, write = files
+    path = write("f.json", _simplex_per_degree(10))
+    code, _, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert "dimension 10" in err and "dimension 9 only" in err
+
+
 _IDS = st.sampled_from(["a", "b", "0", "1"])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 3) | _IDS,

@@ -1,14 +1,15 @@
 """Byte-level regression: CLI output hashes pinned to recorded values.
 
-The digests below were recorded from the implementation before the
-factorization hot path was memoized; any change to cell ids, stage order or
-JSON layout shows up here as a mismatch.
+The ``factor`` and ``check`` digests were recorded from the implementation
+before the factorization hot path was memoized, and the digests of the
+other writers before ``jsonio.dumps`` did its encoding in C; any change to
+cell ids, stage order or JSON layout shows up here as a mismatch.
 """
 
 import hashlib
 import random
 
-from relcell import gen, jsonio
+from relcell import FillerTable, free_complex, gen, jsonio, u_of_complex
 from relcell.cli import main
 
 # sha256 of (stdout + --out file) of ``factor --format json`` for the first
@@ -53,3 +54,59 @@ def test_factor_output_bytes(tmp_path, capsys):
 def test_check_output_bytes(capsys):
     assert main(["check", "--format", "json"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == CHECK_DIGEST
+
+
+# sha256 of (stdout + --out file) of ``pushout``, ``lift``, ``compose`` and
+# ``normalize`` on the small fixed inputs built by ``_writer_inputs``.  These
+# were recorded from the implementation before ``jsonio.dumps`` did its
+# encoding in C.  With the digests above they cover every subcommand that
+# writes JSON.
+WRITER_DIGESTS = {
+    "pushout":
+        "b8c514ff7e4aebf4e660c3c6a33ca902cf36a434a8e01802869b2b8f875a1b38",
+    "lift":
+        "b46940e5f0b90675006bca5db633de703d0ba08dcd828cf5d5794c7d91d7cb46",
+    "compose":
+        "d4897d7f9059dd44f74ffadf9d6216acfe3dec89f4e00733bed541c8d1bc93a6",
+    "normalize":
+        "5ee6aee28ad0f0894cb778bef7f0b5690a19ddb1b7464b81f8bc3fdb86a04ceb",
+}
+
+
+def _writer_inputs(write):
+    """argv (minus ``--out``) for each writer, from seeded random inputs."""
+    rng = random.Random(2033)
+    f = gen.rand_map(rng, max_dim=2)
+    fr = free_complex(f)
+    kf = jsonio.cellcx_to_json(fr.kf)
+    a = gen.rand_cell_complex(rng, max_cells=4, prefix="a")
+    b = free_complex(gen.rand_map_from(rng, a.body)).kf
+    shuffled = jsonio.cellcx_to_json(gen.rand_cell_complex(rng, max_cells=4))
+    cells = [c for st in shuffled["strata"] for c in st["cells"]]
+    shuffled["strata"] = [{"cells": cells[::-1]}]
+    return {
+        "pushout": ["pushout", write("f.json", jsonio.map_to_json(f)),
+                    write("kf.json", jsonio.map_to_json(u_of_complex(fr.kf)))],
+        "lift": ["lift", write("c.json", kf),
+                 write("t.json", jsonio.filler_table_to_json(
+                     FillerTable(fr.ef, fallback="search"))),
+                 write("u.json", jsonio.map_to_json(u_of_complex(fr.kf))),
+                 write("v.json", jsonio.map_to_json(fr.ef))],
+        "compose": ["compose", write("a.json", jsonio.cellcx_to_json(a)),
+                    write("b.json", jsonio.cellcx_to_json(b))],
+        "normalize": ["normalize", write("s.json", shuffled)],
+    }
+
+
+def test_writer_output_bytes(tmp_path, capsys):
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(payload))
+        return str(path)
+
+    got = {}
+    for name, argv in _writer_inputs(write).items():
+        out = tmp_path / f"{name}.out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        got[name] = _sha(capsys.readouterr().out.encode() + out.read_bytes())
+    assert got == WRITER_DIGESTS

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relcell import (
     DeltaError,
@@ -131,3 +132,58 @@ class TestFactorAndFillers:
         b = jsonio.dumps(jsonio.cellcx_to_json(c))
         assert a == b
         json.loads(a)
+
+
+# -- the canonical writer ----------------------------------------------------
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", ", ", '", "', '"', "\\", "[", "]", "{", "}", "\n", "\x00", "\x1f",
+     "\u2028", "caf\u00e9", "\U0001f600", '{"a": [1, 2]}'])
+_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT |
+         st.sampled_from([10 ** 30, -0.0]))
+
+
+def _json_values(keys):
+    return st.recursive(
+        _LEAF,
+        lambda inner: (st.lists(inner, max_size=3) |
+                       st.lists(inner, max_size=3).map(tuple) |
+                       st.dictionaries(keys, inner, max_size=3)),
+        max_leaves=12)
+
+
+def _nested_empties(depth):
+    """Empty containers at every level down to ``depth``, mixed with
+    tuples, scalars and a non-empty flat container."""
+    v = {"flat": [1, "x"], "empty": [[], {}, ()]}
+    for n in range(depth):
+        v = [{}, (), v, []] if n % 2 else {"": {}, "a": [], "b": v, "c": ()}
+    return v
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values(_TEXT))
+@example(_nested_empties(6))
+@example({"k": [[[[{"deep": [{}]}]]]]})
+@example((1, (2, ()), {"t": (None, True, -0.0)}))
+@example("caf\u00e9 \"[q]\", \\")
+def test_dumps_is_json_with_sorted_keys_and_indent(value):
+    assert jsonio.dumps(value) == _canonical(value)
+
+
+@settings(max_examples=75, deadline=None)
+@given(_json_values(st.none() | st.booleans() | st.integers() |
+                    st.floats() | _TEXT))
+@example({"a": {1: [2]}})
+@example({"a": {1: 2, "b": 3}})
+def test_dumps_non_string_keys_match_json_or_raise(value):
+    """Any key json accepts either gives json's bytes or a TypeError."""
+    try:
+        got = jsonio.dumps(value)
+    except TypeError:
+        return
+    assert got == _canonical(value)
