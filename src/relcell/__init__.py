@@ -64,7 +64,6 @@ from .cellcx import (
     horizontal_compose,
     identity_morphism,
     is_isomorphism,
-    mec_partition_composite,
     normalize,
     pushforward_complex,
     trivial_complex,
@@ -75,7 +74,6 @@ from .soa import (
     CapExceededError,
     FactorResult,
     Factorizer,
-    KCellKey,
     check_awfs_laws,
     coalgebra_structure,
     comonad_comult,

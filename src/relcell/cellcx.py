@@ -18,7 +18,6 @@ from .delta import (
     compose,
     identity_map,
     inclusion_map,
-    mec,
 )
 from .strata import (
     Cell,
@@ -26,7 +25,6 @@ from .strata import (
     StrataMorphism,
     body,
     pushforward_stratum,
-    strata_colimit,
     _strata_colimit_onto,
 )
 
@@ -38,7 +36,7 @@ class CellComplexError(DeltaError):
 class CellComplex:
     """A finite proper connected sequence of strata over a base complex."""
 
-    __slots__ = ("boundary", "strata", "_stages", "_filtration", "_cell_stage")
+    __slots__ = ("boundary", "strata", "_stages", "_cell_stage")
 
     def __init__(self, boundary, strata, validate=True):
         self.boundary = boundary
@@ -47,7 +45,6 @@ class CellComplex:
         for st in self.strata:
             stages.append(body(st)[0])
         self._stages = tuple(stages)
-        self._filtration = Filtration(stages, validate=False)
         self._cell_stage = {}
         for n, st in enumerate(self.strata):
             for c in st.cells:
@@ -85,7 +82,7 @@ class CellComplex:
 
     @property
     def filtration(self):
-        return self._filtration
+        return Filtration(self._stages, validate=False)
 
     def stage(self, n):
         return self._stages[n]
@@ -191,44 +188,6 @@ def compose_complexes(a, b):
         raise CellComplexError(
             "boundary of the second complex must equal the body of the first")
     return normalize(a.boundary, a.strata + b.strata)
-
-
-def mec_partition_composite(a, b):
-    """The composite built by direct stagewise insertion of b's cells at
-    their minimal enclosing stage of a's filtration, extended as stages
-    grow.  Equivalent to ``compose_complexes``; kept as an oracle."""
-    if b.boundary != a.body:
-        raise CellComplexError("complexes are not composable")
-    pending = [c for _, c in b.all_cells()]
-    strata = []
-    current = a.boundary
-    n = 0
-    while n < a.height or pending:
-        cells = [Cell(c.id, c.dim,
-                      SimplicialMap(c.attach.dom, current, c.attach.assign,
-                                    validate=False), validate=False)
-                 for c in a.strata[n].cells] if n < a.height else []
-        here = [c for c in pending
-                if set(c.attach.assign.values()) <= current.id_set]
-        here_ids = {c.id for c in here}
-        pending = [c for c in pending if c.id not in here_ids]
-        cells.extend(
-            Cell(c.id, c.dim,
-                 SimplicialMap(c.attach.dom, current, c.attach.assign,
-                               validate=False), validate=False)
-            for c in here)
-        if not cells:
-            if pending and n < a.height:
-                n += 1
-                continue
-            if pending:
-                raise CellComplexError("unplaceable cells in composite")
-            break
-        st = Stratum(current, cells, validate=False)
-        strata.append(st)
-        current = body(st)[0]
-        n += 1
-    return CellComplex(a.boundary, strata, validate=False)
 
 
 # -- morphisms ------------------------------------------------------------

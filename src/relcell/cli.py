@@ -24,7 +24,7 @@ from .delta import (
     pushout,
     standard_simplex,
 )
-from .cellcx import compose_complexes, normalize
+from .cellcx import compose_complexes
 from .soa import CapExceededError, check_awfs_laws, free_complex, Factorizer
 from .lifting import LiftError, solve_lifting
 from .gen import rand_nat_square, rng_from_seed
@@ -191,13 +191,9 @@ def cmd_check(args):
 def cmd_export_dot(args):
     c = _load(args.complex, jsonio.cellcx_from_json)
     body = c.body
-    stage_ids = [st.id_set for st in c.filtration.stages]
 
     def stage_of(s):
-        for n, ids in enumerate(stage_ids):
-            if s in ids:
-                return n
-        raise AssertionError("simplex outside the top stage")
+        return 0 if s in c.boundary else c.stage_of_cell(s) + 1
 
     def color(n):
         return _PALETTE[n % len(_PALETTE)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
 
 
 class DeltaError(ValueError):

@@ -25,14 +25,8 @@ from .delta import (
     pushout,
     standard_simplex,
 )
-from .strata import Cell, Stratum, pushforward_morphism, pushforward_stratum
-from .cellcx import (
-    CellComplex,
-    normalize,
-    pushforward_complex,
-    trivial_complex,
-    u_of_complex,
-)
+from .strata import Cell, Stratum, pushforward_morphism
+from .cellcx import normalize, pushforward_complex, u_of_complex
 
 
 def rng_from_seed(seed):

@@ -19,7 +19,7 @@ from .delta import DeltaComplex, DeltaError, SimplicialMap, boundary_complex
 from .strata import Cell, Stratum
 from .cellcx import CellComplex
 from .lifting import FillerTable, square_key
-from .soa import FactorResult, _map_digest
+from .soa import FactorResult
 
 
 _NESTED = (dict, list, tuple)
@@ -301,7 +301,7 @@ def factor_result_from_json(obj):
     ef = map_from_json(obj["ef"])
     _expect(obj["stage_counts"] == [len(st.cells) for st in kf.strata],
             "stage_counts do not match the complex")
-    return FactorResult(f, kf, ef, _map_digest(f))
+    return FactorResult(f, kf, ef)
 
 
 # -- filler tables -----------------------------------------------------------

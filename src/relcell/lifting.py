@@ -5,7 +5,8 @@ given a k-simplex b of B and a boundary lift u into E commuting with p, it
 returns a k-simplex of E with faces u and image b.  Tables are explicit
 (finite key -> filler dictionaries), search-based (deterministic
 lexicographic first fit), or backed by a chooser function; the free
-factorization provides a canonical chooser via cell-key lookup.
+factorization provides a canonical chooser that looks each free cell up by
+its target and faces.
 
 The solver extends a lift over a cell complex one stratum at a time; cells
 within a stratum attach only to the stratum boundary, so the extension
@@ -22,10 +23,8 @@ from .delta import (
     compose,
     enumerate_homs,
     facet_ids,
-    mec,
 )
 from .cellcx import u_of_complex
-from .soa import KCellKey, encode_lift
 
 
 class LiftError(DeltaError):
@@ -101,17 +100,12 @@ class FillerTable:
 def free_fillers(fr):
     """The canonical filler table of the free factorization's right leg.
 
-    For a square with boundary lift u at minimal enclosing stage n, the
-    filler is the glued simplex of the stage-n free cell keyed by
-    (n, k, target, u); total by construction.
+    The filler of a square with boundary lift u is the free cell glued over
+    its target with u's facets; total by construction.
     """
-    filt = fr.kf.filtration
-
     def choose(u, target):
-        n = mec(u, filt)
-        key = KCellKey(n, u.dom.max_dim + 1 if u.dom.id_set else 0,
-                       target, encode_lift(u))
-        return fr.cell_for_key(key)
+        dim = u.dom.max_dim + 1 if u.dom.id_set else 0
+        return fr.cell_over(target, _expected_faces(dim, u.assign))
 
     return FillerTable(fr.ef, chooser=choose)
 

@@ -9,9 +9,11 @@ newly glued at stage n - 1.  Each stage therefore enumerates only the lifts
 with a new facet (the semi-naive form of the construction), and shape-0
 cells, whose boundary lift is empty, are glued at stage 0 only.
 
-Cells are identified by a canonical key (stage, shape dimension, target
-simplex, hashed boundary lift) prefixed with a short digest of the factored
-map, which makes transposition along the adjunction a dictionary lookup.
+Cell ids spell out (stage, shape dimension, target simplex, hashed
+boundary lift) after a short digest of the factored map; they are the JSON
+contract.  Lookups go by target and faces instead: one cell is glued per
+generating square and a boundary lift is fixed by its facets, so
+``FactorResult.cell_over`` finds the free cell that answers a square.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .delta import (
     ArrowSquare,
     DeltaError,
     SimplicialMap,
-    boundary_complex,
     boundary_lifts,
     boundary_restriction,
     compose,
@@ -56,52 +57,46 @@ def _map_digest(f):
     return hashlib.sha1(raw).hexdigest()[:10]
 
 
-def encode_lift(u):
-    """Canonical 12-hex-digit encoding of a boundary lift's assignment."""
-    raw = json.dumps(sorted(u.assign.items())).encode()
-    return hashlib.sha1(raw).hexdigest()[:12]
-
-
-class KCellKey:
-    """Canonical identity of a free-complex cell."""
-
-    __slots__ = ("stage", "dim", "target", "boundary_lift")
-
-    def __init__(self, stage, dim, target, boundary_lift):
-        self.stage = stage
-        self.dim = dim
-        self.target = target
-        self.boundary_lift = boundary_lift
-
-    def cell_id(self, digest):
-        return f"{digest}.{self.stage}.{self.dim}.{self.target}." \
-               f"{self.boundary_lift}"
-
-    def __repr__(self):
-        return (f"KCellKey(stage={self.stage}, dim={self.dim}, "
-                f"target={self.target!r})")
+def _cell_id(digest, stage, k, t, u):
+    """The id ``digest.stage.k.t.LIFT`` of the cell glued at ``stage`` over
+    the k-simplex t along the boundary lift u, where LIFT is 12 hex digits
+    of the SHA-1 of u's sorted assignment."""
+    lift = json.dumps(sorted(u.assign.items())).encode()
+    return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
 
 
 class FactorResult:
     """A free factorization: input map, complex, and the counit map."""
 
-    __slots__ = ("input", "kf", "ef", "digest")
+    __slots__ = ("input", "kf", "ef", "_cells_over")
 
-    def __init__(self, input_map, kf, ef, digest):
+    def __init__(self, input_map, kf, ef):
         self.input = input_map
         self.kf = kf
         self.ef = ef
-        self.digest = digest
+        self._cells_over = None
 
     @property
     def stage_counts(self):
         return [len(st.cells) for st in self.kf.strata]
 
-    def cell_for_key(self, key):
-        cid = key.cell_id(self.digest)
-        if cid not in self.kf.cell_ids:
+    def cell_over(self, target, faces):
+        """The free cell glued over ``target`` with the given facets (``()``
+        for a vertex).  The index from (target, faces) to cell is built on
+        the first call."""
+        index = self._cells_over
+        if index is None:
+            over, faces_of = self.ef.assign, self.kf.body.faces_of
+            index = {(over[c], faces_of(c)): c for c in self.kf._cell_stage}
+            if len(index) != len(self.kf._cell_stage):
+                raise AssertionError("two free cells share a target and "
+                                     "faces; internal invariant violated")
+            self._cells_over = index
+        cid = index.get((target, faces))
+        if cid is None:
             raise AssertionError(
-                f"no free cell for {key!r}; internal invariant violated")
+                f"no free cell over {target!r} with faces {faces!r}; "
+                f"internal invariant violated")
         return cid
 
     def __repr__(self):
@@ -134,8 +129,7 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
             continue
         for t in b.ids(k):
             for u in boundary_lifts(f, t, new):
-                key = KCellKey(stage, k, t, encode_lift(u))
-                cid = key.cell_id(digest)
+                cid = _cell_id(digest, stage, k, t, u)
                 cells.append(Cell(cid, k, u, validate=False))
                 e_assign[cid] = t
     st = Stratum(a, cells, validate=False)
@@ -171,7 +165,7 @@ def free_complex(f, safety_cap=32):
         g = e1
         n += 1
     kf = CellComplex(f.dom, strata, validate=False)
-    return FactorResult(f, kf, g, digest)
+    return FactorResult(f, kf, g)
 
 
 class Factorizer:
@@ -196,10 +190,10 @@ class Factorizer:
 def transpose(c, g0, h, fr, check=True):
     """The adjunct morphism c -> Kf of a square (g0, h): U(c) -> f.
 
-    Each cell of c at stage n with shape k, attaching map b, and glued
-    simplex y is sent to the free cell keyed by (n, k, h(y), g_n o b); the
-    key is asserted to exist.  The counit equation ``ef o body == h`` is
-    verified when ``check`` is set.
+    Each cell of c at stage n, with glued simplex y, is sent to the free
+    cell over h(y) whose facets are the images of y's facets; that cell is
+    asserted to exist and to lie at stage n.  The counit equation
+    ``ef o body == h`` is verified when ``check`` is set.
     """
     f = fr.input
     if check:
@@ -210,15 +204,16 @@ def transpose(c, g0, h, fr, check=True):
         if compose(f, g0) != compose(h, u_of_complex(c)):
             raise DeltaError("transpose: square does not commute")
     assign = dict(g0.assign)
+    faces_of = c.body.faces_of
     p = {}
     for n, st in enumerate(c.strata):
         for cell in st.cells:
-            u_assign = {s: assign[v] for s, v in cell.attach.assign.items()}
-            u = SimplicialMap(boundary_complex(cell.dim),
-                              fr.kf.stage(min(n, fr.kf.height)),
-                              u_assign, validate=False)
-            key = KCellKey(n, cell.dim, h.assign[cell.id], encode_lift(u))
-            cid = fr.cell_for_key(key)
+            cid = fr.cell_over(h.assign[cell.id],
+                               tuple(assign[s] for s in faces_of(cell.id)))
+            if fr.kf.stage_of_cell(cid) != n:
+                raise AssertionError(
+                    f"free cell {cid!r} is not at stage {n}; internal "
+                    f"invariant violated")
             p[cell.id] = cid
             assign[cell.id] = cid
     m = CellComplexMorphism(c, fr.kf, g0, p, validate=False)

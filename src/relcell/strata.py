@@ -63,9 +63,9 @@ class Stratum:
         self.cells = tuple(sorted(cells, key=lambda c: c.id))
         self._by_id = {c.id: c for c in self.cells}
         self._body = None
+        if len(self._by_id) != len(self.cells):
+            raise StrataError("duplicate cell ids in stratum")
         if validate:
-            if len(self._by_id) != len(self.cells):
-                raise StrataError("duplicate cell ids in stratum")
             for c in self.cells:
                 if c.attach.cod != boundary:
                     raise StrataError(

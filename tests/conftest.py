@@ -1,8 +1,13 @@
 import pytest
 
 from relcell import (
+    Cell,
+    CellComplex,
+    CellComplexError,
     Factorizer,
     SimplicialMap,
+    Stratum,
+    body,
     boundary_complex,
     coproduct,
     inclusion_map,
@@ -30,3 +35,41 @@ def fold_map():
 def law_fixtures():
     """The built-in law-check corpus (named, in a fixed order)."""
     return builtin_fixtures()
+
+
+def mec_partition_composite(a, b):
+    """The composite built by direct stagewise insertion of b's cells at
+    their minimal enclosing stage of a's filtration, extended as stages
+    grow.  Equivalent to ``compose_complexes``; a test oracle for it."""
+    if b.boundary != a.body:
+        raise CellComplexError("complexes are not composable")
+    pending = [c for _, c in b.all_cells()]
+    strata = []
+    current = a.boundary
+    n = 0
+    while n < a.height or pending:
+        cells = [Cell(c.id, c.dim,
+                      SimplicialMap(c.attach.dom, current, c.attach.assign,
+                                    validate=False), validate=False)
+                 for c in a.strata[n].cells] if n < a.height else []
+        here = [c for c in pending
+                if set(c.attach.assign.values()) <= current.id_set]
+        here_ids = {c.id for c in here}
+        pending = [c for c in pending if c.id not in here_ids]
+        cells.extend(
+            Cell(c.id, c.dim,
+                 SimplicialMap(c.attach.dom, current, c.attach.assign,
+                               validate=False), validate=False)
+            for c in here)
+        if not cells:
+            if pending and n < a.height:
+                n += 1
+                continue
+            if pending:
+                raise CellComplexError("unplaceable cells in composite")
+            break
+        st = Stratum(current, cells, validate=False)
+        strata.append(st)
+        current = body(st)[0]
+        n += 1
+    return CellComplex(a.boundary, strata, validate=False)

@@ -28,7 +28,6 @@ from relcell import (
     identity_map,
     identity_morphism,
     is_pullback,
-    mec_partition_composite,
     normalize,
     pushforward_complex,
     pushforward_morphism,
@@ -45,7 +44,11 @@ from relcell import (
 from relcell import gen, jsonio
 from relcell.cli import main
 from relcell.strata import body as strata_body
-from conftest import boundary_inclusion, law_fixtures
+from conftest import (
+    boundary_inclusion,
+    law_fixtures,
+    mec_partition_composite,
+)
 
 
 def report(num, ok, detail):

@@ -31,7 +31,6 @@ from relcell import (
     inclusion_map,
     is_isomorphism,
     is_pullback,
-    mec_partition_composite,
     normalize,
     pushforward_complex,
     pushout,
@@ -41,6 +40,7 @@ from relcell import (
     u_of_morphism,
 )
 from relcell import gen
+from conftest import mec_partition_composite
 
 
 def point_cell_complex():

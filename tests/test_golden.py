@@ -1,16 +1,34 @@
-"""Byte-level regression: CLI output hashes pinned to recorded values.
+"""Byte-level regression: output hashes pinned to recorded values.
 
 The ``factor`` and ``check`` digests were recorded from the implementation
 before the factorization hot path was memoized, and the digests of the
 other writers before ``jsonio.dumps`` did its encoding in C; any change to
-cell ids, stage order or JSON layout shows up here as a mismatch.
+cell ids, stage order or JSON layout shows up here as a mismatch.  The
+free-filler, comultiplication, multiplication, unit and ``export-dot``
+digests were recorded from the implementation that still found each free
+cell by recomputing its id from the hashed boundary lift, before lookups
+went by target and faces.
 """
 
 import hashlib
 import random
 
-from relcell import FillerTable, free_complex, gen, jsonio, u_of_complex
+from relcell import (
+    Factorizer,
+    FillerTable,
+    boundary_lifts,
+    comonad_comult,
+    free_complex,
+    free_fillers,
+    gen,
+    jsonio,
+    monad_mult,
+    u_of_complex,
+    unit,
+)
 from relcell.cli import main
+
+from conftest import boundary_inclusion
 
 # sha256 of (stdout + --out file) of ``factor --format json`` for the first
 # ten criterion-8 maps (gen.rand_map(rng, max_dim=3) at seed 2032)
@@ -110,3 +128,76 @@ def test_writer_output_bytes(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 0
         got[name] = _sha(capsys.readouterr().out.encode() + out.read_bytes())
     assert got == WRITER_DIGESTS
+
+
+# sha256 of the sorted (map index, target, boundary lift, filler) rows that
+# ``free_fillers`` gives for every generating square into ``fr.ef``, over
+# the first 20 ``gen.rand_map(rng, max_dim=2)`` maps at seed 2034
+FREE_FILLER_DIGEST = \
+    "98489d40e7ea33c8099e9a21a9cbc468272556fff1b619cafc45d60f6b58de75"
+# sha256 of ``comonad_comult`` then ``monad_mult``, written by
+# ``jsonio.dumps``, for each of 20 ``gen.rand_map(rng, max_dim=1)`` maps at
+# seed 2033
+COMULT_MULT_DIGEST = \
+    "2b3fe5a120410dd188f3cfb50f8541b9826f739d1a5992efc310cb4fa6b08458"
+# sha256 of the sorted cell assignment ``unit(c).p`` for 20
+# ``gen.rand_cell_complex(rng, max_cells=4)`` at seed 131
+UNIT_DIGEST = \
+    "5a4facea097c326dae1e7857e12fed1369fb9b4aee6d6d7904743114dc36d09d"
+
+
+def test_free_filler_choices():
+    rng = random.Random(2034)
+    rows = []
+    for i in range(20):
+        fr = free_complex(gen.rand_map(rng, max_dim=2))
+        ft = free_fillers(fr)
+        for _, t in fr.ef.cod.all_ids():
+            for u in boundary_lifts(fr.ef, t):
+                rows.append((i, t, sorted(u.assign.items()),
+                             ft.filler(u, t)))
+    assert _sha(repr(sorted(rows)).encode()) == FREE_FILLER_DIGEST
+
+
+def test_comonad_comult_and_monad_mult():
+    rng = random.Random(2033)
+    fz = Factorizer()
+    texts = []
+    for _ in range(20):
+        f = gen.rand_map(rng, max_dim=1)
+        texts.append(jsonio.dumps(jsonio.map_to_json(comonad_comult(f, fz))))
+        texts.append(jsonio.dumps(jsonio.map_to_json(monad_mult(f, fz))))
+    assert _sha("".join(texts).encode()) == COMULT_MULT_DIGEST
+
+
+def test_unit_cell_assignments():
+    rng = random.Random(131)
+    rows = [sorted(unit(gen.rand_cell_complex(rng, max_cells=4)).p.items())
+            for _ in range(20)]
+    assert _sha(repr(rows).encode()) == UNIT_DIGEST
+
+
+# sha256 of the stdout of ``export-dot`` on two free complexes with several
+# stages: over the boundary inclusion of the 2-simplex, and over the second
+# criterion-8 map
+DOT_DIGESTS = {
+    "boundary-2":
+        "4b4aba37610754a8b3d27318a3de9a18055f16c41075b0cb6c552501849bc9fb",
+    "criterion-8-1":
+        "da9c053d2c00f81e3baadc1900aaf932744fe3053a93c29c58b797b7f2135371",
+}
+
+
+def test_export_dot_bytes(tmp_path, capsys):
+    rng = random.Random(2032)
+    gen.rand_map(rng, max_dim=3)
+    maps = {"boundary-2": boundary_inclusion(2),
+            "criterion-8-1": gen.rand_map(rng, max_dim=3)}
+    got = {}
+    for name, f in maps.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(jsonio.dumps(jsonio.cellcx_to_json(
+            free_complex(f).kf)))
+        assert main(["export-dot", str(path)]) == 0
+        got[name] = _sha(capsys.readouterr().out.encode())
+    assert got == DOT_DIGESTS

@@ -103,7 +103,6 @@ class TestFactorAndFillers:
         assert back.input == fr.input
         assert back.kf == fr.kf
         assert back.ef == fr.ef
-        assert back.digest == fr.digest
 
     def test_factor_result_count_mismatch_rejected(self):
         fr = free_complex(boundary_inclusion(1))

@@ -167,6 +167,22 @@ class TestFreeComplex:
             free_complex(boundary_inclusion(1), safety_cap=1)
         assert len(exc.value.stage_counts) == 2
 
+    def test_cell_over_finds_every_cell(self):
+        rng = random.Random(2032)
+        for _ in range(10):
+            fr = free_complex(gen.rand_map(rng, max_dim=2))
+            for _, cell in fr.kf.all_cells():
+                faces = fr.kf.body.faces_of(cell.id)
+                assert fr.cell_over(fr.ef.assign[cell.id], faces) == cell.id
+
+    def test_cell_over_raises_without_a_cell(self):
+        fr = free_complex(boundary_inclusion(1))
+        # every edge over "01" runs from a vertex over "0" to one over "1"
+        for target, faces in [("01", ("0", "0")), ("01", ()),
+                              ("nowhere", ())]:
+            with pytest.raises(AssertionError, match="internal invariant"):
+                fr.cell_over(target, faces)
+
     def test_properness_mec_exactly_stage(self):
         rng = random.Random(127)
         for _ in range(15):
@@ -191,6 +207,19 @@ class TestTranspose:
         cid = m.p["cell1"]
         assert fr.kf.stage_of_cell(cid) == 0
         assert fr.kf.cell(cid).dim == 1
+
+    def test_free_cell_at_another_stage_raises(self):
+        # an improper complex: its stage-1 edge attaches inside stage 0, so
+        # the free cell over it is glued at stage 0
+        pt = standard_simplex(0)
+        v = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
+        bv = body(v)[0]
+        e = Stratum(bv, [Cell("e", 1, SimplicialMap(
+            boundary_complex(1), bv, {"0": "0", "1": "0"}))])
+        c = CellComplex(pt, [v, e], validate=False)
+        fr = free_complex(u_of_complex(c))
+        with pytest.raises(AssertionError, match="not at stage 1"):
+            transpose(c, identity_map(pt), identity_map(c.body), fr)
 
     def test_trivial_complex(self):
         f = boundary_inclusion(1)

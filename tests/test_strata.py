@@ -9,6 +9,7 @@ from relcell import (
     DeltaError,
     EMPTY,
     SimplicialMap,
+    StrataError,
     StrataMorphism,
     Stratum,
     boundary_complex,
@@ -113,6 +114,14 @@ class TestBody:
                                SimplicialMap(EMPTY, pt, {}))])
         with pytest.raises(DeltaError):
             body(st)
+
+    def test_duplicate_ids_rejected_without_validation(self):
+        pt = standard_simplex(0)
+        c = Cell("c", 0, SimplicialMap(EMPTY, pt, {}))
+        same_id = Cell("c", 1, SimplicialMap(boundary_complex(1), pt,
+                                             {"0": "0", "1": "0"}))
+        with pytest.raises(StrataError, match="duplicate"):
+            Stratum(pt, [c, same_id], validate=False)
 
     def test_glued_once_per_stratum(self):
         st = gen.rand_stratum(random.Random(5))
