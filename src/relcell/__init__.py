@@ -41,7 +41,6 @@ from .strata import (
     StrataMorphism,
     Stratum,
     body,
-    body_map,
     compose_strata_morphisms,
     identity_strata_morphism,
     pushforward_morphism,

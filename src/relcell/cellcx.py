@@ -6,6 +6,12 @@ the body of the previous one; properness means no cell of stage n >= 1
 attaches entirely inside stage n - 1.  Because glued simplices reuse cell
 ids, every filtration stage is a literal subcomplex of the body and
 "factors through stage n" is a plain containment check.
+
+A derived complex (a normal form, a composite, a decoded coalgebra, a
+pushforward, a colimit or an equaliser) is fixed by its base and its cells.
+Each of them lists its cells and hands them to ``assemble``, which alone
+decides the stages: it places each cell at the least stage its attaching
+map allows.
 """
 
 from __future__ import annotations
@@ -15,18 +21,13 @@ from .delta import (
     DeltaError,
     Filtration,
     SimplicialMap,
+    colimit,
     compose,
+    equaliser,
     identity_map,
     inclusion_map,
 )
-from .strata import (
-    Cell,
-    Stratum,
-    StrataMorphism,
-    body,
-    pushforward_stratum,
-    _strata_colimit_onto,
-)
+from .strata import Cell, Stratum, body, merge_cells
 
 
 class CellComplexError(DeltaError):
@@ -201,14 +202,13 @@ class CellComplexMorphism:
     assigned cell, which is exactly the coherence condition.
     """
 
-    __slots__ = ("dom", "cod", "f0", "p", "_stage_assigns")
+    __slots__ = ("dom", "cod", "f0", "p")
 
     def __init__(self, dom, cod, f0, p, validate=True):
         self.dom = dom
         self.cod = cod
         self.f0 = f0
         self.p = dict(p)
-        self._stage_assigns = None
         if validate:
             self._validate()
 
@@ -244,16 +244,6 @@ class CellComplexMorphism:
         assign.update(self.p)
         return SimplicialMap(self.dom.body, self.cod.body, assign,
                              validate=False)
-
-    def stage_map(self, n):
-        """The induced map on filtration stage n (clamped to the height)."""
-        assign = dict(self.f0.assign)
-        for m in range(min(n, self.dom.height)):
-            for c in self.dom.strata[m].cells:
-                assign[c.id] = self.p[c.id]
-        return SimplicialMap(self.dom.stage(min(n, self.dom.height)),
-                             self.cod.stage(min(n, self.cod.height)),
-                             assign, validate=False)
 
     def __eq__(self, other):
         return isinstance(other, CellComplexMorphism) and \
@@ -314,28 +304,24 @@ def horizontal_compose(psi, phi):
 def pushforward_complex(c, g):
     """Transport a complex along a map out of its base.
 
-    Returns (pushforward complex, canonical morphism into it).  Stage
-    boundary maps extend g by the identity on glued simplices; each stage
-    square of the morphism is a pushout square.  Properness is re-checked
-    and restored by normalization if it ever failed.
+    Returns (pushforward complex, canonical morphism into it).  Each cell
+    attaches along g on the base and by the identity on glued simplices,
+    and ``assemble`` places it.  A cell of stage n >= 1 still meets a cell
+    of stage n - 1, so it keeps its stage, and each stage square of the
+    morphism is a pushout square.
     """
     if g.dom != c.boundary:
         raise CellComplexError("pushforward map must start at the base")
-    strata = []
-    gn_assign = dict(g.assign)
-    current = g.cod
-    for st in c.strata:
-        gn = SimplicialMap(st.boundary, current, gn_assign, validate=False)
-        st2 = pushforward_stratum(st, gn)
-        strata.append(st2)
-        current = body(st2)[0]
-        gn_assign = dict(gn_assign)
-        for cell in st.cells:
-            gn_assign[cell.id] = cell.id
-    try:
-        out = CellComplex(g.cod, strata)
-    except CellComplexError:
-        out = normalize(g.cod, strata)
+    gn = dict(g.assign)
+    gn.update((cid, cid) for cid in c._cell_stage)
+    out = assemble(g.cod, [
+        Cell(cell.id, cell.dim,
+             SimplicialMap(cell.attach.dom, g.cod,
+                           {s: gn[t] for s, t in cell.attach.assign.items()},
+                           validate=False),
+             validate=False)
+        for _, cell in c.all_cells()])
+    out._validate()
     morph = CellComplexMorphism(c, out, g,
                                 {cid: cid for cid in c._cell_stage})
     return out, morph
@@ -344,63 +330,29 @@ def pushforward_complex(c, g):
 # -- (co)limits -----------------------------------------------------------
 
 
-def _pad_morphism_stage(m, n):
-    """Stage-n strata morphism of m, with empty strata past either height."""
-    ds = m.dom.strata[n] if n < m.dom.height else \
-        Stratum(m.dom.body, (), validate=False)
-    cs = m.cod.strata[n] if n < m.cod.height else \
-        Stratum(m.cod.body, (), validate=False)
-    fn = SimplicialMap(ds.boundary, cs.boundary, m.stage_map(n).assign,
-                       validate=False)
-    return StrataMorphism(ds, cs, fn,
-                          {c.id: m.p[c.id] for c in ds.cells},
-                          validate=False)
-
-
 def cellcx_colimit(objs, arrows):
     """Componentwise colimit of a finite diagram of cell complexes.
 
     ``arrows`` is a list of (src_index, dst_index, CellComplexMorphism).
-    Stage 0 is a strata colimit; thereafter the colimit boundary is forced
-    to be the body of the previous colimit stratum, which keeps the result
-    connected on the nose.  Returns (complex, cocone morphisms).
+    The base is the degreewise colimit of the bases, the cells are merged
+    by ``strata.merge_cells`` and ``assemble`` places them.  Morphisms
+    preserve stages, so a merged cell keeps the stage of its members.
+    Returns (complex, cocone morphisms).
     """
-    from .delta import colimit as delta_colimit
-    hmax = max([o.height for o in objs], default=0)
-    # stage 0 over the colimit of the bases
-    base, base_legs = delta_colimit(
-        [o.boundary for o in objs], [(a, b, m.f0) for a, b, m in arrows])
-    legs = base_legs
-    bound = base
-    strata = []
-    cell_assign = [dict() for _ in objs]
-    for n in range(hmax):
-        sts = [o.strata[n] if n < o.height
-               else Stratum(o.body, (), validate=False) for o in objs]
-        sarrows = [(a, b, _pad_morphism_stage(m, n)) for a, b, m in arrows]
-        st, cocone = _strata_colimit_onto(sts, sarrows, bound, legs)
-        if st.cells:
-            if len(strata) < n:
-                raise CellComplexError(
-                    "empty colimit stratum precedes a nonempty one")
-            strata.append(st)
-        for i, sm in enumerate(cocone):
-            cell_assign[i].update(sm.p)
-        # next boundary: body of the colimit stratum; next legs: body maps
-        nxt = body(st)[0]
-        new_legs = []
-        for i, o in enumerate(objs):
-            assign = dict(legs[i].assign)
-            for c in sts[i].cells:
-                assign[c.id] = cocone[i].p[c.id]
-            stage = o.stage(min(n + 1, o.height))
-            new_legs.append(SimplicialMap(stage, nxt, assign, validate=False))
-        legs = new_legs
-        bound = nxt
-    out = CellComplex(base, strata)
-    cocone_out = [CellComplexMorphism(o, out, base_legs[i], cell_assign[i])
-                  for i, o in enumerate(objs)]
-    return out, cocone_out
+    base, legs = colimit([o.boundary for o in objs],
+                         [(a, b, m.f0) for a, b, m in arrows])
+    for a, b, m in arrows:
+        if m.dom != objs[a] or m.cod != objs[b]:
+            raise CellComplexError("diagram arrow endpoints do not match")
+    cells, name_of = merge_cells([[c for _, c in o.all_cells()] for o in objs],
+                                 [(a, b, m.p) for a, b, m in arrows], legs)
+    out = assemble(base, cells)
+    out._validate()
+    cocone = [CellComplexMorphism(o, out, legs[i],
+                                  {cid: name_of[(i, cid)]
+                                   for cid in o._cell_stage})
+              for i, o in enumerate(objs)]
+    return out, cocone
 
 
 def cellcx_coproduct(parts):
@@ -411,35 +363,16 @@ def cellcx_equaliser(m1, m2):
     """Componentwise equaliser of a parallel pair of morphisms.
 
     Returns (subcomplex, inclusion morphism).  The base is the agreement
-    subcomplex of the base maps and the cells are those on which the two
-    assignments agree; stages are inherited, so the result is proper.
+    subcomplex of the base maps, the cells are those on which the two
+    assignments agree, and ``assemble`` places them.  Both morphisms send
+    the faces of a kept cell to the faces of one cell, so the kept part is
+    face-closed and each kept cell keeps its stage.
     """
-    from .delta import equaliser
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise CellComplexError("equaliser needs a parallel pair")
     e0, incl0 = equaliser(m1.f0, m2.f0)
-    strata = []
-    current = e0
-    for n, st in enumerate(m1.dom.strata):
-        kept = [c for c in st.cells if m1.p[c.id] == m2.p[c.id]]
-        if not kept:
-            break
-        st2 = Stratum(current,
-                      [Cell(c.id, c.dim,
-                            SimplicialMap(c.attach.dom, current,
-                                          c.attach.assign, validate=False),
-                            validate=False) for c in kept],
-                      validate=False)
-        strata.append(st2)
-        current = body(st2)[0]
-    # later strata must also have no agreeing cells
-    for st in m1.dom.strata[len(strata):]:
-        for c in st.cells:
-            if m1.p[c.id] == m2.p[c.id]:
-                raise CellComplexError(
-                    "agreeing cell above an empty equaliser stage")
-    sub = CellComplex(e0, strata)
-    return sub, CellComplexMorphism(
-        sub, m1.dom, SimplicialMap(e0, m1.dom.boundary, incl0.assign,
-                                   validate=False),
-        {cid: cid for cid in sub._cell_stage})
+    sub = assemble(e0, [c for _, c in m1.dom.all_cells()
+                        if m1.p[c.id] == m2.p[c.id]])
+    sub._validate()
+    return sub, CellComplexMorphism(sub, m1.dom, incl0,
+                                    {cid: cid for cid in sub._cell_stage})

@@ -171,8 +171,7 @@ def cmd_check(args):
     ok = True
     for name, f in fixtures:
         squares = [rand_nat_square(rng, f) for _ in range(5)]
-        rep = check_awfs_laws(f, squares, safety_cap=args.cap,
-                              factorizer=fz)
+        rep = check_awfs_laws(f, squares, factorizer=fz)
         results[name] = rep
         ok = ok and rep["all_pass"]
     if args.format == "json":
@@ -221,34 +220,36 @@ def build_parser():
         description="Relative cell complexes: factor, compose, lift, check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def factoring(p):
         p.add_argument("--cap", type=int, default=32,
                        help="safety cap on factorization height (>= 1)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+
+    def out(p):
         p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("factor", help="free factorization of a map")
     p.add_argument("map")
-    common(p)
+    factoring(p)
+    out(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("compose", help="compose two cell complexes")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("normalize",
                        help="renormalize a stratum sequence to proper form")
     p.add_argument("complex")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("pushout", help="pushout of two maps with one domain")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_pushout)
 
     p = sub.add_parser("lift",
@@ -257,18 +258,20 @@ def build_parser():
     p.add_argument("table")
     p.add_argument("top")
     p.add_argument("bottom")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("check", help="run the factorization law suite")
     p.add_argument("maps", nargs="*")
-    common(p)
+    factoring(p)
+    p.add_argument("--seed", type=int, default=0)
+    out(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("export-dot",
                        help="emit the body's vertex/edge graph as DOT")
     p.add_argument("complex")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_export_dot)
     return parser
 
@@ -276,7 +279,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap < 1:
+    if "cap" in args and args.cap < 1:
         print("error: --cap must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     try:

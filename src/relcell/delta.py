@@ -175,8 +175,7 @@ EMPTY = DeltaComplex()
 class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes."""
 
-    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_fibres",
-                 "_prefixes")
+    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_prefixes")
 
     def __init__(self, dom, cod, assign, validate=True):
         self.dom = dom
@@ -184,7 +183,6 @@ class SimplicialMap:
         self.assign = dict(assign)
         self._key = None
         self._hash = None
-        self._fibres = None
         self._prefixes = None
         if validate:
             self._validate()
@@ -209,15 +207,6 @@ class SimplicialMap:
             self._key = (self.dom.key(), self.cod.key(),
                          tuple(sorted(self.assign.items())))
         return self._key
-
-    def fibres(self):
-        """The fibre index: ``(k, t)`` -> sorted k-simplices mapped to t."""
-        if self._fibres is None:
-            idx = {}
-            for s, t in self.assign.items():
-                idx.setdefault((self.dom.dim(s), t), []).append(s)
-            self._fibres = {key: tuple(sorted(v)) for key, v in idx.items()}
-        return self._fibres
 
     def prefix_index(self, m):
         """The face-prefix index of the m-simplices: ``(t, p)`` -> sorted
@@ -292,17 +281,16 @@ class ArrowSquare:
 
     __slots__ = ("top", "bottom", "left", "right")
 
-    def __init__(self, top, bottom, left, right, validate=True):
+    def __init__(self, top, bottom, left, right):
         self.top = top
         self.bottom = bottom
         self.left = left
         self.right = right
-        if validate:
-            if left.dom != top.dom or right.dom != top.cod \
-                    or bottom.dom != left.cod or right.cod != bottom.cod:
-                raise DeltaError("square endpoints do not match")
-            if compose(right, top) != compose(bottom, left):
-                raise DeltaError("square does not commute")
+        if left.dom != top.dom or right.dom != top.cod \
+                or bottom.dom != left.cod or right.cod != bottom.cod:
+            raise DeltaError("square endpoints do not match")
+        if compose(right, top) != compose(bottom, left):
+            raise DeltaError("square does not commute")
 
     def __eq__(self, other):
         return isinstance(other, ArrowSquare) and \
@@ -426,12 +414,10 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
             if pinned.setdefault(s, t) != t:
                 return []
     pmap = target = None
-    fibers = None
     if post is not None:
         pmap, target = post
         if target.dom != dom or pmap.dom != cod or target.cod != pmap.cod:
             raise DeltaError("post-constraint endpoints do not match")
-        fibers = pmap.fibres()
 
     order = [s for _, s in dom.all_ids()]
     results = []
@@ -439,17 +425,13 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
 
     def candidates(s):
         k = dom.dim(s)
-        if k == 0:
-            if pmap is not None:
-                base = fibers.get((0, target.assign[s]), ())
-            else:
-                base = cod.ids(0)
+        fkey = tuple(assign[f] for f in dom.faces_of(s))
+        if pmap is not None:
+            base = pmap.prefix_index(k).get((target.assign[s], fkey), ())
+        elif k == 0:
+            base = cod.ids(0)
         else:
-            fkey = tuple(assign[f] for f in dom.faces[s])
             base = cod.by_faces(k, fkey)
-            if pmap is not None:
-                want = target.assign[s]
-                base = [c for c in base if pmap.assign[c] == want]
         if s in pinned:
             p = pinned[s]
             return (p,) if p in base else ()

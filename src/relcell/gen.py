@@ -33,12 +33,13 @@ def rng_from_seed(seed):
     return random.Random(seed)
 
 
-def rand_complex(rng, max_dim=2, max_parts=3, max_glue=3):
-    """A random finite complex: glued coproduct of standard simplices."""
+def rand_complex(rng, max_dim=2):
+    """A random finite complex: a coproduct of 1 to 3 standard simplices
+    with up to 3 pairs of vertices glued."""
     parts = [standard_simplex(rng.randint(0, max_dim))
-             for _ in range(rng.randint(1, max_parts))]
+             for _ in range(rng.randint(1, 3))]
     x, _ = coproduct(parts)
-    for _ in range(rng.randint(0, max_glue)):
+    for _ in range(rng.randint(0, 3)):
         verts = sorted(x.ids(0))
         if len(verts) < 2:
             break
@@ -48,13 +49,13 @@ def rand_complex(rng, max_dim=2, max_parts=3, max_glue=3):
     return x
 
 
-def rand_subcomplex(rng, x, keep_prob=0.6):
-    """A random subcomplex: keep simplices with the given bias, then close
-    downward under faces."""
+def rand_subcomplex(rng, x):
+    """A random subcomplex: keep each simplex with probability 0.6, then
+    close downward under faces."""
     keep = set()
     for k in range(x.max_dim, -1, -1):
         for s in sorted(x.ids(k)):
-            if s in keep or rng.random() < keep_prob:
+            if s in keep or rng.random() < 0.6:
                 keep.add(s)
                 if k >= 1:
                     keep.update(x.faces_of(s))
@@ -80,10 +81,10 @@ def rand_quotient(rng, x):
     return q
 
 
-def rand_map_from(rng, x, quotients=2):
-    """A random map out of x: a composite of quotient projections."""
+def rand_map_from(rng, x):
+    """A random map out of x: a composite of up to 2 quotient projections."""
     f = identity_map(x)
-    for _ in range(rng.randint(0, quotients)):
+    for _ in range(rng.randint(0, 2)):
         f = compose(rand_quotient(rng, f.cod), f)
     return f
 
@@ -110,21 +111,20 @@ def rand_attach(rng, boundary, max_cell_dim=2):
     raise AssertionError("unreachable: dimension 0 always admits a map")
 
 
-def rand_stratum(rng, boundary=None, max_cells=3, max_cell_dim=2,
-                 prefix="c"):
-    if boundary is None:
-        boundary = rand_complex(rng, max_cell_dim)
+def rand_stratum(rng, prefix="c"):
+    """A random stratum of 1 to 3 cells, of shape dimension <= 2, on a
+    random complex."""
+    boundary = rand_complex(rng, 2)
     cells = []
-    for i in range(rng.randint(1, max_cells)):
-        k, attach = rand_attach(rng, boundary, max_cell_dim)
+    for i in range(rng.randint(1, 3)):
+        k, attach = rand_attach(rng, boundary, 2)
         cells.append(Cell(f"{prefix}{i}", k, attach))
     return Stratum(boundary, cells)
 
 
-def rand_strata_morphism(rng, st=None):
+def rand_strata_morphism(rng):
     """A random stratum morphism: pushforward along a random quotient."""
-    if st is None:
-        st = rand_stratum(rng)
+    st = rand_stratum(rng)
     g = rand_map_from(rng, st.boundary)
     return pushforward_morphism(st, g)
 
@@ -143,10 +143,9 @@ def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
     return normalize(base, strata)
 
 
-def rand_complex_morphism(rng, c=None):
+def rand_complex_morphism(rng):
     """A random complex morphism: pushforward along a random quotient."""
-    if c is None:
-        c = rand_cell_complex(rng, max_cells=4)
+    c = rand_cell_complex(rng, max_cells=4)
     g = rand_map_from(rng, c.boundary)
     _, m = pushforward_complex(c, g)
     return m

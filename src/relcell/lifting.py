@@ -85,13 +85,10 @@ class FillerTable:
             return self._validate_filler(self.chooser(u, target), dim,
                                          target, u.assign, key)
         if self.fallback == "search":
-            want = _expected_faces(dim, u.assign) if dim >= 1 else None
-            for e in sorted(self.p.dom.ids(dim)):
-                if self.p.assign[e] != target:
-                    continue
-                if dim >= 1 and self.p.dom.faces_of(e) != want:
-                    continue
-                return e
+            found = self.p.prefix_index(dim).get(
+                (target, _expected_faces(dim, u.assign)))
+            if found:
+                return found[0]
             raise LiftError(
                 f"no filler exists for target {target!r}", key)
         raise LiftError(f"no table entry for target {target!r}", key)

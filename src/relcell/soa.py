@@ -187,22 +187,21 @@ class Factorizer:
 # -- the adjunction -------------------------------------------------------
 
 
-def transpose(c, g0, h, fr, check=True):
+def transpose(c, g0, h, fr):
     """The adjunct morphism c -> Kf of a square (g0, h): U(c) -> f.
 
     Each cell of c at stage n, with glued simplex y, is sent to the free
     cell over h(y) whose facets are the images of y's facets; that cell is
     asserted to exist and to lie at stage n.  The counit equation
-    ``ef o body == h`` is verified when ``check`` is set.
+    ``ef o body == h`` is verified.
     """
     f = fr.input
-    if check:
-        if g0.dom != c.boundary or g0.cod != f.dom:
-            raise DeltaError("transpose: base map endpoints do not match")
-        if h.dom != c.body or h.cod != f.cod:
-            raise DeltaError("transpose: body map endpoints do not match")
-        if compose(f, g0) != compose(h, u_of_complex(c)):
-            raise DeltaError("transpose: square does not commute")
+    if g0.dom != c.boundary or g0.cod != f.dom:
+        raise DeltaError("transpose: base map endpoints do not match")
+    if h.dom != c.body or h.cod != f.cod:
+        raise DeltaError("transpose: body map endpoints do not match")
+    if compose(f, g0) != compose(h, u_of_complex(c)):
+        raise DeltaError("transpose: square does not commute")
     assign = dict(g0.assign)
     faces_of = c.body.faces_of
     p = {}
@@ -217,19 +216,19 @@ def transpose(c, g0, h, fr, check=True):
             p[cell.id] = cid
             assign[cell.id] = cid
     m = CellComplexMorphism(c, fr.kf, g0, p, validate=False)
-    if check and compose(fr.ef, m.body_map) != h:
+    if compose(fr.ef, m.body_map) != h:
         raise AssertionError("transpose does not factor the given square")
     return m
 
 
-def k_of_square(sq, fr_dom, fr_cod, check=True):
+def k_of_square(sq, fr_dom, fr_cod):
     """Functorial action of the factorization on an arrow-category square.
 
     ``sq`` is (a, b): f -> g encoded as ArrowSquare(top=a, bottom=b,
     left=f, right=g); the result is the morphism Kf -> Kg.
     """
     return transpose(fr_dom.kf, sq.top, compose(sq.bottom, fr_dom.ef),
-                     fr_cod, check=check)
+                     fr_cod)
 
 
 def unit(c, factorizer=None):
@@ -301,7 +300,7 @@ def comonad_comult(f, factorizer=None):
     return coalgebra_structure(fr.kf, fz)
 
 
-def check_awfs_laws(f, squares=(), safety_cap=32, factorizer=None):
+def check_awfs_laws(f, squares=(), factorizer=None):
     """Check the factorization-system laws for f by exact map equality.
 
     ``squares`` is an iterable of ArrowSquare values (a, b): f -> g used for
@@ -310,7 +309,7 @@ def check_awfs_laws(f, squares=(), safety_cap=32, factorizer=None):
     the partial report attached) if a required factorization does not
     stabilize.
     """
-    fz = factorizer or Factorizer(safety_cap)
+    fz = factorizer or Factorizer()
     report = {}
     witnesses = {}
 

@@ -6,6 +6,9 @@ standard k-simplex into the stratum's boundary.  The body of a stratum glues
 one fresh top simplex per cell onto the boundary; the fresh simplex reuses
 the cell's id, so the boundary is a literal subcomplex of the body.  Strata
 are immutable, so each one glues its body at most once.
+
+``merge_cells`` merges the cells of a diagram; ``strata_colimit`` and
+``cellcx.cellcx_colimit`` share it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .delta import (
     DeltaComplex,
     DeltaError,
     SimplicialMap,
+    _DSU,
     boundary_complex,
     colimit,
     compose,
@@ -157,16 +161,6 @@ def compose_strata_morphisms(m2, m1):
                           validate=False)
 
 
-def body_map(m):
-    """The induced map between bodies: boundary part by f, glued by p."""
-    bx = body(m.dom)[0]
-    by = body(m.cod)[0]
-    assign = dict(m.f.assign)
-    for cid, tid in m.p.items():
-        assign[cid] = tid
-    return SimplicialMap(bx, by, assign, validate=False)
-
-
 def u_of_strata_morphism(m):
     """The square with the underlying-map legs and the induced body map."""
     bx, inclx = body(m.dom)
@@ -193,55 +187,62 @@ def pushforward_morphism(st, g):
                           {c.id: c.id for c in st.cells}, validate=False)
 
 
+def merge_cells(cells, arrows, legs):
+    """The cells of a colimit: classes of the equivalence that the diagram's
+    cell assignments generate.
+
+    ``cells[i]`` lists the cells of object i, ``arrows`` holds
+    (src_index, dst_index, cell assignment) triples, and ``legs[i]`` maps
+    the boundary of object i into the colimit boundary.  A class is named
+    by its least ``"<i>.<id>"`` tag and attaches along the legs, extended
+    by these names on cells; all its members must give one shape and one
+    attach.  Returns (merged cells, name of each (i, cell id)).
+    """
+    dsu = _DSU()
+    for a, b, p in arrows:
+        for cid, tid in p.items():
+            dsu.union((a, cid), (b, tid))
+    root = {(i, c.id): dsu.find((i, c.id))
+            for i, cs in enumerate(cells) for c in cs}
+    least = {}
+    for (i, cid), r in root.items():
+        least[r] = min(least.get(r, f"{i}.{cid}"), f"{i}.{cid}")
+    name_of = {key: least[r] for key, r in root.items()}
+    extended = [dict(leg.assign) for leg in legs]
+    for (i, cid), name in name_of.items():
+        extended[i][cid] = name
+    merged = {}
+    for i, cs in enumerate(cells):
+        for c in cs:
+            attach = SimplicialMap(
+                c.attach.dom, legs[i].cod,
+                {s: extended[i][t] for s, t in c.attach.assign.items()},
+                validate=False)
+            cell = Cell(name_of[(i, c.id)], c.dim, attach, validate=False)
+            if merged.setdefault(cell.id, cell) != cell:
+                raise StrataError("inconsistent merged cell data in colimit")
+    return list(merged.values()), name_of
+
+
 def strata_colimit(objs, arrows):
     """Colimit of a finite diagram of strata.
 
     ``arrows`` is a list of (src_index, dst_index, StrataMorphism).  The
-    boundary is the degreewise colimit of boundaries; cells are merged by the
-    equivalence generated by the diagram's cell assignments, each merged cell
-    attaching by the common composite.  Returns (stratum, cocone morphisms).
+    boundary is the degreewise colimit of boundaries and the cells are
+    merged by ``merge_cells``.  Returns (stratum, cocone morphisms).
     """
     bound, legs = colimit([st.boundary for st in objs],
                           [(a, b, m.f) for a, b, m in arrows])
-    return _strata_colimit_onto(objs, arrows, bound, legs)
-
-
-def _strata_colimit_onto(objs, arrows, bound, legs):
-    """Cell-level colimit over a prescribed colimit cocone of boundaries."""
-    from .delta import _DSU
-    dsu = _DSU()
-    for i, st in enumerate(objs):
-        for c in st.cells:
-            dsu.find((i, c.id))
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise StrataError("diagram arrow endpoints do not match")
-        for cid, tid in m.p.items():
-            dsu.union((a, cid), (b, tid))
-    groups = {}
-    for i, st in enumerate(objs):
-        for c in st.cells:
-            groups.setdefault(dsu.find((i, c.id)), []).append((i, c.id))
-    cells = []
-    name_of = {}
-    for members in sorted(sorted(g) for g in groups.values()):
-        name = min(f"{i}.{cid}" for i, cid in members)
-        attach = None
-        dim = None
-        for i, cid in members:
-            name_of[(i, cid)] = name
-            c = objs[i].cell(cid)
-            cand = compose(legs[i], c.attach)
-            if attach is None:
-                attach, dim = cand, c.dim
-            elif attach != cand or dim != c.dim:
-                raise StrataError("inconsistent merged cell data in colimit")
-        cells.append(Cell(name, dim, attach, validate=False))
+    cells, name_of = merge_cells([st.cells for st in objs],
+                                 [(a, b, m.p) for a, b, m in arrows], legs)
     out = Stratum(bound, cells, validate=False)
-    cocone = [StrataMorphism(
-        objs[i], out, legs[i],
-        {c.id: name_of[(i, c.id)] for c in objs[i].cells}, validate=False)
-        for i in range(len(objs))]
+    cocone = [StrataMorphism(st, out, legs[i],
+                             {c.id: name_of[(i, c.id)] for c in st.cells},
+                             validate=False)
+              for i, st in enumerate(objs)]
     return out, cocone
 
 

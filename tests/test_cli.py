@@ -170,6 +170,31 @@ def test_codomain_above_max_dim_exit_2(files, capsys, command):
     assert "dimension 10" in err and "dimension 9 only" in err
 
 
+# argv of each subcommand, and the flags it never reads
+_UNREAD_FLAGS = {
+    ("factor", "m.json"): ["--seed"],
+    ("compose", "a.json", "b.json"): ["--cap", "--format", "--seed"],
+    ("normalize", "c.json"): ["--cap", "--format", "--seed"],
+    ("pushout", "f.json", "g.json"): ["--cap", "--format", "--seed"],
+    ("lift", "c.json", "t.json", "u.json", "v.json"):
+        ["--cap", "--format", "--seed"],
+    ("export-dot", "c.json"): ["--cap", "--format", "--seed"],
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag) for argv, flags in _UNREAD_FLAGS.items() for flag in flags],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_unread_flag_rejected(capsys, argv, flag):
+    """A subcommand takes only the flags it reads; any other is a usage
+    error, exit 2, before any file is opened."""
+    value = "json" if flag == "--format" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + [flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _IDS = st.sampled_from(["a", "b", "0", "1"])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 3) | _IDS,

@@ -146,8 +146,11 @@ class TestMaps:
                                    if f.assign[s] == t))
                 if pre:
                     brute[(k, t)] = pre
-            assert f.fibres() == brute
-            assert f.fibres() is f.fibres()
+            fibres = {(k, t): tuple(f.prefix_index(k)[(t, ())])
+                      for k, t in f.cod.all_ids()
+                      if (t, ()) in f.prefix_index(k)}
+            assert fibres == brute
+            assert f.prefix_index(2) is f.prefix_index(2)
 
     def test_characteristic_and_boundary_restriction(self):
         d2 = standard_simplex(2)

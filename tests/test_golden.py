@@ -14,15 +14,25 @@ import hashlib
 import random
 
 from relcell import (
+    CellComplex,
+    CellComplexMorphism,
     Factorizer,
     FillerTable,
     boundary_lifts,
+    cellcx_colimit,
+    cellcx_coproduct,
+    cellcx_equaliser,
     comonad_comult,
+    compose_morphisms,
     free_complex,
     free_fillers,
     gen,
+    identity_map,
     jsonio,
     monad_mult,
+    pushforward_complex,
+    pushforward_morphism,
+    strata_colimit,
     u_of_complex,
     unit,
 )
@@ -201,3 +211,81 @@ def test_export_dot_bytes(tmp_path, capsys):
         assert main(["export-dot", str(path)]) == 0
         got[name] = _sha(capsys.readouterr().out.encode())
     assert got == DOT_DIGESTS
+
+
+# sha256 of the JSON, written by ``jsonio.dumps``, of what each derived
+# construction returns on the seeded diagrams of ``_derived_outputs``: the
+# complex or stratum and every morphism (base map and cell assignment).
+# These were recorded from the implementation that still built each result
+# stage by stage, before ``assemble`` placed their cells.
+DERIVED_DIGESTS = {
+    "pushforward_complex":
+        "a2843e908a9d774eae536c37ccfa6f27c65c3a35be1c61f34c45bb53b86da953",
+    "cellcx_colimit":
+        "835d6c2246e6face686d24caf6ef5536138dae418866ed279674470e83a319ba",
+    "cellcx_equaliser":
+        "a962b7beaafac49fcd9891ac749026fd497643e070b5dc2c443e6fe48747a9d9",
+    "strata_colimit":
+        "a47a70087bc02a5ca62215a6fbc0af03ec889bd32a91827cb0f6ba53374368ec",
+}
+
+
+def _morphism_json(m):
+    return {"base": jsonio.map_to_json(m.f0), "cells": m.p}
+
+
+def _parallel_pair(rng, c):
+    """Two morphisms out of c into one complex, from c + c: either glued
+    along the first n strata of c, or pushed forward along a random map of
+    the two bases, so that they agree on some cells or on some base."""
+    two, (j0, j1) = cellcx_coproduct([c, c])
+    if rng.random() < 0.5:
+        s = CellComplex(c.boundary, c.strata[:rng.randint(0, c.height)])
+        incl = CellComplexMorphism(s, c, identity_map(c.boundary),
+                                   {cid: cid for cid in s.cell_ids})
+        _, (_, q) = cellcx_colimit(
+            [s, two], [(0, 1, compose_morphisms(j0, incl)),
+                       (0, 1, compose_morphisms(j1, incl))])
+    else:
+        _, q = pushforward_complex(two, gen.rand_map_from(rng, two.boundary))
+    return compose_morphisms(q, j0), compose_morphisms(q, j1)
+
+
+def _derived_outputs():
+    rng = random.Random(2035)
+    rows = {name: [] for name in DERIVED_DIGESTS}
+    for _ in range(25):
+        c = gen.rand_cell_complex(rng)
+        out, m = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+        rows["pushforward_complex"].append(
+            [jsonio.cellcx_to_json(out), _morphism_json(m)])
+    for _ in range(25):
+        c = gen.rand_cell_complex(rng)
+        m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
+        m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
+        out, legs = cellcx_colimit([c, m1.cod, m2.cod],
+                                   [(0, 1, m1), (0, 2, m2)])
+        rows["cellcx_colimit"].append(
+            [jsonio.cellcx_to_json(out)] + [_morphism_json(m) for m in legs])
+    for _ in range(25):
+        c = gen.rand_cell_complex(rng)
+        e, incl = cellcx_equaliser(*_parallel_pair(rng, c))
+        rows["cellcx_equaliser"].append(
+            [jsonio.cellcx_to_json(e), _morphism_json(incl)])
+    for _ in range(25):
+        s0 = gen.rand_stratum(rng)
+        m1 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
+        m2 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
+        out, legs = strata_colimit([s0, m1.cod, m2.cod],
+                                   [(0, 1, m1), (0, 2, m2)])
+        rows["strata_colimit"].append(
+            [jsonio.stratum_to_json(out)] +
+            [{"boundary": jsonio.map_to_json(m.f), "cells": m.p}
+             for m in legs])
+    return rows
+
+
+def test_derived_constructions():
+    got = {name: _sha(jsonio.dumps(rows).encode())
+           for name, rows in _derived_outputs().items()}
+    assert got == DERIVED_DIGESTS
