@@ -29,8 +29,7 @@ from .delta import (
     inclusion_map,
     is_pullback,
     mec,
-    mediate_coequaliser,
-    mediate_pushout,
+    mediate,
     pushout,
     standard_simplex,
     top_simplex_id,

@@ -197,12 +197,15 @@ def cmd_export_dot(args):
     def color(n):
         return _PALETTE[n % len(_PALETTE)]
 
+    def quote(s):
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph body {"]
     for v in sorted(body.ids(0)):
-        lines.append(f'  "{v}" [color="{color(stage_of(v))}"];')
+        lines.append(f'  {quote(v)} [color="{color(stage_of(v))}"];')
     for e in sorted(body.ids(1)) if body.max_dim >= 1 else []:
         d0, d1 = body.faces_of(e)
-        lines.append(f'  "{d1}" -> "{d0}" [label="{e}" '
+        lines.append(f'  {quote(d1)} -> {quote(d0)} [label={quote(e)} '
                      f'color="{color(stage_of(e))}"];')
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -5,6 +5,12 @@ complex.  A k-simplex for k >= 1 carries an ordered tuple of k+1 identifiers
 of (k-1)-simplices; entry i is its i-th face.  There are no degeneracies, so
 every hom-set between finite complexes is finite and enumerable.
 
+Every degreewise colimit (``coproduct``, ``colimit``, ``pushout``,
+``coequaliser``) is one quotient: the disjoint union of some complexes by
+the equivalence their arrows generate.  Each differs only in its endpoint
+check and in how it names a class, and ``mediate`` is the unique map out
+of any of them.
+
 All values are immutable after construction and all operations are pure.
 This is load-bearing: ``standard_simplex`` and ``boundary_complex`` return
 shared cached instances, and complexes and maps keep lazily built indexes on
@@ -508,68 +514,76 @@ def boundary_lifts(f, t, new=None):
 # -- colimits -------------------------------------------------------------
 
 
-class _DSU:
-    def __init__(self):
-        self.parent = {}
+def name_classes(nodes, pairs, name):
+    """Name the classes of the equivalence on ``nodes`` that ``pairs``
+    generate.
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        if p != x:
-            self.parent[x] = p
-        return p
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
-def _quotient_complex(members_by_class, name_of, dims, faces_src):
-    """Assemble a quotient complex from class data.
-
-    ``members_by_class``: class id -> members; ``name_of``: member -> class
-    name; ``dims``: member -> dimension; ``faces_src``: member -> tuple of
-    member faces (or None for vertices).
+    ``name`` maps the list of classes, each a list of its members, to the
+    list of their names.  Returns a dict from each node to its class name.
     """
-    simp = {}
+    parent = {}
+
+    def find(x):
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for m in nodes:
+        groups.setdefault(find(m), []).append(m)
+    classes = list(groups.values())
+    return {m: n for members, n in zip(classes, name(classes))
+            for m in members}
+
+
+def least_tags(classes):
+    """Name each class of ``(i, id)`` members by its least ``"<i>.<id>"``
+    tag."""
+    return [min([f"{i}.{s}" for i, s in members]) for members in classes]
+
+
+def _quotient(parts, pairs, name):
+    """The quotient of the disjoint union of ``parts`` by the equivalence
+    that ``pairs`` of ``(part index, id)`` members generate, its classes
+    named by the rule ``name`` (see ``name_classes``).
+
+    Returns (quotient complex, one leg per part).  Every member of a class
+    must have one dimension and induce one face tuple.
+    """
+    name_of = name_classes(
+        [(i, s) for i, x in enumerate(parts) for s in x._dim_of], pairs, name)
+    dim_of = {}
     faces = {}
-    for members in members_by_class:
-        name = name_of[members[0]]
-        k = dims[members[0]]
-        for m in members:
-            if dims[m] != k:
+    assigns = []
+    for i, x in enumerate(parts):
+        assign = {}
+        for s, k in x._dim_of.items():
+            n = assign[s] = name_of[(i, s)]
+            if dim_of.setdefault(n, k) != k:
                 raise DeltaError("colimit merges simplices of unequal dims")
-        simp.setdefault(k, []).append(name)
-        if k >= 1:
-            induced = None
-            for m in members:
-                cur = tuple(name_of[f] for f in faces_src[m])
-                if induced is None:
-                    induced = cur
-                elif induced != cur:
+            if k:
+                induced = tuple([name_of[(i, f)] for f in x.faces[s]])
+                if faces.setdefault(n, induced) != induced:
                     raise DeltaError("inconsistent induced faces in quotient")
-            faces[name] = induced
-    return DeltaComplex(simp, faces, validate=False)
+        assigns.append(assign)
+    simp = {}
+    for n, k in dim_of.items():
+        simp.setdefault(k, []).append(n)
+    total = DeltaComplex(simp, faces, validate=False)
+    return total, [SimplicialMap(x, total, assign, validate=False)
+                   for x, assign in zip(parts, assigns)]
 
 
 def coproduct(parts):
     """Disjoint union, ids tagged by part index; returns (complex, legs)."""
-    simp = {}
-    faces = {}
-    legs = []
-    for i, x in enumerate(parts):
-        for k, ids in x.simplices.items():
-            simp.setdefault(k, []).extend(f"{i}.{s}" for s in ids)
-        for s, fs in x.faces.items():
-            faces[f"{i}.{s}"] = tuple(f"{i}.{f}" for f in fs)
-    total = DeltaComplex(simp, faces, validate=False)
-    for i, x in enumerate(parts):
-        legs.append(SimplicialMap(
-            x, total, {s: f"{i}.{s}" for s in x._dim_of}, validate=False))
-    return total, legs
+    return colimit(parts, [])
 
 
 def colimit(objs, arrows):
@@ -579,36 +593,28 @@ def colimit(objs, arrows):
     Returns (colimit complex, cocone legs).  Ids are ``"<i>.<id>"`` tags with
     the lexicographically least member naming each merged class.
     """
-    dsu = _DSU()
-    dims = {}
-    faces_src = {}
-    for i, x in enumerate(objs):
-        for s, k in x._dim_of.items():
-            node = (i, s)
-            dsu.find(node)
-            dims[node] = k
-            if k >= 1:
-                faces_src[node] = tuple((i, f) for f in x.faces[s])
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise DeltaError("diagram arrow endpoints do not match")
-        for s, t in m.assign.items():
-            dsu.union((a, s), (b, t))
-    groups = {}
-    for node in dims:
-        groups.setdefault(dsu.find(node), []).append(node)
-    members_by_class = [sorted(g) for g in groups.values()]
-    name_of = {}
-    for members in members_by_class:
-        name = min(f"{i}.{s}" for i, s in members)
-        for m in members:
-            name_of[m] = name
-    total = _quotient_complex(members_by_class, name_of, dims, faces_src)
-    legs = [SimplicialMap(x, total,
-                          {s: name_of[(i, s)] for s in x._dim_of},
-                          validate=False)
-            for i, x in enumerate(objs)]
-    return total, legs
+    return _quotient(objs, [((a, s), (b, t)) for a, b, m in arrows
+                            for s, t in m.assign.items()], least_tags)
+
+
+def _pushout_names(classes):
+    """Classes with a Y member (part 1) take their least Y id; an X-only
+    class takes its least X id, with trailing apostrophes while the name
+    is taken, in the order of those ids."""
+    names = [min((s for i, s in members if i), default=None)
+             for members in classes]
+    used = set(names)
+    for s, n in sorted((min(s for _, s in members), n)
+                       for n, members in enumerate(classes)
+                       if names[n] is None):
+        while s in used:
+            s += "'"
+        used.add(s)
+        names[n] = s
+    return names
 
 
 def pushout(f, g):
@@ -621,95 +627,39 @@ def pushout(f, g):
     """
     if f.dom != g.dom:
         raise DeltaError("pushout legs must share a domain")
-    x, y = f.cod, g.cod
-    dsu = _DSU()
-    for s in x._dim_of:
-        dsu.find(("x", s))
-    for s in y._dim_of:
-        dsu.find(("y", s))
-    for a in f.dom._dim_of:
-        dsu.union(("x", f.assign[a]), ("y", g.assign[a]))
-    groups = {}
-    for side, s in list(dsu.parent):
-        groups.setdefault(dsu.find((side, s)), []).append((side, s))
-    members_by_class = [sorted(g) for g in groups.values()]
-    with_y = [m for m in members_by_class if any(side == "y" for side, _ in m)]
-    x_only = [m for m in members_by_class if m not in with_y]
-    name_of = {}
-    used = set()
-    for members in sorted(with_y,
-                          key=lambda m: min(s for side, s in m if side == "y")):
-        name = min(s for side, s in members if side == "y")
-        used.add(name)
-        for m in members:
-            name_of[m] = name
-    for members in sorted(x_only, key=lambda m: m[0][1]):
-        name = members[0][1]
-        while name in used:
-            name += "'"
-        used.add(name)
-        for m in members:
-            name_of[m] = name
-    dims = {}
-    faces_src = {}
-    for side, space in (("x", x), ("y", y)):
-        for s, k in space._dim_of.items():
-            dims[(side, s)] = k
-            if k >= 1:
-                faces_src[(side, s)] = tuple((side, f) for f in space.faces[s])
-    total = _quotient_complex(members_by_class, name_of, dims, faces_src)
-    px = SimplicialMap(x, total, {s: name_of[("x", s)] for s in x._dim_of},
-                       validate=False)
-    py = SimplicialMap(y, total, {s: name_of[("y", s)] for s in y._dim_of},
-                       validate=False)
+    total, (px, py) = _quotient(
+        [f.cod, g.cod],
+        [((0, f.assign[a]), (1, g.assign[a])) for a in f.dom._dim_of],
+        _pushout_names)
     return total, px, py
 
 
-def mediate_pushout(px, py, u, v):
-    """The unique map out of a pushout agreeing with u on X and v on Y."""
-    if u.dom != px.dom or v.dom != py.dom or u.cod != v.cod:
-        raise DeltaError("cocone endpoints do not match")
-    assign = {}
-    for s, t in px.assign.items():
-        assign[t] = u.assign[s]
-    for s, t in py.assign.items():
-        if assign.setdefault(t, v.assign[s]) != v.assign[s]:
-            raise DeltaError("cocone does not commute over the pushout")
-    return SimplicialMap(px.cod, u.cod, assign)
-
-
 def coequaliser(f, g):
-    """Degreewise coequaliser of a parallel pair ``f, g: X -> Y``."""
+    """Degreewise coequaliser of a parallel pair ``f, g: X -> Y``; each
+    class is named by its least member.  Returns (complex, projection)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DeltaError("coequaliser needs a parallel pair")
-    y = f.cod
-    dsu = _DSU()
-    for s in y._dim_of:
-        dsu.find(s)
-    for s in f.dom._dim_of:
-        dsu.union(f.assign[s], g.assign[s])
-    groups = {}
-    for s in y._dim_of:
-        groups.setdefault(dsu.find(s), []).append(s)
-    members_by_class = [sorted(g) for g in groups.values()]
-    name_of = {}
-    for members in members_by_class:
-        name = min(members)
-        for m in members:
-            name_of[m] = name
-    dims = dict(y._dim_of)
-    total = _quotient_complex(members_by_class, name_of, dims, y.faces)
-    q = SimplicialMap(y, total, name_of, validate=False)
+    total, (q,) = _quotient(
+        [f.cod], [((0, f.assign[s]), (0, g.assign[s])) for s in f.dom._dim_of],
+        lambda classes: [min(members)[1] for members in classes])
     return total, q
 
 
-def mediate_coequaliser(q, u):
-    """The unique map out of a coequaliser with ``m o q == u``."""
+def mediate(legs, maps):
+    """The unique map m out of a quotient with ``m o legs[i] == maps[i]``
+    for every i: out of a coproduct, colimit, pushout or coequaliser,
+    whose legs are jointly surjective.  The maps must share a codomain and
+    agree on every class the legs identify."""
+    if not legs or len(legs) != len(maps) or any(
+            leg.cod != legs[0].cod or u.dom != leg.dom or u.cod != maps[0].cod
+            for leg, u in zip(legs, maps)):
+        raise DeltaError("cocone endpoints do not match")
     assign = {}
-    for s, t in q.assign.items():
-        if assign.setdefault(t, u.assign[s]) != u.assign[s]:
-            raise DeltaError("map does not coequalise the pair")
-    return SimplicialMap(q.cod, u.cod, assign)
+    for leg, u in zip(legs, maps):
+        for s, t in leg.assign.items():
+            if assign.setdefault(t, u.assign[s]) != u.assign[s]:
+                raise DeltaError("cocone does not commute over the quotient")
+    return SimplicialMap(legs[0].cod, maps[0].cod, assign)
 
 
 def equaliser(f, g):

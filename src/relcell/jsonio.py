@@ -15,7 +15,13 @@ import functools
 import itertools
 import json
 
-from .delta import DeltaComplex, DeltaError, SimplicialMap, boundary_complex
+from .delta import (
+    DeltaComplex,
+    DeltaError,
+    SimplicialMap,
+    boundary_complex,
+    facet_ids,
+)
 from .strata import Cell, Stratum
 from .cellcx import CellComplex
 from .lifting import FillerTable, square_key
@@ -105,10 +111,13 @@ def _expect_list(value, what):
 
 
 def _dim_key(key):
+    """The dimension a key names; only its canonical spelling is accepted,
+    so that no two keys name one dimension."""
     try:
         k = int(key)
     except ValueError:
-        raise DeltaError(f"dimension key {key!r} is not an integer") from None
+        k = None
+    _expect(key == str(k), f"dimension key {key!r} is not an integer")
     _expect(k >= 0, "negative dimension")
     return k
 
@@ -227,8 +236,9 @@ def cellcx_cells_from_json(obj):
     """Lax loader: the base complex and a flat cell list (stage ignored).
 
     Suitable for renormalization, where only the base and the cells matter.
-    Attach maps are validated against the accumulated identifier pool, not
-    a particular stage.
+    Each attach map is validated as a map into the identifier pool, not a
+    particular stage: the base plus one simplex per cell, whose faces are
+    the cell's attach on the facets.  The cells attach into the pool.
     """
     _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
             "complex JSON must carry base and strata")
@@ -240,26 +250,15 @@ def cellcx_cells_from_json(obj):
                 "each stratum entry must carry cells")
         _expect_list(st["cells"], "cells")
         raw.extend(st["cells"])
-    pool = dict(base._dim_of)
+    simplices = {k: list(ids) for k, ids in base.simplices.items()}
+    faces = dict(base.faces)
     for c in raw:
         _check_cell(c)
-        _expect(c["id"] not in pool, f"duplicate identifier {c['id']!r}")
-        pool[c["id"]] = c["dim"]
-    cells = []
-    for c in raw:
-        bd = boundary_complex(c["dim"])
-        attach = dict(c["attach"])
-        _expect(set(attach) == bd.id_set,
-                f"cell {c['id']!r}: attach keys must be the canonical "
-                f"boundary names")
-        for s, t in attach.items():
-            _expect(t in pool and pool[t] == bd.dim(s),
-                    f"cell {c['id']!r}: attach target {t!r} missing or of "
-                    f"wrong dimension")
-        cells.append(Cell(c["id"], c["dim"],
-                          SimplicialMap(bd, base, attach, validate=False),
-                          validate=False))
-    return base, cells
+        simplices.setdefault(c["dim"], []).append(c["id"])
+        if c["dim"]:
+            faces[c["id"]] = tuple(map(c["attach"].get, facet_ids(c["dim"])))
+    pool = DeltaComplex(simplices, faces, validate=False)
+    return base, [_cell_from_json(c, pool) for c in raw]
 
 
 def cellcx_from_json(obj):

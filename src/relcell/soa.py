@@ -29,7 +29,7 @@ from .delta import (
     boundary_restriction,
     compose,
     identity_map,
-    mediate_pushout,
+    mediate,
     pushout,
 )
 from .strata import Cell, Stratum, body
@@ -439,6 +439,6 @@ def pushforward_left_map(f, alpha, g, factorizer=None):
     m = k_of_square(
         ArrowSquare(top=g, bottom=leg_b, left=f, right=pushed),
         fr_f, fr_p)
-    structure = mediate_pushout(
-        leg_b, leg_c, compose(m.body_map, alpha), u_of_complex(fr_p.kf))
+    structure = mediate(
+        [leg_b, leg_c], [compose(m.body_map, alpha), u_of_complex(fr_p.kf)])
     return pushed, structure

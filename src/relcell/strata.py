@@ -18,12 +18,13 @@ from .delta import (
     DeltaComplex,
     DeltaError,
     SimplicialMap,
-    _DSU,
     boundary_complex,
     colimit,
     compose,
     facet_ids,
     inclusion_map,
+    least_tags,
+    name_classes,
 )
 
 
@@ -198,16 +199,10 @@ def merge_cells(cells, arrows, legs):
     by these names on cells; all its members must give one shape and one
     attach.  Returns (merged cells, name of each (i, cell id)).
     """
-    dsu = _DSU()
-    for a, b, p in arrows:
-        for cid, tid in p.items():
-            dsu.union((a, cid), (b, tid))
-    root = {(i, c.id): dsu.find((i, c.id))
-            for i, cs in enumerate(cells) for c in cs}
-    least = {}
-    for (i, cid), r in root.items():
-        least[r] = min(least.get(r, f"{i}.{cid}"), f"{i}.{cid}")
-    name_of = {key: least[r] for key, r in root.items()}
+    name_of = name_classes(
+        [(i, c.id) for i, cs in enumerate(cells) for c in cs],
+        [((a, cid), (b, tid)) for a, b, p in arrows for cid, tid in p.items()],
+        least_tags)
     extended = [dict(leg.assign) for leg in legs]
     for (i, cid), name in name_of.items():
         extended[i][cid] = name

@@ -17,6 +17,7 @@ from relcell import (
     square_key,
     standard_simplex,
     trivial_complex,
+    u_of_complex,
 )
 from relcell.cli import main
 from relcell import jsonio
@@ -119,6 +120,22 @@ def _faces_as_int(obj):
     obj["cod"]["simplices"]["1"][0]["faces"] = 0
 
 
+def _dim_key_twice(obj):
+    # "00" names dimension 0 too; it sorts after "0", so it would win
+    obj["dom"]["simplices"]["00"] = ["0"]
+    obj["assign"]["0"].pop("1")
+
+
+def _normalize_attach_not_commuting(write):
+    """A 2-cell whose attach sends the edge "01" to an edge c -> d while
+    sending its vertices "0" and "1" to a and b."""
+    obj = {"base": {"simplices": {
+        "0": ["a", "b", "c", "d"], "1": [{"id": "e", "faces": ["d", "c"]}]}},
+        "strata": [{"cells": [{"id": "t", "dim": 2, "attach": {
+            "0": "a", "1": "b", "2": "a", "01": "e", "02": "e", "12": "e"}}]}]}
+    return ["normalize", write("c.json", obj)]
+
+
 def _cell_dim_as_string(write):
     obj = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
     cell = obj["strata"][0]["cells"][0]
@@ -139,10 +156,13 @@ def _table_boundary_as_list(write):
     _factor_argv(_assign_as_list),
     _factor_argv(_simplices_as_list),
     _factor_argv(_faces_as_int),
+    _factor_argv(_dim_key_twice),
     _cell_dim_as_string,
     _table_boundary_as_list,
+    _normalize_attach_not_commuting,
 ], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
-        "faces-as-int", "cell-dim-as-string", "table-boundary-as-list"])
+        "faces-as-int", "dimension-key-twice", "cell-dim-as-string",
+        "table-boundary-as-list", "normalize-attach-not-commuting"])
 def test_schema_invalid_json_exit_2(files, capsys, argv):
     _, write = files
     code, _, err = run_cli(capsys, *argv(write))
@@ -215,18 +235,73 @@ _MAP = st.fixed_dictionaries(
     {"dom": _COMPLEX, "cod": _COMPLEX, "assign": _ASSIGN}) | _JUNK
 
 
+_CELL = st.fixed_dictionaries({
+    "id": _ID, "dim": st.integers(-1, 2) | _JUNK,
+    "attach": st.dictionaries(st.sampled_from(["0", "1", "2", "01", "02"]),
+                              _ID, max_size=4) | _JUNK}) | _JUNK
+_CELLCX = st.fixed_dictionaries({
+    "base": _COMPLEX,
+    "strata": st.lists(st.fixed_dictionaries(
+        {"cells": st.lists(_CELL, max_size=2) | _JUNK}) | _JUNK,
+        max_size=2) | _JUNK}) | _JUNK
+_TABLE = st.fixed_dictionaries({
+    "p": _MAP,
+    "entries": st.lists(st.fixed_dictionaries({
+        "dim": st.integers(-1, 2) | _JUNK,
+        "boundary": st.dictionaries(_IDS, _ID, max_size=2) | _JUNK,
+        "target": _ID, "filler": _ID}) | _JUNK, max_size=2) | _JUNK,
+    "fallback": st.sampled_from(["fail", "search"]) | _JUNK}) | _JUNK
+
+# valid files too, so that some draws get past the loaders
+_FR = free_complex(boundary_inclusion(1))
+_ANY_MAP = st.sampled_from([jsonio.map_to_json(f) for f in (
+    boundary_inclusion(1), fold_map(), u_of_complex(_FR.kf), _FR.ef)]) | _MAP
+_ANY_CELLCX = st.sampled_from([jsonio.cellcx_to_json(c) for c in (
+    _FR.kf, trivial_complex(_FR.kf.body))]) | _CELLCX
+_ANY_TABLE = st.sampled_from([jsonio.filler_table_to_json(
+    FillerTable(p, fallback="search")) for p in (_FR.ef, fold_map())]) | _TABLE
+
+# the input files of each subcommand, by their strategies
+_INPUTS = {
+    "compose": [_ANY_CELLCX, _ANY_CELLCX],
+    "normalize": [_ANY_CELLCX],
+    "pushout": [_ANY_MAP, _ANY_MAP],
+    "lift": [_ANY_CELLCX, _ANY_TABLE, _ANY_MAP, _ANY_MAP],
+    "export-dot": [_ANY_CELLCX],
+}
+
+
+def _exit_code(command, objs):
+    """``main``'s exit code on ``command`` with each object as a file."""
+    paths = []
+    try:
+        for obj in objs:
+            fd, path = tempfile.mkstemp(suffix=".json")
+            paths.append(path)
+            with os.fdopen(fd, "w") as fh:
+                json.dump(obj, fh)
+        return main([command] + paths)
+    finally:
+        for path in paths:
+            os.unlink(path)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_MAP)
 def test_factor_exit_codes_on_random_json(obj):
     """Whatever JSON a map file holds, ``factor`` ends with a documented
     exit code: 0, 2 (input error), 3 (cap) or 4 (law failure)."""
-    fd, path = tempfile.mkstemp(suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh)
-        assert main(["factor", path]) in (0, 2, 3, 4)
-    finally:
-        os.unlink(path)
+    assert _exit_code("factor", [obj]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command", sorted(_INPUTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exit_codes_on_random_json(command, data):
+    """Whatever JSON its files hold, each subcommand ends with a
+    documented exit code."""
+    objs = data.draw(st.tuples(*_INPUTS[command]))
+    assert _exit_code(command, objs) in (0, 2, 3, 4)
 
 
 class TestComposeNormalizePushout:
@@ -365,6 +440,21 @@ class TestExportDot:
         colors = {l.split('color="')[1].split('"')[0]
                   for l in nodes + edges}
         assert len(colors) == 3  # base, stage 0, stage 1
+
+    def test_ids_quoted(self, files, capsys):
+        from relcell import DeltaComplex
+        x = DeltaComplex({0: ['a"b', "c\\"], 1: ['e"\\']},
+                         {'e"\\': ("c\\", 'a"b')})
+        _, write = files
+        path = write("c.json", jsonio.cellcx_to_json(trivial_complex(x)))
+        code, out, _ = run_cli(capsys, "export-dot", path)
+        assert code == 0
+        assert out == ('digraph body {\n'
+                       '  "a\\"b" [color="black"];\n'
+                       '  "c\\\\" [color="black"];\n'
+                       '  "a\\"b" -> "c\\\\" [label="e\\"\\\\" '
+                       'color="black"];\n'
+                       '}\n')
 
     def test_empty_complex(self, files, capsys):
         _, write = files

@@ -27,8 +27,7 @@ from relcell import (
     inclusion_map,
     is_pullback,
     mec,
-    mediate_coequaliser,
-    mediate_pushout,
+    mediate,
     pushout,
     standard_simplex,
     top_simplex_id,
@@ -291,7 +290,7 @@ class TestColimits:
             p, px, py = pushout(f, g)
             h = gen.rand_map_from(rng, p)
             u, v = compose(h, px), compose(h, py)
-            m = mediate_pushout(px, py, u, v)
+            m = mediate([px, py], [u, v])
             assert m == h  # uniqueness: mediating map is forced
 
     def test_coequaliser_examples(self):
@@ -316,8 +315,23 @@ class TestColimits:
         e1 = SimplicialMap(pt, d1, {"0": "1"})
         q, proj = coequaliser(e0, e1)
         collapse = SimplicialMap(d1, q, proj.assign)
-        m = mediate_coequaliser(proj, collapse)
+        m = mediate([proj], [collapse])
         assert compose(m, proj) == collapse
+
+    def test_mediate_rejects_bad_cocones(self):
+        d1, pt = standard_simplex(1), standard_simplex(0)
+        _, proj = coequaliser(SimplicialMap(pt, d1, {"0": "0"}),
+                              SimplicialMap(pt, d1, {"0": "1"}))
+        with pytest.raises(DeltaError, match="does not commute"):
+            mediate([proj], [identity_map(d1)])  # keeps 0 and 1 apart
+        _, px, py = pushout(*[inclusion_map(boundary_complex(1), d1)] * 2)
+        u = identity_map(d1)
+        for legs, maps in [([proj], [identity_map(pt)]),  # wrong domain
+                           ([px, py], [u, proj]),  # two codomains
+                           ([px, proj], [u, u]),  # two quotients
+                           ([px, py], [u]), ([], [])]:
+            with pytest.raises(DeltaError, match="endpoints"):
+                mediate(legs, maps)
 
     def test_colimit_matches_pushout(self):
         rng = random.Random(17)
@@ -329,7 +343,7 @@ class TestColimits:
             q, legs = colimit([a, f.cod, g.cod],
                               [(0, 1, f), (0, 2, g)])
             # same universal object: compare class partitions via legs
-            iso = mediate_pushout(px, py, legs[1], legs[2])
+            iso = mediate([px, py], legs[1:])
             assert iso.is_bijective()
 
     def test_equaliser_examples(self):

@@ -14,16 +14,23 @@ import hashlib
 import random
 
 from relcell import (
+    EMPTY,
     CellComplex,
     CellComplexMorphism,
     Factorizer,
     FillerTable,
+    SimplicialMap,
     boundary_lifts,
     cellcx_colimit,
     cellcx_coproduct,
     cellcx_equaliser,
+    characteristic_map,
+    coequaliser,
+    colimit,
     comonad_comult,
+    compose,
     compose_morphisms,
+    coproduct,
     free_complex,
     free_fillers,
     gen,
@@ -32,6 +39,7 @@ from relcell import (
     monad_mult,
     pushforward_complex,
     pushforward_morphism,
+    pushout,
     strata_colimit,
     u_of_complex,
     unit,
@@ -289,3 +297,73 @@ def test_derived_constructions():
     got = {name: _sha(jsonio.dumps(rows).encode())
            for name, rows in _derived_outputs().items()}
     assert got == DERIVED_DIGESTS
+
+
+# sha256 of the JSON, written by ``jsonio.dumps``, of the legs each
+# degreewise quotient returns on the seeded diagrams of ``_quotient_outputs``
+# (a leg's codomain is the quotient itself).  These were recorded from the
+# implementation that still ran one union-find per construction.
+QUOTIENT_DIGESTS = {
+    "coproduct":
+        "6a133d561718eb4d9024a814162cac112b74b4bf93dbac25782df448fa54cc0b",
+    "colimit":
+        "7ba1f572ae0bcac148739b29140e2bf89f8f2879e6fd9c27be8021df0248dcf1",
+    "pushout":
+        "7f5dbd428ac5d7bd5968d73745aa5685ee6a7ce3a7546e81e1c7e19e9f42bf92",
+    "coequaliser":
+        "2a1b1f2658c7b88662ada89c813b190d22acae58438feb04c00b7d4a6bf51921",
+}
+
+
+def _same_dim_pair(rng, x):
+    """The characteristic maps of two random simplices of one dimension."""
+    k = rng.choice([k for k in range(x.max_dim + 1) if x.ids(k)])
+    a, b = (rng.choice(sorted(x.ids(k))) for _ in range(2))
+    return characteristic_map(x, a), characteristic_map(x, b)
+
+
+def _quotient_outputs():
+    rng = random.Random(2036)
+    rows = {name: [] for name in QUOTIENT_DIGESTS}
+    for _ in range(25):
+        parts = [gen.rand_complex(rng) for _ in range(rng.randint(0, 3))]
+        rows["coproduct"].append(coproduct(parts)[1])
+    for _ in range(25):
+        f = gen.rand_map(rng)  # an inclusion, then quotients
+        a = gen.rand_map_from(rng, f.dom)
+        rows["pushout"].append(pushout(f, a)[1:])
+        rows["pushout"].append(pushout(a, f)[1:])
+        # two unrelated complexes glued along a simplex, or along nothing:
+        # their ids collide, so X-only classes get trailing apostrophes
+        x, y = gen.rand_complex(rng), gen.rand_complex(rng)
+        k = rng.randint(0, min(x.max_dim, y.max_dim))
+        rows["pushout"].append(pushout(
+            characteristic_map(x, rng.choice(sorted(x.ids(k)))),
+            characteristic_map(y, rng.choice(sorted(y.ids(k)))))[1:])
+        rows["pushout"].append(pushout(SimplicialMap(EMPTY, x, {}),
+                                       SimplicialMap(EMPTY, y, {}))[1:])
+        rows["colimit"].append(colimit([f.dom, f.cod, a.cod],
+                                       [(0, 1, f), (0, 2, a)])[1])
+        b = gen.rand_map_from(rng, f.cod)
+        rows["colimit"].append(colimit(
+            [f.dom, f.cod, b.cod],
+            [(0, 1, f), (1, 2, b), (0, 2, compose(b, f))])[1])
+        u, v = _same_dim_pair(rng, gen.rand_complex(rng, max_dim=3))
+        rows["colimit"].append(colimit([u.dom, u.cod],
+                                       [(0, 1, u), (0, 1, v)])[1])
+        rows["coequaliser"].append(coequaliser(u, v)[1:])
+    for _ in range(25):
+        rows["coequaliser"].append(
+            [gen.rand_quotient(rng, gen.rand_complex(rng, max_dim=3))])
+        f = gen.rand_map(rng)
+        two, (j0, j1) = coproduct([f.cod, f.cod])
+        rows["coequaliser"].append(
+            coequaliser(compose(j0, f), compose(j1, f))[1:])
+    return {name: [[jsonio.map_to_json(leg) for leg in legs]
+                   for legs in row] for name, row in rows.items()}
+
+
+def test_quotient_constructions():
+    got = {name: _sha(jsonio.dumps(rows).encode())
+           for name, rows in _quotient_outputs().items()}
+    assert got == QUOTIENT_DIGESTS
