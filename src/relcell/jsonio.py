@@ -116,7 +116,7 @@ def _dim_key(key):
     try:
         k = int(key)
     except ValueError:
-        k = None
+        raise DeltaError(f"dimension key {key!r} is not an integer") from None
     _expect(key == str(k), f"dimension key {key!r} is not an integer")
     _expect(k >= 0, "negative dimension")
     return k
@@ -205,8 +205,9 @@ def _check_cell(obj):
             "attach object from ids to ids")
 
 
-def _cell_from_json(obj, boundary):
-    _check_cell(obj)
+def _cell_from_json(obj, boundary, checked=False):
+    if not checked:
+        _check_cell(obj)
     attach = SimplicialMap(boundary_complex(obj["dim"]), boundary,
                            dict(obj["attach"]))
     return Cell(obj["id"], obj["dim"], attach)
@@ -258,7 +259,7 @@ def cellcx_cells_from_json(obj):
         if c["dim"]:
             faces[c["id"]] = tuple(map(c["attach"].get, facet_ids(c["dim"])))
     pool = DeltaComplex(simplices, faces, validate=False)
-    return base, [_cell_from_json(c, pool) for c in raw]
+    return base, [_cell_from_json(c, pool, checked=True) for c in raw]
 
 
 def cellcx_from_json(obj):

@@ -120,10 +120,13 @@ def _faces_as_int(obj):
     obj["cod"]["simplices"]["1"][0]["faces"] = 0
 
 
-def _dim_key_twice(obj):
-    # "00" names dimension 0 too; it sorts after "0", so it would win
-    obj["dom"]["simplices"]["00"] = ["0"]
-    obj["assign"]["0"].pop("1")
+def _dim_key_spelled(key):
+    """A second dimension key besides "0"; a spelling of 0 would
+    overwrite dimension 0, and "None" once crashed the key check."""
+    def mutate(obj):
+        obj["dom"]["simplices"][key] = ["0"]
+        obj["assign"]["0"].pop("1")
+    return mutate
 
 
 def _normalize_attach_not_commuting(write):
@@ -156,12 +159,13 @@ def _table_boundary_as_list(write):
     _factor_argv(_assign_as_list),
     _factor_argv(_simplices_as_list),
     _factor_argv(_faces_as_int),
-    _factor_argv(_dim_key_twice),
+    *[_factor_argv(_dim_key_spelled(key)) for key in ("00", " 0", "+0", "None")],
     _cell_dim_as_string,
     _table_boundary_as_list,
     _normalize_attach_not_commuting,
 ], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
-        "faces-as-int", "dimension-key-twice", "cell-dim-as-string",
+        "faces-as-int", "dimension-key-twice", "dimension-key-space-0",
+        "dimension-key-plus-0", "dimension-key-None", "cell-dim-as-string",
         "table-boundary-as-list", "normalize-attach-not-commuting"])
 def test_schema_invalid_json_exit_2(files, capsys, argv):
     _, write = files
@@ -225,7 +229,7 @@ _ID = _IDS | _JUNK
 _ENTRY = st.fixed_dictionaries(
     {"id": _ID, "faces": st.lists(_ID, max_size=3) | _JUNK})
 _COMPLEX = st.fixed_dictionaries({"simplices": st.dictionaries(
-    st.sampled_from(["0", "1", "2", "x"]),
+    st.sampled_from(["0", "1", "2", "x", "None", " 0", "+0"]),
     st.lists(_ID, max_size=3) | st.lists(_ENTRY, max_size=2) | _JUNK,
     max_size=3) | _JUNK}) | _JUNK
 _ASSIGN = st.dictionaries(st.sampled_from(["0", "1", "2"]),
