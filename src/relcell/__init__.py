@@ -56,6 +56,7 @@ from .cellcx import (
     cellcx_colimit,
     cellcx_coproduct,
     cellcx_equaliser,
+    complex_of,
     compose_complexes,
     compose_morphisms,
     generator_complex,

@@ -7,11 +7,12 @@ attaches entirely inside stage n - 1.  Because glued simplices reuse cell
 ids, every filtration stage is a literal subcomplex of the body and
 "factors through stage n" is a plain containment check.
 
-A derived complex (a normal form, a composite, a decoded coalgebra, a
-pushforward, a colimit or an equaliser) is fixed by its base and its cells.
-Each of them lists its cells and hands them to ``assemble``, which alone
-decides the stages: it places each cell at the least stage its attaching
-map allows.
+A derived complex is fixed by its underlying inclusion, base in body:
+``complex_of`` reads its cells off the body and hands them to ``assemble``,
+which alone places each cell, at the least stage its attach allows.  A
+pushforward, colimit, equaliser or decoded coalgebra is the ``delta``
+construction on bodies read this way; normal forms and composites list
+their cells for ``assemble`` directly.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .delta import (
     equaliser,
     identity_map,
     inclusion_map,
+    pushout,
 )
-from .strata import Cell, Stratum, body, merge_cells
+from .strata import Cell, Stratum, body, cells_over
 
 
 class CellComplexError(DeltaError):
@@ -145,13 +147,13 @@ def assemble(boundary, cells):
     strata = []
     current = boundary
     while remaining:
+        ids = current.id_set
         placeable = [
-            c for c in remaining
-            if set(c.attach.assign.values()) <= current.id_set]
+            c for c in remaining if ids.issuperset(c.attach.assign.values())]
         if not placeable:
             missing = sorted(
                 set().union(*(set(c.attach.assign.values())
-                              for c in remaining)) - current.id_set)
+                              for c in remaining)) - ids)
             raise CellComplexError(
                 f"cells {[c.id for c in remaining]} can never be placed; "
                 f"unreachable simplices include {missing[:5]}")
@@ -167,6 +169,12 @@ def assemble(boundary, cells):
         placed = {c.id for c in placeable}
         remaining = [c for c in remaining if c.id not in placed]
     return CellComplex(boundary, strata, validate=False)
+
+
+def complex_of(base, total):
+    """The proper complex whose underlying inclusion is ``base`` in
+    ``total``: every other simplex of ``total`` is a cell."""
+    return assemble(base, cells_over(base, total, total))
 
 
 def normalize(boundary, strata_seq):
@@ -218,32 +226,23 @@ class CellComplexMorphism:
             raise CellComplexError("base map endpoints do not match")
         if set(self.p) != set(self.dom._cell_stage):
             raise CellComplexError("cell assignment is not total")
-        assign = dict(self.f0.assign)
-        for n, st in enumerate(self.dom.strata):
-            for c in st.cells:
-                tid = self.p[c.id]
-                if tid not in self.cod._cell_stage:
-                    raise CellComplexError(f"unknown target cell {tid!r}")
-                if self.cod._cell_stage[tid] != n:
-                    raise CellComplexError(
-                        f"cell {c.id!r} at stage {n} maps across stages")
-                t = self.cod.cell(tid)
-                if t.dim != c.dim:
-                    raise CellComplexError(
-                        f"cell {c.id!r} changes dimension")
-                for s, v in c.attach.assign.items():
-                    if assign[v] != t.attach.assign[s]:
-                        raise CellComplexError(
-                            f"attach of cell {c.id!r} is not preserved")
-            for c in st.cells:
-                assign[c.id] = self.p[c.id]
+        for cid, tid in self.p.items():
+            if tid not in self.cod._cell_stage:
+                raise CellComplexError(f"unknown target cell {tid!r}")
+            n = self.dom._cell_stage[cid]
+            if self.cod._cell_stage[tid] != n:
+                raise CellComplexError(
+                    f"cell {cid!r} at stage {n} maps across stages")
+        # an attach is fixed by its facets: check shapes and attaches
+        try:
+            self.body_map._validate()
+        except DeltaError as err:
+            raise CellComplexError(f"not a map of bodies: {err}") from err
 
     @property
     def body_map(self):
-        assign = dict(self.f0.assign)
-        assign.update(self.p)
-        return SimplicialMap(self.dom.body, self.cod.body, assign,
-                             validate=False)
+        return SimplicialMap(self.dom.body, self.cod.body,
+                             {**self.f0.assign, **self.p}, validate=False)
 
     def __eq__(self, other):
         return isinstance(other, CellComplexMorphism) and \
@@ -304,27 +303,18 @@ def horizontal_compose(psi, phi):
 def pushforward_complex(c, g):
     """Transport a complex along a map out of its base.
 
-    Returns (pushforward complex, canonical morphism into it).  Each cell
-    attaches along g on the base and by the identity on glued simplices,
-    and ``assemble`` places it.  A cell of stage n >= 1 still meets a cell
-    of stage n - 1, so it keeps its stage, and each stage square of the
-    morphism is a pushout square.
+    Returns (pushforward complex, canonical morphism into it).  The body is
+    the pushout of the underlying inclusion along g.  A cell keeps its id,
+    with trailing ``'`` while g's codomain holds it, and its stage, so each
+    stage square of the morphism is a pushout square.
     """
     if g.dom != c.boundary:
         raise CellComplexError("pushforward map must start at the base")
-    gn = dict(g.assign)
-    gn.update((cid, cid) for cid in c._cell_stage)
-    out = assemble(g.cod, [
-        Cell(cell.id, cell.dim,
-             SimplicialMap(cell.attach.dom, g.cod,
-                           {s: gn[t] for s, t in cell.attach.assign.items()},
-                           validate=False),
-             validate=False)
-        for _, cell in c.all_cells()])
+    total, leg, _ = pushout(u_of_complex(c), g)
+    out = complex_of(g.cod, total)
     out._validate()
-    morph = CellComplexMorphism(c, out, g,
-                                {cid: cid for cid in c._cell_stage})
-    return out, morph
+    return out, CellComplexMorphism(
+        c, out, g, {cid: leg(cid) for cid in c._cell_stage})
 
 
 # -- (co)limits -----------------------------------------------------------
@@ -334,22 +324,23 @@ def cellcx_colimit(objs, arrows):
     """Componentwise colimit of a finite diagram of cell complexes.
 
     ``arrows`` is a list of (src_index, dst_index, CellComplexMorphism).
-    The base is the degreewise colimit of the bases, the cells are merged
-    by ``strata.merge_cells`` and ``assemble`` places them.  Morphisms
-    preserve stages, so a merged cell keeps the stage of its members.
-    Returns (complex, cocone morphisms).
+    The base is the degreewise colimit of the bases, and the complex is read
+    off the colimit of the bodies, a literal supercomplex since both name a
+    class by its least ``"<i>.<id>"`` tag.  Morphisms preserve stages, so a
+    merged cell keeps the stage of its members.  Returns (complex, cocone
+    morphisms).
     """
     base, legs = colimit([o.boundary for o in objs],
                          [(a, b, m.f0) for a, b, m in arrows])
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise CellComplexError("diagram arrow endpoints do not match")
-    cells, name_of = merge_cells([[c for _, c in o.all_cells()] for o in objs],
-                                 [(a, b, m.p) for a, b, m in arrows], legs)
-    out = assemble(base, cells)
+    total, body_legs = colimit([o.body for o in objs],
+                               [(a, b, m.body_map) for a, b, m in arrows])
+    out = complex_of(base, total)
     out._validate()
     cocone = [CellComplexMorphism(o, out, legs[i],
-                                  {cid: name_of[(i, cid)]
+                                  {cid: body_legs[i](cid)
                                    for cid in o._cell_stage})
               for i, o in enumerate(objs)]
     return out, cocone
@@ -363,16 +354,14 @@ def cellcx_equaliser(m1, m2):
     """Componentwise equaliser of a parallel pair of morphisms.
 
     Returns (subcomplex, inclusion morphism).  The base is the agreement
-    subcomplex of the base maps, the cells are those on which the two
-    assignments agree, and ``assemble`` places them.  Both morphisms send
-    the faces of a kept cell to the faces of one cell, so the kept part is
-    face-closed and each kept cell keeps its stage.
+    subcomplex of the base maps and the complex is read off that of the body
+    maps, so its cells are those on which the assignments agree.  Each kept
+    cell keeps its stage.
     """
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise CellComplexError("equaliser needs a parallel pair")
     e0, incl0 = equaliser(m1.f0, m2.f0)
-    sub = assemble(e0, [c for _, c in m1.dom.all_cells()
-                        if m1.p[c.id] == m2.p[c.id]])
+    sub = complex_of(e0, equaliser(m1.body_map, m2.body_map)[0])
     sub._validate()
     return sub, CellComplexMorphism(sub, m1.dom, incl0,
                                     {cid: cid for cid in sub._cell_stage})

@@ -156,7 +156,12 @@ def cmd_lift(args):
     ft = _load(args.table, jsonio.filler_table_from_json)
     u = _load(args.top, jsonio.map_from_json)
     v = _load(args.bottom, jsonio.map_from_json)
-    d = solve_lifting(c, ft, (u, v))
+    try:
+        d = solve_lifting(c, ft, (u, v))
+    except LiftError:
+        raise
+    except DeltaError as err:  # the files do not form a commuting square
+        raise _InputError(str(err)) from err
     _emit(jsonio.dumps(jsonio.map_to_json(d)), args.out)
     return EXIT_OK
 

@@ -514,12 +514,13 @@ def boundary_lifts(f, t, new=None):
 # -- colimits -------------------------------------------------------------
 
 
-def name_classes(nodes, pairs, name):
-    """Name the classes of the equivalence on ``nodes`` that ``pairs``
-    generate.
+def _quotient(parts, pairs, name):
+    """The quotient of the disjoint union of ``parts`` by the equivalence
+    that ``pairs`` of ``(part index, id)`` members generate.  ``name`` maps
+    the list of classes, each a list of its members, to their names.
 
-    ``name`` maps the list of classes, each a list of its members, to the
-    list of their names.  Returns a dict from each node to its class name.
+    Returns (quotient complex, one leg per part).  Every member of a class
+    must have one dimension and induce one face tuple.
     """
     parent = {}
 
@@ -536,29 +537,12 @@ def name_classes(nodes, pairs, name):
         if ra != rb:
             parent[ra] = rb
     groups = {}
-    for m in nodes:
-        groups.setdefault(find(m), []).append(m)
+    for i, x in enumerate(parts):
+        for s in x._dim_of:
+            groups.setdefault(find((i, s)), []).append((i, s))
     classes = list(groups.values())
-    return {m: n for members, n in zip(classes, name(classes))
-            for m in members}
-
-
-def least_tags(classes):
-    """Name each class of ``(i, id)`` members by its least ``"<i>.<id>"``
-    tag."""
-    return [min([f"{i}.{s}" for i, s in members]) for members in classes]
-
-
-def _quotient(parts, pairs, name):
-    """The quotient of the disjoint union of ``parts`` by the equivalence
-    that ``pairs`` of ``(part index, id)`` members generate, its classes
-    named by the rule ``name`` (see ``name_classes``).
-
-    Returns (quotient complex, one leg per part).  Every member of a class
-    must have one dimension and induce one face tuple.
-    """
-    name_of = name_classes(
-        [(i, s) for i, x in enumerate(parts) for s in x._dim_of], pairs, name)
+    name_of = {m: n for members, n in zip(classes, name(classes))
+               for m in members}
     dim_of = {}
     faces = {}
     assigns = []
@@ -596,8 +580,11 @@ def colimit(objs, arrows):
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise DeltaError("diagram arrow endpoints do not match")
-    return _quotient(objs, [((a, s), (b, t)) for a, b, m in arrows
-                            for s, t in m.assign.items()], least_tags)
+    return _quotient(
+        objs, [((a, s), (b, t)) for a, b, m in arrows
+               for s, t in m.assign.items()],
+        lambda classes: [min([f"{i}.{s}" for i, s in members])
+                         for members in classes])
 
 
 def _pushout_names(classes):

@@ -182,9 +182,13 @@ def map_from_json(obj):
     _expect(isinstance(obj["assign"], dict),
             "map JSON 'assign' must be an object")
     assign = {}
-    for graded in obj["assign"].values():
+    for key, graded in obj["assign"].items():
+        k = _dim_key(key)
         _expect(isinstance(graded, dict) and _strings(graded.values()),
                 "each graded assignment must map ids to ids")
+        _expect(graded.keys() <= set(dom.ids(k)),
+                f"the grade-{k} assignment maps ids that are not "
+                f"{k}-simplices of the domain")
         assign.update(graded)
     return SimplicialMap(dom, cod, assign)
 
@@ -205,11 +209,9 @@ def _check_cell(obj):
             "attach object from ids to ids")
 
 
-def _cell_from_json(obj, boundary, checked=False):
-    if not checked:
-        _check_cell(obj)
-    attach = SimplicialMap(boundary_complex(obj["dim"]), boundary,
-                           dict(obj["attach"]))
+def _cell_from_json(obj, boundary):
+    _check_cell(obj)
+    attach = SimplicialMap(boundary_complex(obj["dim"]), boundary, obj["attach"])
     return Cell(obj["id"], obj["dim"], attach)
 
 
@@ -259,7 +261,9 @@ def cellcx_cells_from_json(obj):
         if c["dim"]:
             faces[c["id"]] = tuple(map(c["attach"].get, facet_ids(c["dim"])))
     pool = DeltaComplex(simplices, faces, validate=False)
-    return base, [_cell_from_json(c, pool, checked=True) for c in raw]
+    return base, [Cell(c["id"], c["dim"], SimplicialMap(
+        boundary_complex(c["dim"]), pool, c["attach"]), validate=False)
+        for c in raw]
 
 
 def cellcx_from_json(obj):

@@ -26,7 +26,6 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_lifts,
-    boundary_restriction,
     compose,
     identity_map,
     mediate,
@@ -36,7 +35,7 @@ from .strata import Cell, Stratum, body
 from .cellcx import (
     CellComplex,
     CellComplexMorphism,
-    assemble,
+    complex_of,
     compose_complexes,
     u_of_complex,
 )
@@ -248,23 +247,19 @@ def decode(f, alpha, fr):
 
     ``f`` must be the identifier inclusion underlying some complex and
     ``alpha: cod(f) -> body(Kf)`` its structure map.  Every simplex outside
-    the base must land on a glued free cell; it becomes a cell with that
-    shape, attached along its own faces, placed at its minimal stage.
+    the base must land on a glued free cell; the complex is then read off
+    the inclusion (``cellcx.complex_of``).
     """
     x, y = f.dom, f.cod
     if any(f.assign[s] != s for s in x._dim_of):
         raise DeltaError("decode expects an identifier inclusion")
     free_cells = fr.kf.cell_ids
-    cells = []
-    for k, s in y.all_ids():
-        if s in x:
-            continue
-        if alpha.assign[s] not in free_cells:
+    for _, s in y.all_ids():
+        if s not in x and alpha.assign[s] not in free_cells:
             raise DeltaError(
                 f"simplex {s!r} does not map to a glued free cell; "
                 f"not a coalgebra structure")
-        cells.append(Cell(s, k, boundary_restriction(y, s), validate=False))
-    return assemble(x, cells)
+    return complex_of(x, y)
 
 
 # -- monad and comonad ----------------------------------------------------

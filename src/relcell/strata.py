@@ -7,8 +7,8 @@ one fresh top simplex per cell onto the boundary; the fresh simplex reuses
 the cell's id, so the boundary is a literal subcomplex of the body.  Strata
 are immutable, so each one glues its body at most once.
 
-``merge_cells`` merges the cells of a diagram; ``strata_colimit`` and
-``cellcx.cellcx_colimit`` share it.
+``cells_over`` reads the cells back off a body; ``strata_colimit`` and
+``strata_equaliser`` read theirs off the colimit or equaliser of bodies.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
+    boundary_restriction,
     colimit,
     compose,
+    equaliser,
     facet_ids,
     inclusion_map,
-    least_tags,
-    name_classes,
 )
 
 
@@ -128,16 +128,19 @@ class StrataMorphism:
                 raise StrataError("boundary map endpoints do not match")
             if set(self.p) != set(dom._by_id):
                 raise StrataError("cell assignment is not total")
-            for cid, tid in self.p.items():
-                s = dom.cell(cid)
+            for tid in self.p.values():
                 if tid not in cod._by_id:
                     raise StrataError(f"unknown target cell {tid!r}")
-                t = cod.cell(tid)
-                if s.dim != t.dim:
-                    raise StrataError(f"cell {cid!r} changes dimension")
-                if compose(f, s.attach) != t.attach:
-                    raise StrataError(
-                        f"attach of cell {cid!r} is not preserved")
+            # an attach is fixed by its facets: check shapes and attaches
+            try:
+                self.body_map._validate()
+            except DeltaError as err:
+                raise StrataError(f"not a map of bodies: {err}") from err
+
+    @property
+    def body_map(self):
+        return SimplicialMap(body(self.dom)[0], body(self.cod)[0],
+                             {**self.f.assign, **self.p}, validate=False)
 
     def __eq__(self, other):
         return isinstance(other, StrataMorphism) and \
@@ -164,13 +167,8 @@ def compose_strata_morphisms(m2, m1):
 
 def u_of_strata_morphism(m):
     """The square with the underlying-map legs and the induced body map."""
-    bx, inclx = body(m.dom)
-    by, incly = body(m.cod)
-    assign = dict(m.f.assign)
-    for cid, tid in m.p.items():
-        assign[cid] = tid
-    bot = SimplicialMap(bx, by, assign, validate=False)
-    return ArrowSquare(top=m.f, bottom=bot, left=inclx, right=incly)
+    return ArrowSquare(top=m.f, bottom=m.body_map, left=body(m.dom)[1],
+                       right=body(m.cod)[1])
 
 
 def pushforward_stratum(st, g):
@@ -188,54 +186,34 @@ def pushforward_morphism(st, g):
                           {c.id: c.id for c in st.cells}, validate=False)
 
 
-def merge_cells(cells, arrows, legs):
-    """The cells of a colimit: classes of the equivalence that the diagram's
-    cell assignments generate.
-
-    ``cells[i]`` lists the cells of object i, ``arrows`` holds
-    (src_index, dst_index, cell assignment) triples, and ``legs[i]`` maps
-    the boundary of object i into the colimit boundary.  A class is named
-    by its least ``"<i>.<id>"`` tag and attaches along the legs, extended
-    by these names on cells; all its members must give one shape and one
-    attach.  Returns (merged cells, name of each (i, cell id)).
-    """
-    name_of = name_classes(
-        [(i, c.id) for i, cs in enumerate(cells) for c in cs],
-        [((a, cid), (b, tid)) for a, b, p in arrows for cid, tid in p.items()],
-        least_tags)
-    extended = [dict(leg.assign) for leg in legs]
-    for (i, cid), name in name_of.items():
-        extended[i][cid] = name
-    merged = {}
-    for i, cs in enumerate(cells):
-        for c in cs:
-            attach = SimplicialMap(
-                c.attach.dom, legs[i].cod,
-                {s: extended[i][t] for s, t in c.attach.assign.items()},
-                validate=False)
-            cell = Cell(name_of[(i, c.id)], c.dim, attach, validate=False)
-            if merged.setdefault(cell.id, cell) != cell:
-                raise StrataError("inconsistent merged cell data in colimit")
-    return list(merged.values()), name_of
+def cells_over(base, total, cod):
+    """Each simplex of ``total`` outside its literal subcomplex ``base``,
+    as a cell attached along its faces by a map into ``cod``."""
+    return [Cell(s, k, SimplicialMap(boundary_complex(k), cod,
+                                     boundary_restriction(total, s).assign,
+                                     validate=False), validate=False)
+            for k, s in total.all_ids() if s not in base]
 
 
 def strata_colimit(objs, arrows):
     """Colimit of a finite diagram of strata.
 
     ``arrows`` is a list of (src_index, dst_index, StrataMorphism).  The
-    boundary is the degreewise colimit of boundaries and the cells are
-    merged by ``merge_cells``.  Returns (stratum, cocone morphisms).
+    boundary is the degreewise colimit of boundaries and the cells are read
+    off the colimit of bodies, a literal supercomplex since both name a
+    class by its least ``"<i>.<id>"`` tag.  Returns (stratum, cocone
+    morphisms).
     """
     bound, legs = colimit([st.boundary for st in objs],
                           [(a, b, m.f) for a, b, m in arrows])
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise StrataError("diagram arrow endpoints do not match")
-    cells, name_of = merge_cells([st.cells for st in objs],
-                                 [(a, b, m.p) for a, b, m in arrows], legs)
-    out = Stratum(bound, cells, validate=False)
+    total, body_legs = colimit([body(st)[0] for st in objs],
+                               [(a, b, m.body_map) for a, b, m in arrows])
+    out = Stratum(bound, cells_over(bound, total, bound), validate=False)
     cocone = [StrataMorphism(st, out, legs[i],
-                             {c.id: name_of[(i, c.id)] for c in st.cells},
+                             {c.id: body_legs[i](c.id) for c in st.cells},
                              validate=False)
               for i, st in enumerate(objs)]
     return out, cocone
@@ -245,19 +223,13 @@ def strata_equaliser(m1, m2):
     """The equaliser of a parallel pair of strata morphisms.
 
     Returns (stratum, inclusion morphism).  The boundary is the agreement
-    subcomplex; the cells are those sent to the same target by both.
+    subcomplex; the cells, read off that of the body maps, are those sent
+    to the same target by both.
     """
-    from .delta import equaliser
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise StrataError("equaliser needs a parallel pair")
     e, incl = equaliser(m1.f, m2.f)
-    cells = []
-    for c in m1.dom.cells:
-        if m1.p[c.id] == m2.p[c.id]:
-            cells.append(Cell(c.id, c.dim,
-                              SimplicialMap(c.attach.dom, e, c.attach.assign,
-                                            validate=False),
-                              validate=False))
-    sub = Stratum(e, cells, validate=False)
+    total, _ = equaliser(m1.body_map, m2.body_map)
+    sub = Stratum(e, cells_over(e, total, e), validate=False)
     return sub, StrataMorphism(sub, m1.dom, incl,
-                               {c.id: c.id for c in cells}, validate=False)
+                               {c.id: c.id for c in sub.cells}, validate=False)

@@ -9,6 +9,7 @@ from relcell import (
     CellComplex,
     CellComplexError,
     CellComplexMorphism,
+    DeltaComplex,
     DeltaError,
     EMPTY,
     SimplicialMap,
@@ -23,6 +24,7 @@ from relcell import (
     compose,
     compose_complexes,
     compose_morphisms,
+    complex_of,
     coproduct,
     generator_complex,
     horizontal_compose,
@@ -233,6 +235,23 @@ class TestMorphisms:
             assert u_of_morphism(m).bottom == \
                 compose(u_of_morphism(m2).bottom, u_of_morphism(m1).bottom)
 
+    def test_validation_through_the_body_map(self):
+        # over a point: vertices a, b at stage 0, edges e: a -> b and
+        # r: b -> a at stage 1
+        c = complex_of(standard_simplex(0), DeltaComplex(
+            {0: ["0", "a", "b"], 1: ["e", "r"]},
+            {"e": ("b", "a"), "r": ("a", "b")}))
+        assert [[x.id for x in st.cells] for st in c.strata] == \
+            [["a", "b"], ["e", "r"]]
+        f0 = identity_map(c.boundary)
+        swap = {"a": "b", "b": "a", "e": "r", "r": "e"}
+        assert CellComplexMorphism(c, c, f0, swap).body_map.is_bijective()
+        for p in ({"a": "a", "b": "b", "e": "r", "r": "e"},  # not commuting
+                  {"a": "0", "b": "b", "e": "e", "r": "r"},  # to the base
+                  {"a": "e", "b": "b", "e": "e", "r": "r"}):  # across stages
+            with pytest.raises(CellComplexError):
+                CellComplexMorphism(c, c, f0, p)
+
     def test_stage_preservation_required(self):
         c = loop_on_new_vertex()
         a = point_cell_complex()
@@ -278,6 +297,21 @@ class TestPushforward:
         c = loop_on_new_vertex()
         out, m = pushforward_complex(c, identity_map(c.boundary))
         assert out == c and is_isomorphism(m)
+
+    def test_renames_a_cell_whose_id_the_codomain_holds(self):
+        c = generator_complex(1)
+        y = DeltaComplex({0: ["0", "1", "cell1"]})
+        out, m = pushforward_complex(c, inclusion_map(c.boundary, y))
+        assert out.boundary == y and out.cell_ids == {"cell1'"}
+        assert m.p == {"cell1": "cell1'"}
+        assert out.cell("cell1'").attach.assign == \
+            c.cell("cell1").attach.assign
+
+    def test_complex_of_its_inclusion(self):
+        rng = random.Random(107)
+        for _ in range(15):
+            c = gen.rand_cell_complex(rng)
+            assert complex_of(c.boundary, c.body) == c
 
     def test_loop_example(self):
         b1 = boundary_complex(1)

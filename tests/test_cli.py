@@ -14,6 +14,7 @@ from relcell import (
     FillerTable,
     SimplicialMap,
     free_complex,
+    identity_map,
     square_key,
     standard_simplex,
     trivial_complex,
@@ -129,6 +130,13 @@ def _dim_key_spelled(key):
     return mutate
 
 
+def _assign_graded(assign):
+    """Replace the "assign" object of the boundary-of-an-edge map."""
+    def mutate(obj):
+        obj["assign"] = assign
+    return mutate
+
+
 def _normalize_attach_not_commuting(write):
     """A 2-cell whose attach sends the edge "01" to an edge c -> d while
     sending its vertices "0" and "1" to a and b."""
@@ -163,10 +171,16 @@ def _table_boundary_as_list(write):
     _cell_dim_as_string,
     _table_boundary_as_list,
     _normalize_attach_not_commuting,
+    _factor_argv(_assign_graded({"junk": {"0": "0", "1": "1"}})),
+    _factor_argv(_assign_graded({"0": {"0": "0"}, "1": {"1": "1"}})),
+    _factor_argv(_assign_graded({"0": {"0": "0", "1": "1"},
+                                 "5": {"0": "1"}})),
 ], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
         "faces-as-int", "dimension-key-twice", "dimension-key-space-0",
         "dimension-key-plus-0", "dimension-key-None", "cell-dim-as-string",
-        "table-boundary-as-list", "normalize-attach-not-commuting"])
+        "table-boundary-as-list", "normalize-attach-not-commuting",
+        "assign-grade-not-numeric", "assign-vertex-under-grade-1",
+        "assign-grade-5-overwrites-vertex"])
 def test_schema_invalid_json_exit_2(files, capsys, argv):
     _, write = files
     code, _, err = run_cli(capsys, *argv(write))
@@ -402,6 +416,32 @@ class TestLift:
         code, _, err = run_cli(capsys, "lift", pc, pt_, pu, pv)
         assert code == 4
         assert "square" in err
+
+    def test_square_endpoints_mismatch_exit_2(self, files, capsys):
+        _, write = files
+        fold, pc, pu, _ = self._fixture(write)
+        pt_ = write("t.json", jsonio.filler_table_to_json(FillerTable(fold)))
+        pv = write("v.json", jsonio.map_to_json(identity_map(fold.cod)))
+        code, _, err = run_cli(capsys, "lift", pc, pt_, pu, pv)
+        assert code == 2
+        assert "endpoints do not match" in err
+
+    def test_square_not_commuting_exit_2(self, files, capsys):
+        from relcell import coproduct
+        _, write = files
+        pt = standard_simplex(0)
+        two, _ = coproduct([pt, pt])
+        ft = FillerTable(identity_map(two))
+        argv = ["lift", write("c.json", jsonio.cellcx_to_json(
+                    trivial_complex(pt))),
+                write("t.json", jsonio.filler_table_to_json(ft)),
+                write("u.json", jsonio.map_to_json(
+                    SimplicialMap(pt, two, {"0": "0.0"}))),
+                write("v.json", jsonio.map_to_json(
+                    SimplicialMap(pt, two, {"0": "1.0"})))]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "does not commute" in err
 
 
 class TestCheck:

@@ -15,22 +15,30 @@ import random
 
 from relcell import (
     EMPTY,
+    Cell,
     CellComplex,
     CellComplexMorphism,
     Factorizer,
     FillerTable,
     SimplicialMap,
+    StrataMorphism,
+    Stratum,
+    assemble,
     boundary_lifts,
+    boundary_restriction,
     cellcx_colimit,
     cellcx_coproduct,
     cellcx_equaliser,
     characteristic_map,
+    coalgebra_structure,
     coequaliser,
     colimit,
     comonad_comult,
     compose,
     compose_morphisms,
+    compose_strata_morphisms,
     coproduct,
+    decode,
     free_complex,
     free_fillers,
     gen,
@@ -41,6 +49,7 @@ from relcell import (
     pushforward_morphism,
     pushout,
     strata_colimit,
+    strata_equaliser,
     u_of_complex,
     unit,
 )
@@ -224,8 +233,10 @@ def test_export_dot_bytes(tmp_path, capsys):
 # sha256 of the JSON, written by ``jsonio.dumps``, of what each derived
 # construction returns on the seeded diagrams of ``_derived_outputs``: the
 # complex or stratum and every morphism (base map and cell assignment).
-# These were recorded from the implementation that still built each result
-# stage by stage, before ``assemble`` placed their cells.
+# The first four were recorded from the implementation that still built each
+# result stage by stage, before ``assemble`` placed their cells; the
+# ``strata_equaliser`` and ``decode`` rows from the one that still listed
+# the cells of each result by hand, before they were read off its body.
 DERIVED_DIGESTS = {
     "pushforward_complex":
         "a2843e908a9d774eae536c37ccfa6f27c65c3a35be1c61f34c45bb53b86da953",
@@ -235,6 +246,10 @@ DERIVED_DIGESTS = {
         "a962b7beaafac49fcd9891ac749026fd497643e070b5dc2c443e6fe48747a9d9",
     "strata_colimit":
         "a47a70087bc02a5ca62215a6fbc0af03ec889bd32a91827cb0f6ba53374368ec",
+    "strata_equaliser":
+        "241a6fb69c37d1015b31629d32ffc53ca57220f09fd1099a95e3bfae6c386c11",
+    "decode":
+        "2b97ee9f68578672eaec5d998a7179e615957d349d35accf0bb415cb229723aa",
 }
 
 
@@ -257,6 +272,32 @@ def _parallel_pair(rng, c):
     else:
         _, q = pushforward_complex(two, gen.rand_map_from(rng, two.boundary))
     return compose_morphisms(q, j0), compose_morphisms(q, j1)
+
+
+def _parallel_strata_pair(rng, s):
+    """``_parallel_pair`` for strata: two morphisms out of s, from s + s
+    glued along some of its cells, or pushed forward along a random map."""
+    two, (j0, j1) = strata_colimit([s, s], [])
+    if rng.random() < 0.5:
+        sub = Stratum(s.boundary, rng.sample(s.cells,
+                                             rng.randint(0, len(s.cells))))
+        incl = StrataMorphism(sub, s, identity_map(s.boundary),
+                              {c.id: c.id for c in sub.cells})
+        _, (_, q) = strata_colimit(
+            [sub, two], [(0, 1, compose_strata_morphisms(j0, incl)),
+                         (0, 1, compose_strata_morphisms(j1, incl))])
+    else:
+        q = pushforward_morphism(two, gen.rand_map_from(rng, two.boundary))
+    return compose_strata_morphisms(q, j0), compose_strata_morphisms(q, j1)
+
+
+def _subcomplex_complex(rng):
+    """The complex over a random subcomplex whose cells are the other
+    simplices of the ambient complex, each attached along its faces."""
+    y = gen.rand_complex(rng)
+    x = gen.rand_subcomplex(rng, y)
+    return assemble(x, [Cell(s, k, boundary_restriction(y, s))
+                        for k, s in y.all_ids() if s not in x])
 
 
 def _derived_outputs():
@@ -290,6 +331,18 @@ def _derived_outputs():
             [jsonio.stratum_to_json(out)] +
             [{"boundary": jsonio.map_to_json(m.f), "cells": m.p}
              for m in legs])
+    for _ in range(25):
+        e, incl = strata_equaliser(
+            *_parallel_strata_pair(rng, gen.rand_stratum(rng)))
+        rows["strata_equaliser"].append(
+            [jsonio.stratum_to_json(e),
+             {"boundary": jsonio.map_to_json(incl.f), "cells": incl.p}])
+    fz = Factorizer()
+    for i in range(20):
+        c = gen.rand_cell_complex(rng) if i % 2 else _subcomplex_complex(rng)
+        f = u_of_complex(c)
+        out = decode(f, coalgebra_structure(c, fz), fz.k(f))
+        rows["decode"].append(jsonio.cellcx_to_json(out))
     return rows
 
 

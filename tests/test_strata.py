@@ -156,6 +156,17 @@ class TestMorphisms:
         with pytest.raises(DeltaError):
             StrataMorphism(st, z, identity_map(pt), {"l": "v"})  # dim
 
+    def test_validation_through_the_body_map(self):
+        b1 = boundary_complex(1)
+        swap = SimplicialMap(b1, b1, {"0": "1", "1": "0"})
+        st = Stratum(b1, [Cell("e", 1, identity_map(b1)), Cell("r", 1, swap)])
+        m = StrataMorphism(st, st, swap, {"e": "r", "r": "e"})
+        assert m.body_map.is_bijective()
+        for p in ({"e": "r", "r": "e"},  # not commuting with faces
+                  {"e": "0", "r": "r"}):  # to a boundary simplex
+            with pytest.raises(StrataError):
+                StrataMorphism(st, st, identity_map(b1), p)
+
     def test_pullback_lemma(self):
         rng = random.Random(37)
         for _ in range(40):
