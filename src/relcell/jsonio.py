@@ -3,10 +3,10 @@
 All emitters produce deterministic structures (sorted keys, sorted id
 lists); ``dumps`` fixes the byte-level format, which is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
-``json`` encodes in pure Python, so ``dumps`` walks the containers itself
-and hands each one that holds no container to the C encoder (see
-``dumps``).  Loaders validate through the ordinary constructors and raise
-DeltaError subclasses on bad input.
+``json`` encodes in pure Python, so ``dumps`` walks the containers itself,
+writes strings and ints directly, and hands only the containers that hold
+no container to the C encoder (see ``dumps``).  Loaders validate through
+the ordinary constructors and raise DeltaError subclasses on bad input.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ def _write(obj, n, out):
     out.append("{" if is_dict else "[")
     for k, v in sorted(obj.items()) if is_dict else enumerate(obj):
         out.append(indent + _encode_key(k) + ": " if is_dict else indent)
-        if not isinstance(v, _NESTED):
+        if type(v) is str:
+            out.append(_encode_key(v))
+        elif type(v) is int:
+            out.append(int.__repr__(v))
+        elif not isinstance(v, _NESTED):
             out.append(_encode(v))
         elif v and any(map(isinstance,
                            v.values() if isinstance(v, dict) else v,
@@ -74,9 +78,14 @@ def dumps(obj):
     Here Python walks dicts, lists and tuples only down to the flat ones,
     which hold no container.  Each flat one is a single call of the C
     encoder, whose item separator already carries the indent, so only its
-    brackets move onto their own lines.  Keys of the dicts walked in Python
-    must be strings, as every emitter here makes them; any other key raises
-    TypeError rather than change the bytes.
+    brackets move onto their own lines.  Every ``encode`` call that is not
+    of a plain string builds a fresh C encoder, so the scalars of walked
+    containers are written directly: a ``str`` by ``json``'s ASCII string
+    escaper and an ``int`` by ``int.__repr__``, as ``json`` writes them.
+    Subclasses (``bool`` among them), floats and ``None`` still go through
+    ``json``.  Keys of the dicts walked in Python must be strings, as every
+    emitter here makes them; any other key raises TypeError rather than
+    change the bytes.
     """
     if not isinstance(obj, _NESTED) or not obj:
         return _encode(obj) + "\n"
@@ -166,9 +175,8 @@ def complex_from_json(obj):
 
 
 def map_to_json(f):
-    assign = {}
-    for s, t in f.assign.items():
-        assign.setdefault(str(f.dom.dim(s)), {})[s] = t
+    assign = {str(k): {s: f.assign[s] for s in ids}
+              for k, ids in f.dom.simplices.items()}
     return {"dom": complex_to_json(f.dom), "cod": complex_to_json(f.cod),
             "assign": assign}
 
@@ -197,7 +205,7 @@ def map_from_json(obj):
 
 
 def _cell_to_json(c):
-    return {"id": c.id, "dim": c.dim, "attach": dict(c.attach.assign)}
+    return {"id": c.id, "dim": c.dim, "attach": c.attach.assign}
 
 
 def _check_cell(obj):

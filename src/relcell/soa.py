@@ -11,20 +11,25 @@ cells, whose boundary lift is empty, are glued at stage 0 only.
 
 Cell ids spell out (stage, shape dimension, target simplex, hashed
 boundary lift) after a short digest of the factored map; they are the JSON
-contract.  Lookups go by target and faces instead: one cell is glued per
-generating square and a boundary lift is fixed by its facets, so
-``FactorResult.cell_over`` finds the free cell that answers a square.
+contract.  The hashed lift is 12 hex digits of the SHA-1 of the ASCII JSON
+text ``[[key, image], ...]`` of the lift, sorted by key.  Lookups go by
+target and faces instead: one cell is glued per generating square and a
+boundary lift is fixed by its facets, so ``FactorResult.cell_over`` finds
+the free cell that answers a square.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
+import operator
+from json.encoder import encode_basestring_ascii
 
 from .delta import (
     ArrowSquare,
     DeltaError,
     SimplicialMap,
+    boundary_complex,
     boundary_lifts,
     compose,
     identity_map,
@@ -56,11 +61,25 @@ def _map_digest(f):
     return hashlib.sha1(raw).hexdigest()[:10]
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_template(k):
+    """The JSON text ``[["0", {}], ["01", {}], ...]`` of a boundary lift of
+    shape k, keys sorted, with one ``str.format`` slot per image, and a
+    getter of an assignment's images in that key order.  Shape 0 has no
+    keys, and its empty assignment has no values."""
+    keys = sorted(boundary_complex(k).id_set)
+    text = "[" + ", ".join(f"[{encode_basestring_ascii(s)}, {{}}]"
+                           for s in keys) + "]"
+    return text.format, operator.itemgetter(*keys) if keys else dict.values
+
+
 def _cell_id(digest, stage, k, t, u):
     """The id ``digest.stage.k.t.LIFT`` of the cell glued at ``stage`` over
-    the k-simplex t along the boundary lift u, where LIFT is 12 hex digits
-    of the SHA-1 of u's sorted assignment."""
-    lift = json.dumps(sorted(u.assign.items())).encode()
+    the k-simplex t along the boundary lift u.  LIFT is 12 hex digits of the
+    SHA-1 of ``json.dumps(sorted(u.assign.items()))``, written by filling
+    the text of shape k with the escaped images (ids, so strings)."""
+    fill, images = _lift_template(k)
+    lift = fill(*map(encode_basestring_ascii, images(u.assign))).encode()
     return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
 
 

@@ -25,6 +25,7 @@ from .delta import (
     equaliser,
     facet_ids,
     inclusion_map,
+    pushout,
 )
 
 
@@ -173,17 +174,24 @@ def u_of_strata_morphism(m):
 
 def pushforward_stratum(st, g):
     """Transport a stratum along a map out of its boundary."""
-    if g.dom != st.boundary:
-        raise StrataError("pushforward map must start at the boundary")
-    cells = [Cell(c.id, c.dim, compose(g, c.attach), validate=False)
-             for c in st.cells]
-    return Stratum(g.cod, cells, validate=False)
+    return pushforward_morphism(st, g).cod
 
 
 def pushforward_morphism(st, g):
-    """The canonical morphism from a stratum to its pushforward."""
-    return StrataMorphism(st, pushforward_stratum(st, g), g,
-                          {c.id: c.id for c in st.cells}, validate=False)
+    """The canonical morphism from a stratum to its pushforward.
+
+    Each cell is attached along g and named by the pushout leg of the
+    body: it keeps its id, with trailing ``'`` while g's codomain holds it,
+    as ``cellcx.pushforward_complex`` names it.
+    """
+    if g.dom != st.boundary:
+        raise StrataError("pushforward map must start at the boundary")
+    _, leg, _ = pushout(body(st)[1], g)
+    p = {c.id: leg(c.id) for c in st.cells}
+    cells = [Cell(p[c.id], c.dim, compose(g, c.attach), validate=False)
+             for c in st.cells]
+    return StrataMorphism(st, Stratum(g.cod, cells, validate=False), g, p,
+                          validate=False)
 
 
 def cells_over(base, total, cod):

@@ -1,5 +1,6 @@
 """JSON round trips and input validation."""
 
+import enum
 import json
 import random
 
@@ -164,12 +165,32 @@ def _canonical(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+class _Level(enum.IntEnum):
+    THREE = 3
+
+
+class _Id(str):
+    pass
+
+
+# Scalars beside a container, so that ``dumps`` walks their parent and
+# writes them one by one: bool and IntEnum are int subclasses and must
+# not take the plain-int path.
+_SCALAR_ROWS = {"t": True, "f": False, "one": 1, "zero": 0, "neg": -7,
+                "enum": _Level.THREE, "sub": _Id("c\u00e9\"ll"),
+                "big": 10 ** 30, "nz": -0.0, "none": None, "pad": [[]]}
+
+
 @settings(max_examples=150, deadline=None)
 @given(_json_values(_TEXT))
 @example(_nested_empties(6))
 @example({"k": [[[[{"deep": [{}]}]]]]})
 @example((1, (2, ()), {"t": (None, True, -0.0)}))
 @example("caf\u00e9 \"[q]\", \\")
+@example(_SCALAR_ROWS)
+@example([True, 1, False, 0, [2], _Level.THREE, _Id("x"), 10 ** 30, -0.0])
+@example({"attach": {"0": "a", "01": "b\\"}, "dim": 3, "id": "d.0.3.t.ab"})
+@example([{"attach": {}, "dim": 0, "id": "v"}, [True, _Level.THREE]])
 def test_dumps_is_json_with_sorted_keys_and_indent(value):
     assert jsonio.dumps(value) == _canonical(value)
 

@@ -1,9 +1,12 @@
 """The free factorization, adjunction, and the monad/comonad law suite."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcell import (
     ArrowSquare,
@@ -42,7 +45,8 @@ from relcell import (
     u_of_complex,
     unit,
 )
-from relcell import gen
+from relcell import gen, soa
+from relcell.delta import MAX_DIM
 from conftest import boundary_inclusion, fold_map, law_fixtures
 
 
@@ -421,3 +425,32 @@ class TestTermination:
             f = gen.rand_map(rng, max_dim=3)
             fr = free_complex(f)
             assert fr.kf.height <= f.cod.max_dim + 1
+
+
+def oracle_cell_id(digest, stage, k, t, u):
+    """The cell id as first specified: the lift is ``json.dumps`` of the
+    sorted assignment, then SHA-1."""
+    lift = json.dumps(sorted(u.assign.items())).encode()
+    return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
+
+
+_IMAGES = st.sampled_from(
+    ['"', "\\", "{", "}", "{}", "{0}", "null", "\x00", "\x1f", "\x7f",
+     "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff", '"]], [']) | \
+    st.text(st.characters(categories=["Cc", "Cs", "Lo", "Po", "Ps", "Pe"]),
+            max_size=4) | st.text(max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, MAX_DIM),
+       pool=st.lists(_IMAGES, min_size=1, max_size=6),
+       picks=st.randoms(use_true_random=False), stage=st.integers(0, 40),
+       t=_IMAGES)
+def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage, t):
+    """The templated id writer gives the oracle's bytes for every shape.
+    The id reads only the assignment, so u need not be a simplicial map."""
+    bd = boundary_complex(k)
+    assign = {s: picks.choice(pool) for _, s in bd.all_ids()}
+    u = SimplicialMap(bd, EMPTY, assign, validate=False)
+    assert soa._cell_id("0123456789", stage, k, t, u) == \
+        oracle_cell_id("0123456789", stage, k, t, u)

@@ -6,6 +6,8 @@ import pytest
 
 from relcell import (
     Cell,
+    CellComplex,
+    DeltaComplex,
     DeltaError,
     EMPTY,
     SimplicialMap,
@@ -23,6 +25,7 @@ from relcell import (
     identity_strata_morphism,
     inclusion_map,
     is_pullback,
+    pushforward_complex,
     pushforward_morphism,
     pushforward_stratum,
     pushout,
@@ -223,6 +226,19 @@ class TestPushforward:
             out_body, out_inc = body(pushforward_stratum(st, g))
             assert iso_over(out_body, p, compose(pz, g), compose(pbx, inc)) \
                 is not None
+
+    def test_renames_a_cell_whose_id_the_codomain_holds(self):
+        b1 = boundary_complex(1)
+        st = Stratum(b1, [Cell("e", 1, identity_map(b1))])
+        y = DeltaComplex({0: ["0", "1", "e"]})
+        g = inclusion_map(b1, y)
+        m = pushforward_morphism(st, g)
+        _, cm = pushforward_complex(CellComplex(b1, [st]), g)
+        assert m.p == cm.p == {"e": "e'"}
+        assert [c.id for c in pushforward_stratum(st, g).cells] == ["e'"]
+        assert body(m.cod)[0].faces_of("e'") == ("1", "0")
+        sq = u_of_strata_morphism(m)
+        assert compose(sq.bottom, sq.left) == compose(sq.right, sq.top)
 
 
 class TestColimits:
