@@ -14,6 +14,7 @@ from .delta import (
     DeltaError,
     EMPTY,
     Filtration,
+    InvariantError,
     SimplicialMap,
     boundary_complex,
     boundary_lifts,

@@ -37,9 +37,12 @@ class CellComplexError(DeltaError):
 
 
 class CellComplex:
-    """A finite proper connected sequence of strata over a base complex."""
+    """A finite proper connected sequence of strata over a base complex.
 
-    __slots__ = ("boundary", "strata", "_stages", "_cell_stage")
+    Its underlying map is built on first use and kept (``u_of_complex``).
+    """
+
+    __slots__ = ("boundary", "strata", "_stages", "_cell_stage", "_u")
 
     def __init__(self, boundary, strata, validate=True):
         self.boundary = boundary
@@ -48,6 +51,7 @@ class CellComplex:
         for st in self.strata:
             stages.append(body(st)[0])
         self._stages = tuple(stages)
+        self._u = None
         self._cell_stage = {}
         for n, st in enumerate(self.strata):
             for c in st.cells:
@@ -119,8 +123,11 @@ def trivial_complex(x):
 
 
 def u_of_complex(c):
-    """The underlying map: the identifier inclusion of the base in the body."""
-    return inclusion_map(c.boundary, c.body)
+    """The underlying map: the identifier inclusion of the base in the body,
+    built and checked once per complex and shared."""
+    if c._u is None:
+        c._u = inclusion_map(c.boundary, c.body)
+    return c._u
 
 
 def generator_complex(k):

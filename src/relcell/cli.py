@@ -2,7 +2,8 @@
 
 Subcommands: factor, compose, normalize, pushout, lift, check, export-dot.
 Exit codes: 0 success, 2 input error, 3 safety-cap exceeded, 4 law or
-lifting failure.  All output is deterministic for fixed inputs and seed.
+lifting failure, 5 internal error (a failed internal invariant).  All output
+is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .delta import (
     MAX_DIM,
     DeltaError,
     EMPTY,
+    InvariantError,
     SimplicialMap,
     boundary_complex,
     coproduct,
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_LAW = 4
+EXIT_INTERNAL = 5
 
 _PALETTE = ("black", "firebrick", "royalblue", "forestgreen", "darkorange",
             "purple", "saddlebrown", "deeppink")
@@ -303,9 +306,12 @@ def main(argv=None):
         print(json.dumps(payload, sort_keys=True, default=list),
               file=sys.stderr)
         return EXIT_LAW
-    except (DeltaError, AssertionError) as err:
+    except DeltaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LAW
+    except InvariantError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ class DeltaError(ValueError):
     """Malformed complex, map or square."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a fault in relcell, not in its input."""
+
+
 class DeltaComplex:
     """A finite graded family of simplices with face maps.
 
@@ -401,14 +405,18 @@ def boundary_restriction(x, b):
 # -- hom enumeration -----------------------------------------------------
 
 
+_EXHAUSTED = object()  # what ``next`` gives for a search level tried out
+
+
 def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
     """All simplicial maps ``dom -> cod``, in deterministic order.
 
     ``post=(p, t)`` keeps only maps h with ``p o h == t`` (p: cod -> Z,
     t: dom -> Z).  ``pre=(e, u)`` keeps only maps h with ``h o e == u``
     (e: W -> dom, u: W -> cod).  Enumeration backtracks over simplices in
-    increasing dimension with face-consistency pruning; output order is
-    lexicographic in the assignments.
+    increasing dimension with face-consistency pruning, on an explicit
+    stack of candidate iterators; output order is lexicographic in the
+    assignments.
     """
     pinned = {}
     if pre is not None:
@@ -426,6 +434,10 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
             raise DeltaError("post-constraint endpoints do not match")
 
     order = [s for _, s in dom.all_ids()]
+    if limit is not None and limit <= 0:
+        return []
+    if not order:
+        return [SimplicialMap(dom, cod, {}, validate=False)]
     results = []
     assign = {}
 
@@ -443,21 +455,22 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
             return (p,) if p in base else ()
         return base
 
-    def rec(i):
-        if limit is not None and len(results) >= limit:
-            return
-        if i == len(order):
+    # stack[i] holds the untried candidates for order[i]
+    last = len(order) - 1
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        i = len(stack) - 1
+        c = next(stack[i], _EXHAUSTED)
+        if c is _EXHAUSTED:
+            stack.pop()
+            continue
+        assign[order[i]] = c
+        if i < last:
+            stack.append(iter(candidates(order[i + 1])))
+        else:
             results.append(SimplicialMap(dom, cod, assign, validate=False))
-            return
-        s = order[i]
-        for c in candidates(s):
-            assign[s] = c
-            rec(i + 1)
-            if limit is not None and len(results) >= limit:
+            if len(results) == limit:
                 break
-        assign.pop(s, None)
-
-    rec(0)
     return results
 
 
@@ -508,6 +521,7 @@ def boundary_lifts(f, t, new=None):
             xfaces.pop()
 
     rec(0, new is None)
+    del rec  # rec refers to itself: break the cycle, free the search now
     return results
 
 
@@ -714,4 +728,4 @@ def mec(u, filt):
     for n, ids in enumerate(filt._id_sets):
         if img <= ids:
             return n
-    raise AssertionError("image not contained in the top stage")
+    raise InvariantError("image not contained in the top stage")

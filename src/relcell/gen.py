@@ -13,6 +13,7 @@ import random
 
 from .delta import (
     ArrowSquare,
+    InvariantError,
     SimplicialMap,
     boundary_complex,
     characteristic_map,
@@ -108,7 +109,7 @@ def rand_attach(rng, boundary, max_cell_dim=2):
         homs = enumerate_homs(boundary_complex(k), boundary, limit=24)
         if homs:
             return k, rng.choice(homs)
-    raise AssertionError("unreachable: dimension 0 always admits a map")
+    raise InvariantError("unreachable: dimension 0 always admits a map")
 
 
 def rand_stratum(rng, prefix="c"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .delta import (
     DeltaError,
+    InvariantError,
     SimplicialMap,
     boundary_complex,
     boundary_restriction,
@@ -134,9 +135,9 @@ def solve_lifting(c, ft, square):
         d_assign[cell.id] = ft.filler(w, v.assign[cell.id])
     d = SimplicialMap(c.body, p.dom, d_assign)
     if compose(d, i) != u:
-        raise AssertionError("lift does not restrict to the given map")
+        raise InvariantError("lift does not restrict to the given map")
     if compose(p, d) != v:
-        raise AssertionError("lift does not project to the given map")
+        raise InvariantError("lift does not project to the given map")
     return d
 
 

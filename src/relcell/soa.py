@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii
 from .delta import (
     ArrowSquare,
     DeltaError,
+    InvariantError,
     SimplicialMap,
     boundary_complex,
     boundary_lifts,
@@ -84,15 +85,29 @@ def _cell_id(digest, stage, k, t, u):
 
 
 class FactorResult:
-    """A free factorization: input map, complex, and the counit map."""
+    """A free factorization: input map, complex, and the counit map.
 
-    __slots__ = ("input", "kf", "ef", "_cells_over")
+    It memoizes what is derived from it, each on first use, in lazily
+    filled slots: the index of its free cells by target and faces
+    (``cell_over``), the monad multiplication (``monad_mult``), the comonad
+    comultiplication (``comonad_comult``), and every map K(a, b) into its
+    complex (``k_of_square``).  The factorization is deterministic, so the
+    first three are pure functions of the factored map and K(a, b) one of
+    the square.  Cached values are shared by every caller and, like every
+    complex and map, immutable; a call that raises caches nothing.
+    """
+
+    __slots__ = ("input", "kf", "ef", "_cells_over", "_mu", "_delta",
+                 "_k_into")
 
     def __init__(self, input_map, kf, ef):
         self.input = input_map
         self.kf = kf
         self.ef = ef
         self._cells_over = None
+        self._mu = None
+        self._delta = None
+        self._k_into = {}
 
     @property
     def stage_counts(self):
@@ -107,12 +122,12 @@ class FactorResult:
             over, faces_of = self.ef.assign, self.kf.body.faces_of
             index = {(over[c], faces_of(c)): c for c in self.kf._cell_stage}
             if len(index) != len(self.kf._cell_stage):
-                raise AssertionError("two free cells share a target and "
+                raise InvariantError("two free cells share a target and "
                                      "faces; internal invariant violated")
             self._cells_over = index
         cid = index.get((target, faces))
         if cid is None:
-            raise AssertionError(
+            raise InvariantError(
                 f"no free cell over {target!r} with faces {faces!r}; "
                 f"internal invariant violated")
         return cid
@@ -187,7 +202,12 @@ def free_complex(f, safety_cap=32):
 
 
 class Factorizer:
-    """Memoized free factorization, shared across a law-checking session."""
+    """Memoized free factorization, shared across a law-checking session.
+
+    ``k(f)`` factors each map once and returns the same ``FactorResult``
+    for every equal map, so the structure maps that result memoizes are
+    computed once per session too.
+    """
 
     def __init__(self, safety_cap=32):
         self.safety_cap = safety_cap
@@ -228,14 +248,14 @@ def transpose(c, g0, h, fr):
             cid = fr.cell_over(h.assign[cell.id],
                                tuple(assign[s] for s in faces_of(cell.id)))
             if fr.kf.stage_of_cell(cid) != n:
-                raise AssertionError(
+                raise InvariantError(
                     f"free cell {cid!r} is not at stage {n}; internal "
                     f"invariant violated")
             p[cell.id] = cid
             assign[cell.id] = cid
     m = CellComplexMorphism(c, fr.kf, g0, p, validate=False)
     if compose(fr.ef, m.body_map) != h:
-        raise AssertionError("transpose does not factor the given square")
+        raise InvariantError("transpose does not factor the given square")
     return m
 
 
@@ -243,10 +263,16 @@ def k_of_square(sq, fr_dom, fr_cod):
     """Functorial action of the factorization on an arrow-category square.
 
     ``sq`` is (a, b): f -> g encoded as ArrowSquare(top=a, bottom=b,
-    left=f, right=g); the result is the morphism Kf -> Kg.
+    left=f, right=g); the result is the morphism Kf -> Kg.  It is the
+    adjunct of (a, b o ef), so it is memoized on ``fr_cod`` by ef, a and b
+    and answers only for the very complex Kf it was computed from.
     """
-    return transpose(fr_dom.kf, sq.top, compose(sq.bottom, fr_dom.ef),
-                     fr_cod)
+    key = (fr_dom.ef, sq.top, sq.bottom)
+    m = fr_cod._k_into.get(key)
+    if m is None or m.dom is not fr_dom.kf:
+        m = fr_cod._k_into[key] = transpose(
+            fr_dom.kf, sq.top, compose(sq.bottom, fr_dom.ef), fr_cod)
+    return m
 
 
 def unit(c, factorizer=None):
@@ -297,21 +323,25 @@ def monad_mult(f, factorizer=None):
     """The multiplication component: body(K(Ef)) -> body(Kf).
 
     Computed as the body part of the adjunct of (1, EEf) on the composite
-    of Kf with K(Ef).
+    of Kf with K(Ef), once per ``FactorResult`` of f.
     """
     fz = factorizer or Factorizer()
     fr = fz.k(f)
-    fr2 = fz.k(fr.ef)
-    comp = compose_complexes(fr.kf, fr2.kf)
-    phi = transpose(comp, identity_map(f.dom), fr2.ef, fr)
-    return phi.body_map
+    if fr._mu is None:
+        fr2 = fz.k(fr.ef)
+        comp = compose_complexes(fr.kf, fr2.kf)
+        fr._mu = transpose(comp, identity_map(f.dom), fr2.ef, fr).body_map
+    return fr._mu
 
 
 def comonad_comult(f, factorizer=None):
-    """The comultiplication component: body(Kf) -> body(K(U(Kf)))."""
+    """The comultiplication component: body(Kf) -> body(K(U(Kf))),
+    computed once per ``FactorResult`` of f."""
     fz = factorizer or Factorizer()
     fr = fz.k(f)
-    return coalgebra_structure(fr.kf, fz)
+    if fr._delta is None:
+        fr._delta = coalgebra_structure(fr.kf, fz)
+    return fr._delta
 
 
 def check_awfs_laws(f, squares=(), factorizer=None):
@@ -367,7 +397,7 @@ def check_awfs_laws(f, squares=(), factorizer=None):
                compose(keps.body_map, delta), id_mf)
 
         fruu = fz.k(u_of_complex(fru.kf))
-        delta_lf = coalgebra_structure(fru.kf, fz)
+        delta_lf = comonad_comult(lf, fz)
         kdelta = k_of_square(
             ArrowSquare(top=identity_map(f.dom), bottom=delta,
                         left=lf, right=u_of_complex(fru.kf)),

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from relcell import (
     EMPTY,
+    CellComplex,
     FillerTable,
     SimplicialMap,
     free_complex,
@@ -457,6 +458,15 @@ class TestCheck:
         assert out1 == out2
         report = json.loads(out1)
         assert all(r["all_pass"] for r in report.values())
+
+    def test_internal_invariant_failure_exit_5(self, capsys, monkeypatch):
+        # a free cell reported at the wrong stage fails transpose's check
+        monkeypatch.setattr(CellComplex, "stage_of_cell",
+                            lambda self, cid: -1)
+        code, _, err = run_cli(capsys, "check")
+        assert code == 5
+        assert err.startswith("internal error: ") and "not at stage" in err
+        assert "Traceback" not in err
 
 
 class TestExportDot:

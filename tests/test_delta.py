@@ -1,5 +1,6 @@
 """Base category: complexes, maps, hom enumeration, and (co)limits."""
 
+import gc
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from relcell import (
     coproduct,
     enumerate_homs,
     equaliser,
+    free_complex,
     identity_map,
     inclusion_map,
     is_pullback,
@@ -36,7 +38,8 @@ from relcell import gen
 
 
 def brute_homs(dom, cod):
-    """Independent oracle: all maps by raw product over assignments."""
+    """Independent oracle: all maps by raw product over assignments, in
+    lexicographic order of the assignments in dimension order."""
     order = [s for _, s in dom.all_ids()]
     pools = []
     for s in order:
@@ -182,10 +185,33 @@ class TestHomEnumeration:
         for _ in range(10):
             dom = gen.rand_subcomplex(rng, standard_simplex(2))
             cod = gen.rand_complex(rng, max_dim=1)
-            fast = enumerate_homs(dom, cod)
             slow = brute_homs(dom, cod)
-            assert sorted(tuple(sorted(h.assign.items())) for h in fast) \
-                == sorted(tuple(sorted(a.items())) for a in slow)
+            assert [h.assign for h in enumerate_homs(dom, cod)] == slow
+            for limit in (0, 1, 2, 24):
+                assert [h.assign for h in
+                        enumerate_homs(dom, cod, limit=limit)] == \
+                    slow[:limit]
+
+    def test_dimension_9_boundary_does_not_recurse(self):
+        # 1,022 domain simplices: deeper than the interpreter's stack
+        bd, full = boundary_complex(9), standard_simplex(9)
+        incl = inclusion_map(bd, full)
+        assert enumerate_homs(bd, full, post=(identity_map(full), incl)) \
+            == [incl]
+
+    def test_searches_leave_no_garbage_cycles(self):
+        f = gen.rand_map(random.Random(5), max_dim=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for k, t in f.cod.all_ids():
+                boundary_lifts(f, t)
+                enumerate_homs(boundary_complex(k), f.dom,
+                               post=(f, boundary_restriction(f.cod, t)))
+            free_complex(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_post_constraint(self):
         f = inclusion_map(boundary_complex(1), standard_simplex(1))

@@ -1,5 +1,6 @@
 """The free factorization, adjunction, and the monad/comonad law suite."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -15,6 +16,7 @@ from relcell import (
     CellComplex,
     CellComplexMorphism,
     EMPTY,
+    InvariantError,
     SimplicialMap,
     Stratum,
     body,
@@ -184,7 +186,7 @@ class TestFreeComplex:
         # every edge over "01" runs from a vertex over "0" to one over "1"
         for target, faces in [("01", ("0", "0")), ("01", ()),
                               ("nowhere", ())]:
-            with pytest.raises(AssertionError, match="internal invariant"):
+            with pytest.raises(InvariantError, match="internal invariant"):
                 fr.cell_over(target, faces)
 
     def test_properness_mec_exactly_stage(self):
@@ -222,7 +224,7 @@ class TestTranspose:
             boundary_complex(1), bv, {"0": "0", "1": "0"}))])
         c = CellComplex(pt, [v, e], validate=False)
         fr = free_complex(u_of_complex(c))
-        with pytest.raises(AssertionError, match="not at stage 1"):
+        with pytest.raises(InvariantError, match="not at stage 1"):
             transpose(c, identity_map(pt), identity_map(c.body), fr)
 
     def test_trivial_complex(self):
@@ -347,6 +349,64 @@ class TestLaws:
     def test_mu_trivial_for_empty_codomain(self, fz):
         f = identity_map(EMPTY)
         assert monad_mult(f, fz) == identity_map(EMPTY)
+
+
+class TestMemoizedStructureMaps:
+    def test_cached_maps_equal_fresh_ones(self):
+        rng = random.Random(2035)
+        fz = soa.Factorizer()
+        for _ in range(8):
+            f = gen.rand_map(rng, max_dim=1)
+            for structure_map in (monad_mult, comonad_comult):
+                first = structure_map(f, fz)
+                assert structure_map(f, fz) is first
+                assert first == structure_map(f, soa.Factorizer())
+            for _ in range(3):
+                sq = gen.rand_nat_square(rng, f)
+                fr_f, fr_g = fz.k(f), fz.k(sq.right)
+                first = k_of_square(sq, fr_f, fr_g)
+                assert k_of_square(sq, fr_f, fr_g) is first
+                assert first == k_of_square(sq, soa.Factorizer().k(f),
+                                            soa.Factorizer().k(sq.right))
+
+    def test_law_suite_composes_once_per_multiplication(self, monkeypatch):
+        needed, composed = set(), []
+        mult, compose_cx = soa.monad_mult, soa.compose_complexes
+
+        def counting_mult(f, factorizer=None):
+            needed.add(f.key())
+            return mult(f, factorizer)
+
+        def counting_compose(a, b):
+            composed.append((a, b))
+            return compose_cx(a, b)
+
+        monkeypatch.setattr(soa, "monad_mult", counting_mult)
+        monkeypatch.setattr(soa, "compose_complexes", counting_compose)
+        fz = soa.Factorizer()
+        rng = random.Random(2033)
+        for _, f in law_fixtures():
+            squares = [gen.rand_nat_square(rng, f) for _ in range(5)]
+            assert check_awfs_laws(f, squares, factorizer=fz)["all_pass"]
+        assert len(composed) == len(needed) > 0
+
+    def test_memo_holds_no_reference_cycle(self):
+        # K(1, 1): f -> f is cached on f's own result
+        rng = random.Random(2033)
+        work = [(f, [gen.rand_nat_square(rng, f),
+                     ArrowSquare(top=identity_map(f.dom),
+                                 bottom=identity_map(f.cod), left=f, right=f)])
+                for _, f in law_fixtures()]
+        gc.collect()
+        gc.disable()
+        try:
+            fz = soa.Factorizer()
+            for f, squares in work:
+                check_awfs_laws(f, squares, factorizer=fz)
+            del fz
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLeftMapStructures:
