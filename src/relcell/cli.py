@@ -114,7 +114,7 @@ def cmd_factor(args):
     else:
         print(line)
     if args.out:
-        _emit(jsonio.dumps(jsonio.factor_result_to_json(fr)), args.out)
+        _emit(jsonio.text(fr), args.out)
     return EXIT_OK
 
 
@@ -125,7 +125,7 @@ def cmd_compose(args):
         c = compose_complexes(a, b)
     except DeltaError as err:
         raise _InputError(str(err)) from err
-    _emit(jsonio.dumps(jsonio.cellcx_to_json(c)), args.out)
+    _emit(jsonio.text(c), args.out)
     return EXIT_OK
 
 
@@ -136,7 +136,7 @@ def cmd_normalize(args):
         c = assemble(base, cells)
     except DeltaError as err:
         raise _InputError(str(err)) from err
-    _emit(jsonio.dumps(jsonio.cellcx_to_json(c)), args.out)
+    _emit(jsonio.text(c), args.out)
     return EXIT_OK
 
 
@@ -147,10 +147,8 @@ def cmd_pushout(args):
         total, px, py = pushout(f, g)
     except DeltaError as err:
         raise _InputError(str(err)) from err
-    payload = {"complex": jsonio.complex_to_json(total),
-               "leg_first": jsonio.map_to_json(px),
-               "leg_second": jsonio.map_to_json(py)}
-    _emit(jsonio.dumps(payload), args.out)
+    _emit(jsonio.text({"complex": total, "leg_first": px,
+                       "leg_second": py}), args.out)
     return EXIT_OK
 
 
@@ -165,7 +163,7 @@ def cmd_lift(args):
         raise
     except DeltaError as err:  # the files do not form a commuting square
         raise _InputError(str(err)) from err
-    _emit(jsonio.dumps(jsonio.map_to_json(d)), args.out)
+    _emit(jsonio.text(d), args.out)
     return EXIT_OK
 
 

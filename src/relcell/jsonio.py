@@ -5,8 +5,13 @@ lists); ``dumps`` fixes the byte-level format, which is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
 ``json`` encodes in pure Python, so ``dumps`` walks the containers itself,
 writes strings and ints directly, and hands only the containers that hold
-no container to the C encoder (see ``dumps``).  Loaders validate through
-the ordinary constructors and raise DeltaError subclasses on bad input.
+no container to the C encoder (see ``dumps``).  ``dumps`` of an emitter's
+value (``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
+``factor_result_to_json``) stays the reference format, and writes reports.
+The complexes, maps, cell complexes and factorizations that the CLI writes
+go through ``text`` instead, which writes the same bytes from each value's
+shape without building the JSON value.  Loaders validate through the
+ordinary constructors and raise DeltaError subclasses on bad input.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 
 from .delta import (
     DeltaComplex,
@@ -30,7 +36,7 @@ from .soa import FactorResult
 
 _NESTED = (dict, list, tuple)
 _encode = json.JSONEncoder().encode
-_encode_key = json.encoder.encode_basestring_ascii
+_quote = json.encoder.encode_basestring_ascii
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,9 +56,9 @@ def _write(obj, n, out):
     is_dict = isinstance(obj, dict)
     out.append("{" if is_dict else "[")
     for k, v in sorted(obj.items()) if is_dict else enumerate(obj):
-        out.append(indent + _encode_key(k) + ": " if is_dict else indent)
+        out.append(indent + _quote(k) + ": " if is_dict else indent)
         if type(v) is str:
-            out.append(_encode_key(v))
+            out.append(_quote(v))
         elif type(v) is int:
             out.append(int.__repr__(v))
         elif not isinstance(v, _NESTED):
@@ -91,6 +97,117 @@ def dumps(obj):
         return _encode(obj) + "\n"
     out = []
     _write(obj, 1, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# -- shape writers -----------------------------------------------------------
+#
+# ``text`` walks a skeleton of a value's ``*_to_json``: its dicts and lists,
+# except that each container of ids, simplices, cells or ints is a leaf
+# ``(brackets, items)``, whose ``items(n)`` yields the texts of its items
+# ``n`` levels deep, each led by a comma.  A simplex or a cell is one fill
+# of a template cached per (shape, depth); ids are format arguments, never
+# template text.  A document is one list of parts, joined once.
+
+
+def _walk(node, n, out):
+    """Append the text of a skeleton node whose items are ``n`` levels
+    deep: its items, each led by a comma that then becomes the opening
+    bracket, or the empty container."""
+    start = len(out)
+    if isinstance(node, dict):
+        brackets = "{}"
+        for key, value in sorted(node.items()):
+            out.append("," + _level(n)[0] + _quote(key) + ": ")
+            _walk(value, n + 1, out)
+    elif isinstance(node, list):
+        brackets = "[]"
+        for value in node:
+            out.append("," + _level(n)[0])
+            _walk(value, n + 1, out)
+    else:
+        brackets, items = node
+        out.extend(items(n))
+    if len(out) == start:
+        out.append(brackets)
+    else:
+        out[start] = brackets[0] + out[start][1:]
+        out.append(_level(n - 1)[0] + brackets[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _template(k, n, cell):
+    """A k-simplex, or a k-cell, as a list item ``n`` levels deep: the
+    ``str.format`` of its faces, or of its attach images in key order, then
+    its id; and the getter of a cell's images.  NUL marks a slot while the
+    text, made only of punctuation and the shape's keys, is built."""
+    i, j, lead = _level(n + 1)[0], _level(n + 2)[0], _level(n)[0]
+    keys = sorted(boundary_complex(k).id_set) if cell else ()
+    if cell:
+        attach = ",".join(j + _quote(s) + ": \0" for s in keys)
+        head = f'"attach": {{{attach + i if keys else ""}}},{i}"dim": {k},'
+    else:
+        head = '"faces": [' + ",".join([j + "\0"] * (k + 1)) + i + "],"
+    item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
+    return (item.replace("{", "{{").replace("}", "}}").replace("\0", "{}")
+            .format, operator.itemgetter(*keys) if keys else dict.values)
+
+
+def _list_of(texts):
+    return "[]", lambda n: map(("," + _level(n)[0] + "{}").format, texts)
+
+
+def _cells(cells, n):
+    for c in cells:
+        fill, images = _template(c.dim, n, True)
+        yield fill(*map(_quote, images(c.attach.assign)), _quote(c.id))
+
+
+def _complex(x):
+    def simplices(k, n):
+        fill = _template(k, n, False)[0]
+        return (fill(*map(_quote, x.faces[s]), _quote(s)) for s in x.ids(k))
+
+    return {"simplices": {
+        str(k): ("[]", functools.partial(simplices, k)) if k else
+        _list_of(map(_quote, x.ids(0))) for k in range(x.max_dim + 1)}}
+
+
+def _map(f):
+    def grade(ids):
+        return "{}", lambda n: map(
+            ("," + _level(n)[0] + "{}: {}").format, map(_quote, ids),
+            map(_quote, map(f.assign.__getitem__, ids)))
+
+    return {"assign": {str(k): grade(ids)
+                       for k, ids in f.dom.simplices.items()},
+            "cod": _complex(f.cod), "dom": _complex(f.dom)}
+
+
+def _cellcx(c):
+    return {"base": _complex(c.boundary),
+            "strata": [{"cells": ("[]", functools.partial(_cells, st.cells))}
+                       for st in c.strata]}
+
+
+def _factor_result(fr):
+    return {"complex": _cellcx(fr.kf), "ef": _map(fr.ef),
+            "input": _map(fr.input), "stage_counts": _list_of(fr.stage_counts)}
+
+
+_SKELETONS = {DeltaComplex: _complex, SimplicialMap: _map,
+              CellComplex: _cellcx, FactorResult: _factor_result}
+
+
+def text(value):
+    """The ``dumps`` text of a complex, map, cell complex or factorization,
+    or of a dict of them, written from its shape: exactly ``dumps`` of its
+    ``*_to_json`` (of each value's, for a dict), the reference format."""
+    out = []
+    _walk({k: _SKELETONS[type(v)](v) for k, v in value.items()}
+          if isinstance(value, dict) else _SKELETONS[type(value)](value),
+          1, out)
     out.append("\n")
     return "".join(out)
 

@@ -146,7 +146,8 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
     omitted (properness filtering): a lift is kept iff some facet is a new
     simplex, outside ``prev_ids``.  Only such lifts are enumerated, and only
     for shapes k whose facet dimension k - 1 has new simplices.  Returns
-    (stratum, extended codomain map from the stratum's body).
+    (stratum, extended codomain map from the stratum's body).  An id glued
+    twice can only be a collision of hashed lifts: InvariantError.
     """
     if digest is None:
         digest = _map_digest(f)
@@ -165,6 +166,11 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
                 cid = _cell_id(digest, stage, k, t, u)
                 cells.append(Cell(cid, k, u, validate=False))
                 e_assign[cid] = t
+    if len(e_assign) != len(f.assign) + len(cells):
+        seen = set(f.assign)  # the first id met twice
+        cid = next(c.id for c in cells if c.id in seen or seen.add(c.id))
+        raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
+                             f"hashed lifts; internal invariant violated")
     st = Stratum(a, cells, validate=False)
     bodyx = body(st)[0]
     return st, SimplicialMap(bodyx, b, e_assign, validate=False)

@@ -71,6 +71,28 @@ class TestFactor:
         run_cli(capsys, "factor", path, "--out", str(out_path))
         assert out_path.read_text() == first
 
+    def test_cell_id_collision_exit_5(self, files, capsys, monkeypatch):
+        # two cells glued at one stage can share an id only through a
+        # collision of the hashed lift: an internal error, not bad input
+        from relcell import soa
+        monkeypatch.setattr(soa, "_cell_id",
+                            lambda digest, stage, k, t, u: f"{stage}.{k}")
+        _, write = files
+        path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
+        code, _, err = run_cli(capsys, "factor", path)
+        assert code == 5
+        assert err.startswith("internal error: ") and "'0.0'" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_input_ids_exit_2(self, files, capsys):
+        _, write = files
+        payload = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
+        cells = payload["strata"][0]["cells"]
+        cells.append(dict(cells[0]))
+        code, _, err = run_cli(capsys, "export-dot", write("c.json", payload))
+        assert code == 2
+        assert "duplicate cell ids" in err
+
     def test_malformed_json_exit_2(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

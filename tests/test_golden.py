@@ -18,6 +18,7 @@ from relcell import (
     Cell,
     CellComplex,
     CellComplexMorphism,
+    DeltaComplex,
     Factorizer,
     FillerTable,
     SimplicialMap,
@@ -48,6 +49,7 @@ from relcell import (
     pushforward_complex,
     pushforward_morphism,
     pushout,
+    standard_simplex,
     strata_colimit,
     strata_equaliser,
     u_of_complex,
@@ -155,6 +157,50 @@ def test_writer_output_bytes(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 0
         got[name] = _sha(capsys.readouterr().out.encode() + out.read_bytes())
     assert got == WRITER_DIGESTS
+
+
+def hostile_maps():
+    """Maps whose ids hold JSON and ``str.format`` syntax, escapes,
+    non-ASCII and a control character, and maps out of the empty complex.
+    The codomain ids flow into the cell ids."""
+    v0, v1, v2 = "{", "}", "{}"
+    e01, e02, e12 = '"q"', "\\b\\", "."
+    cod = DeltaComplex(
+        {0: [v0, v1, v2], 1: [e01, e02, e12], 2: ["ñ\x07{0}"]},
+        {e01: (v1, v0), e02: (v2, v0), e12: (v2, v1),
+         "ñ\x07{0}": (e12, e02, e01)})
+    dom = DeltaComplex({0: ["a{", "é\""], 1: ["x\\}"]},
+                       {"x\\}": ("é\"", "a{")})
+    return {
+        "hostile": SimplicialMap(dom, cod, {"a{": v0, "é\"": v1,
+                                            "x\\}": e01}),
+        "empty-to-hostile": SimplicialMap(EMPTY, cod, {}),
+        "empty-to-point": SimplicialMap(EMPTY, standard_simplex(0), {}),
+    }
+
+
+# sha256 of (stdout + --out file) of ``factor --format json`` on each of
+# ``hostile_maps``, recorded before ``factor`` wrote its output by shape
+HOSTILE_FACTOR_DIGESTS = {
+    "hostile":
+        "566936f9e6c0b20ebe26343971112e2aa24274668733f1f64a331b9fb34e0d4a",
+    "empty-to-hostile":
+        "5245dca6cbdfc8699c5a2f6a362bd2d7933a981f07e8ac2f8598b297bed481f2",
+    "empty-to-point":
+        "e682404d2aaaabdec0cfdc0f39741cc53bd2445017c99790bcac64d99f6dbdd2",
+}
+
+
+def test_factor_output_bytes_on_hostile_ids(tmp_path, capsys):
+    got = {}
+    for name, f in hostile_maps().items():
+        src = tmp_path / f"{name}.json"
+        src.write_text(jsonio.dumps(jsonio.map_to_json(f)))
+        out = tmp_path / f"{name}.out.json"
+        assert main(["factor", str(src), "--format", "json",
+                     "--out", str(out)]) == 0
+        got[name] = _sha(capsys.readouterr().out.encode() + out.read_bytes())
+    assert got == HOSTILE_FACTOR_DIGESTS
 
 
 # sha256 of the sorted (map index, target, boundary lift, filler) rows that

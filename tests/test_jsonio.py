@@ -8,10 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relcell import (
+    CellComplex,
+    DeltaComplex,
     DeltaError,
     EMPTY,
+    FactorResult,
     FillerTable,
     SimplicialMap,
+    Stratum,
     assemble,
     free_complex,
     free_fillers,
@@ -207,3 +211,76 @@ def test_dumps_non_string_keys_match_json_or_raise(value):
     except TypeError:
         return
     assert got == _canonical(value)
+
+
+# -- the shape writers -------------------------------------------------------
+
+# Affixes that make every id hold JSON and ``str.format`` syntax, escapes,
+# non-ASCII or a control character.
+_AFFIX = st.sampled_from(["", "{", "}", "{}", "{0}", '"', "\\", ".", "\u00e9",
+                          "\x07", "{!r}", "\u2603"]) | \
+    st.text(alphabet="{}\"\\.\u00e9\x07\u26030", max_size=4)
+
+_TO_JSON = {DeltaComplex: jsonio.complex_to_json,
+            SimplicialMap: jsonio.map_to_json,
+            CellComplex: jsonio.cellcx_to_json,
+            FactorResult: jsonio.factor_result_to_json}
+
+
+def _reference(value):
+    if isinstance(value, dict):
+        return jsonio.dumps({k: _TO_JSON[type(v)](v) for k, v in value.items()})
+    return jsonio.dumps(_TO_JSON[type(value)](value))
+
+
+def _renamed_complex(x, name, validate=True):
+    return DeltaComplex({k: map(name, ids) for k, ids in x.simplices.items()},
+                        {name(s): map(name, fs) for s, fs in x.faces.items()},
+                        validate=validate)
+
+
+def _renamed_map(f, name):
+    return SimplicialMap(_renamed_complex(f.dom, name),
+                         _renamed_complex(f.cod, name),
+                         {name(s): name(t) for s, t in f.assign.items()})
+
+
+def _edge_values(name):
+    """Empty containers at every level of each shape: the empty complex,
+    empty dimensions below the top, no strata, a stratum without cells,
+    shape-0 cells (``attach == {}``), no stages and an empty assignment."""
+    sparse = _renamed_complex(DeltaComplex(
+        {0: ["a"], 2: ["t"]}, {"t": ("e", "e", "e")}, validate=False),
+        name, validate=False)
+    top_only = _renamed_complex(DeltaComplex(
+        {3: ["t"]}, {"t": ("f", "g", "h", "i")}, validate=False),
+        name, validate=False)
+    edge = _renamed_complex(standard_simplex(1), name)
+    return [EMPTY, sparse, top_only, trivial_complex(EMPTY),
+            trivial_complex(sparse),
+            CellComplex(edge, [Stratum(edge, [])], validate=False),
+            SimplicialMap(EMPTY, sparse, {}),
+            free_complex(SimplicialMap(EMPTY, EMPTY, {})),
+            free_complex(SimplicialMap(EMPTY, standard_simplex(0), {})),
+            free_complex(SimplicialMap(EMPTY, edge, {})),
+            {"empty": EMPTY, "none": trivial_complex(EMPTY)}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), _AFFIX, _AFFIX)
+@example(0, "{", "}")
+@example(1, '{}"', "\\\x07\u00e9")
+def test_text_is_dumps_of_to_json(seed, prefix, suffix):
+    """``text`` writes exactly ``dumps(x_to_json(x))`` for every shape."""
+    def name(s):
+        return prefix + s + suffix
+
+    rng = random.Random(seed)
+    x = _renamed_complex(gen.rand_complex(rng), name)
+    f = _renamed_map(gen.rand_map(rng), name)
+    fr = free_complex(f)
+    values = [x, f, fr, fr.kf, fr.ef,
+              gen.rand_cell_complex(rng, max_cells=4, prefix=prefix),
+              {"complex": x, "leg_first": f, "leg_second": fr.ef}]
+    for value in values + _edge_values(name):
+        assert jsonio.text(value) == _reference(value)
