@@ -474,6 +474,13 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
     return results
 
 
+@functools.lru_cache(maxsize=None)
+def _leads(k):
+    """The getters of the faces that x_0..x_(j-1) fix for facet x_j of a
+    boundary lift of shape k: face j - 1 of each; none below shape 2."""
+    return tuple(itemgetter(j - 1) for j in range(k + 1)) if k > 1 else None
+
+
 def boundary_lifts(f, t, new=None):
     """All boundary lifts of t: maps u from the boundary of the standard
     k-simplex (k = dim t) into dom(f) with ``f o u`` the boundary of t.
@@ -495,8 +502,7 @@ def boundary_lifts(f, t, new=None):
     index = f.prefix_index(k - 1)
     targets = f.cod.faces[t]
     faces = a.faces
-    # the faces x_0..x_(j-1) fix for x_j: face j - 1 of each
-    lead = [itemgetter(j - 1) for j in range(k + 1)] if k > 1 else None
+    lead = _leads(k)
     xs = []
     xfaces = []
     results = []

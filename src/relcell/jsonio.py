@@ -26,10 +26,11 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
+    compose,
     facet_ids,
 )
 from .strata import Cell, Stratum
-from .cellcx import CellComplex
+from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
 from .soa import FactorResult
 
@@ -106,9 +107,11 @@ def dumps(obj):
 # ``text`` walks a skeleton of a value's ``*_to_json``: its dicts and lists,
 # except that each container of ids, simplices, cells or ints is a leaf
 # ``(brackets, items)``, whose ``items(n)`` yields the texts of its items
-# ``n`` levels deep, each led by a comma.  A simplex or a cell is one fill
-# of a template cached per (shape, depth); ids are format arguments, never
-# template text.  A document is one list of parts, joined once.
+# ``n`` levels deep, each led by a comma.  A simplex, a cell, an id or an
+# assignment entry is one ``%`` fill, of a template cached per (shape,
+# depth) for simplices and cells.  Ids are ``%`` arguments, never template
+# text, and template text writes a literal ``%`` as ``%%``, so no id is
+# parsed as a format.  A document is one list of parts, joined once.
 
 
 def _walk(node, n, out):
@@ -139,7 +142,7 @@ def _walk(node, n, out):
 @functools.lru_cache(maxsize=None)
 def _template(k, n, cell):
     """A k-simplex, or a k-cell, as a list item ``n`` levels deep: the
-    ``str.format`` of its faces, or of its attach images in key order, then
+    ``%`` template of its faces, or of its attach images in key order, then
     its id; and the getter of a cell's images.  NUL marks a slot while the
     text, made only of punctuation and the shape's keys, is built."""
     i, j, lead = _level(n + 1)[0], _level(n + 2)[0], _level(n)[0]
@@ -150,24 +153,25 @@ def _template(k, n, cell):
     else:
         head = '"faces": [' + ",".join([j + "\0"] * (k + 1)) + i + "],"
     item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
-    return (item.replace("{", "{{").replace("}", "}}").replace("\0", "{}")
-            .format, operator.itemgetter(*keys) if keys else dict.values)
+    return (item.replace("%", "%%").replace("\0", "%s"),
+            operator.itemgetter(*keys) if keys else dict.values)
 
 
 def _list_of(texts):
-    return "[]", lambda n: map(("," + _level(n)[0] + "{}").format, texts)
+    return "[]", lambda n: map(("," + _level(n)[0] + "%s").__mod__, texts)
 
 
 def _cells(cells, n):
     for c in cells:
         fill, images = _template(c.dim, n, True)
-        yield fill(*map(_quote, images(c.attach.assign)), _quote(c.id))
+        yield fill % (*map(_quote, images(c.attach.assign)), _quote(c.id))
 
 
 def _complex(x):
     def simplices(k, n):
         fill = _template(k, n, False)[0]
-        return (fill(*map(_quote, x.faces[s]), _quote(s)) for s in x.ids(k))
+        return (fill % (*map(_quote, x.faces[s]), _quote(s))
+                for s in x.ids(k))
 
     return {"simplices": {
         str(k): ("[]", functools.partial(simplices, k)) if k else
@@ -175,10 +179,12 @@ def _complex(x):
 
 
 def _map(f):
+    assign = f.assign.__getitem__
+
     def grade(ids):
         return "{}", lambda n: map(
-            ("," + _level(n)[0] + "{}: {}").format, map(_quote, ids),
-            map(_quote, map(f.assign.__getitem__, ids)))
+            ("," + _level(n)[0] + "%s: %s").__mod__,
+            zip(map(_quote, ids), map(_quote, map(assign, ids))))
 
     return {"assign": {str(k): grade(ids)
                        for k, ids in f.dom.simplices.items()},
@@ -430,6 +436,10 @@ def factor_result_from_json(obj):
     ef = map_from_json(obj["ef"])
     _expect(obj["stage_counts"] == [len(st.cells) for st in kf.strata],
             "stage_counts do not match the complex")
+    _expect(kf.boundary == f.dom and ef.dom == kf.body and ef.cod == f.cod,
+            "complex and ef do not factor the input map")
+    _expect(compose(ef, u_of_complex(kf)) == f,
+            "ef after the underlying map of the complex is not the input map")
     return FactorResult(f, kf, ef)
 
 

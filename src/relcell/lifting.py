@@ -64,35 +64,40 @@ class FillerTable:
         self.fallback = fallback
         self.chooser = chooser
 
-    def _validate_filler(self, e, dim, target, u_assign, key):
+    def _validate_filler(self, e, dim, target, u_assign):
         if e not in self.p.dom or self.p.dom.dim(e) != dim:
-            raise LiftError(f"filler {e!r} is not a {dim}-simplex of the "
-                            f"domain", key)
-        if self.p.assign[e] != target:
-            raise LiftError(f"filler {e!r} does not map to {target!r}", key)
-        if dim >= 1 and \
+            problem = f"is not a {dim}-simplex of the domain"
+        elif self.p.assign[e] != target:
+            problem = f"does not map to {target!r}"
+        elif dim >= 1 and \
                 self.p.dom.faces_of(e) != _expected_faces(dim, u_assign):
-            raise LiftError(f"filler {e!r} has wrong faces", key)
-        return e
+            problem = "has wrong faces"
+        else:
+            return e
+        raise LiftError(f"filler {e!r} {problem}",
+                        square_key(dim, target, u_assign))
 
     def filler(self, u, target):
-        """The chosen filler for the square (u, target); validated."""
+        """The chosen filler for the square (u, target); validated.  The
+        square's key is built only to look up entries or to report."""
         dim = self.p.cod.dim(target)
-        key = square_key(dim, target, u.assign)
-        if key in self.entries:
-            return self._validate_filler(self.entries[key], dim, target,
-                                         u.assign, key)
+        if self.entries:
+            key = square_key(dim, target, u.assign)
+            if key in self.entries:
+                return self._validate_filler(self.entries[key], dim, target,
+                                             u.assign)
         if self.chooser is not None:
             return self._validate_filler(self.chooser(u, target), dim,
-                                         target, u.assign, key)
+                                         target, u.assign)
         if self.fallback == "search":
             found = self.p.prefix_index(dim).get(
                 (target, _expected_faces(dim, u.assign)))
             if found:
                 return found[0]
-            raise LiftError(
-                f"no filler exists for target {target!r}", key)
-        raise LiftError(f"no table entry for target {target!r}", key)
+            raise LiftError(f"no filler exists for target {target!r}",
+                            square_key(dim, target, u.assign))
+        raise LiftError(f"no table entry for target {target!r}",
+                        square_key(dim, target, u.assign))
 
 
 def free_fillers(fr):
@@ -102,8 +107,8 @@ def free_fillers(fr):
     its target with u's facets; total by construction.
     """
     def choose(u, target):
-        dim = u.dom.max_dim + 1 if u.dom.id_set else 0
-        return fr.cell_over(target, _expected_faces(dim, u.assign))
+        return fr.cell_over(target,
+                            _expected_faces(u.dom.max_dim + 1, u.assign))
 
     return FillerTable(fr.ef, chooser=choose)
 

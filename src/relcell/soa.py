@@ -64,14 +64,14 @@ def _map_digest(f):
 
 @functools.lru_cache(maxsize=None)
 def _lift_template(k):
-    """The JSON text ``[["0", {}], ["01", {}], ...]`` of a boundary lift of
-    shape k, keys sorted, with one ``str.format`` slot per image, and a
-    getter of an assignment's images in that key order.  Shape 0 has no
+    """The JSON text ``[["0", %s], ["01", %s], ...]`` of a boundary lift of
+    shape k, keys sorted, as a ``%`` template with one slot per image, and
+    a getter of an assignment's images in that key order.  Shape 0 has no
     keys, and its empty assignment has no values."""
     keys = sorted(boundary_complex(k).id_set)
-    text = "[" + ", ".join(f"[{encode_basestring_ascii(s)}, {{}}]"
-                           for s in keys) + "]"
-    return text.format, operator.itemgetter(*keys) if keys else dict.values
+    text = "[" + ", ".join("[" + encode_basestring_ascii(s).replace("%", "%%")
+                           + ", %s]" for s in keys) + "]"
+    return text, operator.itemgetter(*keys) if keys else dict.values
 
 
 def _cell_id(digest, stage, k, t, u):
@@ -80,7 +80,8 @@ def _cell_id(digest, stage, k, t, u):
     SHA-1 of ``json.dumps(sorted(u.assign.items()))``, written by filling
     the text of shape k with the escaped images (ids, so strings)."""
     fill, images = _lift_template(k)
-    lift = fill(*map(encode_basestring_ascii, images(u.assign))).encode()
+    lift = (fill % tuple(map(encode_basestring_ascii,
+                             images(u.assign)))).encode()
     return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
 
 
@@ -146,8 +147,9 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
     omitted (properness filtering): a lift is kept iff some facet is a new
     simplex, outside ``prev_ids``.  Only such lifts are enumerated, and only
     for shapes k whose facet dimension k - 1 has new simplices.  Returns
-    (stratum, extended codomain map from the stratum's body).  An id glued
-    twice can only be a collision of hashed lifts: InvariantError.
+    (stratum, extended codomain map from the stratum's body), which is f
+    itself when no cell is glued.  An id glued twice can only be a
+    collision of hashed lifts: InvariantError.
     """
     if digest is None:
         digest = _map_digest(f)
@@ -172,8 +174,9 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
         raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
                              f"hashed lifts; internal invariant violated")
     st = Stratum(a, cells, validate=False)
-    bodyx = body(st)[0]
-    return st, SimplicialMap(bodyx, b, e_assign, validate=False)
+    if not cells:
+        return st, f
+    return st, SimplicialMap(body(st)[0], b, e_assign, validate=False)
 
 
 def free_complex(f, safety_cap=32):

@@ -24,6 +24,7 @@ from .delta import (
     compose,
     equaliser,
     facet_ids,
+    identity_map,
     inclusion_map,
     pushout,
 )
@@ -94,10 +95,14 @@ def body(st):
     Returns (body complex, inclusion of the boundary).  The glued top simplex
     of each cell carries the cell's id; a collision with a boundary id is an
     error.  The pair is built on the first call and cached on the stratum,
-    so every caller shares one body.  A cell's characteristic map is
+    so every caller shares one body; a stratum without cells has its
+    boundary as its body.  A cell's characteristic map is
     ``delta.characteristic_map(body complex, cell id)``.
     """
     if st._body is not None:
+        return st._body
+    if not st.cells:
+        st._body = (st.boundary, identity_map(st.boundary))
         return st._body
     simp = {k: list(ids) for k, ids in st.boundary.simplices.items()}
     faces = dict(st.boundary.faces)
@@ -153,7 +158,6 @@ class StrataMorphism:
 
 
 def identity_strata_morphism(st):
-    from .delta import identity_map
     return StrataMorphism(st, st, identity_map(st.boundary),
                           {c.id: c.id for c in st.cells}, validate=False)
 

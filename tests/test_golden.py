@@ -160,7 +160,7 @@ def test_writer_output_bytes(tmp_path, capsys):
 
 
 def hostile_maps():
-    """Maps whose ids hold JSON and ``str.format`` syntax, escapes,
+    """Maps whose ids hold JSON, ``str.format`` and printf syntax, escapes,
     non-ASCII and a control character, and maps out of the empty complex.
     The codomain ids flow into the cell ids."""
     v0, v1, v2 = "{", "}", "{}"
@@ -176,7 +176,22 @@ def hostile_maps():
                                             "x\\}": e01}),
         "empty-to-hostile": SimplicialMap(EMPTY, cod, {}),
         "empty-to-point": SimplicialMap(EMPTY, standard_simplex(0), {}),
+        "printf": _printf_map(),
     }
+
+
+def _printf_map():
+    """A map whose domain and codomain ids hold ``%``, ``%s``, ``%%``,
+    ``%(x)s`` and ``%d``."""
+    v0, v1, v2 = "%", "%s", "%%"
+    e01, e02, e12 = "%(x)s", "%d", "%%s%"
+    cod = DeltaComplex(
+        {0: [v0, v1, v2], 1: [e01, e02, e12], 2: ["%(y)d%"]},
+        {e01: (v1, v0), e02: (v2, v0), e12: (v2, v1),
+         "%(y)d%": (e12, e02, e01)})
+    dom = DeltaComplex({0: ["a%", "%%b"], 1: ["%s%d"]},
+                       {"%s%d": ("%%b", "a%")})
+    return SimplicialMap(dom, cod, {"a%": v0, "%%b": v1, "%s%d": e01})
 
 
 # sha256 of (stdout + --out file) of ``factor --format json`` on each of
@@ -188,6 +203,9 @@ HOSTILE_FACTOR_DIGESTS = {
         "5245dca6cbdfc8699c5a2f6a362bd2d7933a981f07e8ac2f8598b297bed481f2",
     "empty-to-point":
         "e682404d2aaaabdec0cfdc0f39741cc53bd2445017c99790bcac64d99f6dbdd2",
+    # recorded before the fills switched from ``str.format`` to ``%``
+    "printf":
+        "dae620f20b580702af6d090095e650ec48b9805ed1fded24436274e46025a03b",
 }
 
 

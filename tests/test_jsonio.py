@@ -100,6 +100,13 @@ class TestStratumAndComplex:
             jsonio.cellcx_cells_from_json(payload)
 
 
+def _collapsed_ends():
+    """A map with the ends of ``boundary_inclusion(1)`` that sends both
+    vertices to "0"."""
+    return SimplicialMap(boundary_inclusion(1).dom, standard_simplex(1),
+                         {"0": "0", "1": "0"})
+
+
 class TestFactorAndFillers:
     def test_factor_result_roundtrip(self):
         fr = free_complex(boundary_inclusion(1))
@@ -113,6 +120,19 @@ class TestFactorAndFillers:
         fr = free_complex(boundary_inclusion(1))
         payload = jsonio.factor_result_to_json(fr)
         payload["stage_counts"] = [1, 1]
+        with pytest.raises(DeltaError):
+            jsonio.factor_result_from_json(payload)
+
+    @pytest.mark.parametrize("field, foreign", [
+        ("input", _collapsed_ends()),
+        ("input", fold_map()),
+        ("ef", free_complex(_collapsed_ends()).ef),
+    ])
+    def test_factor_result_of_another_map_rejected(self, field, foreign):
+        """The loader checks that ef after U(Kf) is the input map."""
+        fr = free_complex(boundary_inclusion(1))
+        payload = jsonio.factor_result_to_json(fr)
+        payload[field] = jsonio.map_to_json(foreign)
         with pytest.raises(DeltaError):
             jsonio.factor_result_from_json(payload)
 
@@ -215,11 +235,12 @@ def test_dumps_non_string_keys_match_json_or_raise(value):
 
 # -- the shape writers -------------------------------------------------------
 
-# Affixes that make every id hold JSON and ``str.format`` syntax, escapes,
-# non-ASCII or a control character.
+# Affixes that make every id hold JSON, ``str.format`` or printf syntax,
+# escapes, non-ASCII or a control character.
 _AFFIX = st.sampled_from(["", "{", "}", "{}", "{0}", '"', "\\", ".", "\u00e9",
-                          "\x07", "{!r}", "\u2603"]) | \
-    st.text(alphabet="{}\"\\.\u00e9\x07\u26030", max_size=4)
+                          "\x07", "{!r}", "\u2603", "%", "%s", "%%", "%(x)s",
+                          "%d"]) | \
+    st.text(alphabet="{}\"\\.\u00e9\x07\u26030%s", max_size=4)
 
 _TO_JSON = {DeltaComplex: jsonio.complex_to_json,
             SimplicialMap: jsonio.map_to_json,
@@ -270,6 +291,7 @@ def _edge_values(name):
 @given(st.integers(0, 2 ** 32), _AFFIX, _AFFIX)
 @example(0, "{", "}")
 @example(1, '{}"', "\\\x07\u00e9")
+@example(2, "%(x)s", "%%d%")
 def test_text_is_dumps_of_to_json(seed, prefix, suffix):
     """``text`` writes exactly ``dumps(x_to_json(x))`` for every shape."""
     def name(s):

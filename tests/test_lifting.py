@@ -150,6 +150,20 @@ class TestSolver:
                                   SimplicialMap(c.body, d1, {"v": "1"})))
         assert exc.value.square == square_key(0, "1", {})
 
+    @pytest.mark.parametrize("entries, fallback, chooser", [
+        ({square_key(0, "0", {}): "nope"}, "search", None),  # bad entry
+        ({}, "fail", None),                                  # no entry
+        ({}, "fail", lambda u, target: "0"),                 # bad choice
+    ])
+    def test_filler_errors_report_square(self, entries, fallback, chooser):
+        """The key that is built only on demand still names the square."""
+        fold = fold_map()
+        ft = FillerTable(fold, entries, fallback, chooser)
+        u = SimplicialMap(EMPTY, fold.dom, {})
+        with pytest.raises(LiftError) as exc:
+            ft.filler(u, "0")
+        assert exc.value.square == square_key(0, "0", {})
+
 
 class TestVerify:
     def test_corrupted_entry_single_failure(self):

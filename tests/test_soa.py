@@ -496,7 +496,8 @@ def oracle_cell_id(digest, stage, k, t, u):
 
 _IMAGES = st.sampled_from(
     ['"', "\\", "{", "}", "{}", "{0}", "null", "\x00", "\x1f", "\x7f",
-     "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff", '"]], [']) | \
+     "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff", '"]], [',
+     "%", "%s", "%%", "%(x)s", "%d"]) | \
     st.text(st.characters(categories=["Cc", "Cs", "Lo", "Po", "Ps", "Pe"]),
             max_size=4) | st.text(max_size=4)
 
