@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
 
 
 class DeltaError(ValueError):
@@ -475,10 +474,72 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
 
 
 @functools.lru_cache(maxsize=None)
-def _leads(k):
-    """The getters of the faces that x_0..x_(j-1) fix for facet x_j of a
-    boundary lift of shape k: face j - 1 of each; none below shape 2."""
-    return tuple(itemgetter(j - 1) for j in range(k + 1)) if k > 1 else None
+def _lift_kernel(k):
+    """The boundary-lift search of shape k, compiled on first use.
+
+    Returns ``(keys, search)``: the ids of the boundary of the standard
+    k-simplex, sorted, and ``search(f, t, new)``, which returns the lifts
+    of the k-simplex t (see ``boundary_lifts``) as tuples of images in key
+    order.  ``search`` runs one loop per facet x_0..x_k over the candidates
+    ``f.prefix_index(k - 1)`` gives for its target and the faces its
+    predecessors fix, then reads every lower simplex off the faces of
+    x_0..x_(k-1) in straight-line code: a simplex of codimension >= 2
+    omits some vertex i < k, so it lies in facet x_i.  The source is
+    generated from k alone; ids only ever reach it as arguments.
+    """
+    bd = boundary_complex(k)
+    keys = tuple(sorted(bd.id_set))
+    if k == 0:  # one empty lift, never proper: it has no facet
+        return keys, lambda f, t, new: [()] if new is None else []
+    facets = facet_ids(k)
+    image = {s: f"x{j}" for j, s in enumerate(facets)}
+    # the variables holding fetched face tuples; vertices have none
+    tuples = {s: f"f{j}" for j, s in enumerate(facets[:-1])} if k > 1 \
+        else {}
+
+    def cands(j):  # by target, and the faces that x_0..x_(j-1) fix
+        fixed = "".join(f"f{i}[{j - 1}], " for i in range(j) if k > 1)
+        return f"index.get((t{j}, ({fixed})), ())"
+
+    lines = ["def search(f, t, new):",
+             f" index = f.prefix_index({k - 1})",
+             f" {''.join(f't{j}, ' for j in range(k + 1))}= f.cod.faces[t]",
+             " faces = f.dom.faces",
+             " out = []",
+             " add = out.append",
+             " n = new is None"]
+    for j in range(k):
+        pad = " " * (j + 1)
+        lines.append(f"{pad}for x{j} in {cands(j)}:")
+        if k > 1:
+            lines.append(f"{pad} f{j} = faces[x{j}]")
+        lines.append(f"{pad} n{j} = {f'n{j - 1}' if j else 'n'} "
+                     f"or x{j} in new")
+    # x_k is drawn from ``new`` alone when no earlier facet is new
+    pad = " " * (k + 1)
+    lines += [f"{pad}cands = {cands(k)}",
+              f"{pad}if not n{k - 1}:",
+              f"{pad} cands = [x for x in cands if x in new]",
+              f"{pad}if cands:"]
+    # each lower simplex is face i of a parent whose face tuple is held,
+    # else of its first parent, whose tuple is then fetched once
+    for m in range(k - 2, -1, -1):
+        for s in bd.ids(m):
+            parents = [(p, bd.faces[p].index(s)) for p in bd.ids(m + 1)
+                       if s in bd.faces[p]]
+            p, i = ([pi for pi in parents if pi[0] in tuples] or parents)[0]
+            if p not in tuples:
+                tuples[p] = f"g{len(tuples)}"
+                lines.append(f"{pad} {tuples[p]} = faces[{image[p]}]")
+            image[s] = f"y{len(image)}"
+            lines.append(f"{pad} {image[s]} = {tuples[p]}[{i}]")
+    lines += [f"{pad} for x{k} in cands:",
+              f"{pad}  add(({''.join(image[s] + ', ' for s in keys)}))",
+              " return out"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<boundary lifts of shape {k}>",
+                 "exec"), namespace)
+    return keys, namespace["search"]
 
 
 def boundary_lifts(f, t, new=None):
@@ -488,47 +549,17 @@ def boundary_lifts(f, t, new=None):
     A lift is fixed by its facets x_0..x_k, subject to ``f(x_i) = d_i t``
     and ``d_i x_j = d_(j-1) x_i`` for i < j.  So the first j faces of x_j
     are fixed by x_0..x_(j-1), and ``f.prefix_index`` yields the candidates
-    for x_j directly; the search recurses k + 1 deep.  With ``new`` (a set
-    of domain ids), only lifts with some facet in ``new`` are kept: when no
-    earlier facet is new, x_k is drawn from ``new`` alone, so no other lift
-    is built.  Output order is lexicographic in the facet tuple.
+    for x_j directly: the search (``_lift_kernel``, compiled once per
+    shape) nests k + 1 loops.  With ``new`` (a set of domain ids), only
+    lifts with some facet in ``new`` are kept: when no earlier facet is
+    new, x_k is drawn from ``new`` alone, so no other lift is built.
+    Output order is lexicographic in the facet tuple.
     """
-    a = f.dom
     k = f.cod.dim(t)
-    bd = boundary_complex(k)
-    if k == 0:
-        return [] if new is not None else \
-            [SimplicialMap(bd, a, {}, validate=False)]
-    index = f.prefix_index(k - 1)
-    targets = f.cod.faces[t]
-    faces = a.faces
-    lead = _leads(k)
-    xs = []
-    xfaces = []
-    results = []
-
-    def rec(j, fresh):
-        prefix = tuple(map(lead[j], xfaces)) if lead else ()
-        cands = index.get((targets[j], prefix), ())
-        if j == k:
-            for c in cands:
-                if fresh or c in new:
-                    xs.append(c)
-                    results.append(SimplicialMap(
-                        bd, a, _boundary_assign(k, xs, faces),
-                        validate=False))
-                    xs.pop()
-            return
-        for c in cands:
-            xs.append(c)
-            xfaces.append(faces.get(c))
-            rec(j + 1, fresh or c in new)
-            xs.pop()
-            xfaces.pop()
-
-    rec(0, new is None)
-    del rec  # rec refers to itself: break the cycle, free the search now
-    return results
+    keys, search = _lift_kernel(k)
+    bd, a = boundary_complex(k), f.dom
+    return [SimplicialMap(bd, a, zip(keys, images), validate=False)
+            for images in search(f, t, new)]
 
 
 # -- colimits -------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 from json.encoder import encode_basestring_ascii
 
 from .delta import (
@@ -30,8 +29,8 @@ from .delta import (
     DeltaError,
     InvariantError,
     SimplicialMap,
+    _lift_kernel,
     boundary_complex,
-    boundary_lifts,
     compose,
     identity_map,
     mediate,
@@ -65,24 +64,32 @@ def _map_digest(f):
 @functools.lru_cache(maxsize=None)
 def _lift_template(k):
     """The JSON text ``[["0", %s], ["01", %s], ...]`` of a boundary lift of
-    shape k, keys sorted, as a ``%`` template with one slot per image, and
-    a getter of an assignment's images in that key order.  Shape 0 has no
-    keys, and its empty assignment has no values."""
-    keys = sorted(boundary_complex(k).id_set)
-    text = "[" + ", ".join("[" + encode_basestring_ascii(s).replace("%", "%%")
+    shape k, keys sorted, as a ``%`` template with one slot per image in
+    the key order of ``_lift_kernel(k)``.  Shape 0 has no keys."""
+    keys = _lift_kernel(k)[0]
+    return "[" + ", ".join("[" + encode_basestring_ascii(s).replace("%", "%%")
                            + ", %s]" for s in keys) + "]"
-    return text, operator.itemgetter(*keys) if keys else dict.values
 
 
-def _cell_id(digest, stage, k, t, u):
+def _cell_id(digest, stage, k, t, images, escape):
     """The id ``digest.stage.k.t.LIFT`` of the cell glued at ``stage`` over
-    the k-simplex t along the boundary lift u.  LIFT is 12 hex digits of the
-    SHA-1 of ``json.dumps(sorted(u.assign.items()))``, written by filling
-    the text of shape k with the escaped images (ids, so strings)."""
-    fill, images = _lift_template(k)
-    lift = (fill % tuple(map(encode_basestring_ascii,
-                             images(u.assign)))).encode()
+    the k-simplex t along the boundary lift u with ``images`` in key order.
+    LIFT is 12 hex digits of the SHA-1 of
+    ``json.dumps(sorted(u.assign.items()))``, written by filling the text
+    of shape k with the images (ids, so strings) as ``escape`` writes
+    them in JSON."""
+    lift = (_lift_template(k) % tuple(map(escape, images))).encode()
     return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
+
+
+class _Escapes(dict):
+    """The ASCII JSON text of each id, computed on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring_ascii(s)
+        return text
 
 
 class FactorResult:
@@ -146,10 +153,12 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
     image lies inside ``prev_ids`` (the face-closed previous stage) are
     omitted (properness filtering): a lift is kept iff some facet is a new
     simplex, outside ``prev_ids``.  Only such lifts are enumerated, and only
-    for shapes k whose facet dimension k - 1 has new simplices.  Returns
+    for shapes k whose facet dimension k - 1 has new simplices, by the
+    search of ``_lift_kernel(k)``: each lift arrives as its tuple of
+    images, which both the cell id and the attaching map read.  Returns
     (stratum, extended codomain map from the stratum's body), which is f
-    itself when no cell is glued.  An id glued twice can only be a
-    collision of hashed lifts: InvariantError.
+    itself, with nothing copied, when no cell is glued.  An id glued twice
+    can only be a collision of hashed lifts: InvariantError.
     """
     if digest is None:
         digest = _map_digest(f)
@@ -159,23 +168,29 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
         new = a.id_set - prev_ids
         new_dims = {a.dim(s) for s in new}
     cells = []
-    e_assign = dict(f.assign)
+    glued = {}
+    escape = _Escapes().__getitem__  # ids recur across lifts: escape once
     for k in range(b.max_dim + 1):
         if new_dims is not None and k - 1 not in new_dims:
             continue
+        keys, search = _lift_kernel(k)
+        bd = boundary_complex(k)
         for t in b.ids(k):
-            for u in boundary_lifts(f, t, new):
-                cid = _cell_id(digest, stage, k, t, u)
-                cells.append(Cell(cid, k, u, validate=False))
-                e_assign[cid] = t
+            for images in search(f, t, new):
+                cid = _cell_id(digest, stage, k, t, images, escape)
+                cells.append(Cell(cid, k, SimplicialMap(
+                    bd, a, zip(keys, images), validate=False),
+                    validate=False))
+                glued[cid] = t
+    if not cells:
+        return Stratum(a, cells, validate=False), f
+    e_assign = {**f.assign, **glued}
     if len(e_assign) != len(f.assign) + len(cells):
         seen = set(f.assign)  # the first id met twice
         cid = next(c.id for c in cells if c.id in seen or seen.add(c.id))
         raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
                              f"hashed lifts; internal invariant violated")
     st = Stratum(a, cells, validate=False)
-    if not cells:
-        return st, f
     return st, SimplicialMap(body(st)[0], b, e_assign, validate=False)
 
 

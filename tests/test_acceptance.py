@@ -7,6 +7,7 @@ numerical tolerance — all comparisons are equalities of finite structures.
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -286,9 +287,9 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     # byte-identical reruns
     out_path = str(tmp_path / "fr.json")
     run("factor", f1, "--out", out_path)
-    first = open(out_path).read()
+    first = Path(out_path).read_text()
     run("factor", f1, "--out", out_path)
-    okays.append(open(out_path).read() == first)
+    okays.append(Path(out_path).read_text() == first)
     # check over the criterion-2 corpus
     code, out1, _ = run("check", "--format", "json")
     okays.append(code == 0)

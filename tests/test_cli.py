@@ -76,7 +76,8 @@ class TestFactor:
         # collision of the hashed lift: an internal error, not bad input
         from relcell import soa
         monkeypatch.setattr(soa, "_cell_id",
-                            lambda digest, stage, k, t, u: f"{stage}.{k}")
+                            lambda digest, stage, k, t, images, escape:
+                            f"{stage}.{k}")
         _, write = files
         path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
         code, _, err = run_cli(capsys, "factor", path)

@@ -35,6 +35,7 @@ from relcell import (
     top_simplex_id,
 )
 from relcell import gen
+from relcell.delta import MAX_DIM
 
 
 def brute_homs(dom, cod):
@@ -221,9 +222,13 @@ class TestHomEnumeration:
         assert homs[0].assign == {"0": "0", "1": "1"}
 
     def test_boundary_lifts_match_post_constrained_homs(self):
+        """The lifts are the post-constrained homs, the proper ones those
+        with an image outside ``old``, listed in increasing facet tuples."""
         rng = random.Random(41)
-        for _ in range(20):
-            f = gen.rand_map(rng, max_dim=2)
+        for max_dim in [2] * 20 + [3] * 20:
+            f = gen.rand_map(rng, max_dim=max_dim)
+            if max_dim == 3:  # a counit lifts most shape-3 targets, often
+                f = free_complex(f).ef  # more than once
             old = gen.rand_subcomplex(rng, f.dom).id_set
             new = f.dom.id_set - old
             for k, t in f.cod.all_ids():
@@ -232,12 +237,27 @@ class TestHomEnumeration:
                 want = sorted(tuple(sorted(h.assign.items())) for h in homs)
                 proper = [u for u in want
                           if not {s for _, s in u} <= old]
+                facets = standard_simplex(k).faces_of(top_simplex_id(k))
                 for kept, got in ((want, boundary_lifts(f, t)),
                                   (proper, boundary_lifts(f, t, new))):
                     assert sorted(tuple(sorted(u.assign.items()))
                                   for u in got) == kept
                     assert all(u.dom is boundary_complex(k) and
                                u.cod is f.dom for u in got)
+                    order = [tuple(map(u.assign.get, facets)) for u in got]
+                    assert all(x < y for x, y in zip(order, order[1:]))
+
+    @pytest.mark.parametrize("k", range(MAX_DIM + 1))
+    def test_boundary_lifts_of_the_top_simplex(self, k):
+        """Along the identity of the standard k-simplex, the top simplex
+        lifts exactly once: by the boundary inclusion, which is proper
+        unless k is 0 (it has no facet)."""
+        full = standard_simplex(k)
+        incl = inclusion_map(boundary_complex(k), full)
+        top = top_simplex_id(k)
+        assert boundary_lifts(identity_map(full), top) == [incl]
+        assert boundary_lifts(identity_map(full), top, full.id_set) == \
+            ([incl] if k else [])
 
 
 class TestColimits:

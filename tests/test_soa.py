@@ -508,10 +508,15 @@ _IMAGES = st.sampled_from(
        picks=st.randoms(use_true_random=False), stage=st.integers(0, 40),
        t=_IMAGES)
 def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage, t):
-    """The templated id writer gives the oracle's bytes for every shape.
-    The id reads only the assignment, so u need not be a simplicial map."""
+    """The templated id writer gives the oracle's bytes for every shape,
+    from the images in sorted key order, with a fresh or a warm escape
+    memo.  The id reads only the assignment, so u need not be a simplicial
+    map."""
     bd = boundary_complex(k)
     assign = {s: picks.choice(pool) for _, s in bd.all_ids()}
     u = SimplicialMap(bd, EMPTY, assign, validate=False)
-    assert soa._cell_id("0123456789", stage, k, t, u) == \
-        oracle_cell_id("0123456789", stage, k, t, u)
+    images = tuple(image for _, image in sorted(assign.items()))
+    escape = soa._Escapes().__getitem__
+    for _ in range(2):
+        assert soa._cell_id("0123456789", stage, k, t, images, escape) == \
+            oracle_cell_id("0123456789", stage, k, t, u)
