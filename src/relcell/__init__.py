@@ -13,7 +13,6 @@ from .delta import (
     DeltaComplex,
     DeltaError,
     EMPTY,
-    Filtration,
     InvariantError,
     SimplicialMap,
     boundary_complex,

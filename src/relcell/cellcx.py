@@ -20,8 +20,8 @@ from __future__ import annotations
 from .delta import (
     ArrowSquare,
     DeltaError,
-    Filtration,
     SimplicialMap,
+    boundary_complex,
     colimit,
     compose,
     equaliser,
@@ -47,10 +47,7 @@ class CellComplex:
     def __init__(self, boundary, strata, validate=True):
         self.boundary = boundary
         self.strata = tuple(strata)
-        stages = [boundary]
-        for st in self.strata:
-            stages.append(body(st)[0])
-        self._stages = tuple(stages)
+        self._stages = (boundary, *map(body, self.strata))
         self._u = None
         self._cell_stage = {}
         for n, st in enumerate(self.strata):
@@ -89,10 +86,9 @@ class CellComplex:
 
     @property
     def filtration(self):
-        return Filtration(self._stages, validate=False)
-
-    def stage(self, n):
-        return self._stages[n]
+        """The stages: the base, then each stratum's body, each a literal
+        subcomplex of the next."""
+        return self._stages
 
     def stage_of_cell(self, cid):
         return self._cell_stage[cid]
@@ -132,9 +128,8 @@ def u_of_complex(c):
 
 def generator_complex(k):
     """The canonical height-one single-cell complex over the k-th generator."""
-    from .delta import boundary_complex, identity_map as idm
     bd = boundary_complex(k)
-    cell = Cell(f"cell{k}", k, idm(bd), validate=False)
+    cell = Cell(f"cell{k}", k, identity_map(bd), validate=False)
     return CellComplex(bd, (Stratum(bd, [cell], validate=False),),
                        validate=False)
 
@@ -172,7 +167,7 @@ def assemble(boundary, cells):
                       for c in placeable],
                      validate=False)
         strata.append(st)
-        current = body(st)[0]
+        current = body(st)
         placed = {c.id for c in placeable}
         remaining = [c for c in remaining if c.id not in placed]
     return CellComplex(boundary, strata, validate=False)

@@ -26,7 +26,7 @@ from .delta import (
     pushout,
     standard_simplex,
 )
-from .cellcx import compose_complexes
+from .cellcx import assemble, compose_complexes
 from .soa import CapExceededError, check_awfs_laws, free_complex, Factorizer
 from .lifting import LiftError, solve_lifting
 from .gen import rand_nat_square, rng_from_seed
@@ -54,6 +54,8 @@ def _load(path, loader):
             f"{err.colno}: {err.msg}") from err
     except UnicodeDecodeError as err:
         raise _InputError(f"{path}: cannot decode text: {err.reason}") from err
+    except RecursionError as err:
+        raise _InputError(f"{path}: JSON nested too deeply") from err
     try:
         return loader(obj)
     except DeltaError as err:
@@ -131,7 +133,6 @@ def cmd_compose(args):
 
 def cmd_normalize(args):
     base, cells = _load(args.complex, jsonio.cellcx_cells_from_json)
-    from .cellcx import assemble
     try:
         c = assemble(base, cells)
     except DeltaError as err:

@@ -731,38 +731,14 @@ def is_pullback(sq):
 # -- filtrations ----------------------------------------------------------
 
 
-class Filtration:
-    """An increasing sequence of literal subcomplexes."""
-
-    __slots__ = ("stages", "_id_sets")
-
-    def __init__(self, stages, validate=True):
-        self.stages = tuple(stages)
-        if not self.stages:
-            raise DeltaError("a filtration needs at least one stage")
-        if validate:
-            for lo, hi in zip(self.stages, self.stages[1:]):
-                if not lo.is_subcomplex_of(hi):
-                    raise DeltaError("filtration stages must be nested")
-        self._id_sets = [st.id_set for st in self.stages]
-
-    @property
-    def top(self):
-        return self.stages[-1]
-
-    def __len__(self):
-        return len(self.stages)
-
-    def __getitem__(self, n):
-        return self.stages[n]
-
-
-def mec(u, filt):
-    """Minimal enclosing stage: least n with image(u) inside stage n."""
-    if u.cod != filt.top:
+def mec(u, stages):
+    """Minimal enclosing stage: least n with image(u) inside ``stages[n]``,
+    where ``stages`` are nested literal subcomplexes, such as a
+    ``CellComplex.filtration``."""
+    if u.cod != stages[-1]:
         raise DeltaError("map must land in the top stage of the filtration")
     img = set(u.assign.values())
-    for n, ids in enumerate(filt._id_sets):
-        if img <= ids:
+    for n, stage in enumerate(stages):
+        if img <= stage.id_set:
             return n
     raise InvariantError("image not contained in the top stage")

@@ -26,7 +26,7 @@ from .delta import (
     pushout,
     standard_simplex,
 )
-from .strata import Cell, Stratum, pushforward_morphism
+from .strata import Cell, Stratum, body, pushforward_morphism
 from .cellcx import normalize, pushforward_complex, u_of_complex
 
 
@@ -131,16 +131,20 @@ def rand_strata_morphism(rng):
 
 
 def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
-    """A random proper connected complex with at most ``max_cells`` cells."""
+    """A random proper connected complex with at most ``max_cells`` cells,
+    named ``prefix`` and a number, with trailing ``'`` while that names a
+    simplex already there (a prefix such as ``"0."`` can spell a base id)."""
     base = rand_complex(rng, max_dim)
     strata = []
     current = base
-    from .strata import body
     for i in range(rng.randint(0, max_cells)):
         k, attach = rand_attach(rng, current, max_dim)
-        st = Stratum(current, [Cell(f"{prefix}{i}", k, attach)])
+        cid = f"{prefix}{i}"
+        while cid in current:
+            cid += "'"
+        st = Stratum(current, [Cell(cid, k, attach)])
         strata.append(st)
-        current = body(st)[0]
+        current = body(st)
     return normalize(base, strata)
 
 
@@ -155,7 +159,6 @@ def rand_complex_morphism(rng):
 def shuffled_strata(rng, c):
     """A connected stratum sequence with the same cells as c but cells
     pushed to random later stages (generally improper)."""
-    from .strata import body
     placed = []
     stage_of = {}
     for _, cell in c.all_cells():
@@ -177,7 +180,7 @@ def shuffled_strata(rng, c):
                  for s, cl in placed if s == stage]
         st = Stratum(current, cells, validate=False)
         strata.append(st)
-        current = body(st)[0]
+        current = body(st)
     return strata
 
 

@@ -29,7 +29,7 @@ from .delta import (
     compose,
     facet_ids,
 )
-from .strata import Cell, Stratum
+from .strata import Cell, Stratum, body
 from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
 from .soa import FactorResult
@@ -351,19 +351,24 @@ def stratum_to_json(st):
             "cells": [_cell_to_json(c) for c in st.cells]}
 
 
-def stratum_from_json(obj):
-    _expect(isinstance(obj, dict) and {"boundary", "cells"} <= set(obj),
-            "stratum JSON must carry boundary and cells")
-    boundary = complex_from_json(obj["boundary"])
-    _expect_list(obj["cells"], "cells")
-    return Stratum(boundary,
-                   [_cell_from_json(c, boundary) for c in obj["cells"]])
-
-
 def cellcx_to_json(c):
     return {"base": complex_to_json(c.boundary),
             "strata": [{"cells": [_cell_to_json(x) for x in st.cells]}
                        for st in c.strata]}
+
+
+def _complex_parts(obj):
+    """The base complex and each stratum entry's list of cell objects, from
+    complex JSON whose containers are checked here (cells are not)."""
+    _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
+            "complex JSON must carry base and strata")
+    base = complex_from_json(obj["base"])
+    _expect_list(obj["strata"], "strata")
+    for entry in obj["strata"]:
+        _expect(isinstance(entry, dict) and "cells" in entry,
+                "each stratum entry must carry cells")
+        _expect_list(entry["cells"], "cells")
+    return base, [entry["cells"] for entry in obj["strata"]]
 
 
 def cellcx_cells_from_json(obj):
@@ -374,16 +379,8 @@ def cellcx_cells_from_json(obj):
     particular stage: the base plus one simplex per cell, whose faces are
     the cell's attach on the facets.  The cells attach into the pool.
     """
-    _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
-            "complex JSON must carry base and strata")
-    base = complex_from_json(obj["base"])
-    _expect_list(obj["strata"], "strata")
-    raw = []
-    for st in obj["strata"]:
-        _expect(isinstance(st, dict) and "cells" in st,
-                "each stratum entry must carry cells")
-        _expect_list(st["cells"], "cells")
-        raw.extend(st["cells"])
+    base, entries = _complex_parts(obj)
+    raw = list(itertools.chain.from_iterable(entries))
     simplices = {k: list(ids) for k, ids in base.simplices.items()}
     faces = dict(base.faces)
     for c in raw:
@@ -399,21 +396,13 @@ def cellcx_cells_from_json(obj):
 
 def cellcx_from_json(obj):
     """Strict loader: rebuilds the complex stage by stage and revalidates."""
-    _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
-            "complex JSON must carry base and strata")
-    base = complex_from_json(obj["base"])
-    _expect_list(obj["strata"], "strata")
-    from .strata import body
+    base, entries = _complex_parts(obj)
     strata = []
     current = base
-    for entry in obj["strata"]:
-        _expect(isinstance(entry, dict) and "cells" in entry,
-                "each stratum entry must carry cells")
-        _expect_list(entry["cells"], "cells")
-        st = Stratum(current,
-                     [_cell_from_json(c, current) for c in entry["cells"]])
+    for cells in entries:
+        st = Stratum(current, [_cell_from_json(c, current) for c in cells])
         strata.append(st)
-        current = body(st)[0]
+        current = body(st)
     return CellComplex(base, strata)
 
 

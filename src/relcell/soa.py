@@ -191,7 +191,7 @@ def k1_step(f, prev_ids=None, stage=0, digest=None):
         raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
                              f"hashed lifts; internal invariant violated")
     st = Stratum(a, cells, validate=False)
-    return st, SimplicialMap(body(st)[0], b, e_assign, validate=False)
+    return st, SimplicialMap(body(st), b, e_assign, validate=False)
 
 
 def free_complex(f, safety_cap=32):

@@ -90,19 +90,19 @@ class Stratum:
 
 
 def body(st):
-    """Glue all cells onto the boundary.
+    """Glue all cells onto the boundary: the body complex.
 
-    Returns (body complex, inclusion of the boundary).  The glued top simplex
-    of each cell carries the cell's id; a collision with a boundary id is an
-    error.  The pair is built on the first call and cached on the stratum,
-    so every caller shares one body; a stratum without cells has its
-    boundary as its body.  A cell's characteristic map is
-    ``delta.characteristic_map(body complex, cell id)``.
+    The glued top simplex of each cell carries the cell's id; a collision
+    with a boundary id is an error.  The body is built on the first call and
+    cached on the stratum, so every caller shares one; a stratum without
+    cells has its boundary as its body.  The boundary is a literal
+    subcomplex of the body (``inclusion_map(st.boundary, body(st))``), and a
+    cell's characteristic map is ``delta.characteristic_map(body(st), id)``.
     """
     if st._body is not None:
         return st._body
     if not st.cells:
-        st._body = (st.boundary, identity_map(st.boundary))
+        st._body = st.boundary
         return st._body
     simp = {k: list(ids) for k, ids in st.boundary.simplices.items()}
     faces = dict(st.boundary.faces)
@@ -114,8 +114,7 @@ def body(st):
         if c.dim >= 1:
             faces[c.id] = tuple(map(c.attach.assign.__getitem__,
                                     facet_ids(c.dim)))
-    total = DeltaComplex(simp, faces, validate=False)
-    st._body = (total, inclusion_map(st.boundary, total))
+    st._body = DeltaComplex(simp, faces, validate=False)
     return st._body
 
 
@@ -145,7 +144,7 @@ class StrataMorphism:
 
     @property
     def body_map(self):
-        return SimplicialMap(body(self.dom)[0], body(self.cod)[0],
+        return SimplicialMap(body(self.dom), body(self.cod),
                              {**self.f.assign, **self.p}, validate=False)
 
     def __eq__(self, other):
@@ -172,8 +171,9 @@ def compose_strata_morphisms(m2, m1):
 
 def u_of_strata_morphism(m):
     """The square with the underlying-map legs and the induced body map."""
-    return ArrowSquare(top=m.f, bottom=m.body_map, left=body(m.dom)[1],
-                       right=body(m.cod)[1])
+    return ArrowSquare(top=m.f, bottom=m.body_map,
+                       left=inclusion_map(m.dom.boundary, body(m.dom)),
+                       right=inclusion_map(m.cod.boundary, body(m.cod)))
 
 
 def pushforward_stratum(st, g):
@@ -190,7 +190,7 @@ def pushforward_morphism(st, g):
     """
     if g.dom != st.boundary:
         raise StrataError("pushforward map must start at the boundary")
-    _, leg, _ = pushout(body(st)[1], g)
+    _, leg, _ = pushout(inclusion_map(st.boundary, body(st)), g)
     p = {c.id: leg(c.id) for c in st.cells}
     cells = [Cell(p[c.id], c.dim, compose(g, c.attach), validate=False)
              for c in st.cells]
@@ -221,7 +221,7 @@ def strata_colimit(objs, arrows):
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise StrataError("diagram arrow endpoints do not match")
-    total, body_legs = colimit([body(st)[0] for st in objs],
+    total, body_legs = colimit([body(st) for st in objs],
                                [(a, b, m.body_map) for a, b, m in arrows])
     out = Stratum(bound, cells_over(bound, total, bound), validate=False)
     cocone = [StrataMorphism(st, out, legs[i],

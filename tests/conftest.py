@@ -70,6 +70,6 @@ def mec_partition_composite(a, b):
             break
         st = Stratum(current, cells, validate=False)
         strata.append(st)
-        current = body(st)[0]
+        current = body(st)
         n += 1
     return CellComplex(a.boundary, strata, validate=False)

@@ -75,7 +75,7 @@ def test_criterion_1_free_factorization_golden_instance():
         ok = ok and sorted((c.dim, fr.ef.assign[c.id]) for c in st.cells) \
             == sorted((k, t) for k, t, _ in squares)
         prev = g.dom.id_set
-        stage = fr.kf.stage(n + 1)
+        stage = fr.kf.filtration[n + 1]
         g = SimplicialMap(stage, f.cod,
                           {s: fr.ef.assign[s] for s in stage.id_set})
     report(1, ok, "free factorization of the dim-1 boundary inclusion "
@@ -135,7 +135,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         m2 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
         out, legs = strata_colimit([s0, m1.cod, m2.cod],
                                    [(0, 1, m1), (0, 2, m2)])
-        bodies = [strata_body(s)[0] for s in (s0, m1.cod, m2.cod)]
+        bodies = [strata_body(s) for s in (s0, m1.cod, m2.cod)]
         exp, exp_legs = delta_colimit(
             bodies, [(0, 1, u_of_strata_morphism(m1).bottom),
                      (0, 2, u_of_strata_morphism(m2).bottom)])
@@ -149,7 +149,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         eb, _ = delta_equaliser(u_of_strata_morphism(m).bottom,
                                 u_of_strata_morphism(m).bottom)
         checked += 1
-        good += (strata_body(e)[0] == eb)
+        good += (strata_body(e) == eb)
     for _ in range(25):  # cell-complex colimits + properness revalidation
         c = gen.rand_cell_complex(rng, max_cells=3)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]

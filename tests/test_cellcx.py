@@ -192,7 +192,7 @@ def build_on(rng, base, max_cells, prefix):
         k, attach = gen.rand_attach(rng, current, 2)
         st = Stratum(current, [Cell(f"{prefix}{i}", k, attach)])
         strata.append(st)
-        current = st_body(st)[0]
+        current = st_body(st)
     return normalize(base, strata)
 
 
@@ -400,7 +400,7 @@ class TestImageProperty:
             u = identity_map(c.boundary)
             acc = c.boundary
             for n in range(c.height):
-                step = inclusion_map(acc, c.stage(n + 1))
+                step = inclusion_map(acc, c.filtration[n + 1])
                 u = compose(step, u)
-                acc = c.stage(n + 1)
+                acc = c.filtration[n + 1]
             assert u == u_of_complex(c)

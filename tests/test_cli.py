@@ -232,6 +232,54 @@ def test_codomain_above_max_dim_exit_2(files, capsys, command):
     assert "dimension 10" in err and "dimension 9 only" in err
 
 
+# each subcommand that reads files, with the number of files it reads
+_FILE_ARGS = {"factor": 1, "compose": 2, "normalize": 1, "pushout": 2,
+              "lift": 4, "check": 1, "export-dot": 1}
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_ARGS))
+def test_deeply_nested_json_exit_2(capsys, tmp_path, command):
+    """JSON nested past the parser's recursion limit is an input error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, _, err = run_cli(capsys, command,
+                           *[str(deep)] * _FILE_ARGS[command])
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def _valid_then(entry):
+    """The complex JSON of a valid height-two complex, plus one entry."""
+    obj = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
+    obj["strata"].append(entry)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    [],
+    {"base": {"simplices": {}}},
+    {"strata": []},
+    {"base": {"simplices": {}}, "strata": {}},
+    {"base": {"simplices": {}}, "strata": [1]},
+    {"base": {"simplices": {}}, "strata": [{}]},
+    {"base": {"simplices": {}}, "strata": [{"cells": {}}]},
+    _valid_then({}),
+    _valid_then({"cells": "c"}),
+], ids=["not-an-object", "no-strata", "no-base", "strata-not-a-list",
+        "entry-not-an-object", "entry-without-cells", "cells-not-a-list",
+        "last-entry-without-cells", "last-cells-not-a-list"])
+def test_complex_container_errors_match_in_both_loaders(files, capsys, obj):
+    """``compose`` (strict loader) and ``normalize`` (lax loader) reject
+    each malformed container with one message."""
+    _, write = files
+    path = write("c.json", obj)
+    strict = run_cli(capsys, "compose", path, path)
+    lax = run_cli(capsys, "normalize", path)
+    assert strict[0] == lax[0] == 2
+    assert strict[2] == lax[2] and strict[2].startswith(f"error: {path}: ")
+
+
 # argv of each subcommand, and the flags it never reads
 _UNREAD_FLAGS = {
     ("factor", "m.json"): ["--seed"],

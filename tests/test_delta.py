@@ -12,7 +12,6 @@ from relcell import (
     DeltaComplex,
     DeltaError,
     EMPTY,
-    Filtration,
     SimplicialMap,
     boundary_complex,
     boundary_lifts,
@@ -440,17 +439,10 @@ class TestPullbacks:
 
 
 class TestFiltration:
-    def test_validation(self):
-        d1 = standard_simplex(1)
-        sub = d1.subcomplex({"0"})
-        Filtration([sub, d1])
-        with pytest.raises(DeltaError):
-            Filtration([d1, sub])
-
     def test_mec_examples(self):
         d1 = standard_simplex(1)
         sub = d1.subcomplex({"0"})
-        filt = Filtration([sub, d1])
+        filt = (sub, d1)
         assert mec(SimplicialMap(EMPTY, d1, {}), filt) == 0
         assert mec(inclusion_map(d1, d1), filt) == 1
         assert mec(SimplicialMap(standard_simplex(0), d1, {"0": "0"}),

@@ -1,4 +1,5 @@
-"""Static checks on the package sources: no dead exports, no unused imports.
+"""Static checks on the package sources: no dead exports, no unused imports,
+and no imports inside a function or a class.
 
 An exported name counts as used when another module under ``src/relcell``
 or a test refers to it by name (a bare name, or an imported name); an
@@ -59,3 +60,13 @@ def test_no_unused_import():
                 if isinstance(node, ast.Name)}
         unused += [f"{name}: {n}" for n in sorted(imported - read)]
     assert unused == []
+
+
+def test_imports_at_module_level():
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    imports = (ast.Import, ast.ImportFrom)
+    nested = {f"{name}:{node.lineno}"
+              for name, tree in MODULES.items()
+              for scope in ast.walk(tree) if isinstance(scope, scopes)
+              for node in ast.walk(scope) if isinstance(node, imports)}
+    assert sorted(nested) == []

@@ -69,12 +69,6 @@ class TestMapRoundTrip:
 
 
 class TestStratumAndComplex:
-    def test_stratum_roundtrip(self):
-        rng = random.Random(191)
-        for _ in range(15):
-            st = gen.rand_stratum(rng)
-            assert jsonio.stratum_from_json(jsonio.stratum_to_json(st)) == st
-
     def test_cellcx_roundtrip(self):
         rng = random.Random(193)
         for _ in range(15):
@@ -292,6 +286,7 @@ def _edge_values(name):
 @example(0, "{", "}")
 @example(1, '{}"', "\\\x07\u00e9")
 @example(2, "%(x)s", "%%d%")
+@example(0, "0.", "")  # cell ids that spell base ids
 def test_text_is_dumps_of_to_json(seed, prefix, suffix):
     """``text`` writes exactly ``dumps(x_to_json(x))`` for every shape."""
     def name(s):

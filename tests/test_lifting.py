@@ -205,5 +205,5 @@ def rand_on(rng, base):
         k, attach = gen.rand_attach(rng, current, 1)
         st = Stratum(current, [Cell(f"y{j}", k, attach)])
         strata.append(st)
-        current = st_body(st)[0]
+        current = st_body(st)
     return normalize(base, strata)

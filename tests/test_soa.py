@@ -105,7 +105,7 @@ class TestK1Step:
             fr = free_complex(f)
             prev = None
             for n in range(fr.kf.height + 1):
-                stage = fr.kf.stage(n)
+                stage = fr.kf.filtration[n]
                 g = SimplicialMap(stage, f.cod,
                                   {s: fr.ef.assign[s] for s in stage.id_set})
                 glued = [] if n == fr.kf.height else [
@@ -142,11 +142,11 @@ class TestFreeComplex:
                           for c in st.cells) == \
                 sorted((k, t) for k, t, _ in squares)
             prev = g.dom.id_set
-            g = SimplicialMap(fr.kf.stage(fr.kf.strata.index(st) + 1),
+            g = SimplicialMap(fr.kf.filtration[fr.kf.strata.index(st) + 1],
                               f.cod,
                               {s: fr.ef.assign[s]
-                               for s in fr.kf.stage(
-                                   fr.kf.strata.index(st) + 1).id_set})
+                               for s in fr.kf.filtration[
+                                   fr.kf.strata.index(st) + 1].id_set})
 
     def test_empty_to_point(self):
         f = SimplicialMap(EMPTY, standard_simplex(0), {})
@@ -165,7 +165,7 @@ class TestFreeComplex:
         for _ in range(10):
             fr = free_complex(gen.rand_map(rng, max_dim=2))
             for n, st in enumerate(fr.kf.strata):
-                assert fr.kf.stage(n + 1) is body(st)[0]
+                assert fr.kf.filtration[n + 1] is body(st)
             assert fr.ef.dom is fr.kf.body
 
     def test_cap_exceeded(self):
@@ -219,7 +219,7 @@ class TestTranspose:
         # the free cell over it is glued at stage 0
         pt = standard_simplex(0)
         v = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
-        bv = body(v)[0]
+        bv = body(v)
         e = Stratum(bv, [Cell("e", 1, SimplicialMap(
             boundary_complex(1), bv, {"0": "0", "1": "0"}))])
         c = CellComplex(pt, [v, e], validate=False)
@@ -474,7 +474,7 @@ def rand_on_body(rng, base):
         k, attach = gen.rand_attach(rng, current, 1)
         st = Stratum(current, [Cell(f"x{j}", k, attach)])
         strata.append(st)
-        current = st_body(st)[0]
+        current = st_body(st)
     return normalize(base, strata)
 
 
