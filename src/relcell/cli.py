@@ -78,8 +78,11 @@ def _factorable_map(obj):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise _InputError(f"{out_path}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 

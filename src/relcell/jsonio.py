@@ -3,15 +3,16 @@
 All emitters produce deterministic structures (sorted keys, sorted id
 lists); ``dumps`` fixes the byte-level format, which is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
-``json`` encodes in pure Python, so ``dumps`` walks the containers itself,
-writes strings and ints directly, and hands only the containers that hold
-no container to the C encoder (see ``dumps``).  ``dumps`` of an emitter's
-value (``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
+``json`` encodes in pure Python, so one Python walk of this module's own
+(``_walk``) writes every document, and writes strings, ints and bools
+itself (see ``dumps``).  ``dumps`` of an emitter's value
+(``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
 ``factor_result_to_json``) stays the reference format, and writes reports.
 The complexes, maps, cell complexes and factorizations that the CLI writes
-go through ``text`` instead, which writes the same bytes from each value's
-shape without building the JSON value.  Loaders validate through the
-ordinary constructors and raise DeltaError subclasses on bad input.
+go through ``text``, which is ``dumps`` of a skeleton of the value whose
+simplices, cells and assignments are written from their shape without
+building the JSON value.  Loaders validate through the ordinary
+constructors and raise DeltaError subclasses on bad input.
 """
 
 from __future__ import annotations
@@ -35,45 +36,52 @@ from .lifting import FillerTable, square_key
 from .soa import FactorResult
 
 
-_NESTED = (dict, list, tuple)
 _encode = json.JSONEncoder().encode
 _quote = json.encoder.encode_basestring_ascii
 
 
 @functools.lru_cache(maxsize=None)
 def _level(n):
-    """The line break and indent of items ``n`` levels deep, and a C-encoder
-    ``encode`` whose item separator ends in them."""
-    indent = "\n" + "  " * n
-    return indent, json.JSONEncoder(
-        sort_keys=True, separators=("," + indent, ": ")).encode
+    """The line break and indent of items ``n`` levels deep."""
+    return "\n" + "  " * n
 
 
-def _write(obj, n, out):
-    """Append to ``out`` the encoding of ``obj``, a non-empty dict, list or
-    tuple whose items are ``n`` levels deep."""
-    indent = _level(n)[0]
-    inner, encode_flat = _level(n + 1)
-    is_dict = isinstance(obj, dict)
-    out.append("{" if is_dict else "[")
-    for k, v in sorted(obj.items()) if is_dict else enumerate(obj):
-        out.append(indent + _quote(k) + ": " if is_dict else indent)
-        if type(v) is str:
-            out.append(_quote(v))
-        elif type(v) is int:
-            out.append(int.__repr__(v))
-        elif not isinstance(v, _NESTED):
-            out.append(_encode(v))
-        elif v and any(map(isinstance,
-                           v.values() if isinstance(v, dict) else v,
-                           itertools.repeat(_NESTED))):
-            _write(v, n + 1, out)
-        else:
-            flat = encode_flat(v)
-            out.append(flat[0] + inner + flat[1:-1] + indent + flat[-1]
-                       if v else flat)
-        out.append(",")
-    out[-1] = _level(n - 1)[0] + ("}" if is_dict else "]")
+class _Leaf(tuple):
+    """A shaped leaf ``(brackets, items)`` of a ``text`` skeleton, whose
+    ``items(n)`` yields the texts of its items ``n`` levels deep, each led
+    by a comma.  A type of its own, since a plain tuple is a JSON array."""
+
+
+def _walk(node, n, out):
+    """Append the text of a dict, list, tuple or leaf whose items are ``n``
+    levels deep: its items, each led by a comma that then becomes the
+    opening bracket, or the empty container."""
+    start = len(out)
+    if type(node) is _Leaf:
+        brackets, items = node
+        out.extend(items(n))
+    else:
+        lead = "," + _level(n)
+        is_dict = isinstance(node, dict)
+        brackets = "{}" if is_dict else "[]"
+        for k, v in sorted(node.items()) if is_dict else enumerate(node):
+            head = lead + _quote(k) + ": " if is_dict else lead
+            if type(v) is str:
+                out.append(head + _quote(v))
+            elif type(v) is int:
+                out.append(head + int.__repr__(v))
+            elif type(v) is bool:
+                out.append(head + ("true" if v else "false"))
+            elif isinstance(v, (dict, list, tuple)):
+                out.append(head)
+                _walk(v, n + 1, out)
+            else:
+                out.append(head + _encode(v))
+    if len(out) == start:
+        out.append(brackets)
+    else:
+        out[start] = brackets[0] + out[start][1:]
+        out.append(_level(n - 1) + brackets[1])
 
 
 def dumps(obj):
@@ -82,61 +90,30 @@ def dumps(obj):
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set, which made writing a factorization cost more than computing it.
-    Here Python walks dicts, lists and tuples only down to the flat ones,
-    which hold no container.  Each flat one is a single call of the C
-    encoder, whose item separator already carries the indent, so only its
-    brackets move onto their own lines.  Every ``encode`` call that is not
-    of a plain string builds a fresh C encoder, so the scalars of walked
-    containers are written directly: a ``str`` by ``json``'s ASCII string
-    escaper and an ``int`` by ``int.__repr__``, as ``json`` writes them.
-    Subclasses (``bool`` among them), floats and ``None`` still go through
-    ``json``.  Keys of the dicts walked in Python must be strings, as every
-    emitter here makes them; any other key raises TypeError rather than
-    change the bytes.
+    Here one Python walk writes dicts, lists and tuples, and writes a
+    ``str`` by ``json``'s ASCII string escaper, an ``int`` by
+    ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
+    writes them.  Floats, ``None`` and subclasses (``IntEnum``, a ``str``
+    subclass) go through one module-level ``json`` encoder.  Dict keys must
+    be strings, as every emitter here makes them; any other key raises
+    TypeError rather than change the bytes.
     """
-    if not isinstance(obj, _NESTED) or not obj:
+    if not isinstance(obj, (dict, list, tuple)):
         return _encode(obj) + "\n"
     out = []
-    _write(obj, 1, out)
+    _walk(obj, 1, out)
     out.append("\n")
     return "".join(out)
 
 
 # -- shape writers -----------------------------------------------------------
 #
-# ``text`` walks a skeleton of a value's ``*_to_json``: its dicts and lists,
-# except that each container of ids, simplices, cells or ints is a leaf
-# ``(brackets, items)``, whose ``items(n)`` yields the texts of its items
-# ``n`` levels deep, each led by a comma.  A simplex, a cell, an id or an
-# assignment entry is one ``%`` fill, of a template cached per (shape,
-# depth) for simplices and cells.  Ids are ``%`` arguments, never template
-# text, and template text writes a literal ``%`` as ``%%``, so no id is
-# parsed as a format.  A document is one list of parts, joined once.
-
-
-def _walk(node, n, out):
-    """Append the text of a skeleton node whose items are ``n`` levels
-    deep: its items, each led by a comma that then becomes the opening
-    bracket, or the empty container."""
-    start = len(out)
-    if isinstance(node, dict):
-        brackets = "{}"
-        for key, value in sorted(node.items()):
-            out.append("," + _level(n)[0] + _quote(key) + ": ")
-            _walk(value, n + 1, out)
-    elif isinstance(node, list):
-        brackets = "[]"
-        for value in node:
-            out.append("," + _level(n)[0])
-            _walk(value, n + 1, out)
-    else:
-        brackets, items = node
-        out.extend(items(n))
-    if len(out) == start:
-        out.append(brackets)
-    else:
-        out[start] = brackets[0] + out[start][1:]
-        out.append(_level(n - 1)[0] + brackets[1])
+# ``text`` is ``dumps`` of a skeleton of a value's ``*_to_json``: its dicts
+# and lists, except that each container of simplices, cells or assignment
+# entries is a ``_Leaf``.  A simplex, a cell or an assignment entry is one
+# ``%`` fill, of a template cached per (shape, depth) for simplices and
+# cells.  Ids are ``%`` arguments, never template text, and template text
+# writes a literal ``%`` as ``%%``, so no id is parsed as a format.
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,7 +122,7 @@ def _template(k, n, cell):
     ``%`` template of its faces, or of its attach images in key order, then
     its id; and the getter of a cell's images.  NUL marks a slot while the
     text, made only of punctuation and the shape's keys, is built."""
-    i, j, lead = _level(n + 1)[0], _level(n + 2)[0], _level(n)[0]
+    i, j, lead = _level(n + 1), _level(n + 2), _level(n)
     keys = sorted(boundary_complex(k).id_set) if cell else ()
     if cell:
         attach = ",".join(j + _quote(s) + ": \0" for s in keys)
@@ -155,10 +132,6 @@ def _template(k, n, cell):
     item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
     return (item.replace("%", "%%").replace("\0", "%s"),
             operator.itemgetter(*keys) if keys else dict.values)
-
-
-def _list_of(texts):
-    return "[]", lambda n: map(("," + _level(n)[0] + "%s").__mod__, texts)
 
 
 def _cells(cells, n):
@@ -174,17 +147,17 @@ def _complex(x):
                 for s in x.ids(k))
 
     return {"simplices": {
-        str(k): ("[]", functools.partial(simplices, k)) if k else
-        _list_of(map(_quote, x.ids(0))) for k in range(x.max_dim + 1)}}
+        str(k): _Leaf(("[]", functools.partial(simplices, k))) if k else
+        x.ids(0) for k in range(x.max_dim + 1)}}
 
 
 def _map(f):
     assign = f.assign.__getitem__
 
     def grade(ids):
-        return "{}", lambda n: map(
-            ("," + _level(n)[0] + "%s: %s").__mod__,
-            zip(map(_quote, ids), map(_quote, map(assign, ids))))
+        return _Leaf(("{}", lambda n: map(
+            ("," + _level(n) + "%s: %s").__mod__,
+            zip(map(_quote, ids), map(_quote, map(assign, ids))))))
 
     return {"assign": {str(k): grade(ids)
                        for k, ids in f.dom.simplices.items()},
@@ -193,13 +166,13 @@ def _map(f):
 
 def _cellcx(c):
     return {"base": _complex(c.boundary),
-            "strata": [{"cells": ("[]", functools.partial(_cells, st.cells))}
-                       for st in c.strata]}
+            "strata": [{"cells": _Leaf(("[]", functools.partial(
+                _cells, st.cells)))} for st in c.strata]}
 
 
 def _factor_result(fr):
     return {"complex": _cellcx(fr.kf), "ef": _map(fr.ef),
-            "input": _map(fr.input), "stage_counts": _list_of(fr.stage_counts)}
+            "input": _map(fr.input), "stage_counts": fr.stage_counts}
 
 
 _SKELETONS = {DeltaComplex: _complex, SimplicialMap: _map,
@@ -210,12 +183,9 @@ def text(value):
     """The ``dumps`` text of a complex, map, cell complex or factorization,
     or of a dict of them, written from its shape: exactly ``dumps`` of its
     ``*_to_json`` (of each value's, for a dict), the reference format."""
-    out = []
-    _walk({k: _SKELETONS[type(v)](v) for k, v in value.items()}
-          if isinstance(value, dict) else _SKELETONS[type(value)](value),
-          1, out)
-    out.append("\n")
-    return "".join(out)
+    if isinstance(value, dict):
+        return dumps({k: _SKELETONS[type(v)](v) for k, v in value.items()})
+    return dumps(_SKELETONS[type(value)](value))
 
 
 def _expect(cond, msg):

@@ -249,6 +249,38 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+def _accepted_inputs(write, command):
+    """Input files that ``command`` accepts, so that it reaches its
+    output."""
+    kf = free_complex(boundary_inclusion(1)).kf
+    m = write("m.json", jsonio.map_to_json(boundary_inclusion(1)))
+    c = write("c.json", jsonio.cellcx_to_json(kf))
+    if command == "compose":
+        return [c, write("d.json", jsonio.cellcx_to_json(
+            trivial_complex(kf.body)))]
+    if command == "pushout":
+        return [m, m]
+    if command == "lift":
+        fold, pc, pu, pv = TestLift._fixture(write)
+        return [pc, write("t.json", jsonio.filler_table_to_json(
+            FillerTable(fold, fallback="search"))), pu, pv]
+    return [m] if command in ("factor", "check") else [c]
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_ARGS))
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_exit_2(files, capsys, command, where):
+    """An output path that cannot be opened for writing is an input
+    error, not a traceback."""
+    tmp_path, write = files
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    code, _, err = run_cli(capsys, command, *_accepted_inputs(write, command),
+                           "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+
 def _valid_then(entry):
     """The complex JSON of a valid height-two complex, plus one entry."""
     obj = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
@@ -353,6 +385,7 @@ _ANY_TABLE = st.sampled_from([jsonio.filler_table_to_json(
 
 # the input files of each subcommand, by their strategies
 _INPUTS = {
+    "check": [_ANY_MAP],
     "compose": [_ANY_CELLCX, _ANY_CELLCX],
     "normalize": [_ANY_CELLCX],
     "pushout": [_ANY_MAP, _ANY_MAP],

@@ -209,6 +209,11 @@ _SCALAR_ROWS = {"t": True, "f": False, "one": 1, "zero": 0, "neg": -7,
 @example([True, 1, False, 0, [2], _Level.THREE, _Id("x"), 10 ** 30, -0.0])
 @example({"attach": {"0": "a", "01": "b\\"}, "dim": 3, "id": "d.0.3.t.ab"})
 @example([{"attach": {}, "dim": 0, "id": "v"}, [True, _Level.THREE]])
+@example({"all_pass": False,
+          "laws": {"factorization": True, "monad_assoc": False},
+          "witnesses": {"monad_assoc": {"lhs": [("a", "b"), ("e\"", "f")],
+                                        "rhs": [("a", "c")]},
+                        "naturality_0": {"eta": True, "mu": False}}})
 def test_dumps_is_json_with_sorted_keys_and_indent(value):
     assert jsonio.dumps(value) == _canonical(value)
 
@@ -243,9 +248,11 @@ _TO_JSON = {DeltaComplex: jsonio.complex_to_json,
 
 
 def _reference(value):
+    """The stdlib's text of the value's ``*_to_json``: an oracle that
+    shares no code with the writer ``text`` and ``dumps`` share."""
     if isinstance(value, dict):
-        return jsonio.dumps({k: _TO_JSON[type(v)](v) for k, v in value.items()})
-    return jsonio.dumps(_TO_JSON[type(value)](value))
+        return _canonical({k: _TO_JSON[type(v)](v) for k, v in value.items()})
+    return _canonical(_TO_JSON[type(value)](value))
 
 
 def _renamed_complex(x, name, validate=True):
@@ -288,7 +295,8 @@ def _edge_values(name):
 @example(2, "%(x)s", "%%d%")
 @example(0, "0.", "")  # cell ids that spell base ids
 def test_text_is_dumps_of_to_json(seed, prefix, suffix):
-    """``text`` writes exactly ``dumps(x_to_json(x))`` for every shape."""
+    """``text`` writes exactly ``dumps(x_to_json(x))``, that is the
+    stdlib's sorted, indented text of it, for every shape."""
     def name(s):
         return prefix + s + suffix
 
