@@ -9,8 +9,11 @@ is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
+import stat
 import sys
 
 from .delta import (
@@ -74,6 +77,21 @@ def _factorable_map(obj):
         raise DeltaError(f"the codomain has dimension {f.cod.max_dim}; "
                          f"maps are factored up to dimension {MAX_DIM} only")
     return f
+
+
+def _check_out(out_path):
+    """Reject, before any input is read, an ``--out`` path whose parent is
+    missing or not a directory, or which is a directory.  The file is still
+    written only once the output is ready, so a run that fails before its
+    output leaves none."""
+    parent = os.path.dirname(out_path) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(out_path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as err:
+        raise _InputError(f"{out_path}: {err.strerror}") from err
 
 
 def _emit(text, out_path):
@@ -296,6 +314,8 @@ def main(argv=None):
         print("error: --cap must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)

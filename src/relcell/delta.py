@@ -11,6 +11,11 @@ the equivalence their arrows generate.  Each differs only in its endpoint
 check and in how it names a class, and ``mediate`` is the unique map out
 of any of them.
 
+Equality compares content: a complex's ``simplices`` and ``faces`` dicts, a
+map's ``assign`` dict and endpoints.  ``key()`` is the canonical sorted form,
+kept for hashing, the map digest behind cell ids and the ``Factorizer``
+cache; equal values have equal keys.
+
 All values are immutable after construction and all operations are pure.
 This is load-bearing: ``standard_simplex`` and ``boundary_complex`` return
 shared cached instances, and complexes and maps keep lazily built indexes on
@@ -129,6 +134,9 @@ class DeltaComplex:
         return s in self._dim_of
 
     def key(self):
+        """The canonical form: the sorted items of ``simplices`` and
+        ``faces``.  It serves hashing and ``SimplicialMap.key``; ``==``
+        compares the two dicts directly."""
         if self._key is None:
             self._key = (
                 tuple(sorted(self.simplices.items())),
@@ -137,7 +145,10 @@ class DeltaComplex:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, DeltaComplex) and self.key() == other.key()
+        # both dicts: an extra isolated vertex leaves ``faces`` unchanged
+        return self is other or (
+            isinstance(other, DeltaComplex) and self.faces == other.faces
+            and self.simplices == other.simplices)
 
     def __hash__(self):
         if self._hash is None:
@@ -212,6 +223,9 @@ class SimplicialMap:
         return self.assign[s]
 
     def key(self):
+        """The canonical form: the endpoints' keys and the sorted
+        assignment.  It serves hashing, ``soa._map_digest`` and the
+        ``Factorizer`` cache; ``==`` compares content directly."""
         if self._key is None:
             self._key = (self.dom.key(), self.cod.key(),
                          tuple(sorted(self.assign.items())))
@@ -236,7 +250,10 @@ class SimplicialMap:
         return idx
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialMap) and self.key() == other.key()
+        # ``assign`` first: it tells unequal maps apart soonest
+        return self is other or (
+            isinstance(other, SimplicialMap) and self.assign == other.assign
+            and self.dom == other.dom and self.cod == other.cod)
 
     def __hash__(self):
         if self._hash is None:

@@ -22,7 +22,7 @@ from relcell import (
     u_of_complex,
 )
 from relcell.cli import main
-from relcell import jsonio
+from relcell import cli, jsonio
 from conftest import boundary_inclusion, fold_map
 
 
@@ -111,6 +111,15 @@ class TestFactor:
         code, _, err = run_cli(capsys, "factor", path, "--cap", "1")
         assert code == 3
         assert "cell counts" in err
+
+    def test_cap_exceeded_writes_no_out_file(self, files, capsys):
+        tmp_path, write = files
+        path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
+        out = tmp_path / "x.json"
+        code, stdout, _ = run_cli(capsys, "factor", path, "--cap", "1",
+                                  "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert not out.exists()
 
     def test_bad_cap_exit_2(self, files, capsys):
         _, write = files
@@ -268,16 +277,25 @@ def _accepted_inputs(write, command):
 
 
 @pytest.mark.parametrize("command", sorted(_FILE_ARGS))
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
-def test_unwritable_out_exit_2(files, capsys, command, where):
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "file-parent"])
+def test_unwritable_out_exit_2(files, capsys, monkeypatch, command, where):
     """An output path that cannot be opened for writing is an input
-    error, not a traceback."""
+    error, not a traceback, and it is refused before any input is read
+    or any work is done."""
     tmp_path, write = files
-    out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
-        else tmp_path
-    code, _, err = run_cli(capsys, command, *_accepted_inputs(write, command),
-                           "--out", str(out))
-    assert code == 2
+    argv = [command, *_accepted_inputs(write, command)]
+    out = {"missing-dir": tmp_path / "missing" / "x.json",
+           "a-dir": tmp_path,
+           "file-parent": tmp_path / "m.json" / "x.json"}[where]
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("work done before --out was checked")
+
+    # every subcommand loads its inputs first; check also factors fixtures
+    for name in ("_load", "free_complex", "check_awfs_laws"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
 
 

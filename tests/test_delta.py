@@ -162,6 +162,72 @@ class TestMaps:
         assert r.assign == {"0": "0", "1": "1"}
 
 
+def _rebuilt(x):
+    """An equal complex that shares no object with x."""
+    return DeltaComplex(x.simplices, x.faces)
+
+
+def _rebuilt_map(f):
+    """An equal map that shares no object with f."""
+    return SimplicialMap(_rebuilt(f.dom), _rebuilt(f.cod), f.assign)
+
+
+def _bigon(d0, d1):
+    """Two edges e, f from vertex a to vertex b, f with faces (d0, d1)."""
+    return DeltaComplex({0: ["a", "b"], 1: ["e", "f"]},
+                        {"e": ("b", "a"), "f": (d0, d1)})
+
+
+class TestEquality:
+    """``==`` compares content; it must agree with ``key()`` equality,
+    and equal values must hash equal."""
+
+    @staticmethod
+    def _check_pairs(values):
+        for a in values:
+            for b in values:
+                assert (a == b) == (a.key() == b.key()) == (b == a)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_complexes_agree_with_key_and_hash(self):
+        rng = random.Random(16)
+        values = []
+        for _ in range(25):
+            x = gen.rand_complex(rng, max_dim=2)
+            extra = DeltaComplex({**x.simplices, 0: x.ids(0) + ("v*",)},
+                                 x.faces)
+            assert extra.faces == x.faces and extra != x
+            values += [x, _rebuilt(x), extra]
+        values += [EMPTY, _rebuilt(EMPTY), _bigon("b", "a"),
+                   _bigon("a", "b")]
+        assert _bigon("b", "a") != _bigon("a", "b")  # permuted faces
+        self._check_pairs(values)
+
+    def test_maps_agree_with_key_and_hash(self):
+        rng = random.Random(17)
+        values = []
+        for _ in range(25):
+            f = gen.rand_map(rng, max_dim=1)
+            values += [f, _rebuilt_map(f), identity_map(f.cod)]
+        # one assignment, different endpoints
+        out_of_empty = [SimplicialMap(EMPTY, standard_simplex(k), {})
+                        for k in range(3)]
+        bigons = [identity_map(_bigon("b", "a")),
+                  identity_map(_bigon("a", "b"))]
+        assert bigons[0].assign == bigons[1].assign
+        assert bigons[0] != bigons[1] and out_of_empty[0] != out_of_empty[1]
+        self._check_pairs(values + out_of_empty + bigons)
+
+    def test_equality_builds_no_key(self):
+        f = gen.rand_map(random.Random(7), max_dim=2)
+        a, b = _rebuilt_map(f), _rebuilt_map(f)
+        assert a is not b and a.dom is not b.dom and a.cod is not b.cod
+        assert a == b and a.dom == b.dom
+        for value in (a, b, a.dom, b.dom, a.cod, b.cod):
+            assert value._key is None
+
+
 class TestHomEnumeration:
     def test_representable_count(self):
         x = standard_simplex(2)
