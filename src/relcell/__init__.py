@@ -1,11 +1,12 @@
 """Relative cell complexes over finite truncated semisimplicial sets.
 
 The package provides the base category of complexes and maps (``delta``),
-single gluing stages (``strata``), proper connected cell complexes and
-their normal form (``cellcx``), the free factorization with its monad,
-comonad, and distributivity law suite (``soa``), a lifting solver against
-filler tables (``lifting``), JSON serialization (``jsonio``), seeded test
-corpus generators (``gen``), and a command-line interface (``cli``).
+single gluing stages and their bodies (``strata``), proper connected cell
+complexes, with their normal form, morphisms and (co)limits (``cellcx``),
+the free factorization with its monad, comonad, and distributivity law
+suite (``soa``), a lifting solver against filler tables (``lifting``), JSON
+serialization (``jsonio``), seeded test corpus generators (``gen``), and a
+command-line interface (``cli``).
 """
 
 from .delta import (
@@ -37,16 +38,8 @@ from .delta import (
 from .strata import (
     Cell,
     StrataError,
-    StrataMorphism,
     Stratum,
     body,
-    compose_strata_morphisms,
-    identity_strata_morphism,
-    pushforward_morphism,
-    pushforward_stratum,
-    strata_colimit,
-    strata_equaliser,
-    u_of_strata_morphism,
 )
 from .cellcx import (
     CellComplex,

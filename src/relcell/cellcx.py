@@ -22,6 +22,7 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
+    boundary_restriction,
     colimit,
     compose,
     equaliser,
@@ -29,7 +30,7 @@ from .delta import (
     inclusion_map,
     pushout,
 )
-from .strata import Cell, Stratum, body, cells_over
+from .strata import Cell, Stratum, body
 
 
 class CellComplexError(DeltaError):
@@ -175,8 +176,11 @@ def assemble(boundary, cells):
 
 def complex_of(base, total):
     """The proper complex whose underlying inclusion is ``base`` in
-    ``total``: every other simplex of ``total`` is a cell."""
-    return assemble(base, cells_over(base, total, total))
+    ``total``: every other simplex of ``total`` is a cell, attached along
+    its faces."""
+    return assemble(base, [Cell(s, k, boundary_restriction(total, s),
+                                validate=False)
+                           for k, s in total.all_ids() if s not in base])
 
 
 def normalize(boundary, strata_seq):

@@ -26,7 +26,7 @@ from .delta import (
     pushout,
     standard_simplex,
 )
-from .strata import Cell, Stratum, body, pushforward_morphism
+from .strata import Cell, Stratum, body
 from .cellcx import normalize, pushforward_complex, u_of_complex
 
 
@@ -121,13 +121,6 @@ def rand_stratum(rng, prefix="c"):
         k, attach = rand_attach(rng, boundary, 2)
         cells.append(Cell(f"{prefix}{i}", k, attach))
     return Stratum(boundary, cells)
-
-
-def rand_strata_morphism(rng):
-    """A random stratum morphism: pushforward along a random quotient."""
-    st = rand_stratum(rng)
-    g = rand_map_from(rng, st.boundary)
-    return pushforward_morphism(st, g)
 
 
 def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):

@@ -22,6 +22,18 @@ def fz():
     return Factorizer()
 
 
+def cx(st):
+    """The complex of height <= 1 whose one stratum is ``st``; a stratum
+    without cells gives the trivial complex on its boundary."""
+    return CellComplex(st.boundary, [st] if st.cells else [])
+
+
+def stratum_of(c):
+    """The stratum of a complex of height <= 1: the inverse of ``cx``."""
+    assert c.height <= 1, f"height {c.height} is not a stratum"
+    return c.strata[0] if c.height else Stratum(c.boundary, [])
+
+
 def boundary_inclusion(k):
     return inclusion_map(boundary_complex(k), standard_simplex(k))
 

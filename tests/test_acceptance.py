@@ -4,19 +4,13 @@ Each criterion is checked exactly, at the stated corpus sizes, with zero
 numerical tolerance — all comparisons are equalities of finite structures.
 """
 
-import itertools
-import json
 import random
 from pathlib import Path
 
-import pytest
-
 from relcell import (
-    CellComplexMorphism,
     EMPTY,
     Factorizer,
     SimplicialMap,
-    boundary_complex,
     cellcx_colimit,
     cellcx_equaliser,
     coalgebra_structure,
@@ -27,26 +21,20 @@ from relcell import (
     free_complex,
     free_fillers,
     identity_map,
-    identity_morphism,
     is_pullback,
     normalize,
     pushforward_complex,
-    pushforward_morphism,
     solve_lifting,
     standard_simplex,
-    strata_colimit,
-    strata_equaliser,
     transpose,
-    trivial_complex,
     u_of_complex,
     u_of_morphism,
-    u_of_strata_morphism,
 )
 from relcell import gen, jsonio
 from relcell.cli import main
-from relcell.strata import body as strata_body
 from conftest import (
     boundary_inclusion,
+    cx,
     law_fixtures,
     mec_partition_composite,
 )
@@ -101,10 +89,11 @@ def test_criterion_2_awfs_law_suite():
 def test_criterion_3_pullback_lemmas():
     rng = random.Random(2026)
     total, good = 0, 0
-    for _ in range(100):
-        m = gen.rand_strata_morphism(rng)
+    for _ in range(100):  # a stratum pushed along a random quotient
+        st = gen.rand_stratum(rng)
+        m = pushforward_complex(cx(st), gen.rand_map_from(rng, st.boundary))[1]
         total += 1
-        good += is_pullback(u_of_strata_morphism(m))
+        good += is_pullback(u_of_morphism(m))
     for _ in range(100):
         m = gen.rand_complex_morphism(rng)
         total += 1
@@ -131,25 +120,27 @@ def test_criterion_4_colimit_equaliser_preservation():
 
     for _ in range(30):  # strata colimits (spans): 30 diagrams
         s0 = gen.rand_stratum(rng)
-        m1 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-        m2 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-        out, legs = strata_colimit([s0, m1.cod, m2.cod],
+        c = cx(s0)
+        m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
+        m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
+        out, legs = cellcx_colimit([c, m1.cod, m2.cod],
                                    [(0, 1, m1), (0, 2, m2)])
-        bodies = [strata_body(s) for s in (s0, m1.cod, m2.cod)]
+        bodies = [x.body for x in (c, m1.cod, m2.cod)]
         exp, exp_legs = delta_colimit(
-            bodies, [(0, 1, u_of_strata_morphism(m1).bottom),
-                     (0, 2, u_of_strata_morphism(m2).bottom)])
-        got = u_of_strata_morphism(legs[0]).bottom
+            bodies, [(0, 1, u_of_morphism(m1).bottom),
+                     (0, 2, u_of_morphism(m2).bottom)])
+        got = u_of_morphism(legs[0]).bottom
         checked += 1
         good += bij_over(got, exp_legs[0], bodies[0].id_set)
     for _ in range(30):  # strata equalisers of parallel pushforward pairs
         s0 = gen.rand_stratum(rng)
-        m = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-        e, _ = strata_equaliser(m, m)
-        eb, _ = delta_equaliser(u_of_strata_morphism(m).bottom,
-                                u_of_strata_morphism(m).bottom)
+        m = pushforward_complex(cx(s0),
+                                gen.rand_map_from(rng, s0.boundary))[1]
+        e, _ = cellcx_equaliser(m, m)
+        eb, _ = delta_equaliser(u_of_morphism(m).bottom,
+                                u_of_morphism(m).bottom)
         checked += 1
-        good += (strata_body(e) == eb)
+        good += (e.body == eb)
     for _ in range(25):  # cell-complex colimits + properness revalidation
         c = gen.rand_cell_complex(rng, max_cells=3)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]

@@ -14,9 +14,7 @@ from relcell import (
     EMPTY,
     SimplicialMap,
     Stratum,
-    StrataMorphism,
     assemble,
-    body,
     boundary_complex,
     cellcx_colimit,
     cellcx_coproduct,
@@ -25,7 +23,6 @@ from relcell import (
     compose_complexes,
     compose_morphisms,
     complex_of,
-    coproduct,
     generator_complex,
     horizontal_compose,
     identity_map,

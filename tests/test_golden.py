@@ -22,7 +22,6 @@ from relcell import (
     Factorizer,
     FillerTable,
     SimplicialMap,
-    StrataMorphism,
     Stratum,
     assemble,
     boundary_lifts,
@@ -37,7 +36,6 @@ from relcell import (
     comonad_comult,
     compose,
     compose_morphisms,
-    compose_strata_morphisms,
     coproduct,
     decode,
     free_complex,
@@ -47,17 +45,14 @@ from relcell import (
     jsonio,
     monad_mult,
     pushforward_complex,
-    pushforward_morphism,
     pushout,
     standard_simplex,
-    strata_colimit,
-    strata_equaliser,
     u_of_complex,
     unit,
 )
 from relcell.cli import main
 
-from conftest import boundary_inclusion
+from conftest import boundary_inclusion, cx, stratum_of
 
 # sha256 of (stdout + --out file) of ``factor --format json`` for the first
 # ten criterion-8 maps (gen.rand_map(rng, max_dim=3) at seed 2032)
@@ -339,20 +334,21 @@ def _parallel_pair(rng, c):
 
 
 def _parallel_strata_pair(rng, s):
-    """``_parallel_pair`` for strata: two morphisms out of s, from s + s
-    glued along some of its cells, or pushed forward along a random map."""
-    two, (j0, j1) = strata_colimit([s, s], [])
+    """``_parallel_pair`` for a stratum s, as a complex of height <= 1: two
+    morphisms out of it, from s + s glued along some of its cells, or
+    pushed forward along a random map."""
+    two, (j0, j1) = cellcx_coproduct([cx(s), cx(s)])
     if rng.random() < 0.5:
         sub = Stratum(s.boundary, rng.sample(s.cells,
                                              rng.randint(0, len(s.cells))))
-        incl = StrataMorphism(sub, s, identity_map(s.boundary),
-                              {c.id: c.id for c in sub.cells})
-        _, (_, q) = strata_colimit(
-            [sub, two], [(0, 1, compose_strata_morphisms(j0, incl)),
-                         (0, 1, compose_strata_morphisms(j1, incl))])
+        incl = CellComplexMorphism(cx(sub), cx(s), identity_map(s.boundary),
+                                   {c.id: c.id for c in sub.cells})
+        _, (_, q) = cellcx_colimit(
+            [cx(sub), two], [(0, 1, compose_morphisms(j0, incl)),
+                             (0, 1, compose_morphisms(j1, incl))])
     else:
-        q = pushforward_morphism(two, gen.rand_map_from(rng, two.boundary))
-    return compose_strata_morphisms(q, j0), compose_strata_morphisms(q, j1)
+        _, q = pushforward_complex(two, gen.rand_map_from(rng, two.boundary))
+    return compose_morphisms(q, j0), compose_morphisms(q, j1)
 
 
 def _subcomplex_complex(rng):
@@ -387,20 +383,21 @@ def _derived_outputs():
             [jsonio.cellcx_to_json(e), _morphism_json(incl)])
     for _ in range(25):
         s0 = gen.rand_stratum(rng)
-        m1 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-        m2 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-        out, legs = strata_colimit([s0, m1.cod, m2.cod],
+        c = cx(s0)
+        m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
+        m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
+        out, legs = cellcx_colimit([c, m1.cod, m2.cod],
                                    [(0, 1, m1), (0, 2, m2)])
         rows["strata_colimit"].append(
-            [jsonio.stratum_to_json(out)] +
-            [{"boundary": jsonio.map_to_json(m.f), "cells": m.p}
+            [jsonio.stratum_to_json(stratum_of(out))] +
+            [{"boundary": jsonio.map_to_json(m.f0), "cells": m.p}
              for m in legs])
     for _ in range(25):
-        e, incl = strata_equaliser(
+        e, incl = cellcx_equaliser(
             *_parallel_strata_pair(rng, gen.rand_stratum(rng)))
         rows["strata_equaliser"].append(
-            [jsonio.stratum_to_json(e),
-             {"boundary": jsonio.map_to_json(incl.f), "cells": incl.p}])
+            [jsonio.stratum_to_json(stratum_of(e)),
+             {"boundary": jsonio.map_to_json(incl.f0), "cells": incl.p}])
     fz = Factorizer()
     for i in range(20):
         c = gen.rand_cell_complex(rng) if i % 2 else _subcomplex_complex(rng)

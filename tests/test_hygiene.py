@@ -1,5 +1,5 @@
-"""Static checks on the package sources: no dead exports, no unused imports,
-and no imports inside a function or a class.
+"""Static checks on the package sources: no dead exports, no unused imports
+(in the tests too), and no imports inside a function or a class.
 
 An exported name counts as used when another module under ``src/relcell``
 or a test refers to it by name (a bare name, or an imported name); an
@@ -13,8 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relcell"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p))
            for p in sorted(PACKAGE.glob("*.py"))}
-TESTS = [ast.parse(p.read_text(), filename=str(p))
-         for p in sorted((ROOT / "tests").glob("*.py"))]
+TESTS = {p.stem: ast.parse(p.read_text(), filename=str(p))
+         for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
 def _names_used(tree):
@@ -30,7 +30,7 @@ def _names_used(tree):
 
 def test_every_export_is_used():
     used_by = {name: _names_used(tree) for name, tree in MODULES.items()}
-    used_by_tests = set().union(*map(_names_used, TESTS))
+    used_by_tests = set().union(*map(_names_used, TESTS.values()))
     used_outside = {
         module: used_by_tests.union(*(used for name, used in used_by.items()
                                       if name not in ("__init__", module)))
@@ -45,9 +45,11 @@ def test_every_export_is_used():
 
 def test_no_unused_import():
     unused = []
-    for name, tree in MODULES.items():
-        if name == "__init__":  # its imports are the exports
-            continue
+    # the package's own ``__init__`` is left out: its imports are the exports
+    sources = [(name, tree) for name, tree in MODULES.items()
+               if name != "__init__"]
+    sources += [(f"tests/{name}", tree) for name, tree in TESTS.items()]
+    for name, tree in sources:
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

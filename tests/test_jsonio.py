@@ -22,7 +22,6 @@ from relcell import (
     square_key,
     standard_simplex,
     trivial_complex,
-    u_of_complex,
 )
 from relcell import gen, jsonio
 from conftest import boundary_inclusion, fold_map

@@ -15,7 +15,6 @@ from relcell import (
     boundary_complex,
     coalgebra_structure,
     comonad_comult,
-    compose,
     compose_complexes,
     coproduct,
     free_fillers,

@@ -32,7 +32,6 @@ from relcell import (
     free_complex,
     generator_complex,
     identity_map,
-    inclusion_map,
     k1_step,
     k_of_square,
     mec,
@@ -49,7 +48,7 @@ from relcell import (
 )
 from relcell import gen, soa
 from relcell.delta import MAX_DIM
-from conftest import boundary_inclusion, fold_map, law_fixtures
+from conftest import boundary_inclusion, law_fixtures
 
 
 def oracle_squares(g, prev_ids=None):

@@ -1,4 +1,6 @@
-"""Single gluing layers: bodies, morphisms, pushforwards, colimits."""
+"""Single gluing layers: bodies, and strata as the cell complexes of
+height <= 1 (``cx``), whose morphisms, pushforwards, colimits and
+equalisers are those of ``cellcx``."""
 
 import random
 
@@ -6,36 +8,35 @@ import pytest
 
 from relcell import (
     Cell,
-    CellComplex,
-    DeltaComplex,
+    CellComplexError,
+    CellComplexMorphism,
     DeltaError,
     EMPTY,
     SimplicialMap,
     StrataError,
-    StrataMorphism,
     Stratum,
     boundary_complex,
     body,
+    cellcx_colimit,
+    cellcx_coproduct,
+    cellcx_equaliser,
     characteristic_map,
     compose,
-    compose_strata_morphisms,
+    compose_morphisms,
     coproduct,
     enumerate_homs,
     identity_map,
-    identity_strata_morphism,
+    identity_morphism,
     inclusion_map,
     is_pullback,
     pushforward_complex,
-    pushforward_morphism,
-    pushforward_stratum,
     pushout,
     standard_simplex,
-    strata_colimit,
-    strata_equaliser,
     top_simplex_id,
-    u_of_strata_morphism,
+    u_of_morphism,
 )
 from relcell import gen
+from conftest import cx, stratum_of
 
 
 def loop_stratum():
@@ -137,7 +138,7 @@ class TestBody:
 class TestMorphisms:
     def test_identity_square(self):
         st = loop_stratum()
-        sq = u_of_strata_morphism(identity_strata_morphism(st))
+        sq = u_of_morphism(identity_morphism(cx(st)))
         assert sq.top == identity_map(st.boundary)
         assert sq.bottom == identity_map(body(st))
 
@@ -146,9 +147,9 @@ class TestMorphisms:
         a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
         two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
         one = Stratum(pt, [Cell("l", 1, a)])
-        m = StrataMorphism(two, one, identity_map(pt),
-                           {"l1": "l", "l2": "l"})
-        sq = u_of_strata_morphism(m)
+        m = CellComplexMorphism(cx(two), cx(one), identity_map(pt),
+                                {"l1": "l", "l2": "l"})
+        sq = u_of_morphism(m)
         assert sq.bottom.assign["l1"] == sq.bottom.assign["l2"] == "l"
         assert is_pullback(sq)
 
@@ -158,36 +159,40 @@ class TestMorphisms:
         st = Stratum(pt, [Cell("l", 1, a)])
         z = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
         with pytest.raises(DeltaError):
-            StrataMorphism(st, z, identity_map(pt), {"l": "v"})  # dim
+            CellComplexMorphism(cx(st), cx(z), identity_map(pt),
+                                {"l": "v"})  # dim
 
     def test_validation_through_the_body_map(self):
         b1 = boundary_complex(1)
         swap = SimplicialMap(b1, b1, {"0": "1", "1": "0"})
         st = Stratum(b1, [Cell("e", 1, identity_map(b1)), Cell("r", 1, swap)])
-        m = StrataMorphism(st, st, swap, {"e": "r", "r": "e"})
+        m = CellComplexMorphism(cx(st), cx(st), swap, {"e": "r", "r": "e"})
         assert m.body_map.is_bijective()
         for p in ({"e": "r", "r": "e"},  # not commuting with faces
                   {"e": "0", "r": "r"}):  # to a boundary simplex
-            with pytest.raises(StrataError):
-                StrataMorphism(st, st, identity_map(b1), p)
+            with pytest.raises(CellComplexError):
+                CellComplexMorphism(cx(st), cx(st), identity_map(b1), p)
 
     def test_pullback_lemma(self):
         rng = random.Random(37)
         for _ in range(40):
-            m = gen.rand_strata_morphism(rng)
-            assert is_pullback(u_of_strata_morphism(m))
+            st = gen.rand_stratum(rng)
+            _, m = pushforward_complex(cx(st),
+                                       gen.rand_map_from(rng, st.boundary))
+            assert is_pullback(u_of_morphism(m))
 
     def test_functoriality_of_u(self):
         rng = random.Random(41)
         for _ in range(15):
             st = gen.rand_stratum(rng)
-            m1 = pushforward_morphism(st, gen.rand_map_from(rng, st.boundary))
-            m2 = pushforward_morphism(
+            _, m1 = pushforward_complex(cx(st),
+                                        gen.rand_map_from(rng, st.boundary))
+            _, m2 = pushforward_complex(
                 m1.cod, gen.rand_map_from(rng, m1.cod.boundary))
-            m21 = compose_strata_morphisms(m2, m1)
-            sq = u_of_strata_morphism(m21)
-            sq1 = u_of_strata_morphism(m1)
-            sq2 = u_of_strata_morphism(m2)
+            m21 = compose_morphisms(m2, m1)
+            sq = u_of_morphism(m21)
+            sq1 = u_of_morphism(m1)
+            sq2 = u_of_morphism(m2)
             assert sq.top == compose(sq2.top, sq1.top)
             assert sq.bottom == compose(sq2.bottom, sq1.bottom)
 
@@ -195,27 +200,20 @@ class TestMorphisms:
         rng = random.Random(43)
         for _ in range(20):
             st = gen.rand_stratum(rng)
-            m = pushforward_morphism(st, gen.rand_map_from(rng, st.boundary))
-            sq = u_of_strata_morphism(m)
+            _, m = pushforward_complex(cx(st),
+                                       gen.rand_map_from(rng, st.boundary))
+            sq = u_of_morphism(m)
             if sq.top.is_bijective() and sq.bottom.is_bijective():
-                assert m.f.is_bijective()
+                assert m.f0.is_bijective()
                 assert sorted(m.p.values()) == \
-                    sorted(c.id for c in m.cod.cells)
+                    sorted(c.id for c in stratum_of(m.cod).cells)
 
 
 class TestPushforward:
     def test_identity(self):
         st = loop_stratum()
-        out = pushforward_stratum(st, identity_map(st.boundary))
-        assert out == st
-
-    def test_loop_example(self):
-        b1 = boundary_complex(1)
-        st = Stratum(b1, [Cell("e", 1, identity_map(b1))])
-        g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
-        out = pushforward_stratum(st, g)
-        bx = body(out)
-        assert (len(bx.ids(0)), len(bx.ids(1))) == (1, 1)
+        out, _ = pushforward_complex(cx(st), identity_map(st.boundary))
+        assert stratum_of(out) == st
 
     def test_body_commutes_with_pushforward(self):
         rng = random.Random(47)
@@ -225,22 +223,9 @@ class TestPushforward:
             bx = body(st)
             inc = inclusion_map(st.boundary, bx)
             p, pbx, pz = pushout(inc, g)
-            out_body = body(pushforward_stratum(st, g))
+            out_body = body(stratum_of(pushforward_complex(cx(st), g)[0]))
             assert iso_over(out_body, p, compose(pz, g), compose(pbx, inc)) \
                 is not None
-
-    def test_renames_a_cell_whose_id_the_codomain_holds(self):
-        b1 = boundary_complex(1)
-        st = Stratum(b1, [Cell("e", 1, identity_map(b1))])
-        y = DeltaComplex({0: ["0", "1", "e"]})
-        g = inclusion_map(b1, y)
-        m = pushforward_morphism(st, g)
-        _, cm = pushforward_complex(CellComplex(b1, [st]), g)
-        assert m.p == cm.p == {"e": "e'"}
-        assert [c.id for c in pushforward_stratum(st, g).cells] == ["e'"]
-        assert body(m.cod).faces_of("e'") == ("1", "0")
-        sq = u_of_strata_morphism(m)
-        assert compose(sq.bottom, sq.left) == compose(sq.right, sq.top)
 
 
 class TestColimits:
@@ -248,45 +233,46 @@ class TestColimits:
         pt = standard_simplex(0)
         s1 = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
         s2 = loop_stratum()
-        out, legs = strata_colimit([s1, s2], [])
-        assert len(out.cells) == 2
+        out, legs = cellcx_coproduct([cx(s1), cx(s2)])
+        assert len(stratum_of(out).cells) == 2
         assert len(out.boundary.ids(0)) == 2
 
     def test_coequaliser_of_identity(self):
         st = loop_stratum()
-        i = identity_strata_morphism(st)
-        out, legs = strata_colimit([st, st], [(0, 1, i), (0, 1, i)])
-        assert len(out.cells) == len(st.cells)
+        i = identity_morphism(cx(st))
+        out, legs = cellcx_colimit([cx(st), cx(st)], [(0, 1, i), (0, 1, i)])
+        assert len(stratum_of(out).cells) == len(st.cells)
         assert len(out.boundary.ids(0)) == len(st.boundary.ids(0))
 
     def test_merging_cells(self):
         pt = standard_simplex(0)
         a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
-        two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
-        one = Stratum(pt, [Cell("l", 1, a)])
-        m1 = StrataMorphism(two, one, identity_map(pt),
-                            {"l1": "l", "l2": "l"})
-        m2 = StrataMorphism(two, one, identity_map(pt),
-                            {"l1": "l", "l2": "l"})
-        out, _ = strata_colimit([two, one], [(0, 1, m1), (0, 1, m2)])
-        assert len(out.cells) == 1
+        two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
+        one = cx(Stratum(pt, [Cell("l", 1, a)]))
+        m1 = CellComplexMorphism(two, one, identity_map(pt),
+                                 {"l1": "l", "l2": "l"})
+        m2 = CellComplexMorphism(two, one, identity_map(pt),
+                                 {"l1": "l", "l2": "l"})
+        out, _ = cellcx_colimit([two, one], [(0, 1, m1), (0, 1, m2)])
+        assert len(stratum_of(out).cells) == 1
 
     def test_u_preserves_colimits(self):
         from relcell.delta import colimit as delta_colimit
         rng = random.Random(53)
         for _ in range(15):
             s0 = gen.rand_stratum(rng, prefix="s")
-            m1 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-            m2 = pushforward_morphism(s0, gen.rand_map_from(rng, s0.boundary))
-            out, legs = strata_colimit(
-                [s0, m1.cod, m2.cod], [(0, 1, m1), (0, 2, m2)])
-            bodies = [body(s) for s in (s0, m1.cod, m2.cod)]
-            arrows = [(0, 1, u_of_strata_morphism(m1).bottom),
-                      (0, 2, u_of_strata_morphism(m2).bottom)]
+            c = cx(s0)
+            _, m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))
+            _, m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))
+            out, legs = cellcx_colimit(
+                [c, m1.cod, m2.cod], [(0, 1, m1), (0, 2, m2)])
+            bodies = [x.body for x in (c, m1.cod, m2.cod)]
+            arrows = [(0, 1, u_of_morphism(m1).bottom),
+                      (0, 2, u_of_morphism(m2).bottom)]
             expected, exp_legs = delta_colimit(bodies, arrows)
-            got = body(out)
+            got = body(stratum_of(out))
             assert iso_over(got, expected,
-                            u_of_strata_morphism(legs[0]).bottom,
+                            u_of_morphism(legs[0]).bottom,
                             exp_legs[0]) is not None
 
 
@@ -294,30 +280,56 @@ class TestEqualiser:
     def test_equaliser_of_identical_pair(self):
         rng = random.Random(59)
         st = gen.rand_stratum(rng)
-        m = pushforward_morphism(st, gen.rand_map_from(rng, st.boundary))
-        e, inc = strata_equaliser(m, m)
-        assert len(e.cells) == len(st.cells)
+        _, m = pushforward_complex(cx(st), gen.rand_map_from(rng, st.boundary))
+        e, inc = cellcx_equaliser(m, m)
+        assert len(stratum_of(e).cells) == len(st.cells)
         assert e.boundary == st.boundary
-
-    def test_equaliser_drops_disagreeing_cells(self):
-        pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
-        two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
-        swap = StrataMorphism(two, two, identity_map(pt),
-                              {"l1": "l2", "l2": "l1"})
-        e, _ = strata_equaliser(identity_strata_morphism(two), swap)
-        assert len(e.cells) == 0
-        assert e.boundary == pt
 
     def test_u_preserves_equaliser(self):
         from relcell.delta import equaliser as delta_equaliser
         pt = standard_simplex(0)
         a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
-        two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
-        swap = StrataMorphism(two, two, identity_map(pt),
-                              {"l1": "l2", "l2": "l1"})
-        ident = identity_strata_morphism(two)
-        e, _ = strata_equaliser(ident, swap)
-        eb, _ = delta_equaliser(u_of_strata_morphism(ident).bottom,
-                                u_of_strata_morphism(swap).bottom)
-        assert body(e) == eb
+        two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
+        swap = CellComplexMorphism(two, two, identity_map(pt),
+                                   {"l1": "l2", "l2": "l1"})
+        ident = identity_morphism(two)
+        e, _ = cellcx_equaliser(ident, swap)
+        eb, _ = delta_equaliser(u_of_morphism(ident).bottom,
+                                u_of_morphism(swap).bottom)
+        assert body(stratum_of(e)) == eb
+
+
+class TestHeightAtMostOne:
+    def test_constructions_keep_one_stratum(self):
+        # what lets a stratum stand for its complex: a pushforward, colimit
+        # or equaliser of complexes of height <= 1 has height <= 1
+        rng = random.Random(113)
+        for _ in range(20):
+            s0 = gen.rand_stratum(rng)
+            sub = Stratum(s0.boundary, rng.sample(
+                s0.cells, rng.randint(0, len(s0.cells))))
+            c = cx(s0)
+            assert stratum_of(c) == s0 and stratum_of(cx(sub)) == sub
+            p1, m1 = pushforward_complex(
+                c, gen.rand_map_from(rng, s0.boundary))
+            p2, m2 = pushforward_complex(
+                c, gen.rand_map_from(rng, s0.boundary))
+            span, _ = cellcx_colimit([c, p1, p2], [(0, 1, m1), (0, 2, m2)])
+            # c + c glued along sub, and c + c pushed forward: each pair of
+            # legs agrees on the cells of sub, or on none
+            two, (j0, j1) = cellcx_coproduct([c, c])
+            incl = CellComplexMorphism(cx(sub), c, identity_map(s0.boundary),
+                                       {x.id: x.id for x in sub.cells})
+            glued, (_, q0) = cellcx_colimit(
+                [cx(sub), two], [(0, 1, compose_morphisms(j0, incl)),
+                                 (0, 1, compose_morphisms(j1, incl))])
+            _, q1 = pushforward_complex(two,
+                                        gen.rand_map_from(rng, two.boundary))
+            outs = [p1, p2, span, two, glued, q1.cod]
+            for q in (q0, q1):
+                eq, _ = cellcx_equaliser(compose_morphisms(q, j0),
+                                         compose_morphisms(q, j1))
+                outs.append(eq)
+            assert len(outs[-2].cell_ids) == len(sub.cells)
+            for out in outs:
+                assert out.height <= 1
