@@ -23,6 +23,7 @@ from .delta import (
     coequaliser,
     colimit,
     compose,
+    composes_to,
     coproduct,
     enumerate_homs,
     equaliser,

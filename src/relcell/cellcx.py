@@ -3,9 +3,10 @@
 A cell complex stores only its nonempty strata; the infinite tail of empty
 strata is implicit.  Connectedness means each stratum's boundary is literally
 the body of the previous one; properness means no cell of stage n >= 1
-attaches entirely inside stage n - 1.  Because glued simplices reuse cell
-ids, every filtration stage is a literal subcomplex of the body and
-"factors through stage n" is a plain containment check.
+attaches entirely inside stage n - 1, which is read off the set of the
+cell's ``images``, its attach as an image tuple.  Because glued simplices
+reuse cell ids, every filtration stage is a literal subcomplex of the body
+and "factors through stage n" is a plain containment check.
 
 A derived complex is fixed by its underlying inclusion, base in body:
 ``complex_of`` reads its cells off the body and hands them to ``assemble``,
@@ -70,7 +71,7 @@ class CellComplex:
             if n >= 1:
                 prev = self._stages[n - 1].id_set
                 for c in st.cells:
-                    if set(c.attach.assign.values()) <= prev:
+                    if prev.issuperset(c.images):
                         raise CellComplexError(
                             f"cell {c.id!r} at stage {n} attaches inside "
                             f"stage {n - 1}: sequence is improper")
@@ -130,7 +131,7 @@ def u_of_complex(c):
 def generator_complex(k):
     """The canonical height-one single-cell complex over the k-th generator."""
     bd = boundary_complex(k)
-    cell = Cell(f"cell{k}", k, identity_map(bd), validate=False)
+    cell = Cell(f"cell{k}", k, identity_map(bd))
     return CellComplex(bd, (Stratum(bd, [cell], validate=False),),
                        validate=False)
 
@@ -143,28 +144,24 @@ def assemble(boundary, cells):
 
     ``cells`` attach into the union of the base and all glued simplices
     (cell ids).  Each cell is placed at the least stage containing its
-    attach image; placement iterates to a fixpoint.  Fails if some cell's
-    attach references ids that never appear.
+    attach image (the set of its ``images``); placement iterates to a
+    fixpoint, and a placed cell shares its image tuple.  Fails if some
+    cell's attach references ids that never appear.
     """
     remaining = sorted(cells, key=lambda c: c.id)
     strata = []
     current = boundary
     while remaining:
         ids = current.id_set
-        placeable = [
-            c for c in remaining if ids.issuperset(c.attach.assign.values())]
+        placeable = [c for c in remaining if ids.issuperset(c.images)]
         if not placeable:
             missing = sorted(
-                set().union(*(set(c.attach.assign.values())
-                              for c in remaining)) - ids)
+                set().union(*(c.images for c in remaining)) - ids)
             raise CellComplexError(
                 f"cells {[c.id for c in remaining]} can never be placed; "
                 f"unreachable simplices include {missing[:5]}")
         st = Stratum(current,
-                     [Cell(c.id, c.dim,
-                           SimplicialMap(c.attach.dom, current,
-                                         c.attach.assign, validate=False),
-                           validate=False)
+                     [Cell._of(c.id, c.dim, c.images, current)
                       for c in placeable],
                      validate=False)
         strata.append(st)
@@ -178,8 +175,7 @@ def complex_of(base, total):
     """The proper complex whose underlying inclusion is ``base`` in
     ``total``: every other simplex of ``total`` is a cell, attached along
     its faces."""
-    return assemble(base, [Cell(s, k, boundary_restriction(total, s),
-                                validate=False)
+    return assemble(base, [Cell(s, k, boundary_restriction(total, s))
                            for k, s in total.all_ids() if s not in base])
 
 
@@ -247,8 +243,8 @@ class CellComplexMorphism:
 
     @property
     def body_map(self):
-        return SimplicialMap(self.dom.body, self.cod.body,
-                             {**self.f0.assign, **self.p}, validate=False)
+        return SimplicialMap._owning(self.dom.body, self.cod.body,
+                                     {**self.f0.assign, **self.p})
 
     def __eq__(self, other):
         return isinstance(other, CellComplexMorphism) and \

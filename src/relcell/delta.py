@@ -26,6 +26,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+
+
+_new = object.__new__
 
 
 class DeltaError(ValueError):
@@ -180,6 +184,25 @@ class DeltaComplex:
                     raise DeltaError(f"{keep!r} is not face-closed at {s!r}")
         return DeltaComplex(simp, faces, validate=False)
 
+    def _extended(self, added, faces):
+        """This complex plus the ``added`` ids (dimension -> sorted list)
+        with their ``faces``, trusted: one copy of each dict, one merge per
+        grade, no validation but ``__init__``'s duplicate id check."""
+        dim_of = dict(self._dim_of)
+        simp = dict(self.simplices)
+        for k, ids in added.items():
+            dim_of.update(dict.fromkeys(ids, k))
+            # two sorted runs: timsort merges them in one linear pass
+            simp[k] = tuple(sorted([*simp.get(k, ()), *ids]))
+        if len(dim_of) != len(self._dim_of) + sum(map(len, added.values())):
+            raise DeltaError("duplicate simplex id")
+        x = _new(DeltaComplex)
+        x.simplices = simp
+        x.faces = {**self.faces, **faces}
+        x._dim_of = dim_of
+        x._key = x._hash = x._by_faces = None
+        return x
+
     def is_subcomplex_of(self, other):
         for s, k in self._dim_of.items():
             if other._dim_of.get(s) != k:
@@ -221,6 +244,17 @@ class SimplicialMap:
 
     def __call__(self, s):
         return self.assign[s]
+
+    @classmethod
+    def _owning(cls, dom, cod, assign):
+        """A trusted map that takes ownership of the dict ``assign``: no
+        copy and no validation, so the caller must never touch it again."""
+        m = _new(cls)
+        m.dom = dom
+        m.cod = cod
+        m.assign = assign
+        m._key = m._hash = m._prefixes = None
+        return m
 
     def key(self):
         """The canonical form: the endpoints' keys and the sorted
@@ -273,30 +307,41 @@ class SimplicialMap:
     def inverse(self):
         if not self.is_bijective():
             raise DeltaError("map is not bijective")
-        return SimplicialMap(self.cod, self.dom,
-                             {t: s for s, t in self.assign.items()},
-                             validate=False)
+        return SimplicialMap._owning(
+            self.cod, self.dom, {t: s for s, t in self.assign.items()})
 
 
 def identity_map(x):
-    return SimplicialMap(x, x, {s: s for s in x._dim_of}, validate=False)
+    return SimplicialMap._owning(x, x, {s: s for s in x._dim_of})
 
 
 def inclusion_map(sub, ambient):
     """The identifier-preserving inclusion of a literal subcomplex."""
     if not sub.is_subcomplex_of(ambient):
         raise DeltaError("not a literal subcomplex")
-    return SimplicialMap(sub, ambient, {s: s for s in sub._dim_of},
-                         validate=False)
+    return SimplicialMap._owning(sub, ambient, {s: s for s in sub._dim_of})
 
 
 def compose(f, g):
     """The composite f after g."""
     if g.cod != f.dom:
         raise DeltaError("composition endpoint mismatch")
-    return SimplicialMap(g.dom, f.cod,
-                         {s: f.assign[t] for s, t in g.assign.items()},
-                         validate=False)
+    fa = f.assign
+    return SimplicialMap._owning(g.dom, f.cod,
+                                 {s: fa[t] for s, t in g.assign.items()})
+
+
+def composes_to(f, g, h):
+    """``compose(f, g) == h``, compared entry by entry without building the
+    composite; unequal endpoints of f and g raise as in ``compose``."""
+    if g.cod != f.dom:
+        raise DeltaError("composition endpoint mismatch")
+    ga = g.assign
+    # an id is a string, so a missing entry (None) never matches
+    return len(ga) == len(h.assign) and \
+        all(map(operator.eq, map(f.assign.__getitem__, ga.values()),
+                map(h.assign.get, ga))) and \
+        g.dom == h.dom and f.cod == h.cod
 
 
 class ArrowSquare:
@@ -315,7 +360,7 @@ class ArrowSquare:
         if left.dom != top.dom or right.dom != top.cod \
                 or bottom.dom != left.cod or right.cod != bottom.cod:
             raise DeltaError("square endpoints do not match")
-        if compose(right, top) != compose(bottom, left):
+        if not composes_to(right, top, compose(bottom, left)):
             raise DeltaError("square does not commute")
 
     def __eq__(self, other):
@@ -377,6 +422,13 @@ def boundary_complex(k):
 
 
 @functools.lru_cache(maxsize=None)
+def boundary_keys(k):
+    """The ids of the boundary of the standard k-simplex, sorted: the order
+    of a cell's ``images`` and of each lift that ``_lift_kernel`` yields."""
+    return tuple(sorted(boundary_complex(k).id_set))
+
+
+@functools.lru_cache(maxsize=None)
 def _face_steps(k):
     """Steps ``(s, parent, i)`` that reach every simplex s of dimension
     < k - 1 of the standard k-simplex as face i of a parent reached before
@@ -407,15 +459,14 @@ def characteristic_map(x, b):
     k = x.dim(b)
     assign = _boundary_assign(k, x.faces_of(b), x.faces)
     assign[top_simplex_id(k)] = b
-    return SimplicialMap(standard_simplex(k), x, assign, validate=False)
+    return SimplicialMap._owning(standard_simplex(k), x, assign)
 
 
 def boundary_restriction(x, b):
     """The restriction of ``characteristic_map(x, b)`` to the boundary."""
     k = x.dim(b)
-    return SimplicialMap(boundary_complex(k), x,
-                         _boundary_assign(k, x.faces_of(b), x.faces),
-                         validate=False)
+    return SimplicialMap._owning(boundary_complex(k), x,
+                                 _boundary_assign(k, x.faces_of(b), x.faces))
 
 
 # -- hom enumeration -----------------------------------------------------
@@ -494,20 +545,18 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
 def _lift_kernel(k):
     """The boundary-lift search of shape k, compiled on first use.
 
-    Returns ``(keys, search)``: the ids of the boundary of the standard
-    k-simplex, sorted, and ``search(f, t, new)``, which returns the lifts
-    of the k-simplex t (see ``boundary_lifts``) as tuples of images in key
-    order.  ``search`` runs one loop per facet x_0..x_k over the candidates
-    ``f.prefix_index(k - 1)`` gives for its target and the faces its
-    predecessors fix, then reads every lower simplex off the faces of
-    x_0..x_(k-1) in straight-line code: a simplex of codimension >= 2
-    omits some vertex i < k, so it lies in facet x_i.  The source is
+    Returns ``search(f, t, new)``, which returns the lifts of the
+    k-simplex t (see ``boundary_lifts``) as tuples of images in the order
+    of ``boundary_keys(k)``.  ``search`` runs one loop per facet x_0..x_k
+    over the candidates ``f.prefix_index(k - 1)`` gives for its target and
+    the faces its predecessors fix, then reads every lower simplex off the
+    faces of x_0..x_(k-1) in straight-line code: a simplex of codimension
+    >= 2 omits some vertex i < k, so it lies in facet x_i.  The source is
     generated from k alone; ids only ever reach it as arguments.
     """
     bd = boundary_complex(k)
-    keys = tuple(sorted(bd.id_set))
     if k == 0:  # one empty lift, never proper: it has no facet
-        return keys, lambda f, t, new: [()] if new is None else []
+        return lambda f, t, new: [()] if new is None else []
     facets = facet_ids(k)
     image = {s: f"x{j}" for j, s in enumerate(facets)}
     # the variables holding fetched face tuples; vertices have none
@@ -550,13 +599,14 @@ def _lift_kernel(k):
                 lines.append(f"{pad} {tuples[p]} = faces[{image[p]}]")
             image[s] = f"y{len(image)}"
             lines.append(f"{pad} {image[s]} = {tuples[p]}[{i}]")
+    slots = "".join(image[s] + ", " for s in boundary_keys(k))
     lines += [f"{pad} for x{k} in cands:",
-              f"{pad}  add(({''.join(image[s] + ', ' for s in keys)}))",
+              f"{pad}  add(({slots}))",
               " return out"]
     namespace = {}
     exec(compile("\n".join(lines), f"<boundary lifts of shape {k}>",
                  "exec"), namespace)
-    return keys, namespace["search"]
+    return namespace["search"]
 
 
 def boundary_lifts(f, t, new=None):
@@ -573,10 +623,9 @@ def boundary_lifts(f, t, new=None):
     Output order is lexicographic in the facet tuple.
     """
     k = f.cod.dim(t)
-    keys, search = _lift_kernel(k)
-    bd, a = boundary_complex(k), f.dom
+    keys, bd, a = boundary_keys(k), boundary_complex(k), f.dom
     return [SimplicialMap(bd, a, zip(keys, images), validate=False)
-            for images in search(f, t, new)]
+            for images in _lift_kernel(k)(f, t, new)]
 
 
 # -- colimits -------------------------------------------------------------
@@ -629,7 +678,7 @@ def _quotient(parts, pairs, name):
     for n, k in dim_of.items():
         simp.setdefault(k, []).append(n)
     total = DeltaComplex(simp, faces, validate=False)
-    return total, [SimplicialMap(x, total, assign, validate=False)
+    return total, [SimplicialMap._owning(x, total, assign)
                    for x, assign in zip(parts, assigns)]
 
 

@@ -14,7 +14,6 @@ import random
 from .delta import (
     ArrowSquare,
     InvariantError,
-    SimplicialMap,
     boundary_complex,
     characteristic_map,
     coequaliser,
@@ -156,7 +155,7 @@ def shuffled_strata(rng, c):
     stage_of = {}
     for _, cell in c.all_cells():
         lo = 0
-        for t in cell.attach.assign.values():
+        for t in cell.images:
             if t in stage_of:
                 lo = max(lo, stage_of[t] + 1)
         s = lo + rng.randint(0, 2)
@@ -166,10 +165,7 @@ def shuffled_strata(rng, c):
     strata = []
     current = c.boundary
     for stage in sorted({s for s, _ in placed}):
-        cells = [Cell(cl.id, cl.dim,
-                      SimplicialMap(cl.attach.dom, current,
-                                    cl.attach.assign, validate=False),
-                      validate=False)
+        cells = [Cell._of(cl.id, cl.dim, cl.images, current)
                  for s, cl in placed if s == stage]
         st = Stratum(current, cells, validate=False)
         strata.append(st)

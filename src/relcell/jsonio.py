@@ -20,14 +20,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 
 from .delta import (
     DeltaComplex,
     DeltaError,
     SimplicialMap,
     boundary_complex,
-    compose,
+    boundary_keys,
+    composes_to,
     facet_ids,
 )
 from .strata import Cell, Stratum, body
@@ -119,30 +119,29 @@ def dumps(obj):
 @functools.lru_cache(maxsize=None)
 def _template(k, n, cell):
     """A k-simplex, or a k-cell, as a list item ``n`` levels deep: the
-    ``%`` template of its faces, or of its attach images in key order, then
-    its id; and the getter of a cell's images.  NUL marks a slot while the
-    text, made only of punctuation and the shape's keys, is built."""
+    ``%`` template of its faces, or of its attach images in the order of
+    ``boundary_keys(k)``, then its id.  NUL marks a slot while the text,
+    made only of punctuation and the shape's keys, is built."""
     i, j, lead = _level(n + 1), _level(n + 2), _level(n)
-    keys = sorted(boundary_complex(k).id_set) if cell else ()
     if cell:
+        keys = boundary_keys(k)
         attach = ",".join(j + _quote(s) + ": \0" for s in keys)
         head = f'"attach": {{{attach + i if keys else ""}}},{i}"dim": {k},'
     else:
         head = '"faces": [' + ",".join([j + "\0"] * (k + 1)) + i + "],"
     item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
-    return (item.replace("%", "%%").replace("\0", "%s"),
-            operator.itemgetter(*keys) if keys else dict.values)
+    return item.replace("%", "%%").replace("\0", "%s")
 
 
 def _cells(cells, n):
     for c in cells:
-        fill, images = _template(c.dim, n, True)
-        yield fill % (*map(_quote, images(c.attach.assign)), _quote(c.id))
+        yield _template(c.dim, n, True) % (*map(_quote, c.images),
+                                           _quote(c.id))
 
 
 def _complex(x):
     def simplices(k, n):
-        fill = _template(k, n, False)[0]
+        fill = _template(k, n, False)
         return (fill % (*map(_quote, x.faces[s]), _quote(s))
                 for s in x.ids(k))
 
@@ -298,7 +297,8 @@ def map_from_json(obj):
 
 
 def _cell_to_json(c):
-    return {"id": c.id, "dim": c.dim, "attach": c.attach.assign}
+    return {"id": c.id, "dim": c.dim,
+            "attach": dict(zip(boundary_keys(c.dim), c.images))}
 
 
 def _check_cell(obj):
@@ -360,8 +360,7 @@ def cellcx_cells_from_json(obj):
             faces[c["id"]] = tuple(map(c["attach"].get, facet_ids(c["dim"])))
     pool = DeltaComplex(simplices, faces, validate=False)
     return base, [Cell(c["id"], c["dim"], SimplicialMap(
-        boundary_complex(c["dim"]), pool, c["attach"]), validate=False)
-        for c in raw]
+        boundary_complex(c["dim"]), pool, c["attach"])) for c in raw]
 
 
 def cellcx_from_json(obj):
@@ -397,7 +396,7 @@ def factor_result_from_json(obj):
             "stage_counts do not match the complex")
     _expect(kf.boundary == f.dom and ef.dom == kf.body and ef.cod == f.cod,
             "complex and ef do not factor the input map")
-    _expect(compose(ef, u_of_complex(kf)) == f,
+    _expect(composes_to(ef, u_of_complex(kf), f),
             "ef after the underlying map of the complex is not the input map")
     return FactorResult(f, kf, ef)
 

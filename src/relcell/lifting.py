@@ -20,8 +20,10 @@ from .delta import (
     InvariantError,
     SimplicialMap,
     boundary_complex,
+    boundary_keys,
     boundary_restriction,
     compose,
+    composes_to,
     enumerate_homs,
     facet_ids,
 )
@@ -128,20 +130,19 @@ def solve_lifting(c, ft, square):
     if u.dom != c.boundary or u.cod != p.dom or \
             v.dom != c.body or v.cod != p.cod:
         raise DeltaError("lifting square endpoints do not match")
-    if compose(p, u) != compose(v, i):
+    if not composes_to(p, u, compose(v, i)):
         raise DeltaError("lifting square does not commute")
     d_assign = dict(u.assign)
     for _, cell in c.all_cells():
-        bd = boundary_complex(cell.dim)
-        w = SimplicialMap(
-            bd, p.dom,
-            {s: d_assign[t] for s, t in cell.attach.assign.items()},
-            validate=False)
+        w = SimplicialMap._owning(
+            boundary_complex(cell.dim), p.dom,
+            {s: d_assign[t]
+             for s, t in zip(boundary_keys(cell.dim), cell.images)})
         d_assign[cell.id] = ft.filler(w, v.assign[cell.id])
     d = SimplicialMap(c.body, p.dom, d_assign)
-    if compose(d, i) != u:
+    if not composes_to(d, i, u):
         raise InvariantError("lift does not restrict to the given map")
-    if compose(p, d) != v:
+    if not composes_to(p, d, v):
         raise InvariantError("lift does not project to the given map")
     return d
 

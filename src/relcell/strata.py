@@ -2,10 +2,13 @@
 
 A stratum is a boundary complex together with a finite set of cells; each
 cell has a shape dimension k and an attaching map from the boundary of the
-standard k-simplex into the stratum's boundary.  The body of a stratum glues
-one fresh top simplex per cell onto the boundary; the fresh simplex reuses
-the cell's id, so the boundary is a literal subcomplex of the body.  Strata
-are immutable, so each one glues its body at most once.
+standard k-simplex into the stratum's boundary.  A cell stores that map as
+its image tuple: the images of the boundary ids in ``boundary_keys(k)``
+order, plus the codomain; ``Cell.attach`` is the map, built when first
+read.  The body of a stratum glues one fresh top simplex per cell onto the
+boundary, its faces read off the image tuple by position; the fresh simplex
+reuses the cell's id, so the boundary is a literal subcomplex of the body.
+Strata are immutable, so each one glues its body at most once.
 
 A stratum is a cell complex of height at most one: its morphisms,
 pushforwards, colimits and equalisers are those of ``cellcx``.
@@ -13,7 +16,19 @@ pushforwards, colimits and equalisers are those of ``cellcx``.
 
 from __future__ import annotations
 
-from .delta import DeltaComplex, DeltaError, boundary_complex, facet_ids
+import functools
+import operator
+
+from .delta import (
+    DeltaError,
+    SimplicialMap,
+    boundary_complex,
+    boundary_keys,
+    facet_ids,
+)
+
+
+_new = object.__new__
 
 
 class StrataError(DeltaError):
@@ -21,23 +36,51 @@ class StrataError(DeltaError):
 
 
 class Cell:
-    """A cell: shape dimension plus an attaching map of its boundary."""
+    """A cell: shape dimension k plus an attaching map of its boundary,
+    stored as ``images`` (a tuple in ``boundary_keys(k)`` order) and
+    ``cod``.  ``Cell(id, k, attach)`` checks the map's domain and
+    totality; ``Cell._of`` trusts its image tuple."""
 
-    __slots__ = ("id", "dim", "attach")
+    __slots__ = ("id", "dim", "images", "cod", "_attach")
 
-    def __init__(self, cell_id, dim, attach, validate=True):
-        self.id = cell_id
-        self.dim = dim
-        self.attach = attach
-        if validate and attach.dom != boundary_complex(dim):
+    def __init__(self, cell_id, dim, attach):
+        if attach.dom != boundary_complex(dim):
             raise StrataError(
                 f"cell {cell_id!r}: attach domain is not the boundary "
                 f"of the standard {dim}-simplex")
+        keys = boundary_keys(dim)
+        if attach.assign.keys() != set(keys):
+            raise StrataError(f"cell {cell_id!r}: attach is not total on "
+                              f"the boundary of the standard {dim}-simplex")
+        self.id = cell_id
+        self.dim = dim
+        self.images = tuple(map(attach.assign.__getitem__, keys))
+        self.cod = attach.cod
+        self._attach = attach
+
+    @classmethod
+    def _of(cls, cell_id, dim, images, cod):
+        c = _new(cls)
+        c.id = cell_id
+        c.dim = dim
+        c.images = images
+        c.cod = cod
+        c._attach = None
+        return c
+
+    @property
+    def attach(self):
+        """The attaching map, built from ``images`` on first read."""
+        if self._attach is None:
+            self._attach = SimplicialMap._owning(
+                boundary_complex(self.dim), self.cod,
+                dict(zip(boundary_keys(self.dim), self.images)))
+        return self._attach
 
     def __eq__(self, other):
-        return isinstance(other, Cell) and \
-            (self.id, self.dim, self.attach) == \
-            (other.id, other.dim, other.attach)
+        return isinstance(other, Cell) and self.id == other.id and \
+            self.dim == other.dim and self.images == other.images and \
+            self.cod == other.cod
 
     def __hash__(self):
         return hash((self.id, self.dim))
@@ -60,7 +103,7 @@ class Stratum:
             raise StrataError("duplicate cell ids in stratum")
         if validate:
             for c in self.cells:
-                if c.attach.cod != boundary:
+                if c.cod != boundary:
                     raise StrataError(
                         f"cell {c.id!r} does not attach to the boundary")
 
@@ -75,31 +118,40 @@ class Stratum:
         return f"Stratum({self.boundary!r}, {len(self.cells)} cells)"
 
 
+@functools.lru_cache(maxsize=None)
+def _facets(k):
+    """The getter of a k-cell's facet images, d_0..d_k, from ``images``."""
+    return operator.itemgetter(*map(boundary_keys(k).index, facet_ids(k)))
+
+
 def body(st):
     """Glue all cells onto the boundary: the body complex.
 
-    The glued top simplex of each cell carries the cell's id; a collision
-    with a boundary id is an error.  The body is built on the first call and
+    The glued top simplex of each cell carries the cell's id, its faces
+    read off the cell's images; a collision with a boundary id is an
+    error.  Each grade is one merge onto the boundary's (see
+    ``DeltaComplex._extended``).  The body is built on the first call and
     cached on the stratum, so every caller shares one; a stratum without
     cells has its boundary as its body.  The boundary is a literal
-    subcomplex of the body (``inclusion_map(st.boundary, body(st))``), and a
-    cell's characteristic map is ``delta.characteristic_map(body(st), id)``.
+    subcomplex of the body (``inclusion_map(st.boundary, body(st))``), and
+    a cell's characteristic map is ``delta.characteristic_map(body(st),
+    id)``.
     """
     if st._body is not None:
         return st._body
     if not st.cells:
         st._body = st.boundary
         return st._body
-    simp = {k: list(ids) for k, ids in st.boundary.simplices.items()}
-    faces = dict(st.boundary.faces)
+    added = {}
+    faces = {}
     for c in st.cells:
-        if c.id in st.boundary:
-            raise StrataError(
-                f"cell id {c.id!r} collides with a boundary simplex")
-        simp.setdefault(c.dim, []).append(c.id)
-        if c.dim >= 1:
-            faces[c.id] = tuple(map(c.attach.assign.__getitem__,
-                                    facet_ids(c.dim)))
-    st._body = DeltaComplex(simp, faces, validate=False)
+        added.setdefault(c.dim, []).append(c.id)
+        if c.dim:
+            faces[c.id] = _facets(c.dim)(c.images)
+    try:
+        st._body = st.boundary._extended(added, faces)
+    except DeltaError:  # cell ids are distinct: one is a boundary id
+        cid = next(c.id for c in st.cells if c.id in st.boundary)
+        raise StrataError(
+            f"cell id {cid!r} collides with a boundary simplex") from None
     return st._body
-

@@ -62,7 +62,7 @@ def mec_partition_composite(a, b):
     while n < a.height or pending:
         cells = [Cell(c.id, c.dim,
                       SimplicialMap(c.attach.dom, current, c.attach.assign,
-                                    validate=False), validate=False)
+                                    validate=False))
                  for c in a.strata[n].cells] if n < a.height else []
         here = [c for c in pending
                 if set(c.attach.assign.values()) <= current.id_set]
@@ -71,7 +71,7 @@ def mec_partition_composite(a, b):
         cells.extend(
             Cell(c.id, c.dim,
                  SimplicialMap(c.attach.dom, current, c.attach.assign,
-                               validate=False), validate=False)
+                               validate=False))
             for c in here)
         if not cells:
             if pending and n < a.height:

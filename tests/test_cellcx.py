@@ -124,7 +124,7 @@ class TestNormalForm:
                                {"0": "ghost", "1": "ghost"},
                                validate=False)
         with pytest.raises(CellComplexError):
-            assemble(EMPTY, [Cell("e", 1, attach, validate=False)])
+            assemble(EMPTY, [Cell("e", 1, attach)])
 
 
 class TestComposition:

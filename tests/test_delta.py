@@ -20,6 +20,7 @@ from relcell import (
     coequaliser,
     colimit,
     compose,
+    composes_to,
     coproduct,
     enumerate_homs,
     equaliser,
@@ -226,6 +227,48 @@ class TestEquality:
         assert a == b and a.dom == b.dom
         for value in (a, b, a.dom, b.dom, a.cod, b.cod):
             assert value._key is None
+
+
+class TestComposesTo:
+    """``composes_to(f, g, h)`` is ``compose(f, g) == h``, endpoint errors
+    included, without building the composite."""
+
+    def test_agrees_with_compose(self):
+        rng = random.Random(41)
+        checked = mismatched = 0
+        for _ in range(40):
+            g = gen.rand_map(rng, max_dim=2)
+            f = gen.rand_map_from(rng, g.cod)
+            fg = compose(f, g)
+            others = enumerate_homs(g.dom, f.cod, limit=4)
+            # unequal endpoints: a wider codomain, the domain of f, and a
+            # map with equal assignments over another domain
+            wider = compose(gen.rand_map_from(rng, f.cod), fg)
+            pt = standard_simplex(0)
+            stray = SimplicialMap(EMPTY, pt, {})
+            for h in [fg, _rebuilt_map(fg), identity_map(g.dom),
+                      identity_map(f.dom), wider, stray, *others]:
+                want = compose(f, g) == h
+                assert composes_to(f, g, h) is want
+                checked += want
+            if f.cod != g.dom:  # g after f does not compose
+                mismatched += 1
+                with pytest.raises(DeltaError, match="endpoint mismatch"):
+                    compose(g, f)
+                with pytest.raises(DeltaError, match="endpoint mismatch"):
+                    composes_to(g, f, fg)
+        assert checked >= 80 and mismatched >= 20
+
+    def test_same_assignments_other_endpoints(self):
+        bigons = [identity_map(_bigon("b", "a")),
+                  identity_map(_bigon("a", "b"))]
+        f = bigons[0]
+        assert not composes_to(f, f, bigons[1])
+        assert composes_to(f, f, f)
+        out_of_empty = [SimplicialMap(EMPTY, standard_simplex(k), {})
+                        for k in range(2)]
+        assert not composes_to(identity_map(standard_simplex(0)),
+                               out_of_empty[0], out_of_empty[1])
 
 
 class TestHomEnumeration:

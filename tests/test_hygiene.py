@@ -72,3 +72,31 @@ def test_imports_at_module_level():
               for scope in ast.walk(tree) if isinstance(scope, scopes)
               for node in ast.walk(scope) if isinstance(node, imports)}
     assert sorted(nested) == []
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_boundary_ids_sorted_in_one_place():
+    # the key order of a cell's images and of each boundary lift is
+    # ``delta.boundary_keys``; a ``sorted`` over ``boundary_complex`` ids,
+    # or over a name bound to one, anywhere else is a second copy of it
+    places = []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {target.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign)
+                     and _calls(node.value, "boundary_complex")
+                     for t in node.targets
+                     for target in ast.walk(t)
+                     if isinstance(target, ast.Name)}
+            for call in _calls(fn, "sorted"):
+                if any(_calls(arg, "boundary_complex") or any(
+                        isinstance(n, ast.Name) and n.id in bound
+                        for n in ast.walk(arg)) for arg in call.args):
+                    places.append(f"{name}.{fn.name}")
+    assert places == ["delta.boundary_keys"]

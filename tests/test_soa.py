@@ -15,6 +15,7 @@ from relcell import (
     Cell,
     CellComplex,
     CellComplexMorphism,
+    DeltaError,
     EMPTY,
     InvariantError,
     SimplicialMap,
@@ -188,6 +189,26 @@ class TestFreeComplex:
             with pytest.raises(InvariantError, match="internal invariant"):
                 fr.cell_over(target, faces)
 
+    def test_free_cells_build_no_attach_map(self, monkeypatch):
+        # the cells are glued from the kernel's image tuples: one map per
+        # stage (its counit), none per cell, and an attach only when read
+        f = identity_map(standard_simplex(3))
+        made = []
+        init, owning = SimplicialMap.__init__, SimplicialMap._owning.__func__
+        monkeypatch.setattr(SimplicialMap, "__init__", lambda self, *a, **k:
+                            made.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(SimplicialMap, "_owning", classmethod(
+            lambda cls, *a: made.append(1) or owning(cls, *a)))
+        fr = free_complex(f)
+        cells = [c for _, c in fr.kf.all_cells()]
+        assert len(cells) >= 100 and len(made) <= fr.kf.height
+        assert all(c._attach is None for c in cells)
+        monkeypatch.undo()
+        n, c = list(fr.kf.all_cells())[-1]
+        assert c.attach is c.attach and c.attach.cod is fr.kf.filtration[n]
+        assert c.attach.assign == \
+            boundary_restriction(fr.kf.body, c.id).assign
+
     def test_properness_mec_exactly_stage(self):
         rng = random.Random(127)
         for _ in range(15):
@@ -232,6 +253,27 @@ class TestTranspose:
         c = trivial_complex(f.dom)
         m = transpose(c, identity_map(f.dom), f, fr)
         assert m.p == {}
+
+    def test_square_that_does_not_commute_raises(self):
+        f = boundary_inclusion(1)
+        swap = SimplicialMap(f.dom, f.cod, {"0": "1", "1": "0"})
+        with pytest.raises(DeltaError,
+                           match="^transpose: square does not commute$"):
+            transpose(trivial_complex(f.dom), identity_map(f.dom), swap,
+                      free_complex(f))
+
+    def test_counit_failure_is_an_invariant_error(self):
+        # a factorization whose ef does not restrict to f on the base
+        f = boundary_inclusion(1)
+        fr = free_complex(f)
+        ef = SimplicialMap(fr.ef.dom, fr.ef.cod,
+                           {**fr.ef.assign, "0": "1", "1": "0"},
+                           validate=False)
+        broken = soa.FactorResult(f, fr.kf, ef)
+        with pytest.raises(InvariantError,
+                           match="^transpose does not factor the given "
+                                 "square$"):
+            transpose(trivial_complex(f.dom), identity_map(f.dom), f, broken)
 
     def test_transpose_of_counit_is_identity(self, fz):
         for _, f in law_fixtures():
@@ -344,6 +386,24 @@ class TestLaws:
                 fr_uef, freu)
             assert compose(delta, mu) == \
                 compose(mu_ukf, compose(kdm.body_map, delta_ef))
+
+    def test_failing_law_carries_its_composite(self, fz, monkeypatch):
+        # every law reads as failed: each witness is both sides in full
+        f = boundary_inclusion(1)
+        sq = ArrowSquare(top=identity_map(f.dom), bottom=identity_map(f.cod),
+                         left=f, right=f)
+        monkeypatch.setattr(soa, "composes_to", lambda f, g, h: False)
+        rep = check_awfs_laws(f, [sq], factorizer=fz)
+        fr = fz.k(f)
+        assert not rep["all_pass"] and not any(rep["laws"].values())
+        assert rep["witnesses"].pop("naturality_0") == {"eta": False,
+                                                        "mu": False}
+        assert set(rep["witnesses"]) == set(rep["laws"]) - {"naturality"}
+        assert rep["witnesses"]["factorization"] == {
+            "lhs": sorted(compose(fr.ef, u_of_complex(fr.kf)).assign.items()),
+            "rhs": sorted(f.assign.items())}
+        for w in rep["witnesses"].values():
+            assert w["lhs"] == w["rhs"]
 
     def test_mu_trivial_for_empty_codomain(self, fz):
         f = identity_map(EMPTY)

@@ -10,12 +10,14 @@ from relcell import (
     Cell,
     CellComplexError,
     CellComplexMorphism,
+    DeltaComplex,
     DeltaError,
     EMPTY,
     SimplicialMap,
     StrataError,
     Stratum,
     boundary_complex,
+    boundary_lifts,
     body,
     cellcx_colimit,
     cellcx_coproduct,
@@ -36,6 +38,8 @@ from relcell import (
     u_of_morphism,
 )
 from relcell import gen
+from relcell.delta import _lift_kernel, boundary_keys, facet_ids
+from relcell.soa import free_complex
 from conftest import cx, stratum_of
 
 
@@ -72,7 +76,105 @@ def iso_over(x, y, fx, fy):
     return None
 
 
+def sample_cells():
+    """Cells of every shape 0..3: from ``gen`` strata, which build them
+    from maps, and from free factorizations, which glue image tuples."""
+    rng = random.Random(17)
+    cells = [c for _ in range(20) for c in gen.rand_stratum(rng).cells]
+    for _ in range(6):
+        cells += [c for _, c in free_complex(
+            gen.rand_map(rng, max_dim=3)).kf.all_cells()]
+    assert {c.dim for c in cells} == {0, 1, 2, 3}
+    return cells
+
+
+def rebuilt_body(st):
+    """The body as built before it merged onto the boundary: every grade
+    re-sorted and every dict re-copied through ``DeltaComplex``, which
+    also validates it."""
+    simp = {k: list(ids) for k, ids in st.boundary.simplices.items()}
+    faces = dict(st.boundary.faces)
+    for c in st.cells:
+        simp.setdefault(c.dim, []).append(c.id)
+        if c.dim:
+            faces[c.id] = tuple(c.attach.assign[s] for s in facet_ids(c.dim))
+    return DeltaComplex(simp, faces)
+
+
+class TestImages:
+    def test_image_tuple_and_attach_agree(self):
+        for c in sample_cells():
+            keys = boundary_keys(c.dim)
+            assert keys == tuple(sorted(boundary_complex(c.dim).id_set))
+            from_map = Cell(c.id, c.dim, c.attach)
+            from_images = Cell._of(c.id, c.dim, c.images, c.cod)
+            assert from_map.images == c.images == tuple(
+                c.attach.assign[s] for s in keys)
+            assert from_map == from_images == c
+            assert hash(from_map) == hash(from_images) == hash(c)
+            # the attach read back from the images is the map given
+            assert from_images.attach == c.attach
+            assert from_images.attach.dom is boundary_complex(c.dim)
+            assert Cell(c.id, c.dim, from_images.attach) == c
+
+    def test_images_follow_the_kernel_order(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            f = gen.rand_map(rng, max_dim=3)
+            for k in range(f.cod.max_dim + 1):
+                keys = boundary_keys(k)
+                for t in f.cod.ids(k):
+                    lifts = _lift_kernel(k)(f, t, None)
+                    assert lifts == [tuple(u.assign[s] for s in keys)
+                                     for u in boundary_lifts(f, t)]
+
+    def test_unequal_images_or_codomains_differ(self):
+        pt = standard_simplex(0)
+        two, _ = coproduct([pt, pt])
+        loop = Cell("c", 1, SimplicialMap(boundary_complex(1), two,
+                                          {"0": "0.0", "1": "0.0"}))
+        assert loop != Cell._of("c", 1, ("0.0", "1.0"), two)
+        assert loop != Cell._of("c", 1, ("0", "0"), pt)
+        assert loop == Cell._of("c", 1, ("0.0", "0.0"), two)
+
+    def test_partial_or_misplaced_attach_rejected(self):
+        pt = standard_simplex(0)
+        bd = boundary_complex(1)
+        for bad in ({"0": "0"}, {"0": "0", "1": "0", "01": "0"}, {}):
+            with pytest.raises(StrataError, match="not total"):
+                Cell("c", 1, SimplicialMap(bd, pt, bad, validate=False))
+        with pytest.raises(StrataError, match="attach domain"):
+            Cell("c", 1, SimplicialMap(pt, pt, {"0": "0"}))
+        with pytest.raises(StrataError, match="attach domain"):
+            Cell("c", 0, SimplicialMap(bd, pt, {"0": "0", "1": "0"}))
+
+
 class TestBody:
+    def test_merge_matches_the_rebuild(self):
+        rng = random.Random(29)
+        strata = [gen.rand_stratum(rng, prefix) for prefix in
+                  ("c", "0", "!", "z") for _ in range(10)]
+        for _ in range(6):
+            strata += free_complex(gen.rand_map(rng, max_dim=3)).kf.strata
+        for _ in range(10):  # cell ids that sort between the base ids
+            strata += gen.rand_cell_complex(rng, prefix="0.1").strata
+        for st in strata:
+            got, want = body(st), rebuilt_body(st)
+            assert got == want and got.key() == want.key()
+            assert got._dim_of == want._dim_of
+            for k, ids in got.simplices.items():
+                assert type(ids) is tuple and list(ids) == sorted(ids)
+            assert st.boundary.is_subcomplex_of(got)
+
+    def test_cell_id_collision_is_a_strata_error(self):
+        pt = standard_simplex(0)
+        bd = boundary_complex(1)
+        edge = SimplicialMap(bd, pt, {"0": "0", "1": "0"})
+        for st in (Stratum(pt, [Cell("0", 0, SimplicialMap(EMPTY, pt, {}))]),
+                   Stratum(pt, [Cell("a", 1, edge), Cell("0", 1, edge)])):
+            with pytest.raises(StrataError, match="'0' collides"):
+                body(st)
+
     def test_loop(self):
         st = loop_stratum()
         bx = body(st)
