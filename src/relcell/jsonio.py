@@ -12,7 +12,8 @@ The complexes, maps, cell complexes and factorizations that the CLI writes
 go through ``text``, which is ``dumps`` of a skeleton of the value whose
 simplices, cells and assignments are written from their shape without
 building the JSON value.  Loaders validate through the ordinary
-constructors and raise DeltaError subclasses on bad input.
+constructors and raise DeltaError subclasses on bad input; a complex that
+a factorization repeats is the object it repeats, or validated if unequal.
 """
 
 from __future__ import annotations
@@ -239,6 +240,12 @@ def complex_to_json(x):
 
 
 def complex_from_json(obj):
+    return _complex_from_json(obj, None)
+
+
+def _complex_from_json(obj, twin):
+    """The complex ``obj`` holds: ``twin``, a validated complex, if equal;
+    else validated, raising what ``complex_from_json`` raises."""
     _expect(isinstance(obj, dict) and
             isinstance(obj.get("simplices"), dict),
             "complex JSON must be an object with a 'simplices' object")
@@ -263,7 +270,11 @@ def complex_from_json(obj):
         simplices[k] = ids
     _expect(_strings(itertools.chain.from_iterable(faces.values())),
             "faces must be simplex ids")
-    return DeltaComplex(simplices, faces)
+    x = DeltaComplex(simplices, faces, validate=False)
+    if x == twin:
+        return twin
+    x._validate()
+    return x
 
 
 def map_to_json(f):
@@ -274,11 +285,15 @@ def map_to_json(f):
 
 
 def map_from_json(obj):
+    return _map_from_json(obj, None, None)
+
+
+def _map_from_json(obj, dom, cod):
     _expect(isinstance(obj, dict) and
             {"dom", "cod", "assign"} <= set(obj),
             "map JSON must carry dom, cod, and assign")
-    dom = complex_from_json(obj["dom"])
-    cod = complex_from_json(obj["cod"])
+    dom = _complex_from_json(obj["dom"], dom)
+    cod = _complex_from_json(obj["cod"], cod)
     _expect(isinstance(obj["assign"], dict),
             "map JSON 'assign' must be an object")
     assign = {}
@@ -327,12 +342,12 @@ def cellcx_to_json(c):
                        for st in c.strata]}
 
 
-def _complex_parts(obj):
-    """The base complex and each stratum entry's list of cell objects, from
-    complex JSON whose containers are checked here (cells are not)."""
+def _complex_parts(obj, twin=None):
+    """The base complex (``twin`` if equal) and each stratum's cell objects,
+    from complex JSON whose containers, not cells, are checked here."""
     _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
             "complex JSON must carry base and strata")
-    base = complex_from_json(obj["base"])
+    base = _complex_from_json(obj["base"], twin)
     _expect_list(obj["strata"], "strata")
     for entry in obj["strata"]:
         _expect(isinstance(entry, dict) and "cells" in entry,
@@ -365,7 +380,11 @@ def cellcx_cells_from_json(obj):
 
 def cellcx_from_json(obj):
     """Strict loader: rebuilds the complex stage by stage and revalidates."""
-    base, entries = _complex_parts(obj)
+    return _cellcx_from_json(obj, None)
+
+
+def _cellcx_from_json(obj, twin):
+    base, entries = _complex_parts(obj, twin)
     strata = []
     current = base
     for cells in entries:
@@ -390,8 +409,9 @@ def factor_result_from_json(obj):
             {"input", "complex", "ef", "stage_counts"} <= set(obj),
             "factorization JSON must carry input, complex, ef, stage_counts")
     f = map_from_json(obj["input"])
-    kf = cellcx_from_json(obj["complex"])
-    ef = map_from_json(obj["ef"])
+    # the base, ef.dom and ef.cod repeat f.dom, kf.body and f.cod
+    kf = _cellcx_from_json(obj["complex"], f.dom)
+    ef = _map_from_json(obj["ef"], kf.body, f.cod)
     _expect(obj["stage_counts"] == [len(st.cells) for st in kf.strata],
             "stage_counts do not match the complex")
     _expect(kf.boundary == f.dom and ef.dom == kf.body and ef.cod == f.cod,

@@ -25,8 +25,8 @@ from .delta import (
     compose,
     composes_to,
     enumerate_homs,
-    facet_ids,
 )
+from .strata import _facets
 from .cellcx import u_of_complex
 
 
@@ -43,8 +43,9 @@ def square_key(dim, target, u_assign):
     return (dim, target, tuple(sorted(u_assign.items())))
 
 
-def _expected_faces(dim, u_assign):
-    return tuple(u_assign[s] for s in facet_ids(dim))
+def _key(dim, target, images):
+    """``square_key`` of the boundary lift with ``images``."""
+    return (dim, target, tuple(zip(boundary_keys(dim), images)))
 
 
 class FillerTable:
@@ -52,8 +53,9 @@ class FillerTable:
 
     ``entries`` maps square keys to simplex ids; ``fallback`` is "search"
     (first valid filler in lexicographic order) or "fail".  A ``chooser``
-    callable, when given, takes precedence over the fallback.  Every filler
-    returned by :meth:`filler` is validated against both equations.
+    callable ``chooser(target, faces)``, given the facets that fix the
+    boundary lift, takes precedence over the fallback.  Every filler a
+    table returns is validated against both equations.
     """
 
     __slots__ = ("p", "entries", "fallback", "chooser")
@@ -66,53 +68,57 @@ class FillerTable:
         self.fallback = fallback
         self.chooser = chooser
 
-    def _validate_filler(self, e, dim, target, u_assign):
-        if e not in self.p.dom or self.p.dom.dim(e) != dim:
-            problem = f"is not a {dim}-simplex of the domain"
-        elif self.p.assign[e] != target:
-            problem = f"does not map to {target!r}"
-        elif dim >= 1 and \
-                self.p.dom.faces_of(e) != _expected_faces(dim, u_assign):
-            problem = "has wrong faces"
-        else:
-            return e
-        raise LiftError(f"filler {e!r} {problem}",
-                        square_key(dim, target, u_assign))
-
-    def filler(self, u, target):
-        """The chosen filler for the square (u, target); validated.  The
-        square's key is built only to look up entries or to report."""
-        dim = self.p.cod.dim(target)
-        if self.entries:
-            key = square_key(dim, target, u.assign)
-            if key in self.entries:
-                return self._validate_filler(self.entries[key], dim, target,
-                                             u.assign)
-        if self.chooser is not None:
-            return self._validate_filler(self.chooser(u, target), dim,
-                                         target, u.assign)
-        if self.fallback == "search":
-            found = self.p.prefix_index(dim).get(
-                (target, _expected_faces(dim, u.assign)))
+    def _fill(self, dim, target, images):
+        """The validated filler over the ``dim``-simplex ``target`` of the
+        boundary lift with ``images``; its key is built only to look up
+        entries or to report."""
+        faces = _facets(dim)(images) if dim else ()
+        key = _key(dim, target, images) if self.entries else None
+        if key in self.entries:
+            e = self.entries[key]
+        elif self.chooser is not None:
+            e = self.chooser(target, faces)
+        elif self.fallback == "search":
+            found = self.p.prefix_index(dim).get((target, faces))
             if found:
                 return found[0]
             raise LiftError(f"no filler exists for target {target!r}",
-                            square_key(dim, target, u.assign))
-        raise LiftError(f"no table entry for target {target!r}",
-                        square_key(dim, target, u.assign))
+                            _key(dim, target, images))
+        else:
+            raise LiftError(f"no table entry for target {target!r}",
+                            _key(dim, target, images))
+        dom = self.p.dom
+        if e not in dom or dom.dim(e) != dim:
+            problem = f"is not a {dim}-simplex of the domain"
+        elif self.p.assign[e] != target:
+            problem = f"does not map to {target!r}"
+        elif dom.faces_of(e) != faces:
+            problem = "has wrong faces"
+        else:
+            return e
+        raise LiftError(f"filler {e!r} {problem}", _key(dim, target, images))
+
+    def filler(self, u, target):
+        """The chosen filler for the square (u, target); validated.  A
+        target outside p's codomain, or a u that is not a map from the
+        boundary of its standard simplex into p's domain, is a DeltaError."""
+        if target not in self.p.cod:
+            raise DeltaError(f"square over {target!r}: the target is not a "
+                             f"simplex of the codomain")
+        dim = self.p.cod.dim(target)
+        images = tuple(map(u.assign.get, boundary_keys(dim)))
+        if u.dom != boundary_complex(dim) or u.cod != self.p.dom or \
+                None in images:
+            raise DeltaError(f"square over {target!r}: u is not a map from "
+                             f"the boundary of a {dim}-simplex into the domain")
+        return self._fill(dim, target, images)
 
 
 def free_fillers(fr):
-    """The canonical filler table of the free factorization's right leg.
-
-    The filler of a square with boundary lift u is the free cell glued over
-    its target with u's facets; total by construction.
-    """
-    def choose(u, target):
-        return fr.cell_over(target,
-                            _expected_faces(u.dom.max_dim + 1, u.assign))
-
-    return FillerTable(fr.ef, chooser=choose)
+    """The canonical filler table of the free factorization's right leg:
+    the free cell glued over the target with the boundary lift's facets
+    (``fr.cell_over``) fills each square; total by construction."""
+    return FillerTable(fr.ef, chooser=fr.cell_over)
 
 
 def solve_lifting(c, ft, square):
@@ -120,9 +126,9 @@ def solve_lifting(c, ft, square):
 
     ``square`` is the pair (u: boundary -> E, v: body -> B).  The lift is
     built stagewise: for each cell the table is queried at the cell's shape,
-    the current partial lift restricted along its attaching map, and the
-    image of its glued simplex.  Both lifting equations are asserted on the
-    result; a chooser failure raises LiftError with the offending square.
+    the image of its glued simplex and its image tuple under the partial
+    lift so far, with no map built per cell.  Both lifting equations are
+    asserted on the result; a bad filler raises LiftError with its square.
     """
     u, v = square
     i = u_of_complex(c)
@@ -133,12 +139,10 @@ def solve_lifting(c, ft, square):
     if not composes_to(p, u, compose(v, i)):
         raise DeltaError("lifting square does not commute")
     d_assign = dict(u.assign)
+    fill, lifted = ft._fill, d_assign.__getitem__
     for _, cell in c.all_cells():
-        w = SimplicialMap._owning(
-            boundary_complex(cell.dim), p.dom,
-            {s: d_assign[t]
-             for s, t in zip(boundary_keys(cell.dim), cell.images)})
-        d_assign[cell.id] = ft.filler(w, v.assign[cell.id])
+        d_assign[cell.id] = fill(cell.dim, v.assign[cell.id],
+                                 tuple(map(lifted, cell.images)))
     d = SimplicialMap(c.body, p.dom, d_assign)
     if not composes_to(d, i, u):
         raise InvariantError("lift does not restrict to the given map")
@@ -168,7 +172,7 @@ def verify_fillers(ft, sample_budget=None):
         checked += 1
         try:
             ft.filler(u, target)
-        except LiftError as err:
+        except DeltaError as err:  # a malformed entry too
             failures.append({"square": key, "reason": str(err)})
 
     for key in sorted(ft.entries):
@@ -177,19 +181,15 @@ def verify_fillers(ft, sample_budget=None):
                           validate=False)
         try_square(u, target, key)
 
+    squares = ((k, b, u) for k in range(p.cod.max_dim + 1)
+               for b in sorted(p.cod.ids(k))
+               for u in enumerate_homs(boundary_complex(k), p.dom, post=(
+                   p, boundary_restriction(p.cod, b))))
     done = False
-    for k in range(p.cod.max_dim + 1):
-        bd = boundary_complex(k)
-        for b in sorted(p.cod.ids(k)):
-            tgt = boundary_restriction(p.cod, b)
-            for u in enumerate_homs(bd, p.dom, post=(p, tgt)):
-                if sample_budget is not None and checked >= sample_budget:
-                    done = True
-                    break
-                try_square(u, b, square_key(k, b, u.assign))
-            if done:
-                break
-        if done:
+    for k, b, u in squares:
+        if sample_budget is not None and checked >= sample_budget:
+            done = True
             break
+        try_square(u, b, square_key(k, b, u.assign))
     return {"checked": checked, "failures": failures,
             "ok": not failures, "truncated": done}

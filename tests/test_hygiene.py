@@ -100,3 +100,26 @@ def test_boundary_ids_sorted_in_one_place():
                         for n in ast.walk(arg)) for arg in call.args):
                     places.append(f"{name}.{fn.name}")
     assert places == ["delta.boundary_keys"]
+
+
+def test_image_tuple_facets_read_in_one_place():
+    # a cell's images, and a boundary lift's, are in ``boundary_keys``
+    # order; facets d_0..d_k are read off them by position only through
+    # ``strata._facets``: no ``facet_ids`` lookup and no subscript of an
+    # image tuple anywhere else.  ``delta`` defines ``facet_ids`` for its
+    # maps, and the lax loader reads facets from an attach object by key.
+    def reads_facets(fn):
+        return _calls(fn, "facet_ids") or any(
+            isinstance(node, ast.Subscript) and (
+                isinstance(node.value, ast.Name) and
+                node.value.id == "images" or
+                isinstance(node.value, ast.Attribute) and
+                node.value.attr == "images")
+            for node in ast.walk(fn))
+
+    places = sorted(f"{name}.{fn.name}"
+                    for name, tree in MODULES.items() if name != "delta"
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and reads_facets(fn))
+    assert places == ["jsonio.cellcx_cells_from_json", "strata._facets"]

@@ -100,6 +100,31 @@ def _collapsed_ends():
                          {"0": "0", "1": "0"})
 
 
+def _ef_dom_extra_vertex(payload):
+    # an isolated vertex leaves the faces as they are: only ``simplices``
+    # tells the body and ef's domain apart
+    payload["ef"]["dom"]["simplices"]["0"].append("zz")
+    payload["ef"]["assign"]["0"]["zz"] = "0"
+
+
+def _ef_dom_identity_broken(payload):
+    last = payload["ef"]["dom"]["simplices"]["2"][-1]
+    last["faces"] = last["faces"][1:] + last["faces"][:1]
+
+
+def _base_extra_vertex(payload):
+    payload["complex"]["base"]["simplices"]["0"].append("zz")
+
+
+def _base_face_reversed(payload):
+    edge = payload["complex"]["base"]["simplices"]["1"][0]
+    edge["faces"] = edge["faces"][::-1]
+
+
+def _ef_cod_extra_vertex(payload):
+    payload["ef"]["cod"]["simplices"]["0"].append("zz")
+
+
 class TestFactorAndFillers:
     def test_factor_result_roundtrip(self):
         fr = free_complex(boundary_inclusion(1))
@@ -128,6 +153,33 @@ class TestFactorAndFillers:
         payload[field] = jsonio.map_to_json(foreign)
         with pytest.raises(DeltaError):
             jsonio.factor_result_from_json(payload)
+
+    def test_loaded_factorization_shares_repeated_complexes(self):
+        fr = free_complex(boundary_inclusion(2))
+        back = jsonio.factor_result_from_json(
+            jsonio.factor_result_to_json(fr))
+        assert back.kf.boundary is back.input.dom
+        assert back.ef.dom is back.kf.body
+        assert back.ef.cod is back.input.cod
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_ef_dom_extra_vertex, "complex and ef do not factor the input map"),
+        (_ef_dom_identity_broken, "simplicial identity fails at "
+         "'68f0619ba0.2.2.012.fe86548ab4e9' (i=0, j=1)"),
+        (_base_extra_vertex, "complex and ef do not factor the input map"),
+        (_base_face_reversed, "face commutation fails at '01'"),
+        (_ef_cod_extra_vertex, "complex and ef do not factor the input map"),
+    ], ids=["ef-dom-vertex", "ef-dom-identity", "base-vertex", "base-face",
+            "ef-cod-vertex"])
+    def test_unequal_repeated_complex_raises_as_alone(self, corrupt, message):
+        """A repeated complex that differs from the one it repeats is
+        validated and checked as if it were read alone."""
+        payload = jsonio.factor_result_to_json(
+            free_complex(boundary_inclusion(2)))
+        corrupt(payload)
+        with pytest.raises(DeltaError) as exc:
+            jsonio.factor_result_from_json(payload)
+        assert str(exc.value) == message
 
     def test_filler_table_roundtrip(self):
         fold = fold_map()

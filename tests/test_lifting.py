@@ -1,22 +1,27 @@
 """Filler tables and the stagewise lifting solver."""
 
 import random
+import re
 
 import pytest
 
 from relcell import (
     Cell,
     CellComplex,
+    DeltaError,
     EMPTY,
     FillerTable,
+    InvariantError,
     LiftError,
     SimplicialMap,
     Stratum,
     boundary_complex,
     coalgebra_structure,
     comonad_comult,
+    compose,
     compose_complexes,
     coproduct,
+    free_complex,
     free_fillers,
     identity_map,
     inclusion_map,
@@ -28,6 +33,7 @@ from relcell import (
     verify_fillers,
 )
 from relcell import gen
+from relcell.delta import boundary_keys, facet_ids
 from conftest import boundary_inclusion, fold_map
 
 
@@ -152,7 +158,7 @@ class TestSolver:
     @pytest.mark.parametrize("entries, fallback, chooser", [
         ({square_key(0, "0", {}): "nope"}, "search", None),  # bad entry
         ({}, "fail", None),                                  # no entry
-        ({}, "fail", lambda u, target: "0"),                 # bad choice
+        ({}, "fail", lambda target, faces: "0"),             # bad choice
     ])
     def test_filler_errors_report_square(self, entries, fallback, chooser):
         """The key that is built only on demand still names the square."""
@@ -163,8 +169,85 @@ class TestSolver:
             ft.filler(u, "0")
         assert exc.value.square == square_key(0, "0", {})
 
+    def test_chooser_receives_target_and_facets(self, fz):
+        fr = fz.k(boundary_inclusion(2))
+        calls = []
+
+        def chooser(target, faces):
+            calls.append((target, faces))
+            return fr.cell_over(target, faces)
+
+        c = fr.kf
+        d = solve_lifting(c, FillerTable(fr.ef, chooser=chooser),
+                          (u_of_complex(c), fr.ef))
+        assert d == identity_map(c.body)
+        assert calls == [(fr.ef.assign[cell.id], c.body.faces_of(cell.id))
+                         for _, cell in c.all_cells()]
+
+    @pytest.mark.parametrize("u, target, message", [
+        (SimplicialMap(EMPTY, standard_simplex(1), {}), "01",
+         "square over '01': u is not a map from the boundary of a "
+         "1-simplex into the domain"),
+        (SimplicialMap(boundary_complex(1), standard_simplex(0),
+                       {"0": "0", "1": "0"}), "01",
+         "square over '01': u is not a map from the boundary of a "
+         "1-simplex into the domain"),
+        (SimplicialMap(boundary_complex(1), standard_simplex(1),
+                       {"0": "0", "1": "1"}), "zz",
+         "square over 'zz': the target is not a simplex of the codomain"),
+    ], ids=["lift-from-elsewhere", "lift-into-elsewhere", "target-elsewhere"])
+    def test_malformed_square_is_delta_error(self, u, target, message):
+        """A square that is not one into p is a DeltaError that names it,
+        not a KeyError from inside the table."""
+        ft = FillerTable(identity_map(standard_simplex(1)))
+        with pytest.raises(DeltaError) as exc:
+            ft.filler(u, target)
+        assert type(exc.value) is DeltaError
+        assert str(exc.value) == message
+
+    def test_solver_builds_no_map_per_cell(self, monkeypatch):
+        """``solve_lifting`` builds as many maps on 266 cells as on 6."""
+        built = []
+        init, owning = SimplicialMap.__init__, SimplicialMap._owning.__func__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_owning(cls, *args):
+            built.append(cls)
+            return owning(cls, *args)
+
+        small, large = (free_complex(boundary_inclusion(k)) for k in (1, 3))
+        assert len(large.kf.cell_ids) >= 100
+        counts = []
+        for fr in (small, large):
+            square = (u_of_complex(fr.kf), fr.ef)
+            tables = (free_fillers(fr), FillerTable(fr.ef))
+            with monkeypatch.context() as m:
+                m.setattr(SimplicialMap, "__init__", counted_init)
+                m.setattr(SimplicialMap, "_owning",
+                          classmethod(counted_owning))
+                for ft in tables:
+                    built.clear()
+                    solve_lifting(fr.kf, ft, square)
+                    counts.append(len(built))
+        assert counts[:2] == counts[2:]
+
 
 class TestVerify:
+    def test_malformed_entries_reported(self):
+        """An entry of the wrong dimension for its target, over a target
+        outside p's codomain, or with a boundary missing a simplex, is a
+        failure of the report, not an exception."""
+        p = identity_map(standard_simplex(1))
+        bad = {square_key(1, "0", {"0": "0", "1": "1"}): "01",
+               square_key(0, "zz", {}): "0",
+               square_key(1, "01", {"0": "0"}): "01"}
+        rep = verify_fillers(FillerTable(p, bad, fallback="search"))
+        assert [f["square"] for f in rep["failures"]] == sorted(bad)
+        assert not rep["ok"]
+
     def test_corrupted_entry_single_failure(self):
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)
@@ -206,3 +289,134 @@ def rand_on(rng, base):
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)
+
+
+# -- the per-cell-map solver, kept as an oracle --------------------------------
+
+
+def reference_filler(ft, u, target):
+    """``FillerTable.filler`` as it was: the facets read off the boundary
+    lift u by ``facet_ids``.  A chooser then took u itself; here it gets
+    the facets read off u, as the old ``free_fillers`` closure did."""
+    p = ft.p
+    dim = p.cod.dim(target)
+    faces = tuple(u.assign[s] for s in facet_ids(dim))
+
+    def validated(e):
+        if e not in p.dom or p.dom.dim(e) != dim:
+            problem = f"is not a {dim}-simplex of the domain"
+        elif p.assign[e] != target:
+            problem = f"does not map to {target!r}"
+        elif dim >= 1 and p.dom.faces_of(e) != faces:
+            problem = "has wrong faces"
+        else:
+            return e
+        raise LiftError(f"filler {e!r} {problem}",
+                        square_key(dim, target, u.assign))
+
+    key = square_key(dim, target, u.assign)
+    if key in ft.entries:
+        return validated(ft.entries[key])
+    if ft.chooser is not None:
+        return validated(ft.chooser(target, faces))
+    if ft.fallback == "search":
+        found = p.prefix_index(dim).get((target, faces))
+        if found:
+            return found[0]
+        raise LiftError(f"no filler exists for target {target!r}", key)
+    raise LiftError(f"no table entry for target {target!r}", key)
+
+
+def reference_solve(c, ft, square):
+    """``solve_lifting`` as it was: one boundary lift map per cell."""
+    u, v = square
+    i = u_of_complex(c)
+    p = ft.p
+    if u.dom != c.boundary or u.cod != p.dom or \
+            v.dom != c.body or v.cod != p.cod:
+        raise DeltaError("lifting square endpoints do not match")
+    if compose(p, u) != compose(v, i):
+        raise DeltaError("lifting square does not commute")
+    d_assign = dict(u.assign)
+    for _, cell in c.all_cells():
+        w = SimplicialMap(boundary_complex(cell.dim), p.dom,
+                          {s: d_assign[t] for s, t in
+                           zip(boundary_keys(cell.dim), cell.images)})
+        d_assign[cell.id] = reference_filler(ft, w, v.assign[cell.id])
+    d = SimplicialMap(c.body, p.dom, d_assign)
+    if compose(d, i) != u:
+        raise InvariantError("lift does not restrict to the given map")
+    if compose(p, d) != v:
+        raise InvariantError("lift does not project to the given map")
+    return d
+
+
+def _outcome(solve, c, ft, square):
+    try:
+        return solve(c, ft, square)
+    except LiftError as err:
+        return "LiftError", err.square, str(err)
+    except (DeltaError, InvariantError) as err:
+        return type(err).__name__, str(err)
+
+
+def _lifting_problems(fz):
+    """Seeded squares: each free factorization's Kf against its ef (which
+    lifts) and against the input map (which mostly does not), and the
+    unit square of random cell complexes."""
+    rng = random.Random(421)
+    for _ in range(12):
+        f = gen.rand_map(rng, max_dim=2)
+        fr = fz.k(f)
+        yield fr.kf, fr.ef, (u_of_complex(fr.kf), fr.ef), fr
+        yield fr.kf, f, (identity_map(f.dom), fr.ef), None
+    for _ in range(8):
+        c = gen.rand_cell_complex(rng, max_cells=5)
+        fr = fz.k(u_of_complex(c))
+        yield c, fr.ef, (u_of_complex(fr.kf), identity_map(c.body)), fr
+
+
+def _tables(rng, c, p, square, fr):
+    """The four kinds of table on one square: free fillers (where p is a
+    free ef), search, explicit entries with one corrupt, and a chooser
+    that picks the first simplex of the right dimension."""
+    if fr is not None:
+        yield free_fillers(fr)
+    search = FillerTable(p, fallback="search")
+    yield search
+    d = _outcome(reference_solve, c, search, square)
+    if not isinstance(d, tuple) and c.cell_ids:
+        entries = {}
+        for _, cell in c.all_cells():
+            lift = {s: d.assign[t] for s, t in
+                    zip(boundary_keys(cell.dim), cell.images)}
+            key = square_key(cell.dim, square[1].assign[cell.id], lift)
+            entries[key] = d.assign[cell.id]
+        yield FillerTable(p, entries, fallback="fail")
+        corrupt = dict(entries)
+        key = rng.choice(sorted(corrupt))
+        corrupt[key] = rng.choice(sorted(p.dom.ids(key[0])))
+        yield FillerTable(p, corrupt, fallback="fail")
+        del corrupt[key]
+        yield FillerTable(p, corrupt, fallback="fail")
+        yield FillerTable(p, corrupt, fallback="search")
+    yield FillerTable(p, chooser=lambda target, faces: min(
+        p.dom.ids(max(len(faces) - 1, 0)), default="nope"))
+
+
+def test_solver_matches_per_cell_map_oracle(fz):
+    """Lifts, and failures with their squares and messages, are those of
+    the solver that built one map per cell."""
+    rng = random.Random(431)
+    kinds = set()
+    for c, p, square, fr in _lifting_problems(fz):
+        for ft in _tables(rng, c, p, square, fr):
+            got = _outcome(solve_lifting, c, ft, square)
+            assert got == _outcome(reference_solve, c, ft, square)
+            kinds.add(re.sub("'[^']*'", "_", got[-1])
+                      if isinstance(got, tuple) else "lift")
+    assert kinds == {"lift", "no filler exists for target _",
+                     "no table entry for target _",
+                     "filler _ is not a 0-simplex of the domain",
+                     "filler _ does not map to _",
+                     "filler _ has wrong faces"}
