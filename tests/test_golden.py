@@ -24,6 +24,7 @@ from relcell import (
     SimplicialMap,
     Stratum,
     assemble,
+    boundary_complex,
     boundary_lifts,
     boundary_restriction,
     cellcx_colimit,
@@ -38,6 +39,7 @@ from relcell import (
     compose_morphisms,
     coproduct,
     decode,
+    enumerate_homs,
     free_complex,
     free_fillers,
     gen,
@@ -46,9 +48,11 @@ from relcell import (
     monad_mult,
     pushforward_complex,
     pushout,
+    square_key,
     standard_simplex,
     u_of_complex,
     unit,
+    verify_fillers,
 )
 from relcell.cli import main
 
@@ -262,6 +266,44 @@ def test_unit_cell_assignments():
             for _ in range(20)]
     assert _sha(repr(rows).encode()) == UNIT_DIGEST
 
+
+
+# sha256 of the ``verify_fillers`` reports (squares checked, truncation, and
+# each failure's square and reason, in order) of 30 search-fallback tables
+# over ``gen.rand_map(rng, max_dim=2)`` maps at seed 2037, each with up to
+# three entries on generating squares, their fillers drawn from every
+# domain id and a ghost (most of them corrupt), at sample budgets None, 1,
+# 5 and 20
+VERIFY_FILLERS_DIGEST = \
+    "d280a0839a600ea035b3a56feb9d7d1e831cb0cc3957eba21a13ec5e23f6cc10"
+
+
+def _verify_fillers_reports():
+    rng = random.Random(2037)
+    rows = []
+    for i in range(30):
+        p = gen.rand_map(rng, max_dim=2)
+        entries = {}
+        for _ in range(rng.randint(0, 3)):
+            k, b = rng.choice(list(p.cod.all_ids()))
+            lifts = enumerate_homs(boundary_complex(k), p.dom, post=(
+                p, boundary_restriction(p.cod, b)))
+            if lifts:
+                u = rng.choice(lifts)
+                entries[square_key(k, b, u.assign)] = rng.choice(
+                    sorted(p.dom.id_set) + ["ghost"])
+        ft = FillerTable(p, entries, fallback="search")
+        for budget in (None, 1, 5, 20):
+            rep = verify_fillers(ft, sample_budget=budget)
+            rows.append((i, budget, rep["checked"], rep["truncated"],
+                         rep["ok"], [(f["square"], f["reason"])
+                                     for f in rep["failures"]]))
+    return rows
+
+
+def test_verify_fillers_reports():
+    rows = _verify_fillers_reports()
+    assert _sha(repr(rows).encode()) == VERIFY_FILLERS_DIGEST
 
 # sha256 of the stdout of ``export-dot`` on two free complexes with several
 # stages: over the boundary inclusion of the 2-simplex, and over the second
