@@ -17,7 +17,6 @@ from .delta import (
     InvariantError,
     SimplicialMap,
     boundary_complex,
-    boundary_lifts,
     boundary_restriction,
     characteristic_map,
     coequaliser,

@@ -23,6 +23,7 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     boundary_complex,
+    boundary_keys,
     boundary_restriction,
     colimit,
     compose,
@@ -131,7 +132,7 @@ def u_of_complex(c):
 def generator_complex(k):
     """The canonical height-one single-cell complex over the k-th generator."""
     bd = boundary_complex(k)
-    cell = Cell(f"cell{k}", k, identity_map(bd))
+    cell = Cell(f"cell{k}", k, boundary_keys(k))  # attached by the identity
     return CellComplex(bd, (Stratum(bd, [cell], validate=False),),
                        validate=False)
 
@@ -145,8 +146,8 @@ def assemble(boundary, cells):
     ``cells`` attach into the union of the base and all glued simplices
     (cell ids).  Each cell is placed at the least stage containing its
     attach image (the set of its ``images``); placement iterates to a
-    fixpoint, and a placed cell shares its image tuple.  Fails if some
-    cell's attach references ids that never appear.
+    fixpoint, and each cell is placed as it is.  Fails if some cell's
+    attach references ids that never appear.
     """
     remaining = sorted(cells, key=lambda c: c.id)
     strata = []
@@ -160,10 +161,7 @@ def assemble(boundary, cells):
             raise CellComplexError(
                 f"cells {[c.id for c in remaining]} can never be placed; "
                 f"unreachable simplices include {missing[:5]}")
-        st = Stratum(current,
-                     [Cell._of(c.id, c.dim, c.images, current)
-                      for c in placeable],
-                     validate=False)
+        st = Stratum(current, placeable, validate=False)
         strata.append(st)
         current = body(st)
         placed = {c.id for c in placeable}
@@ -175,8 +173,10 @@ def complex_of(base, total):
     """The proper complex whose underlying inclusion is ``base`` in
     ``total``: every other simplex of ``total`` is a cell, attached along
     its faces."""
-    return assemble(base, [Cell(s, k, boundary_restriction(total, s))
-                           for k, s in total.all_ids() if s not in base])
+    return assemble(base, [
+        Cell(s, k, tuple(map(boundary_restriction(total, s).assign.get,
+                             boundary_keys(k))))
+        for k, s in total.all_ids() if s not in base])
 
 
 def normalize(boundary, strata_seq):

@@ -545,14 +545,21 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
 def _lift_kernel(k):
     """The boundary-lift search of shape k, compiled on first use.
 
-    Returns ``search(f, t, new)``, which returns the lifts of the
-    k-simplex t (see ``boundary_lifts``) as tuples of images in the order
-    of ``boundary_keys(k)``.  ``search`` runs one loop per facet x_0..x_k
-    over the candidates ``f.prefix_index(k - 1)`` gives for its target and
-    the faces its predecessors fix, then reads every lower simplex off the
-    faces of x_0..x_(k-1) in straight-line code: a simplex of codimension
-    >= 2 omits some vertex i < k, so it lies in facet x_i.  The source is
-    generated from k alone; ids only ever reach it as arguments.
+    Returns ``search(f, t, new)``, which returns the boundary lifts of the
+    k-simplex t of ``f.cod``: the maps u from the boundary of the standard
+    k-simplex into ``f.dom`` with ``f o u`` the boundary of t, each as its
+    tuple of images in the order of ``boundary_keys(k)``.  A lift is fixed
+    by its facets x_0..x_k, subject to ``f(x_i) = d_i t`` and
+    ``d_i x_j = d_(j-1) x_i`` for i < j, so the first j faces of x_j are
+    fixed by x_0..x_(j-1).  ``search`` runs one loop per facet over the
+    candidates ``f.prefix_index(k - 1)`` gives for its target and those
+    faces, then reads every lower simplex off the faces of x_0..x_(k-1) in
+    straight-line code: a simplex of codimension >= 2 omits some vertex
+    i < k, so it lies in facet x_i.  With ``new`` (a set of domain ids),
+    only lifts with some facet in ``new`` are kept: when no earlier facet
+    is new, x_k is drawn from ``new`` alone, so no other lift is built.
+    Lifts come in lexicographic order of their facet tuples.  The source
+    is generated from k alone; ids only ever reach it as arguments.
     """
     bd = boundary_complex(k)
     if k == 0:  # one empty lift, never proper: it has no facet
@@ -607,25 +614,6 @@ def _lift_kernel(k):
     exec(compile("\n".join(lines), f"<boundary lifts of shape {k}>",
                  "exec"), namespace)
     return namespace["search"]
-
-
-def boundary_lifts(f, t, new=None):
-    """All boundary lifts of t: maps u from the boundary of the standard
-    k-simplex (k = dim t) into dom(f) with ``f o u`` the boundary of t.
-
-    A lift is fixed by its facets x_0..x_k, subject to ``f(x_i) = d_i t``
-    and ``d_i x_j = d_(j-1) x_i`` for i < j.  So the first j faces of x_j
-    are fixed by x_0..x_(j-1), and ``f.prefix_index`` yields the candidates
-    for x_j directly: the search (``_lift_kernel``, compiled once per
-    shape) nests k + 1 loops.  With ``new`` (a set of domain ids), only
-    lifts with some facet in ``new`` are kept: when no earlier facet is
-    new, x_k is drawn from ``new`` alone, so no other lift is built.
-    Output order is lexicographic in the facet tuple.
-    """
-    k = f.cod.dim(t)
-    keys, bd, a = boundary_keys(k), boundary_complex(k), f.dom
-    return [SimplicialMap(bd, a, zip(keys, images), validate=False)
-            for images in _lift_kernel(k)(f, t, new)]
 
 
 # -- colimits -------------------------------------------------------------

@@ -15,6 +15,7 @@ from .delta import (
     ArrowSquare,
     InvariantError,
     boundary_complex,
+    boundary_keys,
     characteristic_map,
     coequaliser,
     compose,
@@ -97,8 +98,9 @@ def rand_map(rng, max_dim=2):
     return compose(rand_map_from(rng, ambient), f)
 
 
-def rand_attach(rng, boundary, max_cell_dim=2):
-    """A random attaching map into ``boundary`` (shape dim <= max_cell_dim).
+def rand_images(rng, boundary, max_cell_dim=2):
+    """A random attaching map into ``boundary`` (shape dim <= max_cell_dim),
+    as its shape dimension and image tuple.
 
     Falls back to dimension 0, which always admits a (unique, empty) map.
     """
@@ -107,7 +109,8 @@ def rand_attach(rng, boundary, max_cell_dim=2):
     for k in dims + [0]:
         homs = enumerate_homs(boundary_complex(k), boundary, limit=24)
         if homs:
-            return k, rng.choice(homs)
+            attach = rng.choice(homs).assign
+            return k, tuple(map(attach.__getitem__, boundary_keys(k)))
     raise InvariantError("unreachable: dimension 0 always admits a map")
 
 
@@ -117,8 +120,7 @@ def rand_stratum(rng, prefix="c"):
     boundary = rand_complex(rng, 2)
     cells = []
     for i in range(rng.randint(1, 3)):
-        k, attach = rand_attach(rng, boundary, 2)
-        cells.append(Cell(f"{prefix}{i}", k, attach))
+        cells.append(Cell(f"{prefix}{i}", *rand_images(rng, boundary, 2)))
     return Stratum(boundary, cells)
 
 
@@ -130,11 +132,11 @@ def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
     strata = []
     current = base
     for i in range(rng.randint(0, max_cells)):
-        k, attach = rand_attach(rng, current, max_dim)
+        k, images = rand_images(rng, current, max_dim)
         cid = f"{prefix}{i}"
         while cid in current:
             cid += "'"
-        st = Stratum(current, [Cell(cid, k, attach)])
+        st = Stratum(current, [Cell(cid, k, images)])
         strata.append(st)
         current = body(st)
     return normalize(base, strata)
@@ -165,9 +167,8 @@ def shuffled_strata(rng, c):
     strata = []
     current = c.boundary
     for stage in sorted({s for s, _ in placed}):
-        cells = [Cell._of(cl.id, cl.dim, cl.images, current)
-                 for s, cl in placed if s == stage]
-        st = Stratum(current, cells, validate=False)
+        st = Stratum(current, [cl for s, cl in placed if s == stage],
+                     validate=False)
         strata.append(st)
         current = body(st)
     return strata

@@ -26,10 +26,8 @@ from .delta import (
     DeltaComplex,
     DeltaError,
     SimplicialMap,
-    boundary_complex,
     boundary_keys,
     composes_to,
-    facet_ids,
 )
 from .strata import Cell, Stratum, body
 from .cellcx import CellComplex, u_of_complex
@@ -316,19 +314,21 @@ def _cell_to_json(c):
             "attach": dict(zip(boundary_keys(c.dim), c.images))}
 
 
-def _check_cell(obj):
+def _cell_from_json(obj):
+    """The cell an object holds, its attach read off as an image tuple;
+    the stratum it joins checks the attach as a map."""
     _expect(isinstance(obj, dict) and isinstance(obj.get("id"), str) and
             type(obj.get("dim")) is int and
             isinstance(obj.get("attach"), dict) and
             _strings(obj["attach"].values()),
             "cell JSON must carry a string id, an integer dim and an "
             "attach object from ids to ids")
-
-
-def _cell_from_json(obj, boundary):
-    _check_cell(obj)
-    attach = SimplicialMap(boundary_complex(obj["dim"]), boundary, obj["attach"])
-    return Cell(obj["id"], obj["dim"], attach)
+    cid, k, attach = obj["id"], obj["dim"], obj["attach"]
+    keys = boundary_keys(k)
+    _expect(attach.keys() == set(keys),
+            f"cell {cid!r}: attach is not total on the boundary of the "
+            f"standard {k}-simplex")
+    return Cell(cid, k, tuple(map(attach.__getitem__, keys)))
 
 
 def stratum_to_json(st):
@@ -360,22 +360,15 @@ def cellcx_cells_from_json(obj):
     """Lax loader: the base complex and a flat cell list (stage ignored).
 
     Suitable for renormalization, where only the base and the cells matter.
-    Each attach map is validated as a map into the identifier pool, not a
-    particular stage: the base plus one simplex per cell, whose faces are
-    the cell's attach on the facets.  The cells attach into the pool.
+    Each attach is checked as a map into the identifier pool, not a
+    particular stage: the body of all the cells glued onto the base at
+    once, each glued simplex with the cell's attach on the facets as its
+    faces.
     """
     base, entries = _complex_parts(obj)
-    raw = list(itertools.chain.from_iterable(entries))
-    simplices = {k: list(ids) for k, ids in base.simplices.items()}
-    faces = dict(base.faces)
-    for c in raw:
-        _check_cell(c)
-        simplices.setdefault(c["dim"], []).append(c["id"])
-        if c["dim"]:
-            faces[c["id"]] = tuple(map(c["attach"].get, facet_ids(c["dim"])))
-    pool = DeltaComplex(simplices, faces, validate=False)
-    return base, [Cell(c["id"], c["dim"], SimplicialMap(
-        boundary_complex(c["dim"]), pool, c["attach"])) for c in raw]
+    cells = [_cell_from_json(c) for c in itertools.chain(*entries)]
+    Stratum(body(Stratum(base, cells, validate=False)), cells)
+    return base, cells
 
 
 def cellcx_from_json(obj):
@@ -388,7 +381,7 @@ def _cellcx_from_json(obj, twin):
     strata = []
     current = base
     for cells in entries:
-        st = Stratum(current, [_cell_from_json(c, current) for c in cells])
+        st = Stratum(current, map(_cell_from_json, cells))
         strata.append(st)
         current = body(st)
     return CellComplex(base, strata)
@@ -412,7 +405,11 @@ def factor_result_from_json(obj):
     # the base, ef.dom and ef.cod repeat f.dom, kf.body and f.cod
     kf = _cellcx_from_json(obj["complex"], f.dom)
     ef = _map_from_json(obj["ef"], kf.body, f.cod)
-    _expect(obj["stage_counts"] == [len(st.cells) for st in kf.strata],
+    counts = obj["stage_counts"]
+    _expect(isinstance(counts, list) and
+            all(type(n) is int for n in counts),
+            "stage_counts must be a list of integers")
+    _expect(counts == [len(st.cells) for st in kf.strata],
             "stage_counts do not match the complex")
     _expect(kf.boundary == f.dom and ef.dom == kf.body and ef.cod == f.cod,
             "complex and ef do not factor the input map")

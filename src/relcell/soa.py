@@ -168,7 +168,6 @@ def k1_step(f, new=None, stage=0, digest=None):
     cells = []
     glued = {}
     escape = _Escapes().__getitem__  # ids recur across lifts: escape once
-    cell = Cell._of
     for k in range(b.max_dim + 1):
         if new_dims is not None and k - 1 not in new_dims:
             continue
@@ -176,7 +175,7 @@ def k1_step(f, new=None, stage=0, digest=None):
         for t in b.ids(k):
             for images in search(f, t, new):
                 cid = _cell_id(digest, stage, k, t, images, escape)
-                cells.append(cell(cid, k, images, a))
+                cells.append(Cell(cid, k, images))
                 glued[cid] = t
     if not cells:
         return Stratum(a, cells, validate=False), f

@@ -4,11 +4,12 @@ A stratum is a boundary complex together with a finite set of cells; each
 cell has a shape dimension k and an attaching map from the boundary of the
 standard k-simplex into the stratum's boundary.  A cell stores that map as
 its image tuple: the images of the boundary ids in ``boundary_keys(k)``
-order, plus the codomain; ``Cell.attach`` is the map, built when first
-read.  The body of a stratum glues one fresh top simplex per cell onto the
-boundary, its faces read off the image tuple by position; the fresh simplex
-reuses the cell's id, so the boundary is a literal subcomplex of the body.
-Strata are immutable, so each one glues its body at most once.
+order.  The codomain is the stratum's boundary, so a cell is a plain value
+and ``Stratum`` checks its attach as a map into the boundary.  The body of
+a stratum glues one fresh top simplex per cell onto the boundary, its faces
+read off the image tuple by position; the fresh simplex reuses the cell's
+id, so the boundary is a literal subcomplex of the body.  Strata are
+immutable, so each one glues its body at most once.
 
 A stratum is a cell complex of height at most one: its morphisms,
 pushforwards, colimits and equalisers are those of ``cellcx``.
@@ -28,59 +29,25 @@ from .delta import (
 )
 
 
-_new = object.__new__
-
-
 class StrataError(DeltaError):
     pass
 
 
 class Cell:
-    """A cell: shape dimension k plus an attaching map of its boundary,
-    stored as ``images`` (a tuple in ``boundary_keys(k)`` order) and
-    ``cod``.  ``Cell(id, k, attach)`` checks the map's domain and
-    totality; ``Cell._of`` trusts its image tuple."""
+    """A cell: its id, shape dimension k and attaching map, as ``images``,
+    the tuple of the images of ``boundary_keys(k)``.  The map is checked
+    by the stratum it attaches to."""
 
-    __slots__ = ("id", "dim", "images", "cod", "_attach")
+    __slots__ = ("id", "dim", "images")
 
-    def __init__(self, cell_id, dim, attach):
-        if attach.dom != boundary_complex(dim):
-            raise StrataError(
-                f"cell {cell_id!r}: attach domain is not the boundary "
-                f"of the standard {dim}-simplex")
-        keys = boundary_keys(dim)
-        if attach.assign.keys() != set(keys):
-            raise StrataError(f"cell {cell_id!r}: attach is not total on "
-                              f"the boundary of the standard {dim}-simplex")
+    def __init__(self, cell_id, dim, images):
         self.id = cell_id
         self.dim = dim
-        self.images = tuple(map(attach.assign.__getitem__, keys))
-        self.cod = attach.cod
-        self._attach = attach
-
-    @classmethod
-    def _of(cls, cell_id, dim, images, cod):
-        c = _new(cls)
-        c.id = cell_id
-        c.dim = dim
-        c.images = images
-        c.cod = cod
-        c._attach = None
-        return c
-
-    @property
-    def attach(self):
-        """The attaching map, built from ``images`` on first read."""
-        if self._attach is None:
-            self._attach = SimplicialMap._owning(
-                boundary_complex(self.dim), self.cod,
-                dict(zip(boundary_keys(self.dim), self.images)))
-        return self._attach
+        self.images = images
 
     def __eq__(self, other):
         return isinstance(other, Cell) and self.id == other.id and \
-            self.dim == other.dim and self.images == other.images and \
-            self.cod == other.cod
+            self.dim == other.dim and self.images == other.images
 
     def __hash__(self):
         return hash((self.id, self.dim))
@@ -90,7 +57,11 @@ class Cell:
 
 
 class Stratum:
-    """A boundary complex plus a finite ordered set of cells."""
+    """A boundary complex plus a finite ordered set of cells.
+
+    With ``validate``, each cell's images must be a map from the boundary
+    of the standard simplex of its shape into ``boundary``.
+    """
 
     __slots__ = ("boundary", "cells", "_by_id", "_body")
 
@@ -103,9 +74,12 @@ class Stratum:
             raise StrataError("duplicate cell ids in stratum")
         if validate:
             for c in self.cells:
-                if c.cod != boundary:
-                    raise StrataError(
-                        f"cell {c.id!r} does not attach to the boundary")
+                keys = boundary_keys(c.dim)
+                if len(c.images) != len(keys):
+                    raise StrataError(f"cell {c.id!r}: {len(c.images)} "
+                                      f"images for {len(keys)} boundary ids")
+                SimplicialMap(boundary_complex(c.dim), boundary,
+                              zip(keys, c.images))
 
     def cell(self, cid):
         return self._by_id[cid]

@@ -1,7 +1,6 @@
 import pytest
 
 from relcell import (
-    Cell,
     CellComplex,
     CellComplexError,
     Factorizer,
@@ -14,6 +13,7 @@ from relcell import (
     standard_simplex,
 )
 from relcell.cli import builtin_fixtures
+from relcell.delta import _lift_kernel, boundary_keys
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,28 @@ def stratum_of(c):
     """The stratum of a complex of height <= 1: the inverse of ``cx``."""
     assert c.height <= 1, f"height {c.height} is not a stratum"
     return c.strata[0] if c.height else Stratum(c.boundary, [])
+
+
+def attach_map(k, images, cod):
+    """The map from the boundary of the standard k-simplex into ``cod``
+    with ``images`` in ``boundary_keys(k)`` order: a cell's attach, or a
+    boundary lift, as a map.  Not validated."""
+    return SimplicialMap(boundary_complex(k), cod,
+                         zip(boundary_keys(k), images), validate=False)
+
+
+def images_of(u):
+    """The image tuple of a map out of the boundary of a standard
+    simplex: its images in ``boundary_keys`` order."""
+    return tuple(u.assign[s] for s in boundary_keys(u.dom.max_dim + 1))
+
+
+def boundary_lifts(f, t, new=None):
+    """The boundary lifts of the simplex t along f, as maps: the tuples
+    ``_lift_kernel`` yields, in its order."""
+    k = f.cod.dim(t)
+    return [attach_map(k, images, f.dom)
+            for images in _lift_kernel(k)(f, t, new)]
 
 
 def boundary_inclusion(k):
@@ -60,19 +82,11 @@ def mec_partition_composite(a, b):
     current = a.boundary
     n = 0
     while n < a.height or pending:
-        cells = [Cell(c.id, c.dim,
-                      SimplicialMap(c.attach.dom, current, c.attach.assign,
-                                    validate=False))
-                 for c in a.strata[n].cells] if n < a.height else []
-        here = [c for c in pending
-                if set(c.attach.assign.values()) <= current.id_set]
+        cells = list(a.strata[n].cells) if n < a.height else []
+        here = [c for c in pending if set(c.images) <= current.id_set]
         here_ids = {c.id for c in here}
         pending = [c for c in pending if c.id not in here_ids]
-        cells.extend(
-            Cell(c.id, c.dim,
-                 SimplicialMap(c.attach.dom, current, c.attach.assign,
-                               validate=False))
-            for c in here)
+        cells.extend(here)
         if not cells:
             if pending and n < a.height:
                 n += 1

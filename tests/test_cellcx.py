@@ -44,16 +44,14 @@ from conftest import mec_partition_composite
 
 def point_cell_complex():
     """One 0-cell glued on the empty complex."""
-    st = Stratum(EMPTY, [Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])
+    st = Stratum(EMPTY, [Cell("v", 0, ())])
     return CellComplex(EMPTY, [st])
 
 
 def loop_on_new_vertex():
     """Height-2: a 0-cell, then a 1-cell with both endpoints on it."""
     a = point_cell_complex()
-    attach = SimplicialMap(boundary_complex(1), a.body,
-                           {"0": "v", "1": "v"})
-    st = Stratum(a.body, [Cell("e", 1, attach)])
+    st = Stratum(a.body, [Cell("e", 1, ("v", "v"))])
     return compose_complexes(a, CellComplex(a.body, [st]))
 
 
@@ -84,8 +82,7 @@ class TestBasics:
     def test_properness_enforced(self):
         a = point_cell_complex()
         # a 0-cell at stage 1 with empty attach is improper
-        st2 = Stratum(a.body, [Cell("w", 0,
-                                    SimplicialMap(EMPTY, a.body, {}))])
+        st2 = Stratum(a.body, [Cell("w", 0, ())])
         with pytest.raises(CellComplexError):
             CellComplex(EMPTY, [a.strata[0], st2])
 
@@ -102,8 +99,7 @@ class TestNormalForm:
 
     def test_misplaced_zero_cell_moved_down(self):
         a = point_cell_complex()
-        st2 = Stratum(a.body, [Cell("w", 0,
-                                    SimplicialMap(EMPTY, a.body, {}))],
+        st2 = Stratum(a.body, [Cell("w", 0, ())],
                       validate=False)
         c = normalize(EMPTY, [a.strata[0], st2])
         assert c.height == 1
@@ -120,11 +116,8 @@ class TestNormalForm:
             assert n1 == c  # same cells, same minimal stages
 
     def test_unplaceable_cells_rejected(self):
-        attach = SimplicialMap(boundary_complex(1), standard_simplex(0),
-                               {"0": "ghost", "1": "ghost"},
-                               validate=False)
         with pytest.raises(CellComplexError):
-            assemble(EMPTY, [Cell("e", 1, attach)])
+            assemble(EMPTY, [Cell("e", 1, ("ghost", "ghost"))])
 
 
 class TestComposition:
@@ -167,16 +160,14 @@ class TestComposition:
         rng = random.Random(73)
         for _ in range(10):
             base = gen.rand_complex(rng, max_dim=1)
-            k1, a1 = gen.rand_attach(rng, base, 1)
-            k2, a2 = gen.rand_attach(rng, base, 1)
+            k1, a1 = gen.rand_images(rng, base, 1)
+            k2, a2 = gen.rand_images(rng, base, 1)
             c1, c2 = Cell("s", k1, a1), Cell("t", k2, a2)
             joint = assemble(base, [c1, c2])
             seq1 = assemble(base, [c1])
-            seq1 = compose_complexes(
-                seq1, assemble_on(seq1.body, c2))
+            seq1 = compose_complexes(seq1, assemble(seq1.body, [c2]))
             seq2 = assemble(base, [c2])
-            seq2 = compose_complexes(
-                seq2, assemble_on(seq2.body, c1))
+            seq2 = compose_complexes(seq2, assemble(seq2.body, [c1]))
             assert joint == seq1 == seq2
 
 
@@ -186,17 +177,11 @@ def build_on(rng, base, max_cells, prefix):
     strata = []
     current = base
     for i in range(rng.randint(0, max_cells)):
-        k, attach = gen.rand_attach(rng, current, 2)
-        st = Stratum(current, [Cell(f"{prefix}{i}", k, attach)])
+        k, images = gen.rand_images(rng, current, 2)
+        st = Stratum(current, [Cell(f"{prefix}{i}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)
-
-
-def assemble_on(base, cell):
-    attach = SimplicialMap(cell.attach.dom, base, cell.attach.assign,
-                           validate=False)
-    return assemble(base, [Cell(cell.id, cell.dim, attach)])
 
 
 class TestMorphisms:
@@ -284,9 +269,7 @@ class TestHorizontalComposition:
 
 
 def build_complex_on_body(a):
-    attach = SimplicialMap(boundary_complex(1), a.body,
-                           {"0": "v", "1": "v"})
-    return CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, attach)])])
+    return CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, ("v", "v"))])])
 
 
 class TestPushforward:
@@ -301,8 +284,7 @@ class TestPushforward:
         out, m = pushforward_complex(c, inclusion_map(c.boundary, y))
         assert out.boundary == y and out.cell_ids == {"cell1'"}
         assert m.p == {"cell1": "cell1'"}
-        assert out.cell("cell1'").attach.assign == \
-            c.cell("cell1").attach.assign
+        assert out.cell("cell1'").images == c.cell("cell1").images
 
     def test_complex_of_its_inclusion(self):
         rng = random.Random(107)
@@ -312,7 +294,7 @@ class TestPushforward:
 
     def test_loop_example(self):
         b1 = boundary_complex(1)
-        c = CellComplex(b1, [Stratum(b1, [Cell("e", 1, identity_map(b1))])])
+        c = CellComplex(b1, [Stratum(b1, [Cell("e", 1, ("0", "1"))])])
         g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
         out, _ = pushforward_complex(c, g)
         assert (len(out.body.ids(0)), len(out.body.ids(1))) == (1, 1)
@@ -351,7 +333,7 @@ class TestColimitsAndEqualisers:
 
     def test_equaliser_drops_swapped_cells(self):
         pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
+        a = ("0", "0")
         two = CellComplex(pt, [Stratum(pt, [Cell("l1", 1, a),
                                             Cell("l2", 1, a)])])
         swap = CellComplexMorphism(two, two, identity_map(pt),

@@ -330,6 +330,21 @@ def test_complex_container_errors_match_in_both_loaders(files, capsys, obj):
     assert strict[2] == lax[2] and strict[2].startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("command", ["compose", "normalize"])
+@pytest.mark.parametrize("attach", [
+    {"0": "a"}, {"0": "a", "1": "b", "01": "e"}],
+    ids=["missing-key", "extra-key"])
+def test_attach_keys_missing_or_extra_exit_2(files, capsys, command, attach):
+    _, write = files
+    path = write("c.json", {
+        "base": {"simplices": {"0": ["a", "b"]}},
+        "strata": [{"cells": [{"id": "e", "dim": 1, "attach": attach}]}]})
+    code, _, err = run_cli(capsys, command,
+                           *[path] * (2 if command == "compose" else 1))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 # argv of each subcommand, and the flags it never reads
 _UNREAD_FLAGS = {
     ("factor", "m.json"): ["--seed"],
@@ -465,12 +480,9 @@ class TestComposeNormalizePushout:
         assert jsonio.cellcx_from_json(json.loads(out1.read_text())) == c
 
     def test_compose(self, files, capsys, tmp_path):
-        from relcell import Cell, CellComplex, Stratum, boundary_complex
-        a = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])])
-        attach = SimplicialMap(boundary_complex(1), a.body,
-                               {"0": "v", "1": "v"})
-        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, attach)])])
+        from relcell import Cell, CellComplex, Stratum
+        a = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, ("v", "v"))])])
         _, write = files
         pa = write("a.json", jsonio.cellcx_to_json(a))
         pb = write("b.json", jsonio.cellcx_to_json(b))
@@ -511,7 +523,7 @@ class TestLift:
         pt = standard_simplex(0)
         fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
         c = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])])
+            Cell("v", 0, ())])])
         pc = write("c.json", jsonio.cellcx_to_json(c))
         pu = write("u.json", jsonio.map_to_json(
             SimplicialMap(EMPTY, two, {})))

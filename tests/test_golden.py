@@ -25,7 +25,6 @@ from relcell import (
     Stratum,
     assemble,
     boundary_complex,
-    boundary_lifts,
     boundary_restriction,
     cellcx_colimit,
     cellcx_coproduct,
@@ -56,7 +55,8 @@ from relcell import (
 )
 from relcell.cli import main
 
-from conftest import boundary_inclusion, cx, stratum_of
+from conftest import (
+    boundary_inclusion, boundary_lifts, cx, images_of, stratum_of)
 
 # sha256 of (stdout + --out file) of ``factor --format json`` for the first
 # ten criterion-8 maps (gen.rand_map(rng, max_dim=3) at seed 2032)
@@ -398,7 +398,7 @@ def _subcomplex_complex(rng):
     simplices of the ambient complex, each attached along its faces."""
     y = gen.rand_complex(rng)
     x = gen.rand_subcomplex(rng, y)
-    return assemble(x, [Cell(s, k, boundary_restriction(y, s))
+    return assemble(x, [Cell(s, k, images_of(boundary_restriction(y, s)))
                         for k, s in y.all_ids() if s not in x])
 
 

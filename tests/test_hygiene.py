@@ -107,7 +107,7 @@ def test_image_tuple_facets_read_in_one_place():
     # order; facets d_0..d_k are read off them by position only through
     # ``strata._facets``: no ``facet_ids`` lookup and no subscript of an
     # image tuple anywhere else.  ``delta`` defines ``facet_ids`` for its
-    # maps, and the lax loader reads facets from an attach object by key.
+    # maps.
     def reads_facets(fn):
         return _calls(fn, "facet_ids") or any(
             isinstance(node, ast.Subscript) and (
@@ -122,4 +122,4 @@ def test_image_tuple_facets_read_in_one_place():
                     for fn in ast.walk(tree)
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and reads_facets(fn))
-    assert places == ["jsonio.cellcx_cells_from_json", "strata._facets"]
+    assert places == ["strata._facets"]

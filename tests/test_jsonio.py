@@ -84,6 +84,20 @@ class TestStratumAndComplex:
         base, loaded = jsonio.cellcx_cells_from_json(payload)
         assert assemble(base, loaded) == c
 
+    @pytest.mark.parametrize("attach", [
+        {"0": "0"}, {}, {"0": "0", "1": "1", "01": "0"},
+        {"0": "0", "01": "1"}])
+    def test_both_loaders_reject_attach_keys_missing_or_extra(self, attach):
+        cell = {"id": "e", "dim": 1, "attach": {"0": "0", "1": "1"}}
+        payload = {"base": jsonio.complex_to_json(standard_simplex(1)),
+                   "strata": [{"cells": [cell]}]}
+        jsonio.cellcx_from_json(payload)
+        jsonio.cellcx_cells_from_json(payload)
+        cell["attach"] = attach
+        for load in (jsonio.cellcx_from_json, jsonio.cellcx_cells_from_json):
+            with pytest.raises(DeltaError, match="attach is not total"):
+                load(payload)
+
     def test_lax_loader_rejects_dangling_attach(self):
         payload = {"base": jsonio.complex_to_json(EMPTY),
                    "strata": [{"cells": [
@@ -139,6 +153,19 @@ class TestFactorAndFillers:
         payload = jsonio.factor_result_to_json(fr)
         payload["stage_counts"] = [1, 1]
         with pytest.raises(DeltaError):
+            jsonio.factor_result_from_json(payload)
+
+    @pytest.mark.parametrize("counts", [
+        [True], [1.0], 1, [[1]], "1", None])
+    def test_factor_result_counts_must_be_integers(self, counts):
+        """Counts equal to the right integers, but not integers, are
+        rejected."""
+        fr = free_complex(SimplicialMap(EMPTY, standard_simplex(0), {}))
+        payload = jsonio.factor_result_to_json(fr)
+        assert payload["stage_counts"] == [1]
+        jsonio.factor_result_from_json(payload)
+        payload["stage_counts"] = counts
+        with pytest.raises(DeltaError, match="stage_counts"):
             jsonio.factor_result_from_json(payload)
 
     @pytest.mark.parametrize("field, foreign", [

@@ -75,7 +75,7 @@ class TestSolver:
         pt = standard_simplex(0)
         fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
         c = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])])
+            Cell("v", 0, ())])])
         for target, expected in (("0.0", "0.0"), ("1.0", "1.0")):
             ft = FillerTable(fold, {square_key(0, "0", {}): target},
                              fallback="fail")
@@ -131,8 +131,7 @@ class TestSolver:
     def test_order_independence_within_stratum(self, fz):
         rng = random.Random(173)
         pt = standard_simplex(0)
-        att = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
-        cells = [Cell(f"l{i}", 1, att) for i in range(3)]
+        cells = [Cell(f"l{i}", 1, ("0", "0")) for i in range(3)]
         for _ in range(4):
             perm = cells[:]
             rng.shuffle(perm)
@@ -148,7 +147,7 @@ class TestSolver:
         d1 = standard_simplex(1)
         p = SimplicialMap(pt, d1, {"0": "0"})
         c = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])])
+            Cell("v", 0, ())])])
         ft = FillerTable(p, fallback="search")
         with pytest.raises(LiftError) as exc:
             solve_lifting(c, ft, (SimplicialMap(EMPTY, pt, {}),
@@ -284,8 +283,8 @@ def rand_on(rng, base):
     strata = []
     current = base
     for j in range(rng.randint(1, 2)):
-        k, attach = gen.rand_attach(rng, current, 1)
-        st = Stratum(current, [Cell(f"y{j}", k, attach)])
+        k, images = gen.rand_images(rng, current, 1)
+        st = Stratum(current, [Cell(f"y{j}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)

@@ -48,8 +48,8 @@ from relcell import (
     unit,
 )
 from relcell import gen, soa
-from relcell.delta import MAX_DIM
-from conftest import boundary_inclusion, law_fixtures
+from relcell.delta import MAX_DIM, boundary_keys
+from conftest import attach_map, boundary_inclusion, law_fixtures
 
 
 def oracle_squares(g, prev_ids=None):
@@ -110,7 +110,7 @@ class TestK1Step:
                                   {s: fr.ef.assign[s] for s in stage.id_set})
                 glued = [] if n == fr.kf.height else [
                     (c.dim, fr.ef.assign[c.id],
-                     tuple(sorted(c.attach.assign.items())))
+                     tuple(sorted(zip(boundary_keys(c.dim), c.images))))
                     for c in fr.kf.strata[n].cells]
                 assert sorted(glued) == sorted(oracle_squares(g, prev))
                 prev = stage.id_set
@@ -191,7 +191,7 @@ class TestFreeComplex:
 
     def test_free_cells_build_no_attach_map(self, monkeypatch):
         # the cells are glued from the kernel's image tuples: one map per
-        # stage (its counit), none per cell, and an attach only when read
+        # stage (its counit), none per cell
         f = identity_map(standard_simplex(3))
         made = []
         init, owning = SimplicialMap.__init__, SimplicialMap._owning.__func__
@@ -202,12 +202,10 @@ class TestFreeComplex:
         fr = free_complex(f)
         cells = [c for _, c in fr.kf.all_cells()]
         assert len(cells) >= 100 and len(made) <= fr.kf.height
-        assert all(c._attach is None for c in cells)
         monkeypatch.undo()
-        n, c = list(fr.kf.all_cells())[-1]
-        assert c.attach is c.attach and c.attach.cod is fr.kf.filtration[n]
-        assert c.attach.assign == \
-            boundary_restriction(fr.kf.body, c.id).assign
+        c = cells[-1]
+        assert attach_map(c.dim, c.images, fr.kf.body) == \
+            boundary_restriction(fr.kf.body, c.id)
 
     def test_properness_mec_exactly_stage(self):
         rng = random.Random(127)
@@ -215,8 +213,7 @@ class TestFreeComplex:
             f = gen.rand_map(rng, max_dim=2)
             fr = free_complex(f)
             for n, cell in fr.kf.all_cells():
-                lifted = SimplicialMap(cell.attach.dom, fr.kf.body,
-                                       cell.attach.assign, validate=False)
+                lifted = attach_map(cell.dim, cell.images, fr.kf.body)
                 assert mec(lifted, fr.kf.filtration) == n
 
 
@@ -238,10 +235,9 @@ class TestTranspose:
         # an improper complex: its stage-1 edge attaches inside stage 0, so
         # the free cell over it is glued at stage 0
         pt = standard_simplex(0)
-        v = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
+        v = Stratum(pt, [Cell("v", 0, ())])
         bv = body(v)
-        e = Stratum(bv, [Cell("e", 1, SimplicialMap(
-            boundary_complex(1), bv, {"0": "0", "1": "0"}))])
+        e = Stratum(bv, [Cell("e", 1, ("0", "0"))])
         c = CellComplex(pt, [v, e], validate=False)
         fr = free_complex(u_of_complex(c))
         with pytest.raises(InvariantError, match="not at stage 1"):
@@ -480,11 +476,8 @@ class TestLeftMapStructures:
             compose_complexes(c, trivial_complex(c.body)), fz)
 
     def test_composite_agreement_zero_then_one_cell(self, fz):
-        a = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, SimplicialMap(EMPTY, EMPTY, {}))])])
-        attach = SimplicialMap(boundary_complex(1), a.body,
-                               {"0": "v", "1": "v"})
-        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, attach)])])
+        a = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, ("v", "v"))])])
         alpha = coalgebra_structure(a, fz)
         beta = coalgebra_structure(b, fz)
         out = composite_left_map(u_of_complex(a), alpha,
@@ -504,7 +497,7 @@ class TestLeftMapStructures:
 
     def test_pushforward_agreement_loop(self, fz):
         b1 = boundary_complex(1)
-        c = CellComplex(b1, [Stratum(b1, [Cell("e", 1, identity_map(b1))])])
+        c = CellComplex(b1, [Stratum(b1, [Cell("e", 1, ("0", "1"))])])
         g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
         alpha = coalgebra_structure(c, fz)
         pushed, structure = pushforward_left_map(u_of_complex(c), alpha,
@@ -530,8 +523,8 @@ def rand_on_body(rng, base):
     strata = []
     current = base
     for j in range(rng.randint(1, 2)):
-        k, attach = gen.rand_attach(rng, current, 1)
-        st = Stratum(current, [Cell(f"x{j}", k, attach)])
+        k, images = gen.rand_images(rng, current, 1)
+        st = Stratum(current, [Cell(f"x{j}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)

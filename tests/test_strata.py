@@ -17,7 +17,7 @@ from relcell import (
     StrataError,
     Stratum,
     boundary_complex,
-    boundary_lifts,
+    boundary_restriction,
     body,
     cellcx_colimit,
     cellcx_coproduct,
@@ -40,13 +40,12 @@ from relcell import (
 from relcell import gen
 from relcell.delta import _lift_kernel, boundary_keys, facet_ids
 from relcell.soa import free_complex
-from conftest import cx, stratum_of
+from conftest import attach_map, cx, stratum_of
 
 
 def loop_stratum():
     pt = standard_simplex(0)
-    attach = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
-    return Stratum(pt, [Cell("loop", 1, attach)])
+    return Stratum(pt, [Cell("loop", 1, ("0", "0"))])
 
 
 def generic_body_oracle(st):
@@ -63,7 +62,8 @@ def generic_body_oracle(st):
     att_assign = {}
     for cell, leg_b in zip(st.cells, bd_legs):
         for s, t in leg_b.assign.items():
-            att_assign[t] = cell.attach.assign[s]
+            att_assign[t] = attach_map(cell.dim, cell.images,
+                                       st.boundary).assign[s]
     att = SimplicialMap(total_bd, st.boundary, att_assign)
     return pushout(inc, att)
 
@@ -76,16 +76,16 @@ def iso_over(x, y, fx, fy):
     return None
 
 
-def sample_cells():
-    """Cells of every shape 0..3: from ``gen`` strata, which build them
-    from maps, and from free factorizations, which glue image tuples."""
+def sample_strata():
+    """Strata with cells of every shape 0..3: from ``gen``, which reads
+    them off maps, and from free factorizations, which glue image tuples
+    as the lift search yields them."""
     rng = random.Random(17)
-    cells = [c for _ in range(20) for c in gen.rand_stratum(rng).cells]
+    strata = [gen.rand_stratum(rng) for _ in range(20)]
     for _ in range(6):
-        cells += [c for _, c in free_complex(
-            gen.rand_map(rng, max_dim=3)).kf.all_cells()]
-    assert {c.dim for c in cells} == {0, 1, 2, 3}
-    return cells
+        strata += free_complex(gen.rand_map(rng, max_dim=3)).kf.strata
+    assert {c.dim for st in strata for c in st.cells} == {0, 1, 2, 3}
+    return strata
 
 
 def rebuilt_body(st):
@@ -97,56 +97,85 @@ def rebuilt_body(st):
     for c in st.cells:
         simp.setdefault(c.dim, []).append(c.id)
         if c.dim:
-            faces[c.id] = tuple(c.attach.assign[s] for s in facet_ids(c.dim))
+            attach = attach_map(c.dim, c.images, st.boundary)
+            faces[c.id] = tuple(attach.assign[s] for s in facet_ids(c.dim))
     return DeltaComplex(simp, faces)
 
 
 class TestImages:
     def test_image_tuple_and_attach_agree(self):
-        for c in sample_cells():
-            keys = boundary_keys(c.dim)
-            assert keys == tuple(sorted(boundary_complex(c.dim).id_set))
-            from_map = Cell(c.id, c.dim, c.attach)
-            from_images = Cell._of(c.id, c.dim, c.images, c.cod)
-            assert from_map.images == c.images == tuple(
-                c.attach.assign[s] for s in keys)
-            assert from_map == from_images == c
-            assert hash(from_map) == hash(from_images) == hash(c)
-            # the attach read back from the images is the map given
-            assert from_images.attach == c.attach
-            assert from_images.attach.dom is boundary_complex(c.dim)
-            assert Cell(c.id, c.dim, from_images.attach) == c
+        """A cell's images, read in ``boundary_keys`` order, are the
+        attach its glued simplex has in the body."""
+        for st in sample_strata():
+            bx = body(st)
+            for c in st.cells:
+                keys = boundary_keys(c.dim)
+                assert keys == tuple(sorted(boundary_complex(c.dim).id_set))
+                assert attach_map(c.dim, c.images, bx) == \
+                    boundary_restriction(bx, c.id)
+            # and each attach is a map into the boundary
+            assert Stratum(st.boundary, st.cells) == st
 
     def test_images_follow_the_kernel_order(self):
+        """The lift search yields the post-constrained homs from the
+        boundary, each as its images in ``boundary_keys`` order."""
         rng = random.Random(23)
         for _ in range(10):
             f = gen.rand_map(rng, max_dim=3)
-            for k in range(f.cod.max_dim + 1):
-                keys = boundary_keys(k)
-                for t in f.cod.ids(k):
-                    lifts = _lift_kernel(k)(f, t, None)
-                    assert lifts == [tuple(u.assign[s] for s in keys)
-                                     for u in boundary_lifts(f, t)]
+            for k, t in f.cod.all_ids():
+                homs = enumerate_homs(boundary_complex(k), f.dom, post=(
+                    f, boundary_restriction(f.cod, t)))
+                lifts = _lift_kernel(k)(f, t, None)
+                assert sorted(attach_map(k, images, f.dom).key()
+                              for images in lifts) == \
+                    sorted(h.key() for h in homs)
 
     def test_unequal_images_or_codomains_differ(self):
         pt = standard_simplex(0)
         two, _ = coproduct([pt, pt])
-        loop = Cell("c", 1, SimplicialMap(boundary_complex(1), two,
-                                          {"0": "0.0", "1": "0.0"}))
-        assert loop != Cell._of("c", 1, ("0.0", "1.0"), two)
-        assert loop != Cell._of("c", 1, ("0", "0"), pt)
-        assert loop == Cell._of("c", 1, ("0.0", "0.0"), two)
+        loop = Cell("c", 1, ("0.0", "0.0"))
+        assert loop != Cell("c", 1, ("0.0", "1.0"))
+        assert loop != Cell("c", 2, ("0.0", "0.0"))
+        assert loop == Cell("c", 1, ("0.0", "0.0"))
+        assert hash(loop) == hash(Cell("c", 1, ("0.0", "1.0")))
+        # the codomain is the stratum's boundary
+        assert Stratum(two, [loop]) != Stratum(
+            two.subcomplex({"0.0"}), [loop])
+        assert Stratum(two, [loop]) == Stratum(two, [loop])
 
-    def test_partial_or_misplaced_attach_rejected(self):
+
+class TestStratumChecksAttach:
+    """``Stratum`` checks each cell's images as a map from the boundary of
+    the standard simplex of its shape into the stratum's boundary."""
+
+    def test_too_few_or_too_many_images_rejected(self):
         pt = standard_simplex(0)
-        bd = boundary_complex(1)
-        for bad in ({"0": "0"}, {"0": "0", "1": "0", "01": "0"}, {}):
-            with pytest.raises(StrataError, match="not total"):
-                Cell("c", 1, SimplicialMap(bd, pt, bad, validate=False))
-        with pytest.raises(StrataError, match="attach domain"):
-            Cell("c", 1, SimplicialMap(pt, pt, {"0": "0"}))
-        with pytest.raises(StrataError, match="attach domain"):
-            Cell("c", 0, SimplicialMap(bd, pt, {"0": "0", "1": "0"}))
+        for k, images in ((1, ("0",)), (1, ("0", "0", "0")), (1, ()),
+                          (0, ("0",)), (2, ("0",) * 5), (2, ("0",) * 7)):
+            with pytest.raises(StrataError, match="images for"):
+                Stratum(pt, [Cell("c", k, images)])
+            # unchecked, the stratum takes it as it is
+            Stratum(pt, [Cell("c", k, images)], validate=False)
+
+    def test_image_outside_or_of_wrong_dimension_rejected(self):
+        d1 = standard_simplex(1)
+        for images in (("0", "ghost"), ("01", "1"), ("0", "01")):
+            with pytest.raises(DeltaError, match="maps to bad id"):
+                Stratum(d1, [Cell("c", 1, images)])
+        with pytest.raises(DeltaError, match="maps to bad id"):
+            Stratum(d1, [Cell("c", 2, ("0", "01", "0", "1", "0", "0"))])
+
+    def test_broken_face_commutation_rejected(self):
+        # an edge e from a to b, and a loop l at a
+        x = DeltaComplex({0: ["a", "b"], 1: ["e", "l"]},
+                         {"e": ("b", "a"), "l": ("a", "a")})
+        Stratum(x, [Cell("c", 1, ("a", "b")),
+                    Cell("d", 2, ("a", "l", "l", "a", "l", "a"))])
+        for k, images in ((2, ("a", "e", "l", "a", "l", "a")),
+                          (2, ("a", "l", "l", "b", "l", "a"))):
+            with pytest.raises(DeltaError, match="face commutation"):
+                Stratum(x, [Cell("c", k, images)])
+            Stratum(x, [Cell("c", k, images)], validate=False)
 
 
 class TestBody:
@@ -168,9 +197,8 @@ class TestBody:
 
     def test_cell_id_collision_is_a_strata_error(self):
         pt = standard_simplex(0)
-        bd = boundary_complex(1)
-        edge = SimplicialMap(bd, pt, {"0": "0", "1": "0"})
-        for st in (Stratum(pt, [Cell("0", 0, SimplicialMap(EMPTY, pt, {}))]),
+        edge = ("0", "0")
+        for st in (Stratum(pt, [Cell("0", 0, ())]),
                    Stratum(pt, [Cell("a", 1, edge), Cell("0", 1, edge)])):
             with pytest.raises(StrataError, match="'0' collides"):
                 body(st)
@@ -190,9 +218,7 @@ class TestBody:
         assert bx == x and inc == identity_map(x)
 
     def test_two_zero_cells_on_empty(self):
-        st = Stratum(EMPTY, [
-            Cell("a", 0, SimplicialMap(EMPTY, EMPTY, {})),
-            Cell("b", 0, SimplicialMap(EMPTY, EMPTY, {}))])
+        st = Stratum(EMPTY, [Cell("a", 0, ()), Cell("b", 0, ())])
         bx = body(st)
         assert sorted(bx.ids(0)) == ["a", "b"]
 
@@ -206,28 +232,26 @@ class TestBody:
             assert iso_over(bx, p, inc, pb) is not None
             # each glued cell's characteristic map extends its attach
             for c in st.cells:
-                want = dict(c.attach.assign)
+                want = dict(zip(boundary_keys(c.dim), c.images))
                 want[top_simplex_id(c.dim)] = c.id
                 assert characteristic_map(bx, c.id).assign == want
 
     def test_cell_validation(self):
         pt = standard_simplex(0)
         with pytest.raises(DeltaError):
-            # attach domain must be the canonical boundary complex
-            Cell("c", 1, SimplicialMap(pt, pt, {"0": "0"}))
+            # one image per simplex of the boundary of the 1-simplex
+            Stratum(pt, [Cell("c", 1, ("0",))])
 
     def test_boundary_id_collision_rejected(self):
         pt = standard_simplex(0)
-        st = Stratum(pt, [Cell("0", 0,
-                               SimplicialMap(EMPTY, pt, {}))])
+        st = Stratum(pt, [Cell("0", 0, ())])
         with pytest.raises(DeltaError):
             body(st)
 
     def test_duplicate_ids_rejected_without_validation(self):
         pt = standard_simplex(0)
-        c = Cell("c", 0, SimplicialMap(EMPTY, pt, {}))
-        same_id = Cell("c", 1, SimplicialMap(boundary_complex(1), pt,
-                                             {"0": "0", "1": "0"}))
+        c = Cell("c", 0, ())
+        same_id = Cell("c", 1, ("0", "0"))
         with pytest.raises(StrataError, match="duplicate"):
             Stratum(pt, [c, same_id], validate=False)
 
@@ -246,7 +270,7 @@ class TestMorphisms:
 
     def test_collapsing_two_cells(self):
         pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
+        a = ("0", "0")
         two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
         one = Stratum(pt, [Cell("l", 1, a)])
         m = CellComplexMorphism(cx(two), cx(one), identity_map(pt),
@@ -257,9 +281,9 @@ class TestMorphisms:
 
     def test_validation(self):
         pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
+        a = ("0", "0")
         st = Stratum(pt, [Cell("l", 1, a)])
-        z = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
+        z = Stratum(pt, [Cell("v", 0, ())])
         with pytest.raises(DeltaError):
             CellComplexMorphism(cx(st), cx(z), identity_map(pt),
                                 {"l": "v"})  # dim
@@ -267,7 +291,7 @@ class TestMorphisms:
     def test_validation_through_the_body_map(self):
         b1 = boundary_complex(1)
         swap = SimplicialMap(b1, b1, {"0": "1", "1": "0"})
-        st = Stratum(b1, [Cell("e", 1, identity_map(b1)), Cell("r", 1, swap)])
+        st = Stratum(b1, [Cell("e", 1, ("0", "1")), Cell("r", 1, ("1", "0"))])
         m = CellComplexMorphism(cx(st), cx(st), swap, {"e": "r", "r": "e"})
         assert m.body_map.is_bijective()
         for p in ({"e": "r", "r": "e"},  # not commuting with faces
@@ -333,7 +357,7 @@ class TestPushforward:
 class TestColimits:
     def test_coproduct_of_single_cell_strata(self):
         pt = standard_simplex(0)
-        s1 = Stratum(pt, [Cell("v", 0, SimplicialMap(EMPTY, pt, {}))])
+        s1 = Stratum(pt, [Cell("v", 0, ())])
         s2 = loop_stratum()
         out, legs = cellcx_coproduct([cx(s1), cx(s2)])
         assert len(stratum_of(out).cells) == 2
@@ -348,7 +372,7 @@ class TestColimits:
 
     def test_merging_cells(self):
         pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
+        a = ("0", "0")
         two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
         one = cx(Stratum(pt, [Cell("l", 1, a)]))
         m1 = CellComplexMorphism(two, one, identity_map(pt),
@@ -390,7 +414,7 @@ class TestEqualiser:
     def test_u_preserves_equaliser(self):
         from relcell.delta import equaliser as delta_equaliser
         pt = standard_simplex(0)
-        a = SimplicialMap(boundary_complex(1), pt, {"0": "0", "1": "0"})
+        a = ("0", "0")
         two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
         swap = CellComplexMorphism(two, two, identity_map(pt),
                                    {"l1": "l2", "l2": "l1"})
