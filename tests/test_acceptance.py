@@ -304,8 +304,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
     pt = standard_simplex(0)
     fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
-    c = CellComplex(EMPTY, [Stratum(EMPTY, [
-        Cell("v", 0, ())])])
+    c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
     pc = write("c.json", jsonio.cellcx_to_json(c))
     pu = write("u.json", jsonio.map_to_json(SimplicialMap(EMPTY, two, {})))
     pv = write("v.json", jsonio.map_to_json(

@@ -74,8 +74,7 @@ class TestSolver:
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)
         fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
-        c = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, ())])])
+        c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
         for target, expected in (("0.0", "0.0"), ("1.0", "1.0")):
             ft = FillerTable(fold, {square_key(0, "0", {}): target},
                              fallback="fail")
@@ -146,8 +145,7 @@ class TestSolver:
         pt = standard_simplex(0)
         d1 = standard_simplex(1)
         p = SimplicialMap(pt, d1, {"0": "0"})
-        c = CellComplex(EMPTY, [Stratum(EMPTY, [
-            Cell("v", 0, ())])])
+        c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
         ft = FillerTable(p, fallback="search")
         with pytest.raises(LiftError) as exc:
             solve_lifting(c, ft, (SimplicialMap(EMPTY, pt, {}),

@@ -171,11 +171,11 @@ class TestStratumChecksAttach:
                          {"e": ("b", "a"), "l": ("a", "a")})
         Stratum(x, [Cell("c", 1, ("a", "b")),
                     Cell("d", 2, ("a", "l", "l", "a", "l", "a"))])
-        for k, images in ((2, ("a", "e", "l", "a", "l", "a")),
-                          (2, ("a", "l", "l", "b", "l", "a"))):
+        for images in (("a", "e", "l", "a", "l", "a"),
+                       ("a", "l", "l", "b", "l", "a")):
             with pytest.raises(DeltaError, match="face commutation"):
-                Stratum(x, [Cell("c", k, images)])
-            Stratum(x, [Cell("c", k, images)], validate=False)
+                Stratum(x, [Cell("c", 2, images)])
+            Stratum(x, [Cell("c", 2, images)], validate=False)
 
 
 class TestBody:
