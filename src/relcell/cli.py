@@ -13,6 +13,7 @@ import errno
 import functools
 import json
 import os
+import random
 import stat
 import sys
 
@@ -32,7 +33,7 @@ from .delta import (
 from .cellcx import assemble, compose_complexes
 from .soa import CapExceededError, check_awfs_laws, free_complex, Factorizer
 from .lifting import LiftError, solve_lifting
-from .gen import rand_nat_square, rng_from_seed
+from .gen import rand_nat_square
 from . import jsonio
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ def cmd_check(args):
     fixtures = builtin_fixtures()
     for i, path in enumerate(args.maps):
         fixtures.append((f"input-{i}", _load(path, _factorable_map)))
-    rng = rng_from_seed(args.seed)
+    rng = random.Random(args.seed)
     fz = Factorizer(args.cap)
     results = {}
     ok = True

@@ -9,8 +9,6 @@ valid by construction rather than by rejection sampling.
 
 from __future__ import annotations
 
-import random
-
 from .delta import (
     ArrowSquare,
     InvariantError,
@@ -30,10 +28,6 @@ from .strata import Cell, Stratum, body
 from .cellcx import normalize, pushforward_complex, u_of_complex
 
 
-def rng_from_seed(seed):
-    return random.Random(seed)
-
-
 def rand_complex(rng, max_dim=2):
     """A random finite complex: a coproduct of 1 to 3 standard simplices
     with up to 3 pairs of vertices glued."""
@@ -51,8 +45,9 @@ def rand_complex(rng, max_dim=2):
 
 
 def rand_subcomplex(rng, x):
-    """A random subcomplex: keep each simplex with probability 0.6, then
-    close downward under faces."""
+    """A random subcomplex: keep each simplex with probability 0.6, and
+    every face of a kept simplex.  Dimensions run top-down, so each face is
+    kept before its own dimension comes up."""
     keep = set()
     for k in range(x.max_dim, -1, -1):
         for s in sorted(x.ids(k)):
@@ -60,14 +55,6 @@ def rand_subcomplex(rng, x):
                 keep.add(s)
                 if k >= 1:
                     keep.update(x.faces_of(s))
-    stack = list(keep)
-    while stack:
-        s = stack.pop()
-        if x.dim(s) >= 1:
-            for f in x.faces_of(s):
-                if f not in keep:
-                    keep.add(f)
-                    stack.append(f)
     return x.subcomplex(keep)
 
 

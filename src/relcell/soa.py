@@ -98,11 +98,12 @@ class FactorResult:
     It memoizes what is derived from it, each on first use, in lazily
     filled slots: the index of its free cells by target and faces
     (``cell_over``), the monad multiplication (``monad_mult``), the comonad
-    comultiplication (``comonad_comult``), and every map K(a, b) into its
-    complex (``k_of_square``).  The factorization is deterministic, so the
-    first three are pure functions of the factored map and K(a, b) one of
-    the square.  Cached values are shared by every caller and, like every
-    complex and map, immutable; a call that raises caches nothing.
+    comultiplication (``comonad_comult``), and every map E(a, b) into its
+    body (``k_of_square``).  All but the index are simplicial maps.  The
+    factorization is deterministic, so the first three are pure functions
+    of the factored map and E(a, b) one of the square.  Cached values are
+    shared by every caller and, like every complex and map, immutable; a
+    call that raises caches nothing.
     """
 
     __slots__ = ("input", "kf", "ef", "_cells_over", "_mu", "_delta",
@@ -279,30 +280,31 @@ def transpose(c, g0, h, fr):
     return CellComplexMorphism(c, fr.kf, g0, p, validate=False)
 
 
-def k_of_square(sq, fr_dom, fr_cod):
-    """Functorial action of the factorization on an arrow-category square.
+def k_of_square(a, b, fr_dom, fr_cod):
+    """E(a, b): body(Kf) -> body(Kg), the factorization's action on a
+    square (a, b): f -> g of the arrow category, where ``fr_dom`` factors
+    f and ``fr_cod`` factors g.
 
-    ``sq`` is (a, b): f -> g encoded as ArrowSquare(top=a, bottom=b,
-    left=f, right=g); the result is the morphism Kf -> Kg.  It is the
-    adjunct of (a, b o ef), so it is memoized on ``fr_cod`` by ef, a and b
+    It is the body map of the adjunct of (a, b o ef), so ``transpose`` and
+    ``compose`` raise DeltaError when a or b has the wrong endpoints or the
+    square does not commute.  It is memoized on ``fr_cod`` by ef, a and b
     and answers only for the very complex Kf it was computed from.
     """
-    key = (fr_dom.ef, sq.top, sq.bottom)
+    key = (fr_dom.ef, a, b)
     m = fr_cod._k_into.get(key)
-    if m is None or m.dom is not fr_dom.kf:
+    if m is None or m.dom is not fr_dom.kf.body:
         m = fr_cod._k_into[key] = transpose(
-            fr_dom.kf, sq.top, compose(sq.bottom, fr_dom.ef), fr_cod)
+            fr_dom.kf, a, compose(b, fr_dom.ef), fr_cod).body_map
     return m
 
 
-def unit(c, factorizer=None):
+def unit(c, factorizer):
     """The adjunction unit: the comparison of c with K(U(c))."""
-    fz = factorizer or Factorizer()
-    fr = fz.k(u_of_complex(c))
+    fr = factorizer.k(u_of_complex(c))
     return transpose(c, identity_map(c.boundary), identity_map(c.body), fr)
 
 
-def coalgebra_structure(c, factorizer=None):
+def coalgebra_structure(c, factorizer):
     """The body component of the unit: body(c) -> body(K(U(c)))."""
     return unit(c, factorizer).body_map
 
@@ -330,50 +332,48 @@ def decode(f, alpha, fr):
 # -- monad and comonad ----------------------------------------------------
 
 
-def monad_unit(f, factorizer=None):
+def monad_unit(f, factorizer):
     """The unit square f -> Ef of the codomain-preserving monad."""
-    fz = factorizer or Factorizer()
-    fr = fz.k(f)
+    fr = factorizer.k(f)
     return ArrowSquare(top=u_of_complex(fr.kf),
                        bottom=identity_map(f.cod),
                        left=f, right=fr.ef)
 
 
-def monad_mult(f, factorizer=None):
+def monad_mult(f, factorizer):
     """The multiplication component: body(K(Ef)) -> body(Kf).
 
     Computed as the body part of the adjunct of (1, EEf) on the composite
     of Kf with K(Ef), once per ``FactorResult`` of f.
     """
-    fz = factorizer or Factorizer()
-    fr = fz.k(f)
+    fr = factorizer.k(f)
     if fr._mu is None:
-        fr2 = fz.k(fr.ef)
+        fr2 = factorizer.k(fr.ef)
         comp = compose_complexes(fr.kf, fr2.kf)
         fr._mu = transpose(comp, identity_map(f.dom), fr2.ef, fr).body_map
     return fr._mu
 
 
-def comonad_comult(f, factorizer=None):
+def comonad_comult(f, factorizer):
     """The comultiplication component: body(Kf) -> body(K(U(Kf))),
     computed once per ``FactorResult`` of f."""
-    fz = factorizer or Factorizer()
-    fr = fz.k(f)
+    fr = factorizer.k(f)
     if fr._delta is None:
-        fr._delta = coalgebra_structure(fr.kf, fz)
+        fr._delta = coalgebra_structure(fr.kf, factorizer)
     return fr._delta
 
 
-def check_awfs_laws(f, squares=(), factorizer=None):
+def check_awfs_laws(f, squares, factorizer):
     """Check the factorization-system laws for f by exact map equality.
 
-    ``squares`` is an iterable of ArrowSquare values (a, b): f -> g used for
-    the naturality checks.  Returns a report dict with one boolean per law
-    and witness descriptions for failures.  Raises CapExceededError (with
-    the partial report attached) if a required factorization does not
-    stabilize.
+    Every law is an equation between maps, among them the maps E(a, b) of
+    ``k_of_square`` for the monad's and comonad's own squares, built from
+    their two maps.  ``squares`` is an iterable of ArrowSquare values
+    (a, b): f -> g used for the naturality checks.  Returns a report dict
+    with one boolean per law and witness descriptions for failures.
+    Raises CapExceededError (with the partial report attached) if a
+    required factorization does not stabilize.
     """
-    fz = factorizer or Factorizer()
     report = {}
     witnesses = {}
 
@@ -389,69 +389,52 @@ def check_awfs_laws(f, squares=(), factorizer=None):
         return ok
 
     try:
-        fr = fz.k(f)
+        fr = factorizer.k(f)
         lf = u_of_complex(fr.kf)
         record("factorization", fr.ef, lf, f)
 
-        fr2 = fz.k(fr.ef)
-        mu = monad_mult(f, fz)
+        fr2 = factorizer.k(fr.ef)
+        mu = monad_mult(f, factorizer)
+        id_a, id_b = identity_map(f.dom), identity_map(f.cod)
         id_mf = identity_map(fr.kf.body)
         record("monad_unit_free", mu, u_of_complex(fr2.kf), id_mf)
-        keta = k_of_square(monad_unit(f, fz), fr, fr2)
-        record("monad_unit_functorial", mu, keta.body_map, id_mf)
+        keta = k_of_square(lf, id_b, fr, fr2)  # E of the unit f -> Ef
+        record("monad_unit_functorial", mu, keta, id_mf)
 
-        fr3 = fz.k(fr2.ef)
-        mu_ef = monad_mult(fr.ef, fz)
-        kmu = k_of_square(
-            ArrowSquare(top=mu, bottom=identity_map(f.cod),
-                        left=fr2.ef, right=fr.ef),
-            fr3, fr2)
-        record("monad_assoc", mu, mu_ef, compose(mu, kmu.body_map))
+        fr3 = factorizer.k(fr2.ef)
+        mu_ef = monad_mult(fr.ef, factorizer)
+        kmu = k_of_square(mu, id_b, fr3, fr2)
+        record("monad_assoc", mu, mu_ef, compose(mu, kmu))
 
-        fru = fz.k(lf)
-        delta = comonad_comult(f, fz)
+        fru = factorizer.k(lf)
+        delta = comonad_comult(f, factorizer)
         record("comonad_counit_free", fru.ef, delta, id_mf)
-        keps = k_of_square(
-            ArrowSquare(top=identity_map(f.dom), bottom=fr.ef,
-                        left=lf, right=f),
-            fru, fr)
-        record("comonad_counit_functorial", keps.body_map, delta, id_mf)
+        keps = k_of_square(id_a, fr.ef, fru, fr)
+        record("comonad_counit_functorial", keps, delta, id_mf)
 
-        fruu = fz.k(u_of_complex(fru.kf))
-        delta_lf = comonad_comult(lf, fz)
-        kdelta = k_of_square(
-            ArrowSquare(top=identity_map(f.dom), bottom=delta,
-                        left=lf, right=u_of_complex(fru.kf)),
-            fru, fruu)
-        record("comonad_coassoc", delta_lf, delta,
-               compose(kdelta.body_map, delta))
+        fruu = factorizer.k(u_of_complex(fru.kf))
+        delta_lf = comonad_comult(lf, factorizer)
+        kdelta = k_of_square(id_a, delta, fru, fruu)
+        record("comonad_coassoc", delta_lf, delta, compose(kdelta, delta))
 
-        freu = fz.k(fru.ef)
-        fr_uef = fz.k(u_of_complex(fr2.kf))
-        mu_ukf = monad_mult(lf, fz)
-        delta_ef = comonad_comult(fr.ef, fz)
-        kdm = k_of_square(
-            ArrowSquare(top=delta, bottom=mu,
-                        left=u_of_complex(fr2.kf), right=fru.ef),
-            fr_uef, freu)
+        freu = factorizer.k(fru.ef)
+        fr_uef = factorizer.k(u_of_complex(fr2.kf))
+        mu_ukf = monad_mult(lf, factorizer)
+        delta_ef = comonad_comult(fr.ef, factorizer)
+        kdm = k_of_square(delta, mu, fr_uef, freu)
         record("distributivity", fru.ef, compose(delta, mu),
-               compose(fru.ef,
-                       compose(mu_ukf, compose(kdm.body_map, delta_ef))))
+               compose(fru.ef, compose(mu_ukf, compose(kdm, delta_ef))))
 
         nat_ok = True
         for i, sq in enumerate(squares):
             g = sq.right
-            frg = fz.k(g)
-            kab = k_of_square(sq, fr, frg).body_map
+            frg = factorizer.k(g)
+            kab = k_of_square(sq.top, sq.bottom, fr, frg)
             eta_ok = composes_to(kab, lf,
                                  compose(u_of_complex(frg.kf), sq.top))
-            mu_g = monad_mult(g, fz)
-            frg2 = fz.k(frg.ef)
-            kab2 = k_of_square(
-                ArrowSquare(top=kab, bottom=sq.bottom,
-                            left=fr.ef, right=frg.ef),
-                fr2, frg2)
-            mu_ok = composes_to(kab, mu, compose(mu_g, kab2.body_map))
+            mu_g = monad_mult(g, factorizer)
+            kab2 = k_of_square(kab, sq.bottom, fr2, factorizer.k(frg.ef))
+            mu_ok = composes_to(kab, mu, compose(mu_g, kab2))
             if not (eta_ok and mu_ok):
                 nat_ok = False
                 witnesses[f"naturality_{i}"] = {
@@ -467,41 +450,29 @@ def check_awfs_laws(f, squares=(), factorizer=None):
 # -- left-map structures --------------------------------------------------
 
 
-def composite_left_map(f, alpha, g, beta, factorizer=None):
+def composite_left_map(f, alpha, g, beta, factorizer):
     """The structure map on g o f induced by structure maps on f and g."""
-    fz = factorizer or Factorizer()
     gf = compose(g, f)
-    fr_f = fz.k(f)
-    fr_g = fz.k(g)
-    fr_gf = fz.k(gf)
-    m1 = k_of_square(
-        ArrowSquare(top=identity_map(f.dom), bottom=g, left=f, right=gf),
-        fr_f, fr_gf)
-    pre = compose(m1.body_map, alpha)
-    fr_egf = fz.k(fr_gf.ef)
-    m2 = k_of_square(
-        ArrowSquare(top=pre, bottom=identity_map(g.cod),
-                    left=g, right=fr_gf.ef),
-        fr_g, fr_egf)
-    mu_gf = monad_mult(gf, fz)
-    return compose(mu_gf, compose(m2.body_map, beta))
+    fr_f = factorizer.k(f)
+    fr_g = factorizer.k(g)
+    fr_gf = factorizer.k(gf)
+    pre = compose(k_of_square(identity_map(f.dom), g, fr_f, fr_gf), alpha)
+    m2 = k_of_square(pre, identity_map(g.cod), fr_g,
+                     factorizer.k(fr_gf.ef))
+    return compose(monad_mult(gf, factorizer), compose(m2, beta))
 
 
-def pushforward_left_map(f, alpha, g, factorizer=None):
+def pushforward_left_map(f, alpha, g, factorizer):
     """The structure map on the pushout of f along g.
 
     Returns (pushed map, structure map).  On the codomain leg the structure
     is the free inclusion of the pushed map; on the other leg it is the
     functorial image of alpha.
     """
-    fz = factorizer or Factorizer()
-    _, leg_b, leg_c = pushout(f, g)
-    pushed = leg_c
-    fr_f = fz.k(f)
-    fr_p = fz.k(pushed)
-    m = k_of_square(
-        ArrowSquare(top=g, bottom=leg_b, left=f, right=pushed),
-        fr_f, fr_p)
+    _, leg_b, pushed = pushout(f, g)
+    fr_f = factorizer.k(f)
+    fr_p = factorizer.k(pushed)
+    m = k_of_square(g, leg_b, fr_f, fr_p)
     structure = mediate(
-        [leg_b, leg_c], [compose(m.body_map, alpha), u_of_complex(fr_p.kf)])
+        [leg_b, pushed], [compose(m, alpha), u_of_complex(fr_p.kf)])
     return pushed, structure

@@ -91,6 +91,12 @@ class TestBasics:
         with pytest.raises(CellComplexError):
             CellComplex(x, [Stratum(x, [])])
 
+    def test_disconnected_stratum_rejected(self):
+        st = Stratum(standard_simplex(1), [Cell("v", 0, ())])
+        with pytest.raises(CellComplexError, match="stratum 0 is not "
+                           "connected to the previous body"):
+            CellComplex(standard_simplex(0), [st])
+
 
 class TestNormalForm:
     def test_proper_input_unchanged(self):

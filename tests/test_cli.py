@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from relcell import (
     EMPTY,
     CellComplex,
+    DeltaError,
     FillerTable,
     SimplicialMap,
     free_complex,
@@ -551,6 +552,20 @@ class TestLift:
         assert code == 4
         assert "square" in err
 
+    @pytest.mark.parametrize("fallback", ["guess", 3, None, ["search"]])
+    def test_unknown_fallback_exit_2(self, files, capsys, fallback):
+        _, write = files
+        fold, pc, pu, pv = self._fixture(write)
+        with pytest.raises(DeltaError, match="unknown fallback"):
+            FillerTable(fold, fallback=fallback)
+        obj = jsonio.filler_table_to_json(FillerTable(fold))
+        obj["fallback"] = fallback
+        with pytest.raises(DeltaError, match="unknown fallback"):
+            jsonio.filler_table_from_json(obj)
+        code, _, err = run_cli(capsys, "lift", pc, write("t.json", obj),
+                               pu, pv)
+        assert code == 2 and "unknown fallback" in err
+
     def test_square_endpoints_mismatch_exit_2(self, files, capsys):
         _, write = files
         fold, pc, pu, _ = self._fixture(write)
@@ -583,6 +598,15 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert out.count("pass") == 45  # 5 fixtures x 9 laws
+
+    def test_cap_exceeded_exit_3(self, capsys, tmp_path):
+        out = tmp_path / "report.txt"
+        code, stdout, err = run_cli(capsys, "check", "--cap", "1",
+                                    "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err == "error: safety cap exceeded; per-stage cell counts: " \
+            "3, 3\n"
+        assert not out.exists()
 
     def test_json_format_deterministic(self, capsys):
         code, out1, _ = run_cli(capsys, "check", "--format", "json")

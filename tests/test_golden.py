@@ -262,7 +262,8 @@ def test_comonad_comult_and_monad_mult():
 
 def test_unit_cell_assignments():
     rng = random.Random(131)
-    rows = [sorted(unit(gen.rand_cell_complex(rng, max_cells=4)).p.items())
+    rows = [sorted(unit(gen.rand_cell_complex(rng, max_cells=4),
+                        Factorizer()).p.items())
             for _ in range(20)]
     assert _sha(repr(rows).encode()) == UNIT_DIGEST
 

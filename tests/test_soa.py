@@ -49,7 +49,8 @@ from relcell import (
 )
 from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
-from conftest import attach_map, boundary_inclusion, law_fixtures
+from conftest import (attach_map, boundary_inclusion, fold_map,
+                      law_fixtures)
 
 
 def oracle_squares(g, prev_ids=None):
@@ -376,12 +377,9 @@ class TestLaws:
             freu = fz.k(fru.ef)
             mu_ukf = monad_mult(lf, fz)
             delta_ef = comonad_comult(fr.ef, fz)
-            kdm = k_of_square(
-                ArrowSquare(top=delta, bottom=mu,
-                            left=u_of_complex(fr2.kf), right=fru.ef),
-                fr_uef, freu)
+            kdm = k_of_square(delta, mu, fr_uef, freu)
             assert compose(delta, mu) == \
-                compose(mu_ukf, compose(kdm.body_map, delta_ef))
+                compose(mu_ukf, compose(kdm, delta_ef))
 
     def test_failing_law_carries_its_composite(self, fz, monkeypatch):
         # every law reads as failed: each witness is both sides in full
@@ -401,6 +399,21 @@ class TestLaws:
         for w in rep["witnesses"].values():
             assert w["lhs"] == w["rhs"]
 
+    def test_cap_reached_carries_the_partial_report(self):
+        # f: empty -> point factors in one stage; the naturality square's
+        # g: point -> simplex 2 needs two, past the cap of one
+        pt = standard_simplex(0)
+        f = SimplicialMap(EMPTY, pt, {})
+        b = SimplicialMap(pt, standard_simplex(2), {"0": "0"})
+        sq = ArrowSquare(top=identity_map(EMPTY), bottom=b, left=f,
+                         right=compose(b, f))
+        with pytest.raises(CapExceededError) as err:
+            check_awfs_laws(f, [sq], factorizer=soa.Factorizer(1))
+        assert err.value.stage_counts == [3, 3]
+        report = err.value.partial_report
+        assert len(report) == 8 and "naturality" not in report
+        assert all(ok is True for ok in report.values())
+
     def test_mu_trivial_for_empty_codomain(self, fz):
         f = identity_map(EMPTY)
         assert monad_mult(f, fz) == identity_map(EMPTY)
@@ -418,11 +431,34 @@ class TestMemoizedStructureMaps:
                 assert first == structure_map(f, soa.Factorizer())
             for _ in range(3):
                 sq = gen.rand_nat_square(rng, f)
+                a, b = sq.top, sq.bottom
                 fr_f, fr_g = fz.k(f), fz.k(sq.right)
-                first = k_of_square(sq, fr_f, fr_g)
-                assert k_of_square(sq, fr_f, fr_g) is first
-                assert first == k_of_square(sq, soa.Factorizer().k(f),
+                first = k_of_square(a, b, fr_f, fr_g)
+                assert isinstance(first, SimplicialMap)
+                assert (first.dom, first.cod) == (fr_f.kf.body, fr_g.kf.body)
+                assert first == transpose(fr_f.kf, a, compose(b, fr_f.ef),
+                                          fr_g).body_map
+                assert k_of_square(a, b, fr_f, fr_g) is first
+                assert first == k_of_square(a, b, soa.Factorizer().k(f),
                                             soa.Factorizer().k(sq.right))
+
+    def test_k_of_square_rejects_a_bad_square(self):
+        # (a, b): f -> g is given by its two maps; transpose and compose
+        # check them, and a call that raises caches nothing
+        pt = standard_simplex(0)
+        f = identity_map(fold_map().dom)
+        two = f.dom
+        swap = SimplicialMap(two, two, {"0.0": "1.0", "1.0": "0.0"})
+        fr = soa.Factorizer().k(f)
+        for a, b, message in [
+                (swap, f, "transpose: square does not commute"),
+                (identity_map(pt), f,
+                 "transpose: base map endpoints do not match"),
+                (f, identity_map(pt), "composition endpoint mismatch"),
+                (f, fold_map(), "transpose: body map endpoints do not match")]:
+            with pytest.raises(DeltaError, match=message):
+                k_of_square(a, b, fr, fr)
+        assert fr._k_into == {}
 
     def test_law_suite_composes_once_per_multiplication(self, monkeypatch):
         needed, composed = set(), []
