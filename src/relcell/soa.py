@@ -369,7 +369,8 @@ def check_awfs_laws(f, squares, factorizer):
     Every law is an equation between maps, among them the maps E(a, b) of
     ``k_of_square`` for the monad's and comonad's own squares, built from
     their two maps.  ``squares`` is an iterable of ArrowSquare values
-    (a, b): f -> g used for the naturality checks.  Returns a report dict
+    (a, b): f -> g used for the naturality checks, and ``factorizer`` the
+    session that factors every map the laws need.  Returns a report dict
     with one boolean per law and witness descriptions for failures.
     Raises CapExceededError (with the partial report attached) if a
     required factorization does not stabilize.
