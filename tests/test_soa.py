@@ -464,7 +464,7 @@ class TestMemoizedStructureMaps:
         needed, composed = set(), []
         mult, compose_cx = soa.monad_mult, soa.compose_complexes
 
-        def counting_mult(f, factorizer=None):
+        def counting_mult(f, factorizer):
             needed.add(f.key())
             return mult(f, factorizer)
 
