@@ -205,67 +205,73 @@ def compose_complexes(a, b):
 
 
 class CellComplexMorphism:
-    """A base map plus a global, stage-preserving cell assignment.
+    """A map of bodies that keeps the base and the stages: it sends the
+    base into the base and each cell to a cell at the same stage.
 
-    The stagewise boundary maps are derived: the stage-(n+1) map extends the
-    stage-n map by sending each glued simplex to the glued simplex of the
-    assigned cell, which is exactly the coherence condition.
+    Its restrictions to the base and to the cells are ``f0`` and ``p``; the
+    stagewise boundary maps are its restrictions to the stages.
     """
 
-    __slots__ = ("dom", "cod", "f0", "p")
+    __slots__ = ("dom", "cod", "body_map")
 
-    def __init__(self, dom, cod, f0, p, validate=True):
+    def __init__(self, dom, cod, body_map, validate=True):
         self.dom = dom
         self.cod = cod
-        self.f0 = f0
-        self.p = dict(p)
+        self.body_map = body_map
         if validate:
             self._validate()
 
     def _validate(self):
-        if self.f0.dom != self.dom.boundary or \
-                self.f0.cod != self.cod.boundary:
-            raise CellComplexError("base map endpoints do not match")
-        if set(self.p) != set(self.dom._cell_stage):
-            raise CellComplexError("cell assignment is not total")
-        for cid, tid in self.p.items():
-            if tid not in self.cod._cell_stage:
-                raise CellComplexError(f"unknown target cell {tid!r}")
-            n = self.dom._cell_stage[cid]
-            if self.cod._cell_stage[tid] != n:
-                raise CellComplexError(
-                    f"cell {cid!r} at stage {n} maps across stages")
-        # an attach is fixed by its facets: check shapes and attaches
+        m = self.body_map
+        if m.dom != self.dom.body or m.cod != self.cod.body:
+            raise CellComplexError("body map endpoints do not match")
         try:
-            self.body_map._validate()
+            m._validate()
         except DeltaError as err:
             raise CellComplexError(f"not a map of bodies: {err}") from err
+        a, base = m.assign, self.cod.boundary
+        if any(a[s] not in base for s in self.dom.boundary._dim_of):
+            raise CellComplexError("base map endpoints do not match")
+        stage = self.cod._cell_stage
+        for cid, n in self.dom._cell_stage.items():
+            if a[cid] not in stage:
+                raise CellComplexError(f"unknown target cell {a[cid]!r}")
+            if stage[a[cid]] != n:
+                raise CellComplexError(
+                    f"cell {cid!r} at stage {n} maps across stages")
 
     @property
-    def body_map(self):
-        return SimplicialMap._owning(self.dom.body, self.cod.body,
-                                     {**self.f0.assign, **self.p})
+    def f0(self):
+        """The base map: the body map restricted to the bases."""
+        a = self.body_map.assign
+        return SimplicialMap._owning(
+            self.dom.boundary, self.cod.boundary,
+            {s: a[s] for s in self.dom.boundary._dim_of})
+
+    @property
+    def p(self):
+        """The cell assignment: the body map restricted to the cells."""
+        a = self.body_map.assign
+        return {cid: a[cid] for cid in self.dom._cell_stage}
 
     def __eq__(self, other):
         return isinstance(other, CellComplexMorphism) and \
-            (self.dom, self.cod, self.f0, self.p) == \
-            (other.dom, other.cod, other.f0, other.p)
+            (self.dom, self.cod, self.body_map) == \
+            (other.dom, other.cod, other.body_map)
 
     def __repr__(self):
         return f"CellComplexMorphism({self.dom!r} -> {self.cod!r})"
 
 
 def identity_morphism(c):
-    return CellComplexMorphism(c, c, identity_map(c.boundary),
-                               {cid: cid for cid in c._cell_stage},
-                               validate=False)
+    return CellComplexMorphism(c, c, identity_map(c.body), validate=False)
 
 
 def compose_morphisms(m2, m1):
     if m1.cod != m2.dom:
         raise CellComplexError("morphisms do not compose")
-    return CellComplexMorphism(m1.dom, m2.cod, compose(m2.f0, m1.f0),
-                               {cid: m2.p[t] for cid, t in m1.p.items()},
+    return CellComplexMorphism(m1.dom, m2.cod,
+                               compose(m2.body_map, m1.body_map),
                                validate=False)
 
 
@@ -276,17 +282,15 @@ def u_of_morphism(m):
 
 
 def is_isomorphism(m):
-    """True iff the base map and the cell assignment are bijections."""
-    if not m.f0.is_bijective():
-        return False
-    return sorted(m.p.values()) == sorted(m.cod._cell_stage)
+    """True iff the body map, and so ``f0`` and ``p``, are bijections."""
+    return m.body_map.is_bijective()
 
 
 def horizontal_compose(psi, phi):
     """Glue morphisms of stacked complexes: (b * a) -> (b' * a').
 
     ``phi: a -> a'`` and ``psi: b -> b'`` with b stacked on a and b' on a';
-    psi's base map must be phi's body map.
+    psi's base map must be phi's body map, so psi's body map glues both.
     """
     if psi.f0 != phi.body_map:
         raise CellComplexError(
@@ -294,9 +298,7 @@ def horizontal_compose(psi, phi):
             "the lower one")
     ba = compose_complexes(phi.dom, psi.dom)
     ba2 = compose_complexes(phi.cod, psi.cod)
-    p = dict(phi.p)
-    p.update(psi.p)
-    return CellComplexMorphism(ba, ba2, phi.f0, p)
+    return CellComplexMorphism(ba, ba2, psi.body_map)
 
 
 # -- pushforward ----------------------------------------------------------
@@ -315,8 +317,7 @@ def pushforward_complex(c, g):
     total, leg, _ = pushout(u_of_complex(c), g)
     out = complex_of(g.cod, total)
     out._validate()
-    return out, CellComplexMorphism(
-        c, out, g, {cid: leg(cid) for cid in c._cell_stage})
+    return out, CellComplexMorphism(c, out, leg)
 
 
 # -- (co)limits -----------------------------------------------------------
@@ -332,8 +333,8 @@ def cellcx_colimit(objs, arrows):
     merged cell keeps the stage of its members.  Returns (complex, cocone
     morphisms).
     """
-    base, legs = colimit([o.boundary for o in objs],
-                         [(a, b, m.f0) for a, b, m in arrows])
+    base, _ = colimit([o.boundary for o in objs],
+                      [(a, b, m.f0) for a, b, m in arrows])
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise CellComplexError("diagram arrow endpoints do not match")
@@ -341,11 +342,8 @@ def cellcx_colimit(objs, arrows):
                                [(a, b, m.body_map) for a, b, m in arrows])
     out = complex_of(base, total)
     out._validate()
-    cocone = [CellComplexMorphism(o, out, legs[i],
-                                  {cid: body_legs[i](cid)
-                                   for cid in o._cell_stage})
-              for i, o in enumerate(objs)]
-    return out, cocone
+    return out, [CellComplexMorphism(o, out, leg)
+                 for o, leg in zip(objs, body_legs)]
 
 
 def cellcx_coproduct(parts):
@@ -362,8 +360,7 @@ def cellcx_equaliser(m1, m2):
     """
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise CellComplexError("equaliser needs a parallel pair")
-    e0, incl0 = equaliser(m1.f0, m2.f0)
-    sub = complex_of(e0, equaliser(m1.body_map, m2.body_map)[0])
+    total, incl = equaliser(m1.body_map, m2.body_map)
+    sub = complex_of(equaliser(m1.f0, m2.f0)[0], total)
     sub._validate()
-    return sub, CellComplexMorphism(sub, m1.dom, incl0,
-                                    {cid: cid for cid in sub._cell_stage})
+    return sub, CellComplexMorphism(sub, m1.dom, incl)

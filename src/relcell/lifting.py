@@ -164,22 +164,23 @@ def verify_fillers(ft, sample_budget=None):
     seen = set()
     checked = 0
 
-    def try_square(u, target, key):
+    def try_square(key, u=None):
         nonlocal checked
         if key in seen:
             return
         seen.add(key)
         checked += 1
-        try:
+        dim, target, items = key
+        try:  # an entry's u is built here, so a malformed entry fails too
+            if u is None:
+                u = SimplicialMap(boundary_complex(dim), p.dom, dict(items),
+                                  validate=False)
             ft.filler(u, target)
-        except DeltaError as err:  # a malformed entry too
+        except DeltaError as err:
             failures.append({"square": key, "reason": str(err)})
 
     for key in sorted(ft.entries):
-        dim, target, items = key
-        u = SimplicialMap(boundary_complex(dim), p.dom, dict(items),
-                          validate=False)
-        try_square(u, target, key)
+        try_square(key)
 
     squares = ((k, b, u) for k in range(p.cod.max_dim + 1)
                for b in sorted(p.cod.ids(k))
@@ -190,6 +191,6 @@ def verify_fillers(ft, sample_budget=None):
         if sample_budget is not None and checked >= sample_budget:
             done = True
             break
-        try_square(u, b, square_key(k, b, u.assign))
+        try_square(square_key(k, b, u.assign), u)
     return {"checked": checked, "failures": failures,
             "ok": not failures, "truncated": done}

@@ -263,7 +263,6 @@ def transpose(c, g0, h, fr):
         raise DeltaError("transpose: square does not commute")
     assign = dict(g0.assign)
     faces_of = c.body.faces_of
-    p = {}
     for n, st in enumerate(c.strata):
         for cell in st.cells:
             cid = fr.cell_over(h.assign[cell.id],
@@ -272,12 +271,12 @@ def transpose(c, g0, h, fr):
                 raise InvariantError(
                     f"free cell {cid!r} is not at stage {n}; internal "
                     f"invariant violated")
-            p[cell.id] = cid
             assign[cell.id] = cid
-    efa = fr.ef.assign  # ``assign`` is the body map's
+    efa = fr.ef.assign
     if any(efa[t] != ha[s] for s, t in assign.items()):
         raise InvariantError("transpose does not factor the given square")
-    return CellComplexMorphism(c, fr.kf, g0, p, validate=False)
+    body_map = SimplicialMap._owning(c.body, fr.kf.body, assign)
+    return CellComplexMorphism(c, fr.kf, body_map, validate=False)
 
 
 def k_of_square(a, b, fr_dom, fr_cod):
@@ -313,19 +312,20 @@ def decode(f, alpha, fr):
     """Rebuild a cell complex from a coalgebra structure map.
 
     ``f`` must be the identifier inclusion underlying some complex and
-    ``alpha: cod(f) -> body(Kf)`` its structure map.  Every simplex outside
-    the base must land on a glued free cell; the complex is then read off
-    the inclusion (``cellcx.complex_of``).
+    ``alpha: cod(f) -> body(Kf)`` its structure map, a section of ``ef``
+    that extends ``lf``: ``ef o alpha == id`` and ``alpha o f == lf``.  So
+    every simplex outside the base lands on a glued free cell; the complex
+    is then read off the inclusion (``cellcx.complex_of``).
     """
     x, y = f.dom, f.cod
     if any(f.assign[s] != s for s in x._dim_of):
         raise DeltaError("decode expects an identifier inclusion")
-    free_cells = fr.kf.cell_ids
-    for _, s in y.all_ids():
-        if s not in x and alpha.assign[s] not in free_cells:
-            raise DeltaError(
-                f"simplex {s!r} does not map to a glued free cell; "
-                f"not a coalgebra structure")
+    if alpha.dom != y or alpha.cod != fr.kf.body:
+        raise DeltaError("decode: structure map endpoints do not match")
+    if not (composes_to(fr.ef, alpha, identity_map(y))
+            and composes_to(alpha, f, u_of_complex(fr.kf))):
+        raise DeltaError("ef o alpha == id or alpha o f == lf fails; "
+                         "not a coalgebra structure")
     return complex_of(x, y)
 
 

@@ -3,6 +3,7 @@ import pytest
 from relcell import (
     CellComplex,
     CellComplexError,
+    CellComplexMorphism,
     Factorizer,
     SimplicialMap,
     Stratum,
@@ -54,6 +55,13 @@ def boundary_lifts(f, t, new=None):
     k = f.cod.dim(t)
     return [attach_map(k, images, f.dom)
             for images in _lift_kernel(k)(f, t, new)]
+
+
+def morphism(dom, cod, f0, p):
+    """The morphism dom -> cod stated by its base map ``f0`` and its cell
+    assignment ``p``: the body map that extends f0 by p, validated."""
+    return CellComplexMorphism(dom, cod, SimplicialMap(
+        dom.body, cod.body, {**f0.assign, **p}, validate=False))
 
 
 def boundary_inclusion(k):

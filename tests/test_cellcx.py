@@ -38,8 +38,8 @@ from relcell import (
     u_of_complex,
     u_of_morphism,
 )
-from relcell import gen
-from conftest import mec_partition_composite
+from relcell import cellcx, gen
+from conftest import mec_partition_composite, morphism
 
 
 def point_cell_complex():
@@ -53,6 +53,13 @@ def loop_on_new_vertex():
     a = point_cell_complex()
     st = Stratum(a.body, [Cell("e", 1, ("v", "v"))])
     return compose_complexes(a, CellComplex(a.body, [st]))
+
+
+def is_isomorphism_by_parts(m):
+    """The oracle for ``is_isomorphism``: the base map is bijective, and the
+    cells go bijectively onto the codomain's cells."""
+    return m.f0.is_bijective() and \
+        sorted(m.p.values()) == sorted(m.cod.cell_ids)
 
 
 class TestBasics:
@@ -200,8 +207,7 @@ class TestMorphisms:
     def test_inclusion_not_iso(self):
         a = point_cell_complex()
         c = loop_on_new_vertex()
-        m = CellComplexMorphism(a, c, SimplicialMap(EMPTY, EMPTY, {}),
-                                {"v": "v"})
+        m = morphism(a, c, SimplicialMap(EMPTY, EMPTY, {}), {"v": "v"})
         assert not is_isomorphism(m)
 
     def test_pullback_lemma(self):
@@ -233,20 +239,97 @@ class TestMorphisms:
             [["a", "b"], ["e", "r"]]
         f0 = identity_map(c.boundary)
         swap = {"a": "b", "b": "a", "e": "r", "r": "e"}
-        assert CellComplexMorphism(c, c, f0, swap).body_map.is_bijective()
+        assert morphism(c, c, f0, swap).body_map.is_bijective()
         for p in ({"a": "a", "b": "b", "e": "r", "r": "e"},  # not commuting
                   {"a": "0", "b": "b", "e": "e", "r": "r"},  # to the base
                   {"a": "e", "b": "b", "e": "e", "r": "r"}):  # across stages
             with pytest.raises(CellComplexError):
-                CellComplexMorphism(c, c, f0, p)
+                morphism(c, c, f0, p)
 
     def test_stage_preservation_required(self):
         c = loop_on_new_vertex()
         a = point_cell_complex()
         with pytest.raises(DeltaError):
             # cannot send the stage-1 edge cell to a stage-0 cell
-            CellComplexMorphism(c, c, identity_map(EMPTY),
-                                {"v": "v", "e": "v"})
+            morphism(c, c, identity_map(EMPTY), {"v": "v", "e": "v"})
+
+
+    def test_validation_checks_in_order(self):
+        pt = standard_simplex(0)
+        bare = trivial_complex(pt)
+        v = CellComplex(pt, [Stratum(pt, [Cell("v", 0, ())])])
+        loop = CellComplex(pt, [Stratum(pt, [Cell("v", 0, ()),
+                                             Cell("e", 1, ("0", "0"))])])
+        # improper: the loop attaches inside stage 0 but is glued at 1
+        late = CellComplex(pt, [Stratum(pt, [Cell("v", 0, ())]),
+                                Stratum(v.body, [Cell("e", 1, ("0", "0"))])],
+                           validate=False)
+        cases = [
+            (bare, v, identity_map(pt), "body map endpoints"),
+            (loop, loop, SimplicialMap(loop.body, loop.body, {
+                "0": "0", "v": "v", "e": "v"}, validate=False),
+             "not a map of bodies"),
+            (bare, v, SimplicialMap(pt, v.body, {"0": "v"}),
+             "base map endpoints do not match"),
+            (v, v, SimplicialMap(v.body, v.body, {"0": "0", "v": "0"}),
+             "unknown target cell '0'"),
+            (late, loop, identity_map(loop.body),
+             "cell 'e' at stage 1 maps across stages"),
+        ]
+        for dom, cod, m, message in cases:
+            with pytest.raises(CellComplexError, match=message):
+                CellComplexMorphism(dom, cod, m)
+
+    def test_constructions_pass_the_delta_legs(self, monkeypatch):
+        # the body map of each derived morphism is the very leg that the
+        # delta construction on bodies returned; f0 and p restrict it
+        returned = []  # every map the delta constructions return
+        for name in ("pushout", "colimit", "equaliser"):
+            def record(*args, _real=getattr(cellcx, name)):
+                out = _real(*args)
+                for x in out[1:]:
+                    returned.extend(x if isinstance(x, list) else [x])
+                return out
+            monkeypatch.setattr(cellcx, name, record)
+
+        def check(m):
+            assert any(m.body_map is leg for leg in returned)
+            a = m.body_map.assign
+            base = m.dom.boundary
+            assert m.f0 == SimplicialMap(base, m.cod.boundary,
+                                         {s: a[s] for s in base.id_set})
+            assert m.p == {cid: a[cid] for cid in m.dom.cell_ids}
+
+        rng = random.Random(151)
+        for _ in range(15):
+            c = gen.rand_cell_complex(rng, max_cells=4)
+            _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            _, legs = cellcx_colimit([c, m1.cod, m2.cod],
+                                     [(0, 1, m1), (0, 2, m2)])
+            two, (j0, j1) = cellcx_coproduct([c, c])
+            _, q = pushforward_complex(two,
+                                       gen.rand_map_from(rng, two.boundary))
+            _, incl = cellcx_equaliser(compose_morphisms(q, j0),
+                                       compose_morphisms(q, j1))
+            for m in (m1, m2, *legs, j0, j1, q, incl):
+                check(m)
+
+    def test_is_isomorphism_matches_the_definition_by_parts(self):
+        rng = random.Random(157)
+        verdicts = []
+        for _ in range(30):
+            c = gen.rand_cell_complex(rng, max_cells=4)
+            lower = CellComplex(c.boundary,
+                                c.strata[:rng.randint(0, c.height)])
+            _, (j0, _) = cellcx_coproduct([c, c])
+            for m in (gen.rand_complex_morphism(rng), identity_morphism(c),
+                      CellComplexMorphism(lower, c,
+                                          inclusion_map(lower.body, c.body)),
+                      j0):
+                assert is_isomorphism(m) == is_isomorphism_by_parts(m)
+                verdicts.append(is_isomorphism(m))
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestHorizontalComposition:
@@ -342,8 +425,7 @@ class TestColimitsAndEqualisers:
         a = ("0", "0")
         two = CellComplex(pt, [Stratum(pt, [Cell("l1", 1, a),
                                             Cell("l2", 1, a)])])
-        swap = CellComplexMorphism(two, two, identity_map(pt),
-                                   {"l1": "l2", "l2": "l1"})
+        swap = morphism(two, two, identity_map(pt), {"l1": "l2", "l2": "l1"})
         e, _ = cellcx_equaliser(identity_morphism(two), swap)
         assert list(e.all_cells()) == []
         assert e.boundary == pt

@@ -24,6 +24,7 @@ from relcell import (
     SimplicialMap,
     Stratum,
     assemble,
+    body,
     boundary_complex,
     boundary_restriction,
     cellcx_colimit,
@@ -42,7 +43,7 @@ from relcell import (
     free_complex,
     free_fillers,
     gen,
-    identity_map,
+    inclusion_map,
     jsonio,
     monad_mult,
     pushforward_complex,
@@ -366,8 +367,7 @@ def _parallel_pair(rng, c):
     two, (j0, j1) = cellcx_coproduct([c, c])
     if rng.random() < 0.5:
         s = CellComplex(c.boundary, c.strata[:rng.randint(0, c.height)])
-        incl = CellComplexMorphism(s, c, identity_map(c.boundary),
-                                   {cid: cid for cid in s.cell_ids})
+        incl = CellComplexMorphism(s, c, inclusion_map(s.body, c.body))
         _, (_, q) = cellcx_colimit(
             [s, two], [(0, 1, compose_morphisms(j0, incl)),
                        (0, 1, compose_morphisms(j1, incl))])
@@ -384,8 +384,8 @@ def _parallel_strata_pair(rng, s):
     if rng.random() < 0.5:
         sub = Stratum(s.boundary, rng.sample(s.cells,
                                              rng.randint(0, len(s.cells))))
-        incl = CellComplexMorphism(cx(sub), cx(s), identity_map(s.boundary),
-                                   {c.id: c.id for c in sub.cells})
+        incl = CellComplexMorphism(cx(sub), cx(s),
+                                   inclusion_map(body(sub), body(s)))
         _, (_, q) = cellcx_colimit(
             [cx(sub), two], [(0, 1, compose_morphisms(j0, incl)),
                              (0, 1, compose_morphisms(j1, incl))])

@@ -245,6 +245,18 @@ class TestVerify:
         assert [f["square"] for f in rep["failures"]] == sorted(bad)
         assert not rep["ok"]
 
+    @pytest.mark.parametrize("dim,reason", [(-1, "k must be >= 0"),
+                                            (10, "k <= 9 only")])
+    def test_entry_of_a_dim_out_of_range_reported(self, dim, reason):
+        """An entry whose dim has no standard simplex is a failure of the
+        report too, not an exception out of the audit."""
+        key = (dim, "01", ())
+        rep = verify_fillers(FillerTable(boundary_inclusion(1), {key: "0"},
+                                         "fail"))
+        assert rep["failures"][0]["square"] == key
+        assert reason in rep["failures"][0]["reason"]
+        assert not rep["ok"]
+
     def test_corrupted_entry_single_failure(self):
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)

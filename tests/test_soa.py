@@ -14,7 +14,6 @@ from relcell import (
     CapExceededError,
     Cell,
     CellComplex,
-    CellComplexMorphism,
     DeltaError,
     EMPTY,
     InvariantError,
@@ -28,6 +27,7 @@ from relcell import (
     comonad_comult,
     compose,
     compose_complexes,
+    complex_of,
     composite_left_map,
     decode,
     free_complex,
@@ -50,7 +50,7 @@ from relcell import (
 from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
 from conftest import (attach_map, boundary_inclusion, fold_map,
-                      law_fixtures)
+                      law_fixtures, morphism)
 
 
 def oracle_squares(g, prev_ids=None):
@@ -315,7 +315,7 @@ def exhaustive_transposes(c, g0, h, fr):
     for combo in itertools.product(*pools):
         p = {cl.id: t for (_, cl), t in zip(cells, combo)}
         try:
-            m = CellComplexMorphism(c, fr.kf, g0, p)
+            m = morphism(c, fr.kf, g0, p)
         except Exception:
             continue
         if compose(fr.ef, m.body_map) == h:
@@ -347,6 +347,26 @@ class TestUnitAndDecode:
             al = coalgebra_structure(c, fz)
             assert compose(fr.ef, al) == identity_map(c.body)
             assert decode(u_of_complex(c), al, fr) == c
+
+
+    def test_decode_rejects_a_section_that_moves_the_base(self, fz):
+        # over the boundary of the 1-simplex: 0 and 1 go to the free
+        # 0-cells, 01 to the stage-1 edge between them.  Then ef o alpha is
+        # the identity, but alpha o f is not lf.
+        f = boundary_inclusion(1)
+        fr = fz.k(f)
+        a = {"0": fr.cell_over("0", ()), "1": fr.cell_over("1", ())}
+        a["01"] = fr.cell_over("01", (a["1"], a["0"]))
+        assert fr.kf.stage_of_cell(a["01"]) == 1
+        alpha = SimplicialMap(f.cod, fr.kf.body, a)
+        assert compose(fr.ef, alpha) == identity_map(f.cod)
+        assert compose(alpha, f) != u_of_complex(fr.kf)
+        with pytest.raises(DeltaError, match="not a coalgebra structure"):
+            decode(f, alpha, fr)
+        with pytest.raises(DeltaError, match="endpoints do not match"):
+            decode(f, identity_map(f.cod), fr)
+        c = complex_of(f.dom, f.cod)
+        assert decode(f, coalgebra_structure(c, fz), fr) == c
 
 
 class TestLaws:

@@ -40,7 +40,7 @@ from relcell import (
 from relcell import gen
 from relcell.delta import _lift_kernel, boundary_keys, facet_ids
 from relcell.soa import free_complex
-from conftest import attach_map, cx, stratum_of
+from conftest import attach_map, cx, morphism, stratum_of
 
 
 def loop_stratum():
@@ -273,8 +273,8 @@ class TestMorphisms:
         a = ("0", "0")
         two = Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)])
         one = Stratum(pt, [Cell("l", 1, a)])
-        m = CellComplexMorphism(cx(two), cx(one), identity_map(pt),
-                                {"l1": "l", "l2": "l"})
+        m = morphism(cx(two), cx(one), identity_map(pt),
+                     {"l1": "l", "l2": "l"})
         sq = u_of_morphism(m)
         assert sq.bottom.assign["l1"] == sq.bottom.assign["l2"] == "l"
         assert is_pullback(sq)
@@ -285,19 +285,18 @@ class TestMorphisms:
         st = Stratum(pt, [Cell("l", 1, a)])
         z = Stratum(pt, [Cell("v", 0, ())])
         with pytest.raises(DeltaError):
-            CellComplexMorphism(cx(st), cx(z), identity_map(pt),
-                                {"l": "v"})  # dim
+            morphism(cx(st), cx(z), identity_map(pt), {"l": "v"})  # dim
 
     def test_validation_through_the_body_map(self):
         b1 = boundary_complex(1)
         swap = SimplicialMap(b1, b1, {"0": "1", "1": "0"})
         st = Stratum(b1, [Cell("e", 1, ("0", "1")), Cell("r", 1, ("1", "0"))])
-        m = CellComplexMorphism(cx(st), cx(st), swap, {"e": "r", "r": "e"})
+        m = morphism(cx(st), cx(st), swap, {"e": "r", "r": "e"})
         assert m.body_map.is_bijective()
         for p in ({"e": "r", "r": "e"},  # not commuting with faces
                   {"e": "0", "r": "r"}):  # to a boundary simplex
             with pytest.raises(CellComplexError):
-                CellComplexMorphism(cx(st), cx(st), identity_map(b1), p)
+                morphism(cx(st), cx(st), identity_map(b1), p)
 
     def test_pullback_lemma(self):
         rng = random.Random(37)
@@ -375,10 +374,8 @@ class TestColimits:
         a = ("0", "0")
         two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
         one = cx(Stratum(pt, [Cell("l", 1, a)]))
-        m1 = CellComplexMorphism(two, one, identity_map(pt),
-                                 {"l1": "l", "l2": "l"})
-        m2 = CellComplexMorphism(two, one, identity_map(pt),
-                                 {"l1": "l", "l2": "l"})
+        m1 = morphism(two, one, identity_map(pt), {"l1": "l", "l2": "l"})
+        m2 = morphism(two, one, identity_map(pt), {"l1": "l", "l2": "l"})
         out, _ = cellcx_colimit([two, one], [(0, 1, m1), (0, 1, m2)])
         assert len(stratum_of(out).cells) == 1
 
@@ -416,8 +413,7 @@ class TestEqualiser:
         pt = standard_simplex(0)
         a = ("0", "0")
         two = cx(Stratum(pt, [Cell("l1", 1, a), Cell("l2", 1, a)]))
-        swap = CellComplexMorphism(two, two, identity_map(pt),
-                                   {"l1": "l2", "l2": "l1"})
+        swap = morphism(two, two, identity_map(pt), {"l1": "l2", "l2": "l1"})
         ident = identity_morphism(two)
         e, _ = cellcx_equaliser(ident, swap)
         eb, _ = delta_equaliser(u_of_morphism(ident).bottom,
@@ -444,8 +440,8 @@ class TestHeightAtMostOne:
             # c + c glued along sub, and c + c pushed forward: each pair of
             # legs agrees on the cells of sub, or on none
             two, (j0, j1) = cellcx_coproduct([c, c])
-            incl = CellComplexMorphism(cx(sub), c, identity_map(s0.boundary),
-                                       {x.id: x.id for x in sub.cells})
+            incl = CellComplexMorphism(cx(sub), c,
+                                       inclusion_map(cx(sub).body, c.body))
             glued, (_, q0) = cellcx_colimit(
                 [cx(sub), two], [(0, 1, compose_morphisms(j0, incl)),
                                  (0, 1, compose_morphisms(j1, incl))])
