@@ -231,16 +231,17 @@ class SimplicialMap:
             self._validate()
 
     def _validate(self):
-        if set(self.assign) != set(self.dom._dim_of):
+        assign, dim_of = self.assign, self.dom._dim_of
+        if assign.keys() != dim_of.keys():
             raise DeltaError("assignment is not total on the domain")
-        for s, t in self.assign.items():
-            k = self.dom.dim(s)
-            if self.cod._dim_of.get(t) != k:
+        dom_faces, cod_faces = self.dom.faces, self.cod.faces
+        cod_dim, image = self.cod._dim_of.get, assign.__getitem__
+        for s, t in assign.items():
+            k = dim_of[s]
+            if cod_dim(t) != k:
                 raise DeltaError(f"{s!r} ({k}-simplex) maps to bad id {t!r}")
-            if k >= 1:
-                want = tuple(self.assign[f] for f in self.dom.faces[s])
-                if self.cod.faces[t] != want:
-                    raise DeltaError(f"face commutation fails at {s!r}")
+            if k and cod_faces[t] != tuple(map(image, dom_faces[s])):
+                raise DeltaError(f"face commutation fails at {s!r}")
 
     def __call__(self, s):
         return self.assign[s]

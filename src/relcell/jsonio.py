@@ -32,7 +32,7 @@ from .delta import (
 from .strata import Cell, Stratum, body
 from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
-from .soa import FactorResult
+from .soa import FactorResult, cell_index
 
 
 _encode = json.JSONEncoder().encode
@@ -60,7 +60,7 @@ def _walk(node, n, out):
         brackets, items = node
         out.extend(items(n))
     else:
-        lead = "," + _level(n)
+        lead, inner = "," + _level(n), _level(n + 1)
         is_dict = isinstance(node, dict)
         brackets = "{}" if is_dict else "[]"
         for k, v in sorted(node.items()) if is_dict else enumerate(node):
@@ -71,6 +71,9 @@ def _walk(node, n, out):
                 out.append(head + int.__repr__(v))
             elif type(v) is bool:
                 out.append(head + ("true" if v else "false"))
+            elif type(v) is list and v and _strings(v):
+                out.append(head + "[" + inner + ("," + inner).join(
+                    map(_quote, v)) + _level(n) + "]")
             elif isinstance(v, (dict, list, tuple)):
                 out.append(head)
                 _walk(v, n + 1, out)
@@ -89,8 +92,9 @@ def dumps(obj):
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set, which made writing a factorization cost more than computing it.
-    Here one Python walk writes dicts, lists and tuples, and writes a
-    ``str`` by ``json``'s ASCII string escaper, an ``int`` by
+    Here one Python walk writes dicts, lists and tuples, a non-empty list
+    of strings (a simplex's faces, a vertex list) in one piece, and writes
+    a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
     ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
     writes them.  Floats, ``None`` and subclasses (``IntEnum``, a ``str``
     subclass) go through one module-level ``json`` encoder.  Dict keys must
@@ -233,7 +237,7 @@ def complex_to_json(x):
             simplices["0"] = ids
         else:
             simplices[str(k)] = [
-                {"id": s, "faces": list(x.faces_of(s))} for s in ids]
+                {"id": s, "faces": list(x.faces[s])} for s in ids]
     return {"simplices": simplices}
 
 
@@ -415,7 +419,11 @@ def factor_result_from_json(obj):
             "complex and ef do not factor the input map")
     _expect(composes_to(ef, u_of_complex(kf), f),
             "ef after the underlying map of the complex is not the input map")
-    return FactorResult(f, kf, ef)
+    # a free counit sends no two cells with equal faces to one target
+    index = cell_index(kf, ef)
+    _expect(index is not None,
+            "ef sends two cells with the same faces to one target")
+    return FactorResult(f, kf, ef, index)
 
 
 # -- filler tables -----------------------------------------------------------

@@ -92,12 +92,21 @@ class _Escapes(dict):
         return text
 
 
+def cell_index(kf, ef):
+    """The cells of kf by their target under ef and their faces, the index
+    ``FactorResult.cell_over`` reads; None if two cells share both."""
+    over, faces_of = ef.assign, kf.body.faces_of
+    index = {(over[c], faces_of(c)): c for c in kf._cell_stage}
+    return index if len(index) == len(kf._cell_stage) else None
+
+
 class FactorResult:
     """A free factorization: input map, complex, and the counit map.
 
     It memoizes what is derived from it, each on first use, in lazily
     filled slots: the index of its free cells by target and faces
-    (``cell_over``), the monad multiplication (``monad_mult``), the comonad
+    (``cell_over``; a loader that built it to check its input passes it
+    in), the monad multiplication (``monad_mult``), the comonad
     comultiplication (``comonad_comult``), and every map E(a, b) into its
     body (``k_of_square``).  All but the index are simplicial maps.  The
     factorization is deterministic, so the first three are pure functions
@@ -109,11 +118,11 @@ class FactorResult:
     __slots__ = ("input", "kf", "ef", "_cells_over", "_mu", "_delta",
                  "_k_into")
 
-    def __init__(self, input_map, kf, ef):
+    def __init__(self, input_map, kf, ef, cells_over=None):
         self.input = input_map
         self.kf = kf
         self.ef = ef
-        self._cells_over = None
+        self._cells_over = cells_over
         self._mu = None
         self._delta = None
         self._k_into = {}
@@ -125,15 +134,13 @@ class FactorResult:
     def cell_over(self, target, faces):
         """The free cell glued over ``target`` with the given facets (``()``
         for a vertex).  The index from (target, faces) to cell is built on
-        the first call."""
+        the first call, unless it was given to the constructor."""
         index = self._cells_over
         if index is None:
-            over, faces_of = self.ef.assign, self.kf.body.faces_of
-            index = {(over[c], faces_of(c)): c for c in self.kf._cell_stage}
-            if len(index) != len(self.kf._cell_stage):
+            index = self._cells_over = cell_index(self.kf, self.ef)
+            if index is None:
                 raise InvariantError("two free cells share a target and "
                                      "faces; internal invariant violated")
-            self._cells_over = index
         cid = index.get((target, faces))
         if cid is None:
             raise InvariantError(

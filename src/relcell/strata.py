@@ -5,7 +5,11 @@ cell has a shape dimension k and an attaching map from the boundary of the
 standard k-simplex into the stratum's boundary.  A cell stores that map as
 its image tuple: the images of the boundary ids in ``boundary_keys(k)``
 order.  The codomain is the stratum's boundary, so a cell is a plain value
-and ``Stratum`` checks its attach as a map into the boundary.  The body of
+and ``Stratum`` checks its attach, position by position against a plan
+cached per shape: each image must have its boundary id's dimension and,
+above dimension 0, the images of that id's faces as its faces, which is
+exactly what makes the images a map into the boundary.  No map is built
+per cell.  The body of
 a stratum glues one fresh top simplex per cell onto the boundary, its faces
 read off the image tuple by position; the fresh simplex reuses the cell's
 id, so the boundary is a literal subcomplex of the body.  Strata are
@@ -20,13 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .delta import (
-    DeltaError,
-    SimplicialMap,
-    boundary_complex,
-    boundary_keys,
-    facet_ids,
-)
+from .delta import DeltaError, boundary_complex, boundary_keys, facet_ids
 
 
 class StrataError(DeltaError):
@@ -60,7 +58,10 @@ class Stratum:
     """A boundary complex plus a finite ordered set of cells.
 
     With ``validate``, each cell's images must be a map from the boundary
-    of the standard simplex of its shape into ``boundary``.
+    of the standard simplex of its shape into ``boundary``.  They are
+    checked in ``boundary_keys`` order against the shape's plan, the
+    dimension before the faces at each position, so the first bad position
+    raises what validating the images as a ``SimplicialMap`` would.
     """
 
     __slots__ = ("boundary", "cells", "_by_id", "_body")
@@ -73,13 +74,18 @@ class Stratum:
         if len(self._by_id) != len(self.cells):
             raise StrataError("duplicate cell ids in stratum")
         if validate:
+            dim_of, faces = boundary._dim_of.get, boundary.faces
             for c in self.cells:
-                keys = boundary_keys(c.dim)
-                if len(c.images) != len(keys):
-                    raise StrataError(f"cell {c.id!r}: {len(c.images)} "
-                                      f"images for {len(keys)} boundary ids")
-                SimplicialMap(boundary_complex(c.dim), boundary,
-                              zip(keys, c.images))
+                plan, images = _attach_plan(c.dim), c.images
+                if len(images) != len(plan):
+                    raise StrataError(f"cell {c.id!r}: {len(images)} "
+                                      f"images for {len(plan)} boundary ids")
+                for (s, d, get), t in zip(plan, images):
+                    if dim_of(t) != d:
+                        raise DeltaError(
+                            f"{s!r} ({d}-simplex) maps to bad id {t!r}")
+                    if d and faces[t] != get(images):
+                        raise DeltaError(f"face commutation fails at {s!r}")
 
     def cell(self, cid):
         return self._by_id[cid]
@@ -90,6 +96,18 @@ class Stratum:
 
     def __repr__(self):
         return f"Stratum({self.boundary!r}, {len(self.cells)} cells)"
+
+
+@functools.lru_cache(maxsize=None)
+def _attach_plan(k):
+    """The check of a k-cell's images: one step per position, in the order
+    of ``boundary_keys(k)``, of that boundary id s, its dimension d, and
+    for d >= 1 the getter of the images of the faces of s from the image
+    tuple (None for a vertex)."""
+    bd, keys = boundary_complex(k), boundary_keys(k)
+    position = {s: i for i, s in enumerate(keys)}.__getitem__
+    return tuple((s, bd.dim(s), operator.itemgetter(
+        *map(position, bd.faces[s])) if bd.dim(s) else None) for s in keys)
 
 
 @functools.lru_cache(maxsize=None)

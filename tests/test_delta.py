@@ -163,6 +163,57 @@ class TestMaps:
         assert r.assign == {"0": "0", "1": "1"}
 
 
+def validate_oracle(m):
+    """``SimplicialMap._validate`` as it was, with two sets and a generator
+    per face tuple: the oracle of the validator."""
+    if set(m.assign) != set(m.dom._dim_of):
+        raise DeltaError("assignment is not total on the domain")
+    for s, t in m.assign.items():
+        k = m.dom.dim(s)
+        if m.cod._dim_of.get(t) != k:
+            raise DeltaError(f"{s!r} ({k}-simplex) maps to bad id {t!r}")
+        if k >= 1:
+            want = tuple(m.assign[f] for f in m.dom.faces[s])
+            if m.cod.faces[t] != want:
+                raise DeltaError(f"face commutation fails at {s!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 16), st.data())
+def test_validation_matches_the_oracle(seed, data):
+    """On random maps with one assignment corrupted (redrawn from every id
+    of the codomain or outside it, dropped, moved to an unknown id, or
+    added for one),
+    the validator accepts exactly what the oracle accepts and raises its
+    message."""
+    f = gen.rand_map(random.Random(seed), max_dim=3)
+    assign = dict(f.assign)
+    how = data.draw(st.sampled_from(["redraw", "drop", "rename", "add",
+                                     "none"]))
+    if how == "add":
+        assign["ghost"] = data.draw(st.sampled_from(sorted(f.cod.id_set)))
+    elif how != "none" and assign:
+        s = data.draw(st.sampled_from(sorted(assign)))
+        if how == "drop":
+            del assign[s]
+        elif how == "rename":
+            assign["ghost"] = assign.pop(s)
+        else:
+            assign[s] = data.draw(
+                st.sampled_from(sorted(f.cod.id_set) + ["ghost"]))
+
+    def outcome(check):
+        try:
+            check()
+        except DeltaError as err:
+            return str(err)
+        return None
+
+    want = outcome(lambda: validate_oracle(
+        SimplicialMap(f.dom, f.cod, assign, validate=False)))
+    assert outcome(lambda: SimplicialMap(f.dom, f.cod, assign)) == want
+
+
 def _rebuilt(x):
     """An equal complex that shares no object with x."""
     return DeltaComplex(x.simplices, x.faces)

@@ -123,3 +123,17 @@ def test_image_tuple_facets_read_in_one_place():
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and reads_facets(fn))
     assert places == ["strata._facets"]
+
+
+def test_strata_builds_no_map():
+    # ``Stratum`` checks a cell's attach position by position against a
+    # plan per shape; a ``SimplicialMap`` built there, by its constructor
+    # or a class method, would be one map per cell again
+    def names_map(node):
+        return isinstance(node, ast.Name) and node.id == "SimplicialMap" or \
+            isinstance(node, ast.Attribute) and (
+                node.attr == "SimplicialMap" or names_map(node.value))
+
+    calls = [node.lineno for node in ast.walk(MODULES["strata"])
+             if isinstance(node, ast.Call) and names_map(node.func)]
+    assert calls == []

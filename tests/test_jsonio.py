@@ -1,5 +1,6 @@
 """JSON round trips and input validation."""
 
+import collections
 import enum
 import json
 import random
@@ -17,13 +18,18 @@ from relcell import (
     SimplicialMap,
     Stratum,
     assemble,
+    boundary_complex,
+    coproduct,
     free_complex,
     free_fillers,
+    identity_map,
+    solve_lifting,
     square_key,
     standard_simplex,
     trivial_complex,
+    u_of_complex,
 )
-from relcell import gen, jsonio
+from relcell import cellcx, delta, gen, jsonio, lifting, soa, strata
 from conftest import boundary_inclusion, fold_map
 
 
@@ -208,6 +214,68 @@ class TestFactorAndFillers:
             jsonio.factor_result_from_json(payload)
         assert str(exc.value) == message
 
+    def test_counit_that_is_not_free_rejected(self):
+        """Two cells with equal faces over one target cannot both be free:
+        the loader rejects such an ef, which is simplicial and factors the
+        input, instead of letting the free-filler lift fail on it."""
+        two, _ = coproduct([standard_simplex(0)] * 2)
+        fr = free_complex(SimplicialMap(EMPTY, two, {}))
+        payload = json.loads(jsonio.text(fr))
+        grade = payload["ef"]["assign"]["0"]
+        first, second = sorted(grade)
+        assert grade[first] != grade[second]
+        jsonio.factor_result_from_json(json.loads(json.dumps(payload)))
+        grade[second] = grade[first]
+        with pytest.raises(DeltaError) as exc:
+            jsonio.factor_result_from_json(payload)
+        assert str(exc.value) == \
+            "ef sends two cells with the same faces to one target"
+
+    def test_loaded_factorization_keeps_its_cell_index(self):
+        fr = free_complex(boundary_inclusion(2))
+        back = jsonio.factor_result_from_json(
+            json.loads(jsonio.text(fr)))
+        assert back._cells_over is not None
+        for _, cell in back.kf.all_cells():
+            faces = back.kf.body.faces_of(cell.id)
+            assert back.cell_over(back.ef.assign[cell.id], faces) == cell.id
+        square = (u_of_complex(back.kf), back.ef)
+        assert solve_lifting(back.kf, free_fillers(back), square) == \
+            identity_map(back.kf.body)
+
+    def test_loading_builds_no_map_per_cell(self, monkeypatch):
+        """The strict loader builds its maps and boundary complexes per
+        document, not per cell: the counts are the same for 6 cells and
+        for 266."""
+        docs = [json.loads(jsonio.text(free_complex(boundary_inclusion(k))))
+                for k in (1, 3)]
+        for doc in docs:  # shapes seen once, so per-shape caches are warm
+            jsonio.factor_result_from_json(doc)
+        calls = collections.Counter()
+        init = SimplicialMap.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["SimplicialMap"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_boundary(k):
+            calls["boundary_complex"] += 1
+            return boundary_complex(k)
+
+        monkeypatch.setattr(SimplicialMap, "__init__", counted_init)
+        for module in (delta, strata, cellcx, soa, lifting, jsonio):
+            if hasattr(module, "boundary_complex"):
+                monkeypatch.setattr(module, "boundary_complex",
+                                    counted_boundary)
+        counts = []
+        for doc in docs:
+            calls.clear()
+            fr = jsonio.factor_result_from_json(doc)
+            counts.append((sum(fr.stage_counts), dict(calls)))
+        (small, at_small), (big, at_big) = counts
+        assert (small, big) == (6, 266)
+        assert at_small == at_big == {"SimplicialMap": 2}
+
     def test_filler_table_roundtrip(self):
         fold = fold_map()
         ft = FillerTable(fold, {square_key(0, "0", {}): "0.0"},
@@ -286,6 +354,8 @@ _SCALAR_ROWS = {"t": True, "f": False, "one": 1, "zero": 0, "neg": -7,
 @example(_SCALAR_ROWS)
 @example([True, 1, False, 0, [2], _Level.THREE, _Id("x"), 10 ** 30, -0.0])
 @example({"attach": {"0": "a", "01": "b\\"}, "dim": 3, "id": "d.0.3.t.ab"})
+@example({"faces": ["a", _Id("b\"")], "0": [["x", "\u00e9"], [], ["y"]],
+          "mixed": ["a", 1], "tail": ["a", ["b"]]})
 @example([{"attach": {}, "dim": 0, "id": "v"}, [True, _Level.THREE]])
 @example({"all_pass": False,
           "laws": {"factorization": True, "monad_assoc": False},

@@ -5,6 +5,7 @@ equalisers are those of ``cellcx``."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcell import (
     Cell,
@@ -176,6 +177,69 @@ class TestStratumChecksAttach:
             with pytest.raises(DeltaError, match="face commutation"):
                 Stratum(x, [Cell("c", 2, images)])
             Stratum(x, [Cell("c", 2, images)], validate=False)
+
+
+def attach_oracle(k, images, boundary):
+    """The attach check as it was: the cell's images as a validated map
+    from the boundary of the standard k-simplex into ``boundary``."""
+    SimplicialMap(boundary_complex(k), boundary,
+                  zip(boundary_keys(k), images))
+
+
+def _chain(n):
+    """One simplex per degree up to n, each face the simplex below: every
+    shape k <= n + 1 has exactly one attach into it."""
+    return DeltaComplex({k: [f"c{k}"] for k in range(n + 1)},
+                        {f"c{k}": (f"c{k - 1}",) * (k + 1)
+                         for k in range(1, n + 1)})
+
+
+_STAGES = [_chain(3), standard_simplex(3),
+           DeltaComplex({0: ["a", "b"], 1: ["e", "l"]},
+                        {"e": ("b", "a"), "l": ("a", "a")})] + \
+    [gen.rand_complex(random.Random(seed), max_dim=3) for seed in range(4)]
+# up to 24 attaches of each shape into each stage, as image tuples
+_ATTACHES = {(n, k): [tuple(h.assign[s] for s in boundary_keys(k))
+                      for h in enumerate_homs(boundary_complex(k), x,
+                                              limit=24)]
+             for n, x in enumerate(_STAGES) for k in range(5)}
+
+
+def _outcome(check):
+    try:
+        check()
+    except DeltaError as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_attach_check_matches_the_map_oracle(data):
+    """``Stratum`` accepts a cell's images exactly when they form a map
+    into the boundary, and names the first bad position as the map's
+    validation does, for shapes 0..4, with images drawn from the stage's
+    ids of every dimension, an id outside it, and its attaches with up to
+    two positions redrawn."""
+    n = data.draw(st.integers(0, len(_STAGES) - 1), label="stage")
+    k = data.draw(st.integers(0, 4), label="k")
+    x, size = _STAGES[n], len(boundary_keys(k))
+    ids = st.sampled_from(sorted(x.id_set) + ["ghost"])
+    if _ATTACHES[n, k] and data.draw(st.booleans()):
+        images = list(data.draw(st.sampled_from(_ATTACHES[n, k])))
+        for _ in range(data.draw(st.integers(0, 2)) if size else 0):
+            images[data.draw(st.integers(0, size - 1))] = data.draw(ids)
+    else:
+        images = data.draw(st.lists(ids, min_size=size, max_size=size))
+    images = tuple(images)
+    want = _outcome(lambda: attach_oracle(k, images, x))
+    assert _outcome(lambda: Stratum(x, [Cell("c", k, images)])) == want
+
+
+def test_every_shape_has_an_accepted_attach():
+    # the sample above reaches acceptance at every shape, not only rejection
+    assert all(any(_ATTACHES[n, k] for n in range(len(_STAGES)))
+               for k in range(5))
 
 
 class TestBody:
