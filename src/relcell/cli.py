@@ -96,10 +96,19 @@ def _check_out(out_path):
 
 
 def _emit(text, out_path):
+    """Write ``text`` to ``out_path`` as UTF-8, or to standard output.  It
+    is encoded first, so a text that cannot be (an id holding a lone
+    surrogate) is an input error that opens and writes nothing."""
+    encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
+    try:
+        data = text.encode(encoding)
+    except UnicodeEncodeError as err:
+        raise _InputError(f"{out_path or 'standard output'}: cannot encode "
+                          f"the output as {encoding}: {err.reason}") from err
     if out_path:
         try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+            with open(out_path, "wb") as fh:
+                fh.write(data)
         except OSError as err:
             raise _InputError(f"{out_path}: {err.strerror or err}") from err
     else:

@@ -11,7 +11,8 @@ itself (see ``dumps``).  ``dumps`` of an emitter's value
 The complexes, maps, cell complexes and factorizations that the CLI writes
 go through ``text``, which is ``dumps`` of a skeleton of the value whose
 simplices, cells and assignments are written from their shape without
-building the JSON value.  Loaders validate through the ordinary
+building the JSON value: one ``%`` fill per chunk of records, each id
+escaped once per document.  Loaders validate through the ordinary
 constructors and raise DeltaError subclasses on bad input; a complex that
 a factorization repeats is the object it repeats, or validated if unequal.
 """
@@ -32,7 +33,7 @@ from .delta import (
 from .strata import Cell, Stratum, body
 from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
-from .soa import FactorResult, cell_index
+from .soa import FactorResult, _Escapes, cell_index
 
 
 _encode = json.JSONEncoder().encode
@@ -47,8 +48,9 @@ def _level(n):
 
 class _Leaf(tuple):
     """A shaped leaf ``(brackets, items)`` of a ``text`` skeleton, whose
-    ``items(n)`` yields the texts of its items ``n`` levels deep, each led
-    by a comma.  A type of its own, since a plain tuple is a JSON array."""
+    ``items(n)`` yields the texts of its items ``n`` levels deep, a chunk
+    of items per text, each item led by a comma.  A type of its own, since
+    a plain tuple is a JSON array."""
 
 
 def _walk(node, n, out):
@@ -113,10 +115,15 @@ def dumps(obj):
 #
 # ``text`` is ``dumps`` of a skeleton of a value's ``*_to_json``: its dicts
 # and lists, except that each container of simplices, cells or assignment
-# entries is a ``_Leaf``.  A simplex, a cell or an assignment entry is one
-# ``%`` fill, of a template cached per (shape, depth) for simplices and
-# cells.  Ids are ``%`` arguments, never template text, and template text
-# writes a literal ``%`` as ``%%``, so no id is parsed as a format.
+# entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records at a time,
+# each chunk by one ``%`` fill of its records' templates joined: a template
+# cached per (shape, depth) for simplices and cells, one per depth for
+# assignment entries.  The fill's arguments are the records' ids as JSON
+# text, read from one memo per document, so each id is escaped once.  Ids
+# are ``%`` arguments, never template text, and template text writes a
+# literal ``%`` as ``%%``, so no id is parsed as a format.
+
+_CHUNK = 256  # records per fill: bounds the transient template and arguments
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,45 +143,66 @@ def _template(k, n, cell):
     return item.replace("%", "%%").replace("\0", "%s")
 
 
-def _cells(cells, n):
-    for c in cells:
-        yield _template(c.dim, n, True) % (*map(_quote, c.images),
-                                           _quote(c.id))
+def _leaf(brackets, records, template, ids, quote):
+    """A leaf of ``records`` (a sequence), written a chunk at a time: the
+    chunk's ``template(chunk, n)`` filled with the texts, by ``quote``, of
+    the ids ``ids(chunk)`` yields in the template's slot order."""
+    def items(n):
+        for i in range(0, len(records), _CHUNK):
+            chunk = records[i:i + _CHUNK]
+            yield template(chunk, n) % tuple(map(quote, ids(chunk)))
+
+    return _Leaf((brackets, items))
 
 
-def _complex(x):
-    def simplices(k, n):
-        fill = _template(k, n, False)
-        return (fill % (*map(_quote, x.faces[s]), _quote(s))
-                for s in x.ids(k))
+def _complex(x, quote):
+    faces = x.faces
 
-    return {"simplices": {
-        str(k): _Leaf(("[]", functools.partial(simplices, k))) if k else
-        x.ids(0) for k in range(x.max_dim + 1)}}
+    def simplices(k):
+        return _leaf("[]", x.ids(k),
+                     lambda chunk, n: _template(k, n, False) * len(chunk),
+                     lambda chunk: itertools.chain.from_iterable(
+                         [(*faces[s], s) for s in chunk]),
+                     quote)
+
+    return {"simplices": {str(k): simplices(k) if k else x.ids(0)
+                          for k in range(x.max_dim + 1)}}
 
 
-def _map(f):
+def _map(f, quote):
     assign = f.assign.__getitem__
 
     def grade(ids):
-        return _Leaf(("{}", lambda n: map(
-            ("," + _level(n) + "%s: %s").__mod__,
-            zip(map(_quote, ids), map(_quote, map(assign, ids))))))
+        return _leaf("{}", ids,
+                     lambda chunk, n: ("," + _level(n) + "%s: %s") *
+                     len(chunk),
+                     lambda chunk: itertools.chain.from_iterable(
+                         zip(chunk, map(assign, chunk))),
+                     quote)
 
     return {"assign": {str(k): grade(ids)
                        for k, ids in f.dom.simplices.items()},
-            "cod": _complex(f.cod), "dom": _complex(f.dom)}
+            "cod": _complex(f.cod, quote), "dom": _complex(f.dom, quote)}
 
 
-def _cellcx(c):
-    return {"base": _complex(c.boundary),
-            "strata": [{"cells": _Leaf(("[]", functools.partial(
-                _cells, st.cells)))} for st in c.strata]}
+def _cell_template(chunk, n):
+    return "".join([_template(c.dim, n, True) for c in chunk])
 
 
-def _factor_result(fr):
-    return {"complex": _cellcx(fr.kf), "ef": _map(fr.ef),
-            "input": _map(fr.input), "stage_counts": fr.stage_counts}
+def _cell_ids(chunk):
+    return itertools.chain.from_iterable([(*c.images, c.id) for c in chunk])
+
+
+def _cellcx(c, quote):
+    return {"base": _complex(c.boundary, quote),
+            "strata": [{"cells": _leaf("[]", st.cells, _cell_template,
+                                       _cell_ids, quote)}
+                       for st in c.strata]}
+
+
+def _factor_result(fr, quote):
+    return {"complex": _cellcx(fr.kf, quote), "ef": _map(fr.ef, quote),
+            "input": _map(fr.input, quote), "stage_counts": fr.stage_counts}
 
 
 _SKELETONS = {DeltaComplex: _complex, SimplicialMap: _map,
@@ -184,10 +212,13 @@ _SKELETONS = {DeltaComplex: _complex, SimplicialMap: _map,
 def text(value):
     """The ``dumps`` text of a complex, map, cell complex or factorization,
     or of a dict of them, written from its shape: exactly ``dumps`` of its
-    ``*_to_json`` (of each value's, for a dict), the reference format."""
+    ``*_to_json`` (of each value's, for a dict), the reference format.
+    One memo of the ids' JSON texts serves the whole document."""
+    quote = _Escapes().__getitem__
     if isinstance(value, dict):
-        return dumps({k: _SKELETONS[type(v)](v) for k, v in value.items()})
-    return dumps(_SKELETONS[type(value)](value))
+        return dumps({k: _SKELETONS[type(v)](v, quote)
+                      for k, v in value.items()})
+    return dumps(_SKELETONS[type(value)](value, quote))
 
 
 def _expect(cond, msg):

@@ -4,6 +4,7 @@ from relcell import (
     CellComplex,
     CellComplexError,
     CellComplexMorphism,
+    DeltaComplex,
     Factorizer,
     SimplicialMap,
     Stratum,
@@ -62,6 +63,14 @@ def morphism(dom, cod, f0, p):
     assignment ``p``: the body map that extends f0 by p, validated."""
     return CellComplexMorphism(dom, cod, SimplicialMap(
         dom.body, cod.body, {**f0.assign, **p}, validate=False))
+
+
+def chain_complex(n):
+    """One simplex per degree up to n, each face the simplex below: every
+    shape k <= n + 1 has exactly one attach into it."""
+    return DeltaComplex({k: [f"c{k}"] for k in range(n + 1)},
+                        {f"c{k}": (f"c{k - 1}",) * (k + 1)
+                         for k in range(1, n + 1)})
 
 
 def boundary_inclusion(k):

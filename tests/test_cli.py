@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from relcell import (
     EMPTY,
     CellComplex,
+    DeltaComplex,
     DeltaError,
     FillerTable,
     SimplicialMap,
@@ -653,7 +654,6 @@ class TestExportDot:
         assert len(colors) == 3  # base, stage 0, stage 1
 
     def test_ids_quoted(self, files, capsys):
-        from relcell import DeltaComplex
         x = DeltaComplex({0: ['a"b', "c\\"], 1: ['e"\\']},
                          {'e"\\': ("c\\", 'a"b')})
         _, write = files
@@ -673,6 +673,35 @@ class TestExportDot:
         code, out, _ = run_cli(capsys, "export-dot", path)
         assert code == 0
         assert out == "digraph body {\n}\n"
+
+    def test_lone_surrogate_id_out_exit_2(self, files, capsys):
+        # valid JSON ("\ud800") that the loader accepts, but not UTF-8
+        tmp, write = files
+        path = write("c.json", jsonio.cellcx_to_json(trivial_complex(
+            DeltaComplex({0: ["\ud800", "b"]}))))
+        out = tmp / "c.dot"
+        code, stdout, err = run_cli(capsys, "export-dot", path,
+                                    "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == (f"error: {out}: cannot encode the output as utf-8: "
+                       "surrogates not allowed\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("vertex", ["\ud800", "\u00e9"])
+def test_export_dot_unencodable_stdout_exit_2(tmp_path, vertex):
+    """An id that standard output cannot encode is an input error, with no
+    traceback.  In a child process, since ``capsys`` accepts any str."""
+    path = tmp_path / "c.json"
+    path.write_text(jsonio.dumps(jsonio.cellcx_to_json(trivial_complex(
+        DeltaComplex({0: [vertex]})))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relcell.cli", "export-dot", str(path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONIOENCODING="ascii"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: standard output: cannot encode ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -30,7 +30,7 @@ from relcell import (
     u_of_complex,
 )
 from relcell import cellcx, delta, gen, jsonio, lifting, soa, strata
-from conftest import boundary_inclusion, fold_map
+from conftest import boundary_inclusion, chain_complex, fold_map
 
 
 class TestComplexRoundTrip:
@@ -457,3 +457,70 @@ def test_text_is_dumps_of_to_json(seed, prefix, suffix):
               {"complex": x, "leg_first": f, "leg_second": fr.ef}]
     for value in values + _edge_values(name):
         assert jsonio.text(value) == _reference(value)
+
+
+# Deterministic values whose leaves cross ``text``'s chunks of records.
+_CHUNK = jsonio._CHUNK
+_FORMAT_AFFIXES = ["", "%", "%%", "%(x)s"]
+
+
+def _check_text(value):
+    """``text`` is the reference; a mismatch names its first offset, since
+    a diff of two multi-megabyte texts would take minutes."""
+    got, want = jsonio.text(value), _reference(value)
+    if got != want:
+        at = next((i for i, pair in enumerate(zip(got, want))
+                   if pair[0] != pair[1]), min(len(got), len(want)))
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"text differs from the reference at offset {at}: "
+                    f"{got[near]!r} != {want[near]!r}")
+
+
+@pytest.mark.parametrize("affix", ["", "%(x)s"])
+def test_text_of_id4_is_dumps_of_to_json(affix):
+    """The factorization of the identity on the dim-4 chain: strata of
+    5 / 56 / 1,525 / 5,496 / 686 cells of mixed shapes, and 7,580 body
+    simplices in the top grade of ``ef``'s domain and assignment."""
+    fr = free_complex(identity_map(_renamed_complex(
+        chain_complex(4), lambda s: affix + s + affix)))
+    assert fr.stage_counts == [5, 56, 1525, 5496, 686]
+    for value in (fr, fr.kf, fr.ef):
+        _check_text(value)
+
+
+@pytest.mark.parametrize("affix", _FORMAT_AFFIXES)
+@pytest.mark.parametrize("n", [_CHUNK, _CHUNK + 1, 2 * _CHUNK])
+def test_text_of_grades_at_chunk_sizes(n, affix):
+    """A grade of n simplices, assignment entries and cells, for n one
+    chunk, one chunk and a record, and two chunks."""
+    def name(s):
+        return affix + s + affix
+
+    edges = [f"e{i:04d}" for i in range(n)]
+    x = _renamed_complex(DeltaComplex({0: ["a", "b"], 1: edges},
+                                      dict.fromkeys(edges, ("b", "a"))), name)
+    points = _renamed_complex(DeltaComplex({0: ["a", "b"]}), name)
+    cells = [strata.Cell(name(s), 1, (name("b"), name("a"))) for s in edges]
+    c = CellComplex(points, [Stratum(points, cells)])
+    assert len(x.ids(1)) == len(c.strata[0].cells) == n
+    for value in (x, identity_map(x), c):
+        _check_text(value)
+
+
+@pytest.mark.parametrize("affix", _FORMAT_AFFIXES)
+def test_text_of_a_stratum_whose_shape_changes_at_a_chunk(affix):
+    """One stratum of 1-cells, then 0-cells from the first record of the
+    second chunk, then 2-cells from its last record into the third."""
+    def name(s):
+        return affix + s + affix
+
+    base = _renamed_complex(DeltaComplex(
+        {0: ["a", "b"], 1: ["e", "l"]}, {"e": ("b", "a"), "l": ("a", "a")}),
+        name)
+    dims = [1] * _CHUNK + [0] * (_CHUNK - 1) + [2] * 2
+    cells = [strata.Cell(name(f"c{i:04d}"), k, tuple(
+        name("a" if len(key) == 1 else "l") for key in delta.boundary_keys(k)))
+        for i, k in enumerate(dims)]
+    c = CellComplex(base, [Stratum(base, cells)])
+    assert [cell.dim for cell in c.strata[0].cells] == dims
+    _check_text(c)

@@ -41,7 +41,7 @@ from relcell import (
 from relcell import gen
 from relcell.delta import _lift_kernel, boundary_keys, facet_ids
 from relcell.soa import free_complex
-from conftest import attach_map, cx, morphism, stratum_of
+from conftest import attach_map, chain_complex, cx, morphism, stratum_of
 
 
 def loop_stratum():
@@ -186,15 +186,7 @@ def attach_oracle(k, images, boundary):
                   zip(boundary_keys(k), images))
 
 
-def _chain(n):
-    """One simplex per degree up to n, each face the simplex below: every
-    shape k <= n + 1 has exactly one attach into it."""
-    return DeltaComplex({k: [f"c{k}"] for k in range(n + 1)},
-                        {f"c{k}": (f"c{k - 1}",) * (k + 1)
-                         for k in range(1, n + 1)})
-
-
-_STAGES = [_chain(3), standard_simplex(3),
+_STAGES = [chain_complex(3), standard_simplex(3),
            DeltaComplex({0: ["a", "b"], 1: ["e", "l"]},
                         {"e": ("b", "a"), "l": ("a", "a")})] + \
     [gen.rand_complex(random.Random(seed), max_dim=3) for seed in range(4)]
