@@ -95,10 +95,12 @@ def _check_out(out_path):
         raise _InputError(f"{out_path}: {err.strerror}") from err
 
 
-def _emit(text, out_path):
+def _emit(text, out_path=None):
     """Write ``text`` to ``out_path`` as UTF-8, or to standard output.  It
     is encoded first, so a text that cannot be (an id holding a lone
-    surrogate) is an input error that opens and writes nothing."""
+    surrogate) is an input error that opens and writes nothing.  Standard
+    output is flushed here, so a failed write (a full disk, a closed pipe)
+    is an input error too, not one deferred to the interpreter's exit."""
     encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
     try:
         data = text.encode(encoding)
@@ -112,7 +114,12 @@ def _emit(text, out_path):
         except OSError as err:
             raise _InputError(f"{out_path}: {err.strerror or err}") from err
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as err:
+            raise _InputError(
+                f"standard output: {err.strerror or err}") from err
 
 
 def builtin_fixtures():
@@ -142,10 +149,10 @@ def cmd_factor(args):
     line = f"{counts}; height {fr.kf.height}" if counts \
         else f"height {fr.kf.height}"
     if args.format == "json":
-        print(jsonio.dumps({"stage_counts": fr.stage_counts,
-                            "height": fr.kf.height}), end="")
+        _emit(jsonio.dumps({"stage_counts": fr.stage_counts,
+                            "height": fr.kf.height}))
     else:
-        print(line)
+        _emit(line + "\n")
     if args.out:
         _emit(jsonio.text(fr), args.out)
     return EXIT_OK

@@ -546,25 +546,30 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
 def _lift_kernel(k):
     """The boundary-lift search of shape k, compiled on first use.
 
-    Returns ``search(f, t, new)``, which returns the boundary lifts of the
-    k-simplex t of ``f.cod``: the maps u from the boundary of the standard
-    k-simplex into ``f.dom`` with ``f o u`` the boundary of t, each as its
+    Returns ``search(f, targets, new)``, which returns the boundary lifts of
+    the k-simplices ``targets`` of ``f.cod``: the maps u from the boundary
+    of the standard k-simplex into ``f.dom`` with ``f o u`` the boundary of
+    a target t, as two parallel lists, each lift's target and each lift's
     tuple of images in the order of ``boundary_keys(k)``.  A lift is fixed
     by its facets x_0..x_k, subject to ``f(x_i) = d_i t`` and
     ``d_i x_j = d_(j-1) x_i`` for i < j, so the first j faces of x_j are
-    fixed by x_0..x_(j-1).  ``search`` runs one loop per facet over the
-    candidates ``f.prefix_index(k - 1)`` gives for its target and those
-    faces, then reads every lower simplex off the faces of x_0..x_(k-1) in
-    straight-line code: a simplex of codimension >= 2 omits some vertex
-    i < k, so it lies in facet x_i.  With ``new`` (a set of domain ids),
-    only lifts with some facet in ``new`` are kept: when no earlier facet
-    is new, x_k is drawn from ``new`` alone, so no other lift is built.
-    Lifts come in lexicographic order of their facet tuples.  The source
-    is generated from k alone; ids only ever reach it as arguments.
+    fixed by x_0..x_(j-1).  ``search`` runs, for each target in turn, one
+    loop per facet over the candidates ``f.prefix_index(k - 1)`` gives for
+    its target and those faces, then reads every lower simplex off the
+    faces of x_0..x_(k-1) in straight-line code: a simplex of codimension
+    >= 2 omits some vertex i < k, so it lies in facet x_i.  With ``new`` (a
+    set of domain ids), only lifts with some facet in ``new`` are kept:
+    when no earlier facet is new, x_k is drawn from ``new`` alone, so no
+    other lift is built.  Lifts come target by target, in the order given,
+    and for each target in lexicographic order of their facet tuples.
+    Shape 0 has one empty lift per target, kept only when ``new`` is None:
+    it has no facet, so it is never proper.  The source is generated from k
+    alone; ids only ever reach it as arguments.
     """
     bd = boundary_complex(k)
-    if k == 0:  # one empty lift, never proper: it has no facet
-        return lambda f, t, new: [()] if new is None else []
+    if k == 0:
+        return lambda f, targets, new: (
+            (list(targets), [()] * len(targets)) if new is None else ([], []))
     facets = facet_ids(k)
     image = {s: f"x{j}" for j, s in enumerate(facets)}
     # the variables holding fetched face tuples; vertices have none
@@ -575,22 +580,25 @@ def _lift_kernel(k):
         fixed = "".join(f"f{i}[{j - 1}], " for i in range(j) if k > 1)
         return f"index.get((t{j}, ({fixed})), ())"
 
-    lines = ["def search(f, t, new):",
+    lines = ["def search(f, targets, new):",
              f" index = f.prefix_index({k - 1})",
-             f" {''.join(f't{j}, ' for j in range(k + 1))}= f.cod.faces[t]",
+             " cod_faces = f.cod.faces",
              " faces = f.dom.faces",
+             " over = []",
              " out = []",
              " add = out.append",
-             " n = new is None"]
+             " n = new is None",
+             " for t in targets:",
+             f"  {''.join(f't{j}, ' for j in range(k + 1))}= cod_faces[t]"]
     for j in range(k):
-        pad = " " * (j + 1)
+        pad = " " * (j + 2)
         lines.append(f"{pad}for x{j} in {cands(j)}:")
         if k > 1:
             lines.append(f"{pad} f{j} = faces[x{j}]")
         lines.append(f"{pad} n{j} = {f'n{j - 1}' if j else 'n'} "
                      f"or x{j} in new")
     # x_k is drawn from ``new`` alone when no earlier facet is new
-    pad = " " * (k + 1)
+    pad = " " * (k + 2)
     lines += [f"{pad}cands = {cands(k)}",
               f"{pad}if not n{k - 1}:",
               f"{pad} cands = [x for x in cands if x in new]",
@@ -610,7 +618,8 @@ def _lift_kernel(k):
     slots = "".join(image[s] + ", " for s in boundary_keys(k))
     lines += [f"{pad} for x{k} in cands:",
               f"{pad}  add(({slots}))",
-              " return out"]
+              f"{pad} over += [t] * len(cands)",  # one lift per candidate
+              " return over, out"]
     namespace = {}
     exec(compile("\n".join(lines), f"<boundary lifts of shape {k}>",
                  "exec"), namespace)

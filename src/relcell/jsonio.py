@@ -33,7 +33,7 @@ from .delta import (
 from .strata import Cell, Stratum, body
 from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
-from .soa import FactorResult, _Escapes, cell_index
+from .soa import _CHUNK, FactorResult, _Escapes, cell_index
 
 
 _encode = json.JSONEncoder().encode
@@ -115,15 +115,14 @@ def dumps(obj):
 #
 # ``text`` is ``dumps`` of a skeleton of a value's ``*_to_json``: its dicts
 # and lists, except that each container of simplices, cells or assignment
-# entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records at a time,
-# each chunk by one ``%`` fill of its records' templates joined: a template
-# cached per (shape, depth) for simplices and cells, one per depth for
-# assignment entries.  The fill's arguments are the records' ids as JSON
-# text, read from one memo per document, so each id is escaped once.  Ids
-# are ``%`` arguments, never template text, and template text writes a
-# literal ``%`` as ``%%``, so no id is parsed as a format.
-
-_CHUNK = 256  # records per fill: bounds the transient template and arguments
+# entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records at a time
+# (the bound ``soa`` fills cell ids by), each chunk by one ``%`` fill of its
+# records' templates joined: a template cached per (shape, depth) for
+# simplices and cells, one per depth for assignment entries.  The fill's
+# arguments are the records' ids as JSON text, read from one memo per
+# document, so each id is escaped once.  Ids are ``%`` arguments, never
+# template text, and template text writes a literal ``%`` as ``%%``, so no
+# id is parsed as a format.
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,15 @@ is not contained in stage n - 1; iteration stops at the first empty stage.
 Stage n - 1 is face-closed, so a lift is proper iff some facet is a cell
 newly glued at stage n - 1.  Each stage therefore enumerates only the lifts
 with a new facet (the semi-naive form of the construction), and shape-0
-cells, whose boundary lift is empty, are glued at stage 0 only.
+cells, whose boundary lift is empty, are glued at stage 0 only.  A stage
+runs one search per shape over all the targets of that shape, and
+computes the ids of that batch of lifts together.
 
 Cell ids spell out (stage, shape dimension, target simplex, hashed
 boundary lift) after a short digest of the factored map; they are the JSON
 contract.  The hashed lift is 12 hex digits of the SHA-1 of the ASCII JSON
-text ``[[key, image], ...]`` of the lift, sorted by key.  Lookups go by
+text ``[[key, image], ...]`` of the lift, sorted by key; a batch's texts
+are written by one ``%`` fill per ``_CHUNK`` lifts.  Lookups go by
 target and faces instead: one cell is glued per generating square and a
 boundary lift is fixed by its facets, so ``FactorResult.cell_over`` finds
 the free cell that answers a square.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
+import operator
 from json.encoder import encode_basestring_ascii
 
 from .delta import (
@@ -71,15 +76,30 @@ def _lift_template(k):
                            + ", %s]" for s in boundary_keys(k)) + "]"
 
 
-def _cell_id(digest, stage, k, t, images, escape):
-    """The id ``digest.stage.k.t.LIFT`` of the cell glued at ``stage`` over
-    the k-simplex t along the boundary lift u with ``images`` in key order.
-    LIFT is 12 hex digits of the SHA-1 of
-    ``json.dumps(sorted(u.assign.items()))``, written by filling the text
-    of shape k with the images (ids, so strings) as ``escape`` writes
-    them in JSON."""
-    lift = (_lift_template(k) % tuple(map(escape, images))).encode()
-    return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
+_CHUNK = 256  # lifts, or jsonio records, per fill: bounds the transient text
+
+
+def _cell_ids(digest, stage, k, targets, lifts, escape):
+    """The ids ``digest.stage.k.t.LIFT`` of the cells glued at ``stage``
+    along the boundary lifts of shape k with images ``lifts`` (in key
+    order), each over its k-simplex t of ``targets``.  LIFT is 12 hex
+    digits of the SHA-1 of ``json.dumps(sorted(u.assign.items()))`` for the
+    lift u.  Up to ``_CHUNK`` lifts at a time, the texts of shape k are
+    filled by one ``%`` with the images (ids, so strings) as ``escape``
+    writes them in JSON, each text followed by a NUL, and encoded and split
+    at the NULs in one piece: an escaped id writes NUL as ``\\u0000``, and
+    the template holds only punctuation and boundary keys."""
+    head = f"{digest}.{stage}.{k}."
+    template = _lift_template(k) + "\0"
+    sha1 = hashlib.sha1
+    ids = []
+    for i in range(0, len(lifts), _CHUNK):
+        chunk = lifts[i:i + _CHUNK]
+        texts = (template * len(chunk) % tuple(
+            map(escape, itertools.chain.from_iterable(chunk)))).encode()
+        ids += [f"{head}{t}.{sha1(text).hexdigest()[:12]}" for t, text in
+                zip(targets[i:i + _CHUNK], texts.split(b"\0"))]
+    return ids
 
 
 class _Escapes(dict):
@@ -95,8 +115,8 @@ class _Escapes(dict):
 def cell_index(kf, ef):
     """The cells of kf by their target under ef and their faces, the index
     ``FactorResult.cell_over`` reads; None if two cells share both."""
-    over, faces_of = ef.assign, kf.body.faces_of
-    index = {(over[c], faces_of(c)): c for c in kf._cell_stage}
+    over, faces = ef.assign, kf.body.faces
+    index = {(over[c], faces.get(c, ())): c for c in kf._cell_stage}
     return index if len(index) == len(kf._cell_stage) else None
 
 
@@ -131,17 +151,21 @@ class FactorResult:
     def stage_counts(self):
         return [len(st.cells) for st in self.kf.strata]
 
-    def cell_over(self, target, faces):
-        """The free cell glued over ``target`` with the given facets (``()``
-        for a vertex).  The index from (target, faces) to cell is built on
-        the first call, unless it was given to the constructor."""
+    def _over(self):
+        """The index from (target, faces) to free cell, built on first use
+        unless it was given to the constructor."""
         index = self._cells_over
         if index is None:
             index = self._cells_over = cell_index(self.kf, self.ef)
             if index is None:
                 raise InvariantError("two free cells share a target and "
                                      "faces; internal invariant violated")
-        cid = index.get((target, faces))
+        return index
+
+    def cell_over(self, target, faces):
+        """The free cell glued over ``target`` with the given facets (``()``
+        for a vertex), read off the index of ``_over``."""
+        cid = self._over().get((target, faces))
         if cid is None:
             raise InvariantError(
                 f"no free cell over {target!r} with faces {faces!r}; "
@@ -162,9 +186,11 @@ def k1_step(f, new=None, stage=0, digest=None):
     inside the face-closed previous stage are omitted (properness
     filtering): a lift is kept iff some facet is in ``new``.  Only such
     lifts are enumerated, and only for shapes k whose facet dimension k - 1
-    has new simplices, by the search of ``_lift_kernel(k)``: each lift
-    arrives as its tuple of images, which is both what the cell id hashes
-    and the cell's attach, glued as it is.  Returns (stratum, extended
+    has new simplices, by one search of ``_lift_kernel(k)`` over all the
+    k-simplices of the codomain: each lift arrives with its target and as
+    its tuple of images, which is both what the cell id hashes and the
+    cell's attach, glued as it is.  The ids of a shape's lifts are computed
+    together, by ``_cell_ids``.  Returns (stratum, extended
     codomain map from the stratum's body), which is f itself, with nothing
     copied, when no cell is glued.  An id glued twice can only be a
     collision of hashed lifts: InvariantError.
@@ -179,12 +205,11 @@ def k1_step(f, new=None, stage=0, digest=None):
     for k in range(b.max_dim + 1):
         if new_dims is not None and k - 1 not in new_dims:
             continue
-        search = _lift_kernel(k)
-        for t in b.ids(k):
-            for images in search(f, t, new):
-                cid = _cell_id(digest, stage, k, t, images, escape)
-                cells.append(Cell(cid, k, images))
-                glued[cid] = t
+        targets, lifts = _lift_kernel(k)(f, b.ids(k), new)
+        ids = _cell_ids(digest, stage, k, targets, lifts, escape)
+        for cid, t, images in zip(ids, targets, lifts):
+            cells.append(Cell(cid, k, images))
+            glued[cid] = t
     if not cells:
         return Stratum(a, cells, validate=False), f
     e_assign = {**f.assign, **glued}
@@ -269,18 +294,25 @@ def transpose(c, g0, h, fr):
     if any(fa[t] != ha[s] for s, t in g0.assign.items()):
         raise DeltaError("transpose: square does not commute")
     assign = dict(g0.assign)
-    faces_of = c.body.faces_of
+    image = assign.__getitem__
+    faces = c.body.faces
+    index = fr._over()
+    stage_of = fr.kf.stage_of_cell
     for n, st in enumerate(c.strata):
         for cell in st.cells:
-            cid = fr.cell_over(h.assign[cell.id],
-                               tuple(assign[s] for s in faces_of(cell.id)))
-            if fr.kf.stage_of_cell(cid) != n:
+            y = cell.id
+            key = (ha[y], tuple(map(image, faces.get(y, ()))))
+            cid = index.get(key)
+            if cid is None:
+                fr.cell_over(*key)  # raises, naming target and faces
+            if stage_of(cid) != n:
                 raise InvariantError(
                     f"free cell {cid!r} is not at stage {n}; internal "
                     f"invariant violated")
-            assign[cell.id] = cid
+            assign[y] = cid
     efa = fr.ef.assign
-    if any(efa[t] != ha[s] for s, t in assign.items()):
+    if not all(map(operator.eq, map(efa.__getitem__, assign.values()),
+                   map(ha.__getitem__, assign))):
         raise InvariantError("transpose does not factor the given square")
     body_map = SimplicialMap._owning(c.body, fr.kf.body, assign)
     return CellComplexMorphism(c, fr.kf, body_map, validate=False)

@@ -68,7 +68,7 @@ class Stratum:
 
     def __init__(self, boundary, cells, validate=True):
         self.boundary = boundary
-        self.cells = tuple(sorted(cells, key=lambda c: c.id))
+        self.cells = tuple(sorted(cells, key=operator.attrgetter("id")))
         self._by_id = {c.id: c for c in self.cells}
         self._body = None
         if len(self._by_id) != len(self.cells):

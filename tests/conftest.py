@@ -55,7 +55,7 @@ def boundary_lifts(f, t, new=None):
     ``_lift_kernel`` yields, in its order."""
     k = f.cod.dim(t)
     return [attach_map(k, images, f.dom)
-            for images in _lift_kernel(k)(f, t, new)]
+            for images in _lift_kernel(k)(f, (t,), new)[1]]
 
 
 def morphism(dom, cod, f0, p):

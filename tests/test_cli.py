@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -77,9 +78,9 @@ class TestFactor:
         # two cells glued at one stage can share an id only through a
         # collision of the hashed lift: an internal error, not bad input
         from relcell import soa
-        monkeypatch.setattr(soa, "_cell_id",
-                            lambda digest, stage, k, t, images, escape:
-                            f"{stage}.{k}")
+        monkeypatch.setattr(soa, "_cell_ids",
+                            lambda digest, stage, k, targets, lifts, escape:
+                            [f"{stage}.{k}"] * len(lifts))
         _, write = files
         path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
         code, _, err = run_cli(capsys, "factor", path)
@@ -299,6 +300,53 @@ def test_unwritable_out_exit_2(files, capsys, monkeypatch, command, where):
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2 and stdout == ""
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+
+class _FullStdout:
+    """A standard output on a full disk: ``fails`` ("write" or "flush")
+    raises ENOSPC."""
+
+    encoding = "utf-8"
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_ARGS))
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_full_stdout_exit_2(files, capsys, monkeypatch, command, fails):
+    """A standard output that cannot be written, or flushed, is an input
+    error naming it, with no traceback, for every subcommand."""
+    _, write = files
+    argv = [command, *_accepted_inputs(write, command)]
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fails))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_check_to_dev_full_exit_2():
+    """``relcell check > /dev/full``: exit 2, no traceback, and nothing
+    left to fail at the interpreter's exit.  In a child process, since the
+    error must not be deferred to its exit."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "relcell.cli", "check"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _valid_then(entry):

@@ -610,21 +610,47 @@ _IMAGES = st.sampled_from(
             max_size=4) | st.text(max_size=4)
 
 
+def lift_of(k, images):
+    """The boundary lift of shape k with ``images`` in key order, as the
+    oracle reads it: only its assignment."""
+    return SimplicialMap(boundary_complex(k), EMPTY,
+                         zip(boundary_keys(k), images), validate=False)
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(0, MAX_DIM),
        pool=st.lists(_IMAGES, min_size=1, max_size=6),
        picks=st.randoms(use_true_random=False), stage=st.integers(0, 40),
-       t=_IMAGES)
-def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage, t):
+       targets=st.lists(_IMAGES, min_size=1, max_size=5))
+def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage,
+                                               targets):
     """The templated id writer gives the oracle's bytes for every shape,
-    from the images in sorted key order, with a fresh or a warm escape
-    memo.  The id reads only the assignment, so u need not be a simplicial
+    for a batch of lifts with images drawn from a hostile pool (NUL, ``%``,
+    JSON punctuation, lone surrogates), with a fresh or a warm escape memo.
+    The id reads only the assignment, so a lift need not be a simplicial
     map."""
-    bd = boundary_complex(k)
-    assign = {s: picks.choice(pool) for _, s in bd.all_ids()}
-    u = SimplicialMap(bd, EMPTY, assign, validate=False)
-    images = tuple(image for _, image in sorted(assign.items()))
+    width = len(boundary_keys(k))
+    lifts = [tuple(picks.choice(pool) for _ in range(width))
+             for _ in targets]
+    want = [oracle_cell_id("0123456789", stage, k, t, lift_of(k, images))
+            for t, images in zip(targets, lifts)]
     escape = soa._Escapes().__getitem__
     for _ in range(2):
-        assert soa._cell_id("0123456789", stage, k, t, images, escape) == \
-            oracle_cell_id("0123456789", stage, k, t, u)
+        assert soa._cell_ids("0123456789", stage, k, targets, lifts,
+                             escape) == want
+
+
+@pytest.mark.parametrize("n", [1, soa._CHUNK, soa._CHUNK + 1])
+@pytest.mark.parametrize("k", [0, 2])
+def test_cell_ids_across_the_chunk_bound(n, k):
+    """A batch of 1, the chunk bound, or one more lift: every id is the
+    oracle's, in the order of the lifts."""
+    pool = ["\x00", "%", "%s", '"]], [', "\ud800", "caf\u00e9", "a"]
+    width = len(boundary_keys(k))
+    lifts = [tuple(pool[(i + j) % len(pool)] for j in range(width))
+             for i in range(n)]
+    targets = [pool[i % len(pool)] + str(i) for i in range(n)]
+    ids = soa._cell_ids("0123456789", 3, k, targets, lifts,
+                        soa._Escapes().__getitem__)
+    assert ids == [oracle_cell_id("0123456789", 3, k, t, lift_of(k, images))
+                   for t, images in zip(targets, lifts)]

@@ -40,7 +40,7 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import _lift_kernel, boundary_keys, facet_ids
-from relcell.soa import free_complex
+from relcell.soa import free_complex, k1_step
 from conftest import attach_map, chain_complex, cx, morphism, stratum_of
 
 
@@ -126,10 +126,34 @@ class TestImages:
             for k, t in f.cod.all_ids():
                 homs = enumerate_homs(boundary_complex(k), f.dom, post=(
                     f, boundary_restriction(f.cod, t)))
-                lifts = _lift_kernel(k)(f, t, None)
+                _, lifts = _lift_kernel(k)(f, (t,), None)
                 assert sorted(attach_map(k, images, f.dom).key()
                               for images in lifts) == \
                     sorted(h.key() for h in homs)
+
+    def test_one_search_over_many_targets(self):
+        """The search over every k-simplex of a stage's codomain is the
+        single-target searches concatenated, in target order, without
+        properness filtering and with the ids the stage before glued."""
+        rng = random.Random(29)
+        maps = [gen.rand_map(rng, max_dim=3) for _ in range(10)]
+        for f in maps + [identity_map(chain_complex(4))]:
+            new, stage = None, 0
+            while True:
+                for k in range(f.cod.max_dim + 1):
+                    search = _lift_kernel(k)
+                    targets = f.cod.ids(k)
+                    over, lifts = [], []
+                    for t in targets:
+                        one_over, one_lifts = search(f, (t,), new)
+                        assert one_over == [t] * len(one_lifts)
+                        over += one_over
+                        lifts += one_lifts
+                    assert search(f, targets, new) == (over, lifts)
+                st, f = k1_step(f, new, stage)
+                if not st.cells:
+                    break
+                new, stage = st._by_id, stage + 1
 
     def test_unequal_images_or_codomains_differ(self):
         pt = standard_simplex(0)
