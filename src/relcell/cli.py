@@ -118,8 +118,26 @@ def _emit(text, out_path=None):
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as err:
+            _discard_stdout()
             raise _InputError(
                 f"standard output: {err.strerror or err}") from err
+
+
+def _discard_stdout():
+    """Point standard output's descriptor at the null device.  A failed
+    write leaves its bytes in the stream's buffer, and the interpreter
+    flushes that buffer again at exit; this lets that flush succeed, so
+    the failure is reported once, by ``_emit``.  A stream with no
+    descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def builtin_fixtures():

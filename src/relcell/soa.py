@@ -120,6 +120,12 @@ def cell_index(kf, ef):
     return index if len(index) == len(kf._cell_stage) else None
 
 
+def _no_cell_over(target, faces):
+    """The error for a square that no free cell answers."""
+    return InvariantError(f"no free cell over {target!r} with faces "
+                          f"{faces!r}; internal invariant violated")
+
+
 class FactorResult:
     """A free factorization: input map, complex, and the counit map.
 
@@ -167,9 +173,7 @@ class FactorResult:
         for a vertex), read off the index of ``_over``."""
         cid = self._over().get((target, faces))
         if cid is None:
-            raise InvariantError(
-                f"no free cell over {target!r} with faces {faces!r}; "
-                f"internal invariant violated")
+            raise _no_cell_over(target, faces)
         return cid
 
     def __repr__(self):
@@ -304,7 +308,7 @@ def transpose(c, g0, h, fr):
             key = (ha[y], tuple(map(image, faces.get(y, ()))))
             cid = index.get(key)
             if cid is None:
-                fr.cell_over(*key)  # raises, naming target and faces
+                raise _no_cell_over(*key)
             if stage_of(cid) != n:
                 raise InvariantError(
                     f"free cell {cid!r} is not at stage {n}; internal "

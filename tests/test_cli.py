@@ -337,13 +337,24 @@ def test_full_stdout_exit_2(files, capsys, monkeypatch, command, fails):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs the /dev/full device")
-def test_check_to_dev_full_exit_2():
+@pytest.mark.parametrize("command", ["check", "export-dot", "factor"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_dev_full_exit_2(files, command, unbuffered):
     """``relcell check > /dev/full``: exit 2, no traceback, and nothing
     left to fail at the interpreter's exit.  In a child process, since the
-    error must not be deferred to its exit."""
+    error must not be deferred to its exit: buffered, these outputs sit
+    whole in standard output's buffer, which the interpreter flushes again
+    as it exits."""
+    _, write = files
+    argv = [] if command == "check" else _accepted_inputs(write, command)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "relcell.cli", "check"],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "relcell.cli", command, *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr == \
         f"error: standard output: {os.strerror(errno.ENOSPC)}\n"

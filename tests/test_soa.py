@@ -244,6 +244,23 @@ class TestTranspose:
         with pytest.raises(InvariantError, match="not at stage 1"):
             transpose(c, identity_map(pt), identity_map(c.body), fr)
 
+    def test_missing_free_cell_raises_naming_it(self):
+        # an index that lacks the free cell over the generator's edge
+        f = boundary_inclusion(1)
+        fr = free_complex(f)
+        index = {key: cid for key, cid in fr._over().items()
+                 if key[0] != "01"}
+        broken = soa.FactorResult(f, fr.kf, fr.ef, index)
+        c = generator_complex(1)
+        h = SimplicialMap(c.body, f.cod,
+                          {s: s if s in f.cod else "01"
+                           for s in c.body.id_set})
+        with pytest.raises(InvariantError,
+                           match=r"^no free cell over '01' with faces "
+                                 r"\('1', '0'\); internal invariant "
+                                 r"violated$"):
+            transpose(c, identity_map(c.boundary), h, broken)
+
     def test_trivial_complex(self):
         f = boundary_inclusion(1)
         fr = free_complex(f)
