@@ -5,7 +5,7 @@ single gluing stages and their bodies (``strata``), proper connected cell
 complexes, with their normal form, morphisms and (co)limits (``cellcx``),
 the free factorization with its monad, comonad, and distributivity law
 suite (``soa``), a lifting solver against filler tables (``lifting``), JSON
-serialization (``jsonio``), seeded test corpus generators (``gen``), and a
+serialization (``jsonio``), seeded corpus generators (``gen``), and a
 command-line interface (``cli``).
 """
 

@@ -49,7 +49,7 @@ _PALETTE = ("black", "firebrick", "royalblue", "forestgreen", "darkorange",
 def _load(path, loader):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return loader(json.load(fh))
     except OSError as err:
         raise _InputError(f"{path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
@@ -60,9 +60,7 @@ def _load(path, loader):
         raise _InputError(f"{path}: cannot decode text: {err.reason}") from err
     except RecursionError as err:
         raise _InputError(f"{path}: JSON nested too deeply") from err
-    try:
-        return loader(obj)
-    except DeltaError as err:
+    except ValueError as err:  # a DeltaError, or an int past the digit limit
         raise _InputError(f"{path}: {err}") from err
 
 
@@ -179,31 +177,20 @@ def cmd_factor(args):
 def cmd_compose(args):
     a = _load(args.first, jsonio.cellcx_from_json)
     b = _load(args.second, jsonio.cellcx_from_json)
-    try:
-        c = compose_complexes(a, b)
-    except DeltaError as err:
-        raise _InputError(str(err)) from err
-    _emit(jsonio.text(c), args.out)
+    _emit(jsonio.text(compose_complexes(a, b)), args.out)
     return EXIT_OK
 
 
 def cmd_normalize(args):
     base, cells = _load(args.complex, jsonio.cellcx_cells_from_json)
-    try:
-        c = assemble(base, cells)
-    except DeltaError as err:
-        raise _InputError(str(err)) from err
-    _emit(jsonio.text(c), args.out)
+    _emit(jsonio.text(assemble(base, cells)), args.out)
     return EXIT_OK
 
 
 def cmd_pushout(args):
     f = _load(args.first, jsonio.map_from_json)
     g = _load(args.second, jsonio.map_from_json)
-    try:
-        total, px, py = pushout(f, g)
-    except DeltaError as err:
-        raise _InputError(str(err)) from err
+    total, px, py = pushout(f, g)
     _emit(jsonio.text({"complex": total, "leg_first": px,
                        "leg_second": py}), args.out)
     return EXIT_OK
@@ -214,13 +201,7 @@ def cmd_lift(args):
     ft = _load(args.table, jsonio.filler_table_from_json)
     u = _load(args.top, jsonio.map_from_json)
     v = _load(args.bottom, jsonio.map_from_json)
-    try:
-        d = solve_lifting(c, ft, (u, v))
-    except LiftError:
-        raise
-    except DeltaError as err:  # the files do not form a commuting square
-        raise _InputError(str(err)) from err
-    _emit(jsonio.text(d), args.out)
+    _emit(jsonio.text(solve_lifting(c, ft, (u, v))), args.out)
     return EXIT_OK
 
 
@@ -343,29 +324,26 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "cap" in args and args.cap < 1:
-        print("error: --cap must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    """Run one subcommand: the one place where an exception becomes an
+    exit code.  A DeltaError other than a LiftError is an input error."""
+    args = build_parser().parse_args(argv)
     try:
+        if "cap" in args and args.cap < 1:
+            raise _InputError("--cap must be >= 1")
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.func(args)
-    except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
     except LiftError as err:
         payload = {"error": str(err), "square": list(err.square or ())}
         print(json.dumps(payload, sort_keys=True, default=list),
               file=sys.stderr)
         return EXIT_LAW
-    except DeltaError as err:
+    except (_InputError, DeltaError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_LAW
+        return EXIT_INPUT
+    except CapExceededError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_BUDGET
     except InvariantError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL

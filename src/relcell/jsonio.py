@@ -365,11 +365,6 @@ def _cell_from_json(obj):
     return Cell(cid, k, tuple(map(attach.__getitem__, keys)))
 
 
-def stratum_to_json(st):
-    return {"boundary": complex_to_json(st.boundary),
-            "cells": [_cell_to_json(c) for c in st.cells]}
-
-
 def cellcx_to_json(c):
     return {"base": complex_to_json(c.boundary),
             "strata": [{"cells": [_cell_to_json(x) for x in st.cells]}

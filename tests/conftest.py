@@ -1,21 +1,30 @@
 import pytest
 
 from relcell import (
+    Cell,
     CellComplex,
     CellComplexError,
     CellComplexMorphism,
     DeltaComplex,
     Factorizer,
+    InvariantError,
     SimplicialMap,
     Stratum,
     body,
     boundary_complex,
+    compose,
     coproduct,
+    enumerate_homs,
+    identity_map,
     inclusion_map,
+    normalize,
+    pushforward_complex,
     standard_simplex,
+    u_of_complex,
 )
-from relcell.cli import builtin_fixtures
+from relcell import jsonio
 from relcell.delta import _lift_kernel, boundary_keys
+from relcell.gen import rand_complex, rand_map_from
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +92,99 @@ def fold_map():
     return SimplicialMap(two, pt, {s: "0" for s in two.id_set})
 
 
-def law_fixtures():
-    """The built-in law-check corpus (named, in a fixed order)."""
-    return builtin_fixtures()
+def stratum_to_json(st):
+    """A stratum as JSON: its boundary and its cells, as a cell complex
+    writes them.  Strata are written, not read."""
+    return {"boundary": jsonio.complex_to_json(st.boundary),
+            "cells": [jsonio._cell_to_json(c) for c in st.cells]}
+
+
+# -- seeded generators that only the tests draw from ------------------------
+
+
+def rand_images(rng, boundary, max_cell_dim=2):
+    """A random attaching map into ``boundary`` (shape dim <= max_cell_dim),
+    as its shape dimension and image tuple.
+
+    Falls back to dimension 0, which always admits a (unique, empty) map.
+    """
+    dims = list(range(min(max_cell_dim, boundary.max_dim + 1), -1, -1))
+    rng.shuffle(dims)
+    for k in dims + [0]:
+        homs = enumerate_homs(boundary_complex(k), boundary, limit=24)
+        if homs:
+            attach = rng.choice(homs).assign
+            return k, tuple(map(attach.__getitem__, boundary_keys(k)))
+    raise InvariantError("unreachable: dimension 0 always admits a map")
+
+
+def rand_stratum(rng, prefix="c"):
+    """A random stratum of 1 to 3 cells, of shape dimension <= 2, on a
+    random complex."""
+    boundary = rand_complex(rng, 2)
+    cells = []
+    for i in range(rng.randint(1, 3)):
+        cells.append(Cell(f"{prefix}{i}", *rand_images(rng, boundary, 2)))
+    return Stratum(boundary, cells)
+
+
+def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
+    """A random proper connected complex with at most ``max_cells`` cells,
+    named ``prefix`` and a number, with trailing ``'`` while that names a
+    simplex already there (a prefix such as ``"0."`` can spell a base id)."""
+    base = rand_complex(rng, max_dim)
+    strata = []
+    current = base
+    for i in range(rng.randint(0, max_cells)):
+        k, images = rand_images(rng, current, max_dim)
+        cid = f"{prefix}{i}"
+        while cid in current:
+            cid += "'"
+        st = Stratum(current, [Cell(cid, k, images)])
+        strata.append(st)
+        current = body(st)
+    return normalize(base, strata)
+
+
+def rand_complex_morphism(rng):
+    """A random complex morphism: pushforward along a random quotient."""
+    c = rand_cell_complex(rng, max_cells=4)
+    g = rand_map_from(rng, c.boundary)
+    _, m = pushforward_complex(c, g)
+    return m
+
+
+def shuffled_strata(rng, c):
+    """A connected stratum sequence with the same cells as c but cells
+    pushed to random later stages (generally improper)."""
+    placed = []
+    stage_of = {}
+    for _, cell in c.all_cells():
+        lo = 0
+        for t in cell.images:
+            if t in stage_of:
+                lo = max(lo, stage_of[t] + 1)
+        s = lo + rng.randint(0, 2)
+        stage_of[cell.id] = s
+        placed.append((s, cell))
+    placed.sort(key=lambda t: (t[0], t[1].id))
+    strata = []
+    current = c.boundary
+    for stage in sorted({s for s, _ in placed}):
+        st = Stratum(current, [cl for s, cl in placed if s == stage],
+                     validate=False)
+        strata.append(st)
+        current = body(st)
+    return strata
+
+
+def rand_transpose_square(rng, c):
+    """A commuting square (g0, h): U(c) -> f for a random target map f."""
+    h = rand_map_from(rng, c.body)
+    if rng.random() < 0.5:
+        f = compose(h, u_of_complex(c))
+        return f, identity_map(c.boundary), h
+    return h, u_of_complex(c), h
 
 
 def mec_partition_composite(a, b):

@@ -31,12 +31,16 @@ from relcell import (
     u_of_morphism,
 )
 from relcell import gen, jsonio
-from relcell.cli import main
+from relcell.cli import builtin_fixtures, main
 from conftest import (
     boundary_inclusion,
     cx,
-    law_fixtures,
     mec_partition_composite,
+    rand_cell_complex,
+    rand_complex_morphism,
+    rand_stratum,
+    rand_transpose_square,
+    shuffled_strata,
 )
 
 
@@ -73,7 +77,7 @@ def test_criterion_1_free_factorization_golden_instance():
 def test_criterion_2_awfs_law_suite():
     fz = Factorizer()
     failures = []
-    for i, (name, f) in enumerate(law_fixtures()):
+    for i, (name, f) in enumerate(builtin_fixtures()):
         rng = random.Random(1000 + i)
         squares = [gen.rand_nat_square(rng, f) for _ in range(5)]
         rep = check_awfs_laws(f, squares, factorizer=fz)
@@ -90,12 +94,12 @@ def test_criterion_3_pullback_lemmas():
     rng = random.Random(2026)
     total, good = 0, 0
     for _ in range(100):  # a stratum pushed along a random quotient
-        st = gen.rand_stratum(rng)
+        st = rand_stratum(rng)
         m = pushforward_complex(cx(st), gen.rand_map_from(rng, st.boundary))[1]
         total += 1
         good += is_pullback(u_of_morphism(m))
     for _ in range(100):
-        m = gen.rand_complex_morphism(rng)
+        m = rand_complex_morphism(rng)
         total += 1
         good += is_pullback(u_of_morphism(m))
     report(3, good == total == 200,
@@ -119,7 +123,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         return len(set(seen.values())) == len(seen)
 
     for _ in range(30):  # strata colimits (spans): 30 diagrams
-        s0 = gen.rand_stratum(rng)
+        s0 = rand_stratum(rng)
         c = cx(s0)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
         m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
@@ -133,7 +137,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         checked += 1
         good += bij_over(got, exp_legs[0], bodies[0].id_set)
     for _ in range(30):  # strata equalisers of parallel pushforward pairs
-        s0 = gen.rand_stratum(rng)
+        s0 = rand_stratum(rng)
         m = pushforward_complex(cx(s0),
                                 gen.rand_map_from(rng, s0.boundary))[1]
         e, _ = cellcx_equaliser(m, m)
@@ -142,7 +146,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         checked += 1
         good += (e.body == eb)
     for _ in range(25):  # cell-complex colimits + properness revalidation
-        c = gen.rand_cell_complex(rng, max_cells=3)
+        c = rand_cell_complex(rng, max_cells=3)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
         m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
         out, legs = cellcx_colimit([c, m1.cod, m2.cod],
@@ -156,7 +160,7 @@ def test_criterion_4_colimit_equaliser_preservation():
         checked += 1
         good += bij_over(got, exp_legs[0], bodies[0].id_set)
     for _ in range(25):  # cell-complex equalisers
-        c = gen.rand_cell_complex(rng, max_cells=3)
+        c = rand_cell_complex(rng, max_cells=3)
         m = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
         e, _ = cellcx_equaliser(m, m)
         eb, _ = delta_equaliser(u_of_morphism(m).bottom,
@@ -172,8 +176,8 @@ def test_criterion_5_normal_form_and_stacking():
     rng = random.Random(2028)
     checked, good = 0, 0
     for _ in range(100):
-        c = gen.rand_cell_complex(rng, max_cells=5)
-        sh = gen.shuffled_strata(rng, c)
+        c = rand_cell_complex(rng, max_cells=5)
+        sh = shuffled_strata(rng, c)
         n1 = normalize(c.boundary, sh)
         checked += 1
         good += (normalize(n1.boundary, n1.strata) == n1
@@ -182,7 +186,7 @@ def test_criterion_5_normal_form_and_stacking():
     from test_cellcx import build_on
     triples = 0
     for _ in range(50):
-        a = gen.rand_cell_complex(rng, max_cells=3, prefix="a")
+        a = rand_cell_complex(rng, max_cells=3, prefix="a")
         b = build_on(rng, a.body, 2, "b")
         d = build_on(rng, b.body, 2, "d")
         assoc = (compose_complexes(compose_complexes(a, b), d)
@@ -200,8 +204,8 @@ def test_criterion_6_adjunction():
     rng = random.Random(2029)
     good = 0
     for _ in range(100):
-        c = gen.rand_cell_complex(rng, max_dim=1, max_cells=3)
-        f, g0, h = gen.rand_transpose_square(rng, c)
+        c = rand_cell_complex(rng, max_dim=1, max_cells=3)
+        f, g0, h = rand_transpose_square(rng, c)
         fr = fz.k(f)
         m = transpose(c, g0, h, fr)
         good += (m.f0 == g0 and compose(fr.ef, m.body_map) == h)
@@ -210,11 +214,11 @@ def test_criterion_6_adjunction():
     tried = 0
     rng = random.Random(2030)
     while tried < 15:
-        c = gen.rand_cell_complex(rng, max_dim=1, max_cells=3)
+        c = rand_cell_complex(rng, max_dim=1, max_cells=3)
         if not 1 <= len(list(c.all_cells())) <= 3:
             continue
         tried += 1
-        f, g0, h = gen.rand_transpose_square(rng, c)
+        f, g0, h = rand_transpose_square(rng, c)
         fr = fz.k(f)
         expected = transpose(c, g0, h, fr)
         unique += (exhaustive_transposes(c, g0, h, fr)
@@ -230,7 +234,7 @@ def test_criterion_7_coalgebra_round_trip():
     rng = random.Random(2031)
     good = 0
     for _ in range(100):
-        c = gen.rand_cell_complex(rng, max_dim=2, max_cells=6)
+        c = rand_cell_complex(rng, max_dim=2, max_cells=6)
         fr = fz.k(u_of_complex(c))
         alpha = coalgebra_structure(c, fz)
         round_trip = decode(u_of_complex(c), alpha, fr) == c

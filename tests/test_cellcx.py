@@ -39,7 +39,8 @@ from relcell import (
     u_of_morphism,
 )
 from relcell import cellcx, gen
-from conftest import mec_partition_composite, morphism
+from conftest import (mec_partition_composite, morphism, rand_cell_complex,
+                      rand_complex_morphism, rand_images, shuffled_strata)
 
 
 def point_cell_complex():
@@ -121,8 +122,8 @@ class TestNormalForm:
     def test_idempotent_and_u_invariant(self):
         rng = random.Random(61)
         for _ in range(25):
-            c = gen.rand_cell_complex(rng, max_cells=5)
-            sh = gen.shuffled_strata(rng, c)
+            c = rand_cell_complex(rng, max_cells=5)
+            sh = shuffled_strata(rng, c)
             n1 = normalize(c.boundary, sh)
             assert normalize(n1.boundary, n1.strata) == n1
             assert u_of_complex(n1) == u_of_complex(c)
@@ -148,15 +149,15 @@ class TestComposition:
     def test_matches_mec_partition_oracle(self):
         rng = random.Random(67)
         for _ in range(25):
-            a = gen.rand_cell_complex(rng, max_cells=4, prefix="a")
-            b = gen.rand_cell_complex(rng, max_cells=0)
+            a = rand_cell_complex(rng, max_cells=4, prefix="a")
+            b = rand_cell_complex(rng, max_cells=0)
             b = build_on(rng, a.body, 3, "b")
             assert compose_complexes(a, b) == mec_partition_composite(a, b)
 
     def test_associativity_on_the_nose(self):
         rng = random.Random(71)
         for _ in range(15):
-            a = gen.rand_cell_complex(rng, max_cells=3, prefix="a")
+            a = rand_cell_complex(rng, max_cells=3, prefix="a")
             b = build_on(rng, a.body, 2, "b")
             c = build_on(rng, b.body, 2, "c")
             left = compose_complexes(compose_complexes(a, b), c)
@@ -173,8 +174,8 @@ class TestComposition:
         rng = random.Random(73)
         for _ in range(10):
             base = gen.rand_complex(rng, max_dim=1)
-            k1, a1 = gen.rand_images(rng, base, 1)
-            k2, a2 = gen.rand_images(rng, base, 1)
+            k1, a1 = rand_images(rng, base, 1)
+            k2, a2 = rand_images(rng, base, 1)
             c1, c2 = Cell("s", k1, a1), Cell("t", k2, a2)
             joint = assemble(base, [c1, c2])
             seq1 = assemble(base, [c1])
@@ -190,7 +191,7 @@ def build_on(rng, base, max_cells, prefix):
     strata = []
     current = base
     for i in range(rng.randint(0, max_cells)):
-        k, images = gen.rand_images(rng, current, 2)
+        k, images = rand_images(rng, current, 2)
         st = Stratum(current, [Cell(f"{prefix}{i}", k, images)])
         strata.append(st)
         current = st_body(st)
@@ -213,13 +214,13 @@ class TestMorphisms:
     def test_pullback_lemma(self):
         rng = random.Random(79)
         for _ in range(40):
-            m = gen.rand_complex_morphism(rng)
+            m = rand_complex_morphism(rng)
             assert is_pullback(u_of_morphism(m))
 
     def test_compose_morphisms(self):
         rng = random.Random(83)
         for _ in range(10):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
             _, m2 = pushforward_complex(
                 m1.cod, gen.rand_map_from(rng, m1.cod.boundary))
@@ -302,7 +303,7 @@ class TestMorphisms:
 
         rng = random.Random(151)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
             _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
             _, legs = cellcx_colimit([c, m1.cod, m2.cod],
@@ -319,11 +320,11 @@ class TestMorphisms:
         rng = random.Random(157)
         verdicts = []
         for _ in range(30):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             lower = CellComplex(c.boundary,
                                 c.strata[:rng.randint(0, c.height)])
             _, (j0, _) = cellcx_coproduct([c, c])
-            for m in (gen.rand_complex_morphism(rng), identity_morphism(c),
+            for m in (rand_complex_morphism(rng), identity_morphism(c),
                       CellComplexMorphism(lower, c,
                                           inclusion_map(lower.body, c.body)),
                       j0):
@@ -345,7 +346,7 @@ class TestHorizontalComposition:
     def test_u_image_formula(self):
         rng = random.Random(89)
         for _ in range(10):
-            a = gen.rand_cell_complex(rng, max_cells=3, prefix="a")
+            a = rand_cell_complex(rng, max_cells=3, prefix="a")
             b = build_on(rng, a.body, 2, "b")
             g = gen.rand_map_from(rng, a.boundary)
             _, phi = pushforward_complex(a, g)
@@ -378,7 +379,7 @@ class TestPushforward:
     def test_complex_of_its_inclusion(self):
         rng = random.Random(107)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng)
+            c = rand_cell_complex(rng)
             assert complex_of(c.boundary, c.body) == c
 
     def test_loop_example(self):
@@ -391,7 +392,7 @@ class TestPushforward:
     def test_underlying_map_is_pushout(self):
         rng = random.Random(97)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             g = gen.rand_map_from(rng, c.boundary)
             out, m = pushforward_complex(c, g)
             p, px, py = pushout(u_of_complex(c), g)
@@ -415,7 +416,7 @@ class TestColimitsAndEqualisers:
 
     def test_equaliser_of_self(self):
         rng = random.Random(101)
-        c = gen.rand_cell_complex(rng, max_cells=3)
+        c = rand_cell_complex(rng, max_cells=3)
         _, m = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
         e, inc = cellcx_equaliser(m, m)
         assert e == c
@@ -434,7 +435,7 @@ class TestColimitsAndEqualisers:
         from relcell.delta import colimit as delta_colimit
         rng = random.Random(103)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng, max_cells=3)
+            c = rand_cell_complex(rng, max_cells=3)
             _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
             _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
             out, legs = cellcx_colimit([c, m1.cod, m2.cod],
@@ -463,7 +464,7 @@ class TestImageProperty:
         # that composing the stage inclusions gives the underlying map
         rng = random.Random(109)
         for _ in range(10):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             u = identity_map(c.boundary)
             acc = c.boundary
             for n in range(c.height):

@@ -26,7 +26,7 @@ from relcell import (
 )
 from relcell.cli import main
 from relcell import cli, jsonio
-from conftest import boundary_inclusion, fold_map
+from conftest import boundary_inclusion, fold_map, rand_cell_complex
 
 
 @pytest.fixture
@@ -129,6 +129,12 @@ class TestFactor:
         path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
         code, _, _ = run_cli(capsys, "factor", path, "--cap", "0")
         assert code == 2
+
+    def test_bad_cap_message(self, files, capsys):
+        _, write = files
+        path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
+        assert run_cli(capsys, "factor", path, "--cap", "0") == \
+            (2, "", "error: --cap must be >= 1\n")
 
 
 def _factor_argv(mutate):
@@ -249,16 +255,47 @@ _FILE_ARGS = {"factor": 1, "compose": 2, "normalize": 1, "pushout": 2,
               "lift": 4, "check": 1, "export-dot": 1}
 
 
+# hostile files: each one's content (None: no file there; "directory": a
+# directory), and a fragment of its error line where that line is the
+# same on every Python; an integer literal past the interpreter's digit
+# limit is a load error where the limit holds, and a schema error where not
+_HOSTILE_FILES = {
+    "nested-too-deeply": (b"[" * 200_000, "JSON nested too deeply"),
+    "4301-digit-integer": (b"[" + b"1" * 4301 + b"]", ""),
+    "negative-5000-digit-integer": (b"-" + b"7" * 5000, ""),
+    "utf-8-bom": (b"\xef\xbb\xbf{}", "invalid JSON"),
+    "invalid-utf-8": (b'{"dom": "\xff"}', "cannot decode text"),
+    "lone-surrogate-id": (b'{"dom": {"simplices": {"0": ["\\ud800"]}}, '
+                          b'"cod": {"simplices": {}}, '
+                          b'"assign": {"0": {"\\ud800": "\\ud800"}}}', ""),
+    "nan": (b"NaN", ""),
+    "empty": (b"", "invalid JSON"),
+    "directory": ("directory", os.strerror(errno.EISDIR)),
+    "missing": (None, os.strerror(errno.ENOENT)),
+}
+
+
 @pytest.mark.parametrize("command", sorted(_FILE_ARGS))
-def test_deeply_nested_json_exit_2(capsys, tmp_path, command):
-    """JSON nested past the parser's recursion limit is an input error."""
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 200_000)
-    code, _, err = run_cli(capsys, command,
-                           *[str(deep)] * _FILE_ARGS[command])
-    assert code == 2
-    assert err.startswith("error: ") and "nested too deeply" in err
-    assert "Traceback" not in err
+def test_deeply_nested_json_exit_2(files, capsys, command):
+    """Every hostile file in ``_HOSTILE_FILES``, JSON nested past the
+    parser's limit first, at every file argument of ``command``, with
+    accepted files at the others, is an input error naming its path:
+    exit 2 and one error line, with no traceback."""
+    tmp_path, write = files
+    accepted = _accepted_inputs(write, command)
+    assert len(accepted) == _FILE_ARGS[command]
+    for name, (content, fragment) in _HOSTILE_FILES.items():
+        path = tmp_path / name
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        for i in range(len(accepted)):
+            argv = [*accepted[:i], str(path), *accepted[i + 1:]]
+            code, _, err = run_cli(capsys, command, *argv)
+            assert code == 2, (name, i, err)
+            assert err.startswith(f"error: {path}: ") and fragment in err
+            assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def _accepted_inputs(write, command):
@@ -524,9 +561,8 @@ def test_exit_codes_on_random_json(command, data):
 class TestComposeNormalizePushout:
     def test_normalize_idempotent_bytes(self, files, capsys, tmp_path):
         import random
-        from relcell import gen
         rng = random.Random(199)
-        c = gen.rand_cell_complex(rng, max_cells=4)
+        c = rand_cell_complex(rng, max_cells=4)
         payload = jsonio.cellcx_to_json(c)
         cells = [e for entry in payload["strata"] for e in entry["cells"]]
         payload["strata"] = [{"cells": cells[::-1]}]
@@ -560,6 +596,15 @@ class TestComposeNormalizePushout:
         d = trivial_complex(standard_simplex(0))
         q = write("d.json", jsonio.cellcx_to_json(d))
         assert run_cli(capsys, "compose", p, q)[0] == 2
+
+    def test_pushout_of_legs_from_two_domains_exit_2(self, files, capsys):
+        # the inputs do not fit together: an input error with no path
+        _, write = files
+        pf = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
+        pg = write("g.json", jsonio.map_to_json(
+            identity_map(standard_simplex(0))))
+        assert run_cli(capsys, "pushout", pf, pg) == \
+            (2, "", "error: pushout legs must share a domain\n")
 
     def test_pushout(self, files, capsys, tmp_path):
         _, write = files

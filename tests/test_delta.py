@@ -35,7 +35,7 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import MAX_DIM
-from conftest import attach_map, boundary_lifts
+from conftest import attach_map, boundary_lifts, rand_cell_complex
 
 
 def brute_homs(dom, cod):
@@ -609,7 +609,7 @@ class TestFiltration:
     def test_mec_of_proper_complex_cells(self):
         rng = random.Random(23)
         for _ in range(20):
-            c = gen.rand_cell_complex(rng, max_cells=5)
+            c = rand_cell_complex(rng, max_cells=5)
             for n, cell in c.all_cells():
                 lifted = attach_map(cell.dim, cell.images, c.body)
                 assert mec(lifted, c.filtration) == n

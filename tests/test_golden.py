@@ -57,7 +57,8 @@ from relcell import (
 from relcell.cli import main
 
 from conftest import (
-    boundary_inclusion, boundary_lifts, cx, images_of, stratum_of)
+    boundary_inclusion, boundary_lifts, cx, images_of, rand_cell_complex,
+    rand_stratum, stratum_of, stratum_to_json)
 
 # sha256 of (stdout + --out file) of ``factor --format json`` for the first
 # ten criterion-8 maps (gen.rand_map(rng, max_dim=3) at seed 2032)
@@ -126,9 +127,9 @@ def _writer_inputs(write):
     f = gen.rand_map(rng, max_dim=2)
     fr = free_complex(f)
     kf = jsonio.cellcx_to_json(fr.kf)
-    a = gen.rand_cell_complex(rng, max_cells=4, prefix="a")
+    a = rand_cell_complex(rng, max_cells=4, prefix="a")
     b = free_complex(gen.rand_map_from(rng, a.body)).kf
-    shuffled = jsonio.cellcx_to_json(gen.rand_cell_complex(rng, max_cells=4))
+    shuffled = jsonio.cellcx_to_json(rand_cell_complex(rng, max_cells=4))
     cells = [c for st in shuffled["strata"] for c in st["cells"]]
     shuffled["strata"] = [{"cells": cells[::-1]}]
     return {
@@ -232,7 +233,7 @@ FREE_FILLER_DIGEST = \
 COMULT_MULT_DIGEST = \
     "2b3fe5a120410dd188f3cfb50f8541b9826f739d1a5992efc310cb4fa6b08458"
 # sha256 of the sorted cell assignment ``unit(c).p`` for 20
-# ``gen.rand_cell_complex(rng, max_cells=4)`` at seed 131
+# ``rand_cell_complex(rng, max_cells=4)`` at seed 131
 UNIT_DIGEST = \
     "5a4facea097c326dae1e7857e12fed1369fb9b4aee6d6d7904743114dc36d09d"
 
@@ -263,7 +264,7 @@ def test_comonad_comult_and_monad_mult():
 
 def test_unit_cell_assignments():
     rng = random.Random(131)
-    rows = [sorted(unit(gen.rand_cell_complex(rng, max_cells=4),
+    rows = [sorted(unit(rand_cell_complex(rng, max_cells=4),
                         Factorizer()).p.items())
             for _ in range(20)]
     assert _sha(repr(rows).encode()) == UNIT_DIGEST
@@ -407,12 +408,12 @@ def _derived_outputs():
     rng = random.Random(2035)
     rows = {name: [] for name in DERIVED_DIGESTS}
     for _ in range(25):
-        c = gen.rand_cell_complex(rng)
+        c = rand_cell_complex(rng)
         out, m = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
         rows["pushforward_complex"].append(
             [jsonio.cellcx_to_json(out), _morphism_json(m)])
     for _ in range(25):
-        c = gen.rand_cell_complex(rng)
+        c = rand_cell_complex(rng)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
         m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))[1]
         out, legs = cellcx_colimit([c, m1.cod, m2.cod],
@@ -420,30 +421,30 @@ def _derived_outputs():
         rows["cellcx_colimit"].append(
             [jsonio.cellcx_to_json(out)] + [_morphism_json(m) for m in legs])
     for _ in range(25):
-        c = gen.rand_cell_complex(rng)
+        c = rand_cell_complex(rng)
         e, incl = cellcx_equaliser(*_parallel_pair(rng, c))
         rows["cellcx_equaliser"].append(
             [jsonio.cellcx_to_json(e), _morphism_json(incl)])
     for _ in range(25):
-        s0 = gen.rand_stratum(rng)
+        s0 = rand_stratum(rng)
         c = cx(s0)
         m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
         m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))[1]
         out, legs = cellcx_colimit([c, m1.cod, m2.cod],
                                    [(0, 1, m1), (0, 2, m2)])
         rows["strata_colimit"].append(
-            [jsonio.stratum_to_json(stratum_of(out))] +
+            [stratum_to_json(stratum_of(out))] +
             [{"boundary": jsonio.map_to_json(m.f0), "cells": m.p}
              for m in legs])
     for _ in range(25):
         e, incl = cellcx_equaliser(
-            *_parallel_strata_pair(rng, gen.rand_stratum(rng)))
+            *_parallel_strata_pair(rng, rand_stratum(rng)))
         rows["strata_equaliser"].append(
-            [jsonio.stratum_to_json(stratum_of(e)),
+            [stratum_to_json(stratum_of(e)),
              {"boundary": jsonio.map_to_json(incl.f0), "cells": incl.p}])
     fz = Factorizer()
     for i in range(20):
-        c = gen.rand_cell_complex(rng) if i % 2 else _subcomplex_complex(rng)
+        c = rand_cell_complex(rng) if i % 2 else _subcomplex_complex(rng)
         f = u_of_complex(c)
         out = decode(f, coalgebra_structure(c, fz), fz.k(f))
         rows["decode"].append(jsonio.cellcx_to_json(out))

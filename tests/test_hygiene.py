@@ -74,6 +74,16 @@ def test_imports_at_module_level():
     assert sorted(nested) == []
 
 
+def test_subcommands_catch_nothing():
+    # ``cli.main`` is the one place where an exception becomes an exit
+    # code; a ``try`` in a subcommand would be a second mapping
+    cmds = [fn for fn in MODULES["cli"].body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    tries = [fn.name for fn in cmds
+             if any(isinstance(node, ast.Try) for node in ast.walk(fn))]
+    assert cmds and tries == []
+
+
 def _calls(tree, name):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name) and node.func.id == name]

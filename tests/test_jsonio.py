@@ -30,7 +30,8 @@ from relcell import (
     u_of_complex,
 )
 from relcell import cellcx, delta, gen, jsonio, lifting, soa, strata
-from conftest import boundary_inclusion, chain_complex, fold_map
+from conftest import (boundary_inclusion, chain_complex, fold_map,
+                      rand_cell_complex)
 
 
 class TestComplexRoundTrip:
@@ -77,12 +78,12 @@ class TestStratumAndComplex:
     def test_cellcx_roundtrip(self):
         rng = random.Random(193)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng, max_cells=5)
+            c = rand_cell_complex(rng, max_cells=5)
             assert jsonio.cellcx_from_json(jsonio.cellcx_to_json(c)) == c
 
     def test_lax_loader_normalizes_improper_input(self):
         rng = random.Random(197)
-        c = gen.rand_cell_complex(rng, max_cells=4)
+        c = rand_cell_complex(rng, max_cells=4)
         payload = jsonio.cellcx_to_json(c)
         # flatten all cells into one pile of strata entries in reverse
         cells = [e for entry in payload["strata"] for e in entry["cells"]]
@@ -453,7 +454,7 @@ def test_text_is_dumps_of_to_json(seed, prefix, suffix):
     f = _renamed_map(gen.rand_map(rng), name)
     fr = free_complex(f)
     values = [x, f, fr, fr.kf, fr.ef,
-              gen.rand_cell_complex(rng, max_cells=4, prefix=prefix),
+              rand_cell_complex(rng, max_cells=4, prefix=prefix),
               {"complex": x, "leg_first": f, "leg_second": fr.ef}]
     for value in values + _edge_values(name):
         assert jsonio.text(value) == _reference(value)

@@ -34,7 +34,8 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import boundary_keys, facet_ids
-from conftest import boundary_inclusion, fold_map
+from conftest import (boundary_inclusion, fold_map, rand_cell_complex,
+                      rand_images)
 
 
 class TestFreeFillers:
@@ -95,7 +96,7 @@ class TestSolver:
     def test_unit_lift_is_coalgebra_structure(self, fz):
         rng = random.Random(163)
         for _ in range(15):
-            c = gen.rand_cell_complex(rng, max_cells=4)
+            c = rand_cell_complex(rng, max_cells=4)
             fr = fz.k(u_of_complex(c))
             d = solve_lifting(c, free_fillers(fr),
                               (u_of_complex(fr.kf), identity_map(c.body)))
@@ -113,8 +114,8 @@ class TestSolver:
     def test_lifts_compose_stagewise(self, fz):
         rng = random.Random(167)
         for _ in range(8):
-            a = gen.rand_cell_complex(rng, max_dim=1, max_cells=3,
-                                      prefix="a")
+            a = rand_cell_complex(rng, max_dim=1, max_cells=3,
+                                  prefix="a")
             b = rand_on(rng, a.body)
             comp = compose_complexes(a, b)
             fr = fz.k(u_of_complex(comp))
@@ -293,7 +294,7 @@ def rand_on(rng, base):
     strata = []
     current = base
     for j in range(rng.randint(1, 2)):
-        k, images = gen.rand_images(rng, current, 1)
+        k, images = rand_images(rng, current, 1)
         st = Stratum(current, [Cell(f"y{j}", k, images)])
         strata.append(st)
         current = st_body(st)
@@ -380,7 +381,7 @@ def _lifting_problems(fz):
         yield fr.kf, fr.ef, (u_of_complex(fr.kf), fr.ef), fr
         yield fr.kf, f, (identity_map(f.dom), fr.ef), None
     for _ in range(8):
-        c = gen.rand_cell_complex(rng, max_cells=5)
+        c = rand_cell_complex(rng, max_cells=5)
         fr = fz.k(u_of_complex(c))
         yield c, fr.ef, (u_of_complex(fr.kf), identity_map(c.body)), fr
 

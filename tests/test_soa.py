@@ -14,8 +14,11 @@ from relcell import (
     CapExceededError,
     Cell,
     CellComplex,
+    CellComplexMorphism,
+    DeltaComplex,
     DeltaError,
     EMPTY,
+    Factorizer,
     InvariantError,
     SimplicialMap,
     Stratum,
@@ -28,11 +31,13 @@ from relcell import (
     compose,
     compose_complexes,
     complex_of,
+    composes_to,
     composite_left_map,
     decode,
     free_complex,
     generator_complex,
     identity_map,
+    is_isomorphism,
     k1_step,
     k_of_square,
     mec,
@@ -49,8 +54,9 @@ from relcell import (
 )
 from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
-from conftest import (attach_map, boundary_inclusion, fold_map,
-                      law_fixtures, morphism)
+from relcell.cli import builtin_fixtures
+from conftest import (attach_map, boundary_inclusion, fold_map, morphism,
+                      rand_cell_complex, rand_images, rand_transpose_square)
 
 
 def oracle_squares(g, prev_ids=None):
@@ -290,7 +296,7 @@ class TestTranspose:
             transpose(trivial_complex(f.dom), identity_map(f.dom), f, broken)
 
     def test_transpose_of_counit_is_identity(self, fz):
-        for _, f in law_fixtures():
+        for _, f in builtin_fixtures():
             fr = fz.k(f)
             m = transpose(fr.kf, identity_map(f.dom), fr.ef, fr)
             assert m.body_map == identity_map(fr.kf.body)
@@ -299,8 +305,8 @@ class TestTranspose:
     def test_counit_reproduces_square(self, fz):
         rng = random.Random(131)
         for _ in range(25):
-            c = gen.rand_cell_complex(rng, max_cells=3)
-            f, g0, h = gen.rand_transpose_square(rng, c)
+            c = rand_cell_complex(rng, max_cells=3)
+            f, g0, h = rand_transpose_square(rng, c)
             m = transpose(c, g0, h, fz.k(f))
             assert m.f0 == g0
             assert compose(fz.k(f).ef, m.body_map) == h
@@ -309,10 +315,10 @@ class TestTranspose:
         rng = random.Random(137)
         checked = 0
         while checked < 8:
-            c = gen.rand_cell_complex(rng, max_dim=1, max_cells=3)
+            c = rand_cell_complex(rng, max_dim=1, max_cells=3)
             if not 1 <= len(list(c.all_cells())) <= 3:
                 continue
-            f, g0, h = gen.rand_transpose_square(rng, c)
+            f, g0, h = rand_transpose_square(rng, c)
             fr = fz.k(f)
             expected = transpose(c, g0, h, fr)
             found = exhaustive_transposes(c, g0, h, fr)
@@ -359,7 +365,7 @@ class TestUnitAndDecode:
     def test_roundtrip_corpus(self, fz):
         rng = random.Random(139)
         for _ in range(25):
-            c = gen.rand_cell_complex(rng, max_cells=5)
+            c = rand_cell_complex(rng, max_cells=5)
             fr = fz.k(u_of_complex(c))
             al = coalgebra_structure(c, fz)
             assert compose(fr.ef, al) == identity_map(c.body)
@@ -387,7 +393,7 @@ class TestUnitAndDecode:
 
 
 class TestLaws:
-    @pytest.mark.parametrize("name,f", law_fixtures())
+    @pytest.mark.parametrize("name,f", builtin_fixtures())
     def test_all_nine_laws(self, fz, name, f):
         rng = random.Random(sum(name.encode()))
         squares = [gen.rand_nat_square(rng, f) for _ in range(5)]
@@ -403,7 +409,7 @@ class TestLaws:
 
     def test_strong_distributivity(self, fz):
         # the unwhiskered form of the distributive-law equation
-        for _, f in law_fixtures()[:3]:
+        for _, f in builtin_fixtures()[:3]:
             fr = fz.k(f)
             fr2 = fz.k(fr.ef)
             mu = monad_mult(f, fz)
@@ -513,7 +519,7 @@ class TestMemoizedStructureMaps:
         monkeypatch.setattr(soa, "compose_complexes", counting_compose)
         fz = soa.Factorizer()
         rng = random.Random(2033)
-        for _, f in law_fixtures():
+        for _, f in builtin_fixtures():
             squares = [gen.rand_nat_square(rng, f) for _ in range(5)]
             assert check_awfs_laws(f, squares, factorizer=fz)["all_pass"]
         assert len(composed) == len(needed) > 0
@@ -524,7 +530,7 @@ class TestMemoizedStructureMaps:
         work = [(f, [gen.rand_nat_square(rng, f),
                      ArrowSquare(top=identity_map(f.dom),
                                  bottom=identity_map(f.cod), left=f, right=f)])
-                for _, f in law_fixtures()]
+                for _, f in builtin_fixtures()]
         gc.collect()
         gc.disable()
         try:
@@ -560,8 +566,8 @@ class TestLeftMapStructures:
     def test_composite_agreement_random(self, fz):
         rng = random.Random(149)
         for _ in range(8):
-            a = gen.rand_cell_complex(rng, max_dim=1, max_cells=3,
-                                      prefix="a")
+            a = rand_cell_complex(rng, max_dim=1, max_cells=3,
+                                  prefix="a")
             b = rand_on_body(rng, a.body)
             lhs = composite_left_map(
                 u_of_complex(a), coalgebra_structure(a, fz),
@@ -582,7 +588,7 @@ class TestLeftMapStructures:
     def test_pushforward_agreement_random(self, fz):
         rng = random.Random(151)
         for _ in range(8):
-            c = gen.rand_cell_complex(rng, max_dim=1, max_cells=3)
+            c = rand_cell_complex(rng, max_dim=1, max_cells=3)
             g = gen.rand_map_from(rng, c.boundary)
             pushed, structure = pushforward_left_map(
                 u_of_complex(c), coalgebra_structure(c, fz), g, fz)
@@ -596,11 +602,67 @@ def rand_on_body(rng, base):
     strata = []
     current = base
     for j in range(rng.randint(1, 2)):
-        k, images = gen.rand_images(rng, current, 1)
+        k, images = rand_images(rng, current, 1)
         st = Stratum(current, [Cell(f"x{j}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)
+
+
+def renaming(x, names):
+    """The bijection from x onto the complex with each id s renamed to
+    ``names[s]``; ``names`` must be one-to-one on x's ids."""
+    name = names.__getitem__
+    y = DeltaComplex({k: map(name, ids) for k, ids in x.simplices.items()},
+                     {name(s): map(name, fs) for s, fs in x.faces.items()})
+    return SimplicialMap(x, y, names)
+
+
+def _shuffled(x, rng):
+    """A seeded permutation of x's own ids."""
+    ids = sorted(x.id_set)
+    return dict(zip(ids, rng.sample(ids, len(ids))))
+
+
+def _numbered(*pool):
+    """New names for x's ids: numbered in sorted order, each after an
+    entry of ``pool``."""
+    return lambda x, rng: {s: f"{pool[i % len(pool)]}{i}"
+                           for i, s in enumerate(sorted(x.id_set))}
+
+
+# how the ids of a map's domain and of its codomain are renamed
+_RENAMINGS = {
+    "seeded": (_shuffled, _shuffled),
+    "hostile": (_numbered("\x00", "%", '"]], [', "\ud800"),
+                _numbered("\udfff", "%s", "\x00%")),
+    "cell-id-shaped": (_numbered("0.", "1.0."), _numbered("0.", "0.0.")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RENAMINGS))
+def test_k_is_equivariant_under_renamings(kind):
+    """K is a functor on renamings: for a renaming (s0, s1): f -> f' of a
+    map, E = K(s0, s1) is an isomorphism Kf -> Kf' over s1, E of the
+    inverse renaming undoes it, and the stage counts agree.  Ids holding
+    NUL, ``%``, JSON punctuation or a lone surrogate, or shaped like the
+    ids a coproduct or a free cell gets, change nothing."""
+    rng, names_rng = random.Random(12), random.Random(13)
+    dom_names, cod_names = _RENAMINGS[kind]
+    fz = Factorizer()
+    for _ in range(6):
+        f = gen.rand_map(rng, max_dim=3)
+        s0 = renaming(f.dom, dom_names(f.dom, names_rng))
+        s1 = renaming(f.cod, cod_names(f.cod, names_rng))
+        g = SimplicialMap(s0.cod, s1.cod, {s0.assign[s]: s1.assign[t]
+                                           for s, t in f.assign.items()})
+        fr, gr = fz.k(f), fz.k(g)
+        e = k_of_square(s0, s1, fr, gr)
+        assert is_isomorphism(CellComplexMorphism(fr.kf, gr.kf, e))
+        assert composes_to(gr.ef, e, compose(s1, fr.ef))
+        back = k_of_square(s0.inverse(), s1.inverse(), gr, fr)
+        assert compose(back, e) == identity_map(fr.kf.body)
+        assert gr.stage_counts == fr.stage_counts
 
 
 class TestTermination:

@@ -41,7 +41,8 @@ from relcell import (
 from relcell import gen
 from relcell.delta import _lift_kernel, boundary_keys, facet_ids
 from relcell.soa import free_complex, k1_step
-from conftest import attach_map, chain_complex, cx, morphism, stratum_of
+from conftest import (attach_map, chain_complex, cx, morphism,
+                      rand_cell_complex, rand_stratum, stratum_of)
 
 
 def loop_stratum():
@@ -78,11 +79,11 @@ def iso_over(x, y, fx, fy):
 
 
 def sample_strata():
-    """Strata with cells of every shape 0..3: from ``gen``, which reads
-    them off maps, and from free factorizations, which glue image tuples
+    """Strata with cells of every shape 0..3: from ``rand_stratum``, which
+    reads them off maps, and from free factorizations, which glue image tuples
     as the lift search yields them."""
     rng = random.Random(17)
-    strata = [gen.rand_stratum(rng) for _ in range(20)]
+    strata = [rand_stratum(rng) for _ in range(20)]
     for _ in range(6):
         strata += free_complex(gen.rand_map(rng, max_dim=3)).kf.strata
     assert {c.dim for st in strata for c in st.cells} == {0, 1, 2, 3}
@@ -261,12 +262,12 @@ def test_every_shape_has_an_accepted_attach():
 class TestBody:
     def test_merge_matches_the_rebuild(self):
         rng = random.Random(29)
-        strata = [gen.rand_stratum(rng, prefix) for prefix in
+        strata = [rand_stratum(rng, prefix) for prefix in
                   ("c", "0", "!", "z") for _ in range(10)]
         for _ in range(6):
             strata += free_complex(gen.rand_map(rng, max_dim=3)).kf.strata
         for _ in range(10):  # cell ids that sort between the base ids
-            strata += gen.rand_cell_complex(rng, prefix="0.1").strata
+            strata += rand_cell_complex(rng, prefix="0.1").strata
         for st in strata:
             got, want = body(st), rebuilt_body(st)
             assert got == want and got.key() == want.key()
@@ -305,7 +306,7 @@ class TestBody:
     def test_matches_generic_pushout_oracle(self):
         rng = random.Random(31)
         for _ in range(15):
-            st = gen.rand_stratum(rng)
+            st = rand_stratum(rng)
             bx = body(st)
             inc = inclusion_map(st.boundary, bx)
             p, _, pb = generic_body_oracle(st)
@@ -336,7 +337,7 @@ class TestBody:
             Stratum(pt, [c, same_id], validate=False)
 
     def test_glued_once_per_stratum(self):
-        st = gen.rand_stratum(random.Random(5))
+        st = rand_stratum(random.Random(5))
         first = body(st)
         assert body(st) is first
 
@@ -381,7 +382,7 @@ class TestMorphisms:
     def test_pullback_lemma(self):
         rng = random.Random(37)
         for _ in range(40):
-            st = gen.rand_stratum(rng)
+            st = rand_stratum(rng)
             _, m = pushforward_complex(cx(st),
                                        gen.rand_map_from(rng, st.boundary))
             assert is_pullback(u_of_morphism(m))
@@ -389,7 +390,7 @@ class TestMorphisms:
     def test_functoriality_of_u(self):
         rng = random.Random(41)
         for _ in range(15):
-            st = gen.rand_stratum(rng)
+            st = rand_stratum(rng)
             _, m1 = pushforward_complex(cx(st),
                                         gen.rand_map_from(rng, st.boundary))
             _, m2 = pushforward_complex(
@@ -404,7 +405,7 @@ class TestMorphisms:
     def test_conservativity_instance(self):
         rng = random.Random(43)
         for _ in range(20):
-            st = gen.rand_stratum(rng)
+            st = rand_stratum(rng)
             _, m = pushforward_complex(cx(st),
                                        gen.rand_map_from(rng, st.boundary))
             sq = u_of_morphism(m)
@@ -423,7 +424,7 @@ class TestPushforward:
     def test_body_commutes_with_pushforward(self):
         rng = random.Random(47)
         for _ in range(15):
-            st = gen.rand_stratum(rng)
+            st = rand_stratum(rng)
             g = gen.rand_map_from(rng, st.boundary)
             bx = body(st)
             inc = inclusion_map(st.boundary, bx)
@@ -463,7 +464,7 @@ class TestColimits:
         from relcell.delta import colimit as delta_colimit
         rng = random.Random(53)
         for _ in range(15):
-            s0 = gen.rand_stratum(rng, prefix="s")
+            s0 = rand_stratum(rng, prefix="s")
             c = cx(s0)
             _, m1 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))
             _, m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))
@@ -482,7 +483,7 @@ class TestColimits:
 class TestEqualiser:
     def test_equaliser_of_identical_pair(self):
         rng = random.Random(59)
-        st = gen.rand_stratum(rng)
+        st = rand_stratum(rng)
         _, m = pushforward_complex(cx(st), gen.rand_map_from(rng, st.boundary))
         e, inc = cellcx_equaliser(m, m)
         assert len(stratum_of(e).cells) == len(st.cells)
@@ -507,7 +508,7 @@ class TestHeightAtMostOne:
         # or equaliser of complexes of height <= 1 has height <= 1
         rng = random.Random(113)
         for _ in range(20):
-            s0 = gen.rand_stratum(rng)
+            s0 = rand_stratum(rng)
             sub = Stratum(s0.boundary, rng.sample(
                 s0.cells, rng.randint(0, len(s0.cells))))
             c = cx(s0)
