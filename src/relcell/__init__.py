@@ -36,7 +36,6 @@ from .delta import (
     top_simplex_id,
 )
 from .strata import (
-    Cell,
     StrataError,
     Stratum,
     body,

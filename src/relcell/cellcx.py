@@ -4,9 +4,10 @@ A cell complex stores only its nonempty strata; the infinite tail of empty
 strata is implicit.  Connectedness means each stratum's boundary is literally
 the body of the previous one; properness means no cell of stage n >= 1
 attaches entirely inside stage n - 1, which is read off the set of the
-cell's ``images``, its attach as an image tuple.  Because glued simplices
-reuse cell ids, every filtration stage is a literal subcomplex of the body
-and "factors through stage n" is a plain containment check.
+``images`` of the cell ``(id, k, images)``, its attach as an image tuple.
+Because glued simplices reuse cell ids, every filtration stage is a literal
+subcomplex of the body and "factors through stage n" is a plain
+containment check.
 
 A derived complex is fixed by its underlying inclusion, base in body:
 ``complex_of`` reads its cells off the body and hands them to ``assemble``,
@@ -32,7 +33,7 @@ from .delta import (
     inclusion_map,
     pushout,
 )
-from .strata import Cell, Stratum, body
+from .strata import _ID, Stratum, body
 
 
 class CellComplexError(DeltaError):
@@ -52,12 +53,14 @@ class CellComplex:
         self.strata = tuple(strata)
         self._stages = (boundary, *map(body, self.strata))
         self._u = None
-        self._cell_stage = {}
+        stage = self._cell_stage = {}
         for n, st in enumerate(self.strata):
-            for c in st.cells:
-                if c.id in self._cell_stage:
-                    raise CellComplexError(f"duplicate cell id {c.id!r}")
-                self._cell_stage[c.id] = n
+            stage.update(dict.fromkeys(st._by_id, n))
+        if len(stage) != sum(len(st.cells) for st in self.strata):
+            seen = set()  # the first id met twice
+            cid = next(c for st in self.strata for c in st._by_id
+                       if c in seen or seen.add(c))
+            raise CellComplexError(f"duplicate cell id {cid!r}")
         if validate:
             self._validate()
 
@@ -71,10 +74,10 @@ class CellComplex:
                     f"stratum {n} is not connected to the previous body")
             if n >= 1:
                 prev = self._stages[n - 1].id_set
-                for c in st.cells:
-                    if prev.issuperset(c.images):
+                for cid, _, images in st.cells:
+                    if prev.issuperset(images):
                         raise CellComplexError(
-                            f"cell {c.id!r} at stage {n} attaches inside "
+                            f"cell {cid!r} at stage {n} attaches inside "
                             f"stage {n - 1}: sequence is improper")
 
     # -- queries -----------------------------------------------------------
@@ -132,7 +135,7 @@ def u_of_complex(c):
 def generator_complex(k):
     """The canonical height-one single-cell complex over the k-th generator."""
     bd = boundary_complex(k)
-    cell = Cell(f"cell{k}", k, boundary_keys(k))  # attached by the identity
+    cell = (f"cell{k}", k, boundary_keys(k))  # attached by the identity
     return CellComplex(bd, (Stratum(bd, [cell], validate=False),),
                        validate=False)
 
@@ -149,23 +152,22 @@ def assemble(boundary, cells):
     fixpoint, and each cell is placed as it is.  Fails if some cell's
     attach references ids that never appear.
     """
-    remaining = sorted(cells, key=lambda c: c.id)
+    remaining = sorted(cells, key=_ID)
     strata = []
     current = boundary
     while remaining:
         ids = current.id_set
-        placeable = [c for c in remaining if ids.issuperset(c.images)]
+        placeable = [c for c in remaining if ids.issuperset(c[2])]
         if not placeable:
             missing = sorted(
-                set().union(*(c.images for c in remaining)) - ids)
+                set().union(*(images for _, _, images in remaining)) - ids)
             raise CellComplexError(
-                f"cells {[c.id for c in remaining]} can never be placed; "
+                f"cells {list(map(_ID, remaining))} can never be placed; "
                 f"unreachable simplices include {missing[:5]}")
         st = Stratum(current, placeable, validate=False)
         strata.append(st)
         current = body(st)
-        placed = {c.id for c in placeable}
-        remaining = [c for c in remaining if c.id not in placed]
+        remaining = [c for c in remaining if c[0] not in st._by_id]
     return CellComplex(boundary, strata, validate=False)
 
 
@@ -174,8 +176,8 @@ def complex_of(base, total):
     ``total``: every other simplex of ``total`` is a cell, attached along
     its faces."""
     return assemble(base, [
-        Cell(s, k, tuple(map(boundary_restriction(total, s).assign.get,
-                             boundary_keys(k))))
+        (s, k, tuple(map(boundary_restriction(total, s).assign.get,
+                         boundary_keys(k))))
         for k, s in total.all_ids() if s not in base])
 
 

@@ -30,7 +30,7 @@ from .delta import (
     boundary_keys,
     composes_to,
 )
-from .strata import Cell, Stratum, body
+from .strata import Stratum, body
 from .cellcx import CellComplex, u_of_complex
 from .lifting import FillerTable, square_key
 from .soa import _CHUNK, FactorResult, _Escapes, cell_index
@@ -185,11 +185,12 @@ def _map(f, quote):
 
 
 def _cell_template(chunk, n):
-    return "".join([_template(c.dim, n, True) for c in chunk])
+    return "".join([_template(k, n, True) for _, k, _ in chunk])
 
 
 def _cell_ids(chunk):
-    return itertools.chain.from_iterable([(*c.images, c.id) for c in chunk])
+    return itertools.chain.from_iterable(
+        [(*images, cid) for cid, _, images in chunk])
 
 
 def _cellcx(c, quote):
@@ -344,8 +345,8 @@ def _map_from_json(obj, dom, cod):
 
 
 def _cell_to_json(c):
-    return {"id": c.id, "dim": c.dim,
-            "attach": dict(zip(boundary_keys(c.dim), c.images))}
+    cid, k, images = c
+    return {"id": cid, "dim": k, "attach": dict(zip(boundary_keys(k), images))}
 
 
 def _cell_from_json(obj):
@@ -362,7 +363,7 @@ def _cell_from_json(obj):
     _expect(attach.keys() == set(keys),
             f"cell {cid!r}: attach is not total on the boundary of the "
             f"standard {k}-simplex")
-    return Cell(cid, k, tuple(map(attach.__getitem__, keys)))
+    return cid, k, tuple(map(attach.__getitem__, keys))
 
 
 def cellcx_to_json(c):

@@ -140,9 +140,8 @@ def solve_lifting(c, ft, square):
         raise DeltaError("lifting square does not commute")
     d_assign = dict(u.assign)
     fill, lifted = ft._fill, d_assign.__getitem__
-    for _, cell in c.all_cells():
-        d_assign[cell.id] = fill(cell.dim, v.assign[cell.id],
-                                 tuple(map(lifted, cell.images)))
+    for _, (cid, k, images) in c.all_cells():
+        d_assign[cid] = fill(k, v.assign[cid], tuple(map(lifted, images)))
     d = SimplicialMap(c.body, p.dom, d_assign)
     if not composes_to(d, i, u):
         raise InvariantError("lift does not restrict to the given map")

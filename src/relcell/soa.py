@@ -42,7 +42,7 @@ from .delta import (
     mediate,
     pushout,
 )
-from .strata import Cell, Stratum, body
+from .strata import Stratum, body
 from .cellcx import (
     CellComplex,
     CellComplexMorphism,
@@ -193,16 +193,16 @@ def k1_step(f, new=None, stage=0, digest=None):
     has new simplices, by one search of ``_lift_kernel(k)`` over all the
     k-simplices of the codomain: each lift arrives with its target and as
     its tuple of images, which is both what the cell id hashes and the
-    cell's attach, glued as it is.  The ids of a shape's lifts are computed
-    together, by ``_cell_ids``.  Returns (stratum, extended
-    codomain map from the stratum's body), which is f itself, with nothing
-    copied, when no cell is glued.  An id glued twice can only be a
-    collision of hashed lifts: InvariantError.
+    cell's attach: the cell is the tuple ``(id, k, images)``.  The ids of
+    a shape's lifts are computed together, by ``_cell_ids``.  Returns
+    (stratum, extended codomain map from the stratum's body), which is f
+    itself, with nothing copied, when no cell is glued.  An id glued twice
+    can only be a collision of hashed lifts: InvariantError.
     """
     if digest is None:
         digest = _map_digest(f)
     a, b = f.dom, f.cod
-    new_dims = None if new is None else {a.dim(s) for s in new}
+    new_dims = None if new is None else set(map(a._dim_of.__getitem__, new))
     cells = []
     glued = {}
     escape = _Escapes().__getitem__  # ids recur across lifts: escape once
@@ -211,15 +211,14 @@ def k1_step(f, new=None, stage=0, digest=None):
             continue
         targets, lifts = _lift_kernel(k)(f, b.ids(k), new)
         ids = _cell_ids(digest, stage, k, targets, lifts, escape)
-        for cid, t, images in zip(ids, targets, lifts):
-            cells.append(Cell(cid, k, images))
-            glued[cid] = t
+        cells += zip(ids, itertools.repeat(k), lifts)
+        glued.update(zip(ids, targets))
     if not cells:
         return Stratum(a, cells, validate=False), f
     e_assign = {**f.assign, **glued}
     if len(e_assign) != len(f.assign) + len(cells):
         seen = set(f.assign)  # the first id met twice
-        cid = next(c.id for c in cells if c.id in seen or seen.add(c.id))
+        cid = next(c for c, _, _ in cells if c in seen or seen.add(c))
         raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
                              f"hashed lifts; internal invariant violated")
     st = Stratum(a, cells, validate=False)
@@ -303,8 +302,7 @@ def transpose(c, g0, h, fr):
     index = fr._over()
     stage_of = fr.kf.stage_of_cell
     for n, st in enumerate(c.strata):
-        for cell in st.cells:
-            y = cell.id
+        for y, _, _ in st.cells:
             key = (ha[y], tuple(map(image, faces.get(y, ()))))
             cid = index.get(key)
             if cid is None:

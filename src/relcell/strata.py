@@ -2,18 +2,17 @@
 
 A stratum is a boundary complex together with a finite set of cells; each
 cell has a shape dimension k and an attaching map from the boundary of the
-standard k-simplex into the stratum's boundary.  A cell stores that map as
-its image tuple: the images of the boundary ids in ``boundary_keys(k)``
-order.  The codomain is the stratum's boundary, so a cell is a plain value
-and ``Stratum`` checks its attach, position by position against a plan
-cached per shape: each image must have its boundary id's dimension and,
-above dimension 0, the images of that id's faces as its faces, which is
-exactly what makes the images a map into the boundary.  No map is built
-per cell.  The body of
-a stratum glues one fresh top simplex per cell onto the boundary, its faces
-read off the image tuple by position; the fresh simplex reuses the cell's
-id, so the boundary is a literal subcomplex of the body.  Strata are
-immutable, so each one glues its body at most once.
+standard k-simplex into the stratum's boundary.  A cell is the plain tuple
+``(id, k, images)``: its attach is stored as the images of the boundary ids
+in ``boundary_keys(k)`` order.  The codomain is the stratum's boundary, so
+``Stratum`` checks each attach, position by position against a plan cached
+per shape: each image must have its boundary id's dimension and, above
+dimension 0, the images of that id's faces as its faces, which is exactly
+what makes the images a map into the boundary.  No map is built per cell.
+The body of a stratum glues one fresh top simplex per cell onto the
+boundary, its faces read off the image tuple by position; the fresh simplex
+reuses the cell's id, so the boundary is a literal subcomplex of the body.
+Strata are immutable, so each one glues its body at most once.
 
 A stratum is a cell complex of height at most one: its morphisms,
 pushforwards, colimits and equalisers are those of ``cellcx``.
@@ -31,31 +30,12 @@ class StrataError(DeltaError):
     pass
 
 
-class Cell:
-    """A cell: its id, shape dimension k and attaching map, as ``images``,
-    the tuple of the images of ``boundary_keys(k)``.  The map is checked
-    by the stratum it attaches to."""
-
-    __slots__ = ("id", "dim", "images")
-
-    def __init__(self, cell_id, dim, images):
-        self.id = cell_id
-        self.dim = dim
-        self.images = images
-
-    def __eq__(self, other):
-        return isinstance(other, Cell) and self.id == other.id and \
-            self.dim == other.dim and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.id, self.dim))
-
-    def __repr__(self):
-        return f"Cell({self.id!r}, dim={self.dim})"
+_ID = operator.itemgetter(0)  # a cell's id
 
 
 class Stratum:
-    """A boundary complex plus a finite ordered set of cells.
+    """A boundary complex plus a finite set of cells, each the tuple
+    ``(id, k, images)``, ordered by id.
 
     With ``validate``, each cell's images must be a map from the boundary
     of the standard simplex of its shape into ``boundary``.  They are
@@ -68,17 +48,17 @@ class Stratum:
 
     def __init__(self, boundary, cells, validate=True):
         self.boundary = boundary
-        self.cells = tuple(sorted(cells, key=operator.attrgetter("id")))
-        self._by_id = {c.id: c for c in self.cells}
+        self.cells = tuple(sorted(cells, key=_ID))
+        self._by_id = {c[0]: c for c in self.cells}
         self._body = None
         if len(self._by_id) != len(self.cells):
             raise StrataError("duplicate cell ids in stratum")
         if validate:
             dim_of, faces = boundary._dim_of.get, boundary.faces
-            for c in self.cells:
-                plan, images = _attach_plan(c.dim), c.images
+            for cid, k, images in self.cells:
+                plan = _attach_plan(k)
                 if len(images) != len(plan):
-                    raise StrataError(f"cell {c.id!r}: {len(images)} "
+                    raise StrataError(f"cell {cid!r}: {len(images)} "
                                       f"images for {len(plan)} boundary ids")
                 for (s, d, get), t in zip(plan, images):
                     if dim_of(t) != d:
@@ -136,14 +116,18 @@ def body(st):
         return st._body
     added = {}
     faces = {}
-    for c in st.cells:
-        added.setdefault(c.dim, []).append(c.id)
-        if c.dim:
-            faces[c.id] = _facets(c.dim)(c.images)
+    k_run = None
+    for cid, k, images in st.cells:
+        if k != k_run:  # a run of one shape: its id list and facet getter
+            k_run, ids = k, added.setdefault(k, [])
+            facets = _facets(k) if k else None
+        ids.append(cid)
+        if k:
+            faces[cid] = facets(images)
     try:
         st._body = st.boundary._extended(added, faces)
     except DeltaError:  # cell ids are distinct: one is a boundary id
-        cid = next(c.id for c in st.cells if c.id in st.boundary)
+        cid = next(c for c, _, _ in st.cells if c in st.boundary)
         raise StrataError(
             f"cell id {cid!r} collides with a boundary simplex") from None
     return st._body

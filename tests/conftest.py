@@ -1,7 +1,6 @@
 import pytest
 
 from relcell import (
-    Cell,
     CellComplex,
     CellComplexError,
     CellComplexMorphism,
@@ -124,7 +123,7 @@ def rand_stratum(rng, prefix="c"):
     boundary = rand_complex(rng, 2)
     cells = []
     for i in range(rng.randint(1, 3)):
-        cells.append(Cell(f"{prefix}{i}", *rand_images(rng, boundary, 2)))
+        cells.append((f"{prefix}{i}", *rand_images(rng, boundary, 2)))
     return Stratum(boundary, cells)
 
 
@@ -140,7 +139,7 @@ def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
         cid = f"{prefix}{i}"
         while cid in current:
             cid += "'"
-        st = Stratum(current, [Cell(cid, k, images)])
+        st = Stratum(current, [(cid, k, images)])
         strata.append(st)
         current = body(st)
     return normalize(base, strata)
@@ -160,14 +159,15 @@ def shuffled_strata(rng, c):
     placed = []
     stage_of = {}
     for _, cell in c.all_cells():
+        cid, _, images = cell
         lo = 0
-        for t in cell.images:
+        for t in images:
             if t in stage_of:
                 lo = max(lo, stage_of[t] + 1)
         s = lo + rng.randint(0, 2)
-        stage_of[cell.id] = s
+        stage_of[cid] = s
         placed.append((s, cell))
-    placed.sort(key=lambda t: (t[0], t[1].id))
+    placed.sort(key=lambda t: (t[0], t[1][0]))
     strata = []
     current = c.boundary
     for stage in sorted({s for s, _ in placed}):
@@ -199,9 +199,9 @@ def mec_partition_composite(a, b):
     n = 0
     while n < a.height or pending:
         cells = list(a.strata[n].cells) if n < a.height else []
-        here = [c for c in pending if set(c.images) <= current.id_set]
-        here_ids = {c.id for c in here}
-        pending = [c for c in pending if c.id not in here_ids]
+        here = [c for c in pending if set(c[2]) <= current.id_set]
+        here_ids = {cid for cid, _, _ in here}
+        pending = [c for c in pending if c[0] not in here_ids]
         cells.extend(here)
         if not cells:
             if pending and n < a.height:

@@ -53,7 +53,7 @@ def report(num, ok, detail):
 def test_criterion_1_free_factorization_golden_instance():
     f = boundary_inclusion(1)
     fr = free_complex(f)
-    dims = [sorted(c.dim for c in st.cells) for st in fr.kf.strata]
+    dims = [sorted(k for _, k, _ in st.cells) for st in fr.kf.strata]
     body = fr.kf.body
     ok = (fr.kf.height == 2
           and dims == [[0, 0, 1], [1, 1, 1]]
@@ -64,7 +64,7 @@ def test_criterion_1_free_factorization_golden_instance():
     g, prev = f, None
     for n, st in enumerate(fr.kf.strata):
         squares = oracle_squares(g, prev)
-        ok = ok and sorted((c.dim, fr.ef.assign[c.id]) for c in st.cells) \
+        ok = ok and sorted((k, fr.ef.assign[cid]) for cid, k, _ in st.cells) \
             == sorted((k, t) for k, t, _ in squares)
         prev = g.dom.id_set
         stage = fr.kf.filtration[n + 1]
@@ -303,12 +303,12 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     bad.write_text("{oops")
     okays.append(run("factor", str(bad))[0] == 2)         # input error
     okays.append(run("factor", f1, "--cap", "1")[0] == 3)  # budget
-    from relcell import Cell, CellComplex, Stratum, FillerTable, square_key
+    from relcell import CellComplex, Stratum, FillerTable, square_key
     from relcell.delta import coproduct
     two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
     pt = standard_simplex(0)
     fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
-    c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+    c = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
     pc = write("c.json", jsonio.cellcx_to_json(c))
     pu = write("u.json", jsonio.map_to_json(SimplicialMap(EMPTY, two, {})))
     pv = write("v.json", jsonio.map_to_json(

@@ -578,9 +578,9 @@ class TestComposeNormalizePushout:
         assert jsonio.cellcx_from_json(json.loads(out1.read_text())) == c
 
     def test_compose(self, files, capsys, tmp_path):
-        from relcell import Cell, CellComplex, Stratum
-        a = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
-        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, ("v", "v"))])])
+        from relcell import CellComplex, Stratum
+        a = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
+        b = CellComplex(a.body, [Stratum(a.body, [("e", 1, ("v", "v"))])])
         _, write = files
         pa = write("a.json", jsonio.cellcx_to_json(a))
         pb = write("b.json", jsonio.cellcx_to_json(b))
@@ -625,11 +625,11 @@ class TestComposeNormalizePushout:
 class TestLift:
     @staticmethod
     def _fixture(write):
-        from relcell import Cell, CellComplex, Stratum, coproduct
+        from relcell import CellComplex, Stratum, coproduct
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)
         fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
-        c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+        c = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
         pc = write("c.json", jsonio.cellcx_to_json(c))
         pu = write("u.json", jsonio.map_to_json(
             SimplicialMap(EMPTY, two, {})))

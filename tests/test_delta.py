@@ -610,8 +610,8 @@ class TestFiltration:
         rng = random.Random(23)
         for _ in range(20):
             c = rand_cell_complex(rng, max_cells=5)
-            for n, cell in c.all_cells():
-                lifted = attach_map(cell.dim, cell.images, c.body)
+            for n, (_, k, images) in c.all_cells():
+                lifted = attach_map(k, images, c.body)
                 assert mec(lifted, c.filtration) == n
 
 

@@ -15,7 +15,6 @@ import random
 
 from relcell import (
     EMPTY,
-    Cell,
     CellComplex,
     CellComplexMorphism,
     DeltaComplex,
@@ -400,7 +399,7 @@ def _subcomplex_complex(rng):
     simplices of the ambient complex, each attached along its faces."""
     y = gen.rand_complex(rng)
     x = gen.rand_subcomplex(rng, y)
-    return assemble(x, [Cell(s, k, images_of(boundary_restriction(y, s)))
+    return assemble(x, [(s, k, images_of(boundary_restriction(y, s)))
                         for k, s in y.all_ids() if s not in x])
 
 

@@ -237,9 +237,9 @@ class TestFactorAndFillers:
         back = jsonio.factor_result_from_json(
             json.loads(jsonio.text(fr)))
         assert back._cells_over is not None
-        for _, cell in back.kf.all_cells():
-            faces = back.kf.body.faces_of(cell.id)
-            assert back.cell_over(back.ef.assign[cell.id], faces) == cell.id
+        for _, (cid, _, _) in back.kf.all_cells():
+            faces = back.kf.body.faces_of(cid)
+            assert back.cell_over(back.ef.assign[cid], faces) == cid
         square = (u_of_complex(back.kf), back.ef)
         assert solve_lifting(back.kf, free_fillers(back), square) == \
             identity_map(back.kf.body)
@@ -501,7 +501,7 @@ def test_text_of_grades_at_chunk_sizes(n, affix):
     x = _renamed_complex(DeltaComplex({0: ["a", "b"], 1: edges},
                                       dict.fromkeys(edges, ("b", "a"))), name)
     points = _renamed_complex(DeltaComplex({0: ["a", "b"]}), name)
-    cells = [strata.Cell(name(s), 1, (name("b"), name("a"))) for s in edges]
+    cells = [(name(s), 1, (name("b"), name("a"))) for s in edges]
     c = CellComplex(points, [Stratum(points, cells)])
     assert len(x.ids(1)) == len(c.strata[0].cells) == n
     for value in (x, identity_map(x), c):
@@ -519,9 +519,9 @@ def test_text_of_a_stratum_whose_shape_changes_at_a_chunk(affix):
         {0: ["a", "b"], 1: ["e", "l"]}, {"e": ("b", "a"), "l": ("a", "a")}),
         name)
     dims = [1] * _CHUNK + [0] * (_CHUNK - 1) + [2] * 2
-    cells = [strata.Cell(name(f"c{i:04d}"), k, tuple(
+    cells = [(name(f"c{i:04d}"), k, tuple(
         name("a" if len(key) == 1 else "l") for key in delta.boundary_keys(k)))
         for i, k in enumerate(dims)]
     c = CellComplex(base, [Stratum(base, cells)])
-    assert [cell.dim for cell in c.strata[0].cells] == dims
+    assert [k for _, k, _ in c.strata[0].cells] == dims
     _check_text(c)

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from relcell import (
-    Cell,
     CellComplex,
     DeltaError,
     EMPTY,
@@ -45,8 +44,7 @@ class TestFreeFillers:
         ft = free_fillers(fr)
         u = SimplicialMap(EMPTY, fr.kf.body, {})
         e = ft.filler(u, "0")
-        assert e == next(cid for _, cid in
-                         ((n, c.id) for n, c in fr.kf.all_cells()))
+        assert e == next(cid for _, (cid, _, _) in fr.kf.all_cells())
 
     def test_stage_selection_by_mec(self, fz):
         f = boundary_inclusion(1)
@@ -58,8 +56,8 @@ class TestFreeFillers:
         e0 = ft.filler(u0, "01")
         assert fr.kf.stage_of_cell(e0) == 0
         # one fresh vertex: stage-1 cell
-        fresh = next(c.id for c in fr.kf.strata[0].cells if c.dim == 0
-                     and fr.ef.assign[c.id] == "1")
+        fresh = next(cid for cid, k, _ in fr.kf.strata[0].cells if k == 0
+                     and fr.ef.assign[cid] == "1")
         u1 = SimplicialMap(bd, fr.kf.body, {"0": "0", "1": fresh})
         e1 = ft.filler(u1, "01")
         assert fr.kf.stage_of_cell(e1) == 1
@@ -75,7 +73,7 @@ class TestSolver:
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])
         pt = standard_simplex(0)
         fold = SimplicialMap(two, pt, {s: "0" for s in two.id_set})
-        c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+        c = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
         for target, expected in (("0.0", "0.0"), ("1.0", "1.0")):
             ft = FillerTable(fold, {square_key(0, "0", {}): target},
                              fallback="fail")
@@ -131,7 +129,7 @@ class TestSolver:
     def test_order_independence_within_stratum(self, fz):
         rng = random.Random(173)
         pt = standard_simplex(0)
-        cells = [Cell(f"l{i}", 1, ("0", "0")) for i in range(3)]
+        cells = [(f"l{i}", 1, ("0", "0")) for i in range(3)]
         for _ in range(4):
             perm = cells[:]
             rng.shuffle(perm)
@@ -146,7 +144,7 @@ class TestSolver:
         pt = standard_simplex(0)
         d1 = standard_simplex(1)
         p = SimplicialMap(pt, d1, {"0": "0"})
-        c = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
+        c = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
         ft = FillerTable(p, fallback="search")
         with pytest.raises(LiftError) as exc:
             solve_lifting(c, ft, (SimplicialMap(EMPTY, pt, {}),
@@ -179,8 +177,8 @@ class TestSolver:
         d = solve_lifting(c, FillerTable(fr.ef, chooser=chooser),
                           (u_of_complex(c), fr.ef))
         assert d == identity_map(c.body)
-        assert calls == [(fr.ef.assign[cell.id], c.body.faces_of(cell.id))
-                         for _, cell in c.all_cells()]
+        assert calls == [(fr.ef.assign[cid], c.body.faces_of(cid))
+                         for _, (cid, _, _) in c.all_cells()]
 
     @pytest.mark.parametrize("u, target, message", [
         (SimplicialMap(EMPTY, standard_simplex(1), {}), "01",
@@ -295,7 +293,7 @@ def rand_on(rng, base):
     current = base
     for j in range(rng.randint(1, 2)):
         k, images = rand_images(rng, current, 1)
-        st = Stratum(current, [Cell(f"y{j}", k, images)])
+        st = Stratum(current, [(f"y{j}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)
@@ -348,11 +346,11 @@ def reference_solve(c, ft, square):
     if compose(p, u) != compose(v, i):
         raise DeltaError("lifting square does not commute")
     d_assign = dict(u.assign)
-    for _, cell in c.all_cells():
-        w = SimplicialMap(boundary_complex(cell.dim), p.dom,
+    for _, (cid, k, images) in c.all_cells():
+        w = SimplicialMap(boundary_complex(k), p.dom,
                           {s: d_assign[t] for s, t in
-                           zip(boundary_keys(cell.dim), cell.images)})
-        d_assign[cell.id] = reference_filler(ft, w, v.assign[cell.id])
+                           zip(boundary_keys(k), images)})
+        d_assign[cid] = reference_filler(ft, w, v.assign[cid])
     d = SimplicialMap(c.body, p.dom, d_assign)
     if compose(d, i) != u:
         raise InvariantError("lift does not restrict to the given map")
@@ -397,11 +395,10 @@ def _tables(rng, c, p, square, fr):
     d = _outcome(reference_solve, c, search, square)
     if not isinstance(d, tuple) and c.cell_ids:
         entries = {}
-        for _, cell in c.all_cells():
-            lift = {s: d.assign[t] for s, t in
-                    zip(boundary_keys(cell.dim), cell.images)}
-            key = square_key(cell.dim, square[1].assign[cell.id], lift)
-            entries[key] = d.assign[cell.id]
+        for _, (cid, k, images) in c.all_cells():
+            lift = {s: d.assign[t] for s, t in zip(boundary_keys(k), images)}
+            key = square_key(k, square[1].assign[cid], lift)
+            entries[key] = d.assign[cid]
         yield FillerTable(p, entries, fallback="fail")
         corrupt = dict(entries)
         key = rng.choice(sorted(corrupt))

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from relcell import (
     ArrowSquare,
     CapExceededError,
-    Cell,
     CellComplex,
     CellComplexMorphism,
     DeltaComplex,
@@ -89,18 +88,18 @@ class TestK1Step:
     def test_empty_to_point(self):
         f = SimplicialMap(EMPTY, standard_simplex(0), {})
         st, e1 = k1_step(f)
-        assert [c.dim for c in st.cells] == [0]
+        assert [k for _, k, _ in st.cells] == [0]
         assert set(e1.assign.values()) == {"0"}
 
     def test_boundary_one(self):
         f = boundary_inclusion(1)
         st, e1 = k1_step(f)
-        assert sorted(c.dim for c in st.cells) == [0, 0, 1]
+        assert sorted(k for _, k, _ in st.cells) == [0, 0, 1]
 
     def test_identity_on_point_glues_before_filtering(self):
         f = identity_map(standard_simplex(0))
         st, _ = k1_step(f)
-        assert [c.dim for c in st.cells] == [0]
+        assert [k for _, k, _ in st.cells] == [0]
 
     def test_matches_square_oracle(self):
         """Every stage of ``free_complex``, and the empty stage after the
@@ -116,9 +115,9 @@ class TestK1Step:
                 g = SimplicialMap(stage, f.cod,
                                   {s: fr.ef.assign[s] for s in stage.id_set})
                 glued = [] if n == fr.kf.height else [
-                    (c.dim, fr.ef.assign[c.id],
-                     tuple(sorted(zip(boundary_keys(c.dim), c.images))))
-                    for c in fr.kf.strata[n].cells]
+                    (k, fr.ef.assign[cid],
+                     tuple(sorted(zip(boundary_keys(k), images))))
+                    for cid, k, images in fr.kf.strata[n].cells]
                 assert sorted(glued) == sorted(oracle_squares(g, prev))
                 prev = stage.id_set
 
@@ -126,7 +125,7 @@ class TestK1Step:
         # the search recurses once per facet, not once per simplex
         st, _ = k1_step(boundary_inclusion(9))
         assert len(st.cells) == 2 ** 10 - 1
-        assert sorted(c.dim for c in st.cells) == sorted(
+        assert sorted(k for _, k, _ in st.cells) == sorted(
             k for k in range(10) for _ in itertools.combinations(range(10),
                                                                   k + 1))
 
@@ -136,8 +135,8 @@ class TestFreeComplex:
         f = boundary_inclusion(1)
         fr = free_complex(f)
         assert fr.kf.height == 2
-        assert sorted(c.dim for c in fr.kf.strata[0].cells) == [0, 0, 1]
-        assert sorted(c.dim for c in fr.kf.strata[1].cells) == [1, 1, 1]
+        assert sorted(k for _, k, _ in fr.kf.strata[0].cells) == [0, 0, 1]
+        assert sorted(k for _, k, _ in fr.kf.strata[1].cells) == [1, 1, 1]
         assert (len(fr.kf.body.ids(0)), len(fr.kf.body.ids(1))) == (4, 4)
         assert compose(fr.ef, u_of_complex(fr.kf)) == f
         # replay the stage-by-stage construction with the oracle
@@ -145,8 +144,8 @@ class TestFreeComplex:
         prev = None
         for st in fr.kf.strata:
             squares = oracle_squares(g, prev)
-            assert sorted((c.dim, fr.ef.assign[c.id])
-                          for c in st.cells) == \
+            assert sorted((k, fr.ef.assign[cid])
+                          for cid, k, _ in st.cells) == \
                 sorted((k, t) for k, t, _ in squares)
             prev = g.dom.id_set
             g = SimplicialMap(fr.kf.filtration[fr.kf.strata.index(st) + 1],
@@ -184,9 +183,9 @@ class TestFreeComplex:
         rng = random.Random(2032)
         for _ in range(10):
             fr = free_complex(gen.rand_map(rng, max_dim=2))
-            for _, cell in fr.kf.all_cells():
-                faces = fr.kf.body.faces_of(cell.id)
-                assert fr.cell_over(fr.ef.assign[cell.id], faces) == cell.id
+            for _, (cid, _, _) in fr.kf.all_cells():
+                faces = fr.kf.body.faces_of(cid)
+                assert fr.cell_over(fr.ef.assign[cid], faces) == cid
 
     def test_cell_over_raises_without_a_cell(self):
         fr = free_complex(boundary_inclusion(1))
@@ -210,17 +209,17 @@ class TestFreeComplex:
         cells = [c for _, c in fr.kf.all_cells()]
         assert len(cells) >= 100 and len(made) <= fr.kf.height
         monkeypatch.undo()
-        c = cells[-1]
-        assert attach_map(c.dim, c.images, fr.kf.body) == \
-            boundary_restriction(fr.kf.body, c.id)
+        cid, k, images = cells[-1]
+        assert attach_map(k, images, fr.kf.body) == \
+            boundary_restriction(fr.kf.body, cid)
 
     def test_properness_mec_exactly_stage(self):
         rng = random.Random(127)
         for _ in range(15):
             f = gen.rand_map(rng, max_dim=2)
             fr = free_complex(f)
-            for n, cell in fr.kf.all_cells():
-                lifted = attach_map(cell.dim, cell.images, fr.kf.body)
+            for n, (_, k, images) in fr.kf.all_cells():
+                lifted = attach_map(k, images, fr.kf.body)
                 assert mec(lifted, fr.kf.filtration) == n
 
 
@@ -236,15 +235,15 @@ class TestTranspose:
         m = transpose(c, identity_map(c.boundary), h, fr)
         cid = m.p["cell1"]
         assert fr.kf.stage_of_cell(cid) == 0
-        assert fr.kf.cell(cid).dim == 1
+        assert fr.kf.cell(cid)[1] == 1
 
     def test_free_cell_at_another_stage_raises(self):
         # an improper complex: its stage-1 edge attaches inside stage 0, so
         # the free cell over it is glued at stage 0
         pt = standard_simplex(0)
-        v = Stratum(pt, [Cell("v", 0, ())])
+        v = Stratum(pt, [("v", 0, ())])
         bv = body(v)
-        e = Stratum(bv, [Cell("e", 1, ("0", "0"))])
+        e = Stratum(bv, [("e", 1, ("0", "0"))])
         c = CellComplex(pt, [v, e], validate=False)
         fr = free_complex(u_of_complex(c))
         with pytest.raises(InvariantError, match="not at stage 1"):
@@ -330,13 +329,13 @@ def exhaustive_transposes(c, g0, h, fr):
     """All morphisms c -> Kf over g0 whose body composes with ef to h."""
     cells = [(n, cl) for n, cl in c.all_cells()]
     pools = []
-    for n, cl in cells:
-        pool = [x.id for m, x in fr.kf.all_cells()
-                if m == n and x.dim == cl.dim]
+    for n, (_, k, _) in cells:
+        pool = [x for m, (x, dim, _) in fr.kf.all_cells()
+                if m == n and dim == k]
         pools.append(pool)
     results = []
     for combo in itertools.product(*pools):
-        p = {cl.id: t for (_, cl), t in zip(cells, combo)}
+        p = {cl[0]: t for (_, cl), t in zip(cells, combo)}
         try:
             m = morphism(c, fr.kf, g0, p)
         except Exception:
@@ -555,8 +554,8 @@ class TestLeftMapStructures:
             compose_complexes(c, trivial_complex(c.body)), fz)
 
     def test_composite_agreement_zero_then_one_cell(self, fz):
-        a = CellComplex(EMPTY, [Stratum(EMPTY, [Cell("v", 0, ())])])
-        b = CellComplex(a.body, [Stratum(a.body, [Cell("e", 1, ("v", "v"))])])
+        a = CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])])
+        b = CellComplex(a.body, [Stratum(a.body, [("e", 1, ("v", "v"))])])
         alpha = coalgebra_structure(a, fz)
         beta = coalgebra_structure(b, fz)
         out = composite_left_map(u_of_complex(a), alpha,
@@ -576,7 +575,7 @@ class TestLeftMapStructures:
 
     def test_pushforward_agreement_loop(self, fz):
         b1 = boundary_complex(1)
-        c = CellComplex(b1, [Stratum(b1, [Cell("e", 1, ("0", "1"))])])
+        c = CellComplex(b1, [Stratum(b1, [("e", 1, ("0", "1"))])])
         g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
         alpha = coalgebra_structure(c, fz)
         pushed, structure = pushforward_left_map(u_of_complex(c), alpha,
@@ -603,7 +602,7 @@ def rand_on_body(rng, base):
     current = base
     for j in range(rng.randint(1, 2)):
         k, images = rand_images(rng, current, 1)
-        st = Stratum(current, [Cell(f"x{j}", k, images)])
+        st = Stratum(current, [(f"x{j}", k, images)])
         strata.append(st)
         current = st_body(st)
     return normalize(base, strata)
