@@ -48,7 +48,7 @@ _PALETTE = ("black", "firebrick", "royalblue", "forestgreen", "darkorange",
 
 def _load(path, loader):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return loader(json.load(fh))
     except OSError as err:
         raise _InputError(f"{path}: {err.strerror or err}") from err

@@ -432,17 +432,21 @@ def boundary_keys(k):
 @functools.lru_cache(maxsize=None)
 def _face_steps(k):
     """Steps ``(s, parent, i)`` that reach every simplex s of dimension
-    < k - 1 of the standard k-simplex as face i of a parent reached before
-    it, starting from the facets."""
+    < k - 1 of the standard k-simplex as face i of a parent, dimension by
+    dimension downwards and in id order within one.  The parent is one of
+    the facets d_0..d_(k-1), or of the parents of earlier steps, if s is
+    a face of one, else s's first parent: ``_lift_kernel`` holds the face
+    tuples of exactly these, so it fetches one more per new parent."""
     delta = standard_simplex(k)
-    done = set(facet_ids(k))
+    held = set(facet_ids(k)[:-1])
     steps = []
-    for m in range(k - 1, 0, -1):
-        for sid in delta.ids(m):
-            for i, s in enumerate(delta.faces_of(sid)):
-                if s not in done:
-                    done.add(s)
-                    steps.append((s, sid, i))
+    for m in range(k - 2, -1, -1):
+        for s in delta.ids(m):
+            parents = [(p, delta.faces[p].index(s)) for p in delta.ids(m + 1)
+                       if s in delta.faces[p]]
+            p, i = next((pi for pi in parents if pi[0] in held), parents[0])
+            held.add(p)
+            steps.append((s, p, i))
     return tuple(steps)
 
 
@@ -556,8 +560,9 @@ def _lift_kernel(k):
     fixed by x_0..x_(j-1).  ``search`` runs, for each target in turn, one
     loop per facet over the candidates ``f.prefix_index(k - 1)`` gives for
     its target and those faces, then reads every lower simplex off the
-    faces of x_0..x_(k-1) in straight-line code: a simplex of codimension
-    >= 2 omits some vertex i < k, so it lies in facet x_i.  With ``new`` (a
+    faces of x_0..x_(k-1) in straight-line code, by the steps of
+    ``_face_steps(k)``: a simplex of codimension >= 2 omits some vertex
+    i < k, so it lies in facet x_i.  With ``new`` (a
     set of domain ids), only lifts with some facet in ``new`` are kept:
     when no earlier facet is new, x_k is drawn from ``new`` alone, so no
     other lift is built.  Lifts come target by target, in the order given,
@@ -566,7 +571,6 @@ def _lift_kernel(k):
     it has no facet, so it is never proper.  The source is generated from k
     alone; ids only ever reach it as arguments.
     """
-    bd = boundary_complex(k)
     if k == 0:
         return lambda f, targets, new: (
             (list(targets), [()] * len(targets)) if new is None else ([], []))
@@ -603,18 +607,14 @@ def _lift_kernel(k):
               f"{pad}if not n{k - 1}:",
               f"{pad} cands = [x for x in cands if x in new]",
               f"{pad}if cands:"]
-    # each lower simplex is face i of a parent whose face tuple is held,
-    # else of its first parent, whose tuple is then fetched once
-    for m in range(k - 2, -1, -1):
-        for s in bd.ids(m):
-            parents = [(p, bd.faces[p].index(s)) for p in bd.ids(m + 1)
-                       if s in bd.faces[p]]
-            p, i = ([pi for pi in parents if pi[0] in tuples] or parents)[0]
-            if p not in tuples:
-                tuples[p] = f"g{len(tuples)}"
-                lines.append(f"{pad} {tuples[p]} = faces[{image[p]}]")
-            image[s] = f"y{len(image)}"
-            lines.append(f"{pad} {image[s]} = {tuples[p]}[{i}]")
+    # each lower simplex is face i of its parent in ``_face_steps``, whose
+    # face tuple is fetched the first time it is a parent
+    for s, p, i in _face_steps(k):
+        if p not in tuples:
+            tuples[p] = f"g{len(tuples)}"
+            lines.append(f"{pad} {tuples[p]} = faces[{image[p]}]")
+        image[s] = f"y{len(image)}"
+        lines.append(f"{pad} {image[s]} = {tuples[p]}[{i}]")
     slots = "".join(image[s] + ", " for s in boundary_keys(k))
     lines += [f"{pad} for x{k} in cands:",
               f"{pad}  add(({slots}))",

@@ -272,13 +272,9 @@ def complex_to_json(x):
     return {"simplices": simplices}
 
 
-def complex_from_json(obj):
-    return _complex_from_json(obj, None)
-
-
-def _complex_from_json(obj, twin):
+def complex_from_json(obj, twin=None):
     """The complex ``obj`` holds: ``twin``, a validated complex, if equal;
-    else validated, raising what ``complex_from_json`` raises."""
+    else validated."""
     _expect(isinstance(obj, dict) and
             isinstance(obj.get("simplices"), dict),
             "complex JSON must be an object with a 'simplices' object")
@@ -317,16 +313,14 @@ def map_to_json(f):
             "assign": assign}
 
 
-def map_from_json(obj):
-    return _map_from_json(obj, None, None)
-
-
-def _map_from_json(obj, dom, cod):
+def map_from_json(obj, dom=None, cod=None):
+    """The map ``obj`` holds; its endpoints are ``dom`` and ``cod`` where
+    equal to them (see ``complex_from_json``)."""
     _expect(isinstance(obj, dict) and
             {"dom", "cod", "assign"} <= set(obj),
             "map JSON must carry dom, cod, and assign")
-    dom = _complex_from_json(obj["dom"], dom)
-    cod = _complex_from_json(obj["cod"], cod)
+    dom = complex_from_json(obj["dom"], dom)
+    cod = complex_from_json(obj["cod"], cod)
     _expect(isinstance(obj["assign"], dict),
             "map JSON 'assign' must be an object")
     assign = {}
@@ -377,7 +371,7 @@ def _complex_parts(obj, twin=None):
     from complex JSON whose containers, not cells, are checked here."""
     _expect(isinstance(obj, dict) and {"base", "strata"} <= set(obj),
             "complex JSON must carry base and strata")
-    base = _complex_from_json(obj["base"], twin)
+    base = complex_from_json(obj["base"], twin)
     _expect_list(obj["strata"], "strata")
     for entry in obj["strata"]:
         _expect(isinstance(entry, dict) and "cells" in entry,
@@ -401,12 +395,9 @@ def cellcx_cells_from_json(obj):
     return base, cells
 
 
-def cellcx_from_json(obj):
-    """Strict loader: rebuilds the complex stage by stage and revalidates."""
-    return _cellcx_from_json(obj, None)
-
-
-def _cellcx_from_json(obj, twin):
+def cellcx_from_json(obj, twin=None):
+    """Strict loader: rebuilds the complex stage by stage and revalidates;
+    the base is ``twin`` where equal to it."""
     base, entries = _complex_parts(obj, twin)
     strata = []
     current = base
@@ -433,8 +424,8 @@ def factor_result_from_json(obj):
             "factorization JSON must carry input, complex, ef, stage_counts")
     f = map_from_json(obj["input"])
     # the base, ef.dom and ef.cod repeat f.dom, kf.body and f.cod
-    kf = _cellcx_from_json(obj["complex"], f.dom)
-    ef = _map_from_json(obj["ef"], kf.body, f.cod)
+    kf = cellcx_from_json(obj["complex"], f.dom)
+    ef = map_from_json(obj["ef"], kf.body, f.cod)
     counts = obj["stage_counts"]
     _expect(isinstance(counts, list) and
             all(type(n) is int for n in counts),
@@ -456,8 +447,9 @@ def factor_result_from_json(obj):
 
 
 def filler_table_to_json(ft):
-    if ft.chooser is not None:
-        raise DeltaError("chooser-backed filler tables are not serializable")
+    if callable(ft.fallback):
+        raise DeltaError("a filler table with a callable fallback is not "
+                         "serializable")
     entries = []
     for (dim, target, items) in sorted(ft.entries):
         entries.append({"dim": dim, "boundary": dict(items),
@@ -482,6 +474,8 @@ def filler_table_from_json(obj):
                 _strings((e["target"], e["filler"])),
                 "an entry needs an integer dim, a boundary object from ids "
                 "to ids, and string target and filler")
-        entries[square_key(e["dim"], e["target"], e["boundary"])] = \
-            e["filler"]
+        key = square_key(e["dim"], e["target"], e["boundary"])
+        _expect(key not in entries,
+                f"two entries for one square over {e['target']!r}")
+        entries[key] = e["filler"]
     return FillerTable(p, entries, obj["fallback"])

@@ -2,11 +2,11 @@
 
 A filler table for a map p: E -> B answers generating lifting problems:
 given a k-simplex b of B and a boundary lift u into E commuting with p, it
-returns a k-simplex of E with faces u and image b.  Tables are explicit
-(finite key -> filler dictionaries), search-based (deterministic
-lexicographic first fit), or backed by a chooser function; the free
-factorization provides a canonical chooser that looks each free cell up by
-its target and faces.
+returns a k-simplex of E with faces u and image b.  A table holds explicit
+entries (finite key -> filler dictionaries) and, for every other square, a
+fallback: search (deterministic lexicographic first fit), fail, or a
+function of the target and faces; the free factorization's fallback looks
+each free cell up by its target and faces.
 
 The solver extends a lift over a cell complex one stratum at a time; cells
 within a stratum attach only to the stratum boundary, so the extension
@@ -19,12 +19,11 @@ from .delta import (
     DeltaError,
     InvariantError,
     SimplicialMap,
+    _lift_kernel,
     boundary_complex,
     boundary_keys,
-    boundary_restriction,
     compose,
     composes_to,
-    enumerate_homs,
 )
 from .strata import _facets
 from .cellcx import u_of_complex
@@ -51,22 +50,21 @@ def _key(dim, target, images):
 class FillerTable:
     """A choice of filler for generating lifting squares into ``p``.
 
-    ``entries`` maps square keys to simplex ids; ``fallback`` is "search"
-    (first valid filler in lexicographic order) or "fail".  A ``chooser``
-    callable ``chooser(target, faces)``, given the facets that fix the
-    boundary lift, takes precedence over the fallback.  Every filler a
-    table returns is validated against both equations.
+    ``entries`` maps square keys to simplex ids.  A square without an
+    entry goes to ``fallback``: "search" (first valid filler in
+    lexicographic order), "fail", or a callable ``fallback(target,
+    faces)``, given the facets that fix the boundary lift.  Every filler
+    an entry or a callable gives is validated against both equations.
     """
 
-    __slots__ = ("p", "entries", "fallback", "chooser")
+    __slots__ = ("p", "entries", "fallback")
 
-    def __init__(self, p, entries=None, fallback="search", chooser=None):
-        if fallback not in ("search", "fail"):
+    def __init__(self, p, entries=None, fallback="search"):
+        if not callable(fallback) and fallback not in ("search", "fail"):
             raise DeltaError(f"unknown fallback {fallback!r}")
         self.p = p
         self.entries = dict(entries or {})
         self.fallback = fallback
-        self.chooser = chooser
 
     def _fill(self, dim, target, images):
         """The validated filler over the ``dim``-simplex ``target`` of the
@@ -76,17 +74,17 @@ class FillerTable:
         key = _key(dim, target, images) if self.entries else None
         if key in self.entries:
             e = self.entries[key]
-        elif self.chooser is not None:
-            e = self.chooser(target, faces)
         elif self.fallback == "search":
             found = self.p.prefix_index(dim).get((target, faces))
             if found:
                 return found[0]
             raise LiftError(f"no filler exists for target {target!r}",
                             _key(dim, target, images))
-        else:
+        elif self.fallback == "fail":
             raise LiftError(f"no table entry for target {target!r}",
                             _key(dim, target, images))
+        else:
+            e = self.fallback(target, faces)
         dom = self.p.dom
         if e not in dom or dom.dim(e) != dim:
             problem = f"is not a {dim}-simplex of the domain"
@@ -118,7 +116,7 @@ def free_fillers(fr):
     """The canonical filler table of the free factorization's right leg:
     the free cell glued over the target with the boundary lift's facets
     (``fr.cell_over``) fills each square; total by construction."""
-    return FillerTable(fr.ef, chooser=fr.cell_over)
+    return FillerTable(fr.ef, fallback=fr.cell_over)
 
 
 def solve_lifting(c, ft, square):
@@ -151,45 +149,43 @@ def solve_lifting(c, ft, square):
 
 
 def verify_fillers(ft, sample_budget=None):
-    """Check filler equations on declared entries and enumerated squares.
+    """Check filler equations on declared entries and on generating squares.
 
-    Explicit entries are checked first; then generating squares into p are
-    enumerated (dimension by dimension, up to ``sample_budget`` squares)
-    and the table is queried on each.  Returns a report with the number of
-    squares checked and a list of failures (square key and reason).
+    Explicit entries are checked first, in ascending key order, each
+    through ``filler``, whose checks reject a malformed one.  Then every
+    other generating square into p is checked, up to ``sample_budget``
+    squares in all: target by target, dimension by dimension, the boundary
+    lifts that ``_lift_kernel`` finds for the target, in ascending
+    ``square_key`` order.  Returns a report with the number of squares
+    checked and a list of failures (square key and reason).
     """
     p = ft.p
     failures = []
-    seen = set()
-    checked = 0
 
-    def try_square(key, u=None):
-        nonlocal checked
-        if key in seen:
-            return
-        seen.add(key)
-        checked += 1
-        dim, target, items = key
-        try:  # an entry's u is built here, so a malformed entry fails too
-            if u is None:
-                u = SimplicialMap(boundary_complex(dim), p.dom, dict(items),
-                                  validate=False)
-            ft.filler(u, target)
+    def check(key, fill, *args):
+        try:
+            fill(*args)
         except DeltaError as err:
             failures.append({"square": key, "reason": str(err)})
 
-    for key in sorted(ft.entries):
-        try_square(key)
+    def entry(dim, target, items):  # u is built here: a malformed entry fails
+        ft.filler(SimplicialMap(boundary_complex(dim), p.dom, dict(items),
+                                validate=False), target)
 
-    squares = ((k, b, u) for k in range(p.cod.max_dim + 1)
+    for key in sorted(ft.entries):
+        check(key, entry, *key)
+    checked = len(ft.entries)
+    squares = ((k, b, images) for k in range(p.cod.max_dim + 1)
                for b in sorted(p.cod.ids(k))
-               for u in enumerate_homs(boundary_complex(k), p.dom, post=(
-                   p, boundary_restriction(p.cod, b))))
+               for images in sorted(_lift_kernel(k)(p, (b,), None)[1]))
     done = False
-    for k, b, u in squares:
+    for k, b, images in squares:
         if sample_budget is not None and checked >= sample_budget:
             done = True
             break
-        try_square(square_key(k, b, u.assign), u)
+        key = _key(k, b, images)
+        if key not in ft.entries:
+            checked += 1
+            check(key, ft._fill, k, b, images)
     return {"checked": checked, "failures": failures,
             "ok": not failures, "truncated": done}

@@ -672,6 +672,20 @@ class TestLift:
                                pu, pv)
         assert code == 2 and "unknown fallback" in err
 
+    def test_one_square_twice_exit_2(self, files, capsys):
+        """A table that enters one square twice is an input error, not a
+        lift that depends on the order of its entries."""
+        _, write = files
+        fold, pc, pu, pv = self._fixture(write)
+        obj = jsonio.filler_table_to_json(FillerTable(fold, fallback="fail"))
+        for fillers in (("0.0", "1.0"), ("1.0", "0.0")):
+            obj["entries"] = [{"dim": 0, "boundary": {}, "target": "0",
+                               "filler": e} for e in fillers]
+            pt_ = write("t.json", obj)
+            assert run_cli(capsys, "lift", pc, pt_, pu, pv) == (
+                2, "", f"error: {pt_}: two entries for one square over "
+                       f"'0'\n")
+
     def test_square_endpoints_mismatch_exit_2(self, files, capsys):
         _, write = files
         fold, pc, pu, _ = self._fixture(write)
@@ -807,6 +821,21 @@ def test_export_dot_unencodable_stdout_exit_2(tmp_path, vertex):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: standard output: cannot encode ")
     assert "Traceback" not in proc.stderr
+
+
+def test_input_read_as_utf_8_in_any_locale(tmp_path):
+    """A file is read as UTF-8 under the C locale too, where ``open``
+    would decode by ASCII.  In a child process, for its locale."""
+    path = tmp_path / "c.json"
+    path.write_bytes('{"base": {"simplices": {"0": ["\u00e9"]}}, '
+                     '"strata": []}'.encode("utf-8"))
+    out = tmp_path / "n.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "relcell.cli", "normalize", str(path),
+         "--out", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert '"\\u00e9"' in out.read_text()
 
 
 def test_console_entry_point(tmp_path):

@@ -11,9 +11,9 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relcell"
-MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p))
+MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
            for p in sorted(PACKAGE.glob("*.py"))}
-TESTS = {p.stem: ast.parse(p.read_text(), filename=str(p))
+TESTS = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
          for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
@@ -147,3 +147,20 @@ def test_strata_builds_no_map():
     calls = [node.lineno for node in ast.walk(MODULES["strata"])
              if isinstance(node, ast.Call) and names_map(node.func)]
     assert calls == []
+
+
+def test_one_boundary_lift_search():
+    # ``delta._lift_kernel`` is the one search for the boundary lifts of a
+    # shape: the factorization's stage and the filler audit call it, and
+    # no module but ``delta`` reaches ``enumerate_homs``
+    homs = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+            if name not in ("delta", "__init__")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "enumerate_homs"
+            or isinstance(node, ast.alias) and node.name == "enumerate_homs"]
+    kernel = sorted(f"{name}.{fn.name}" for name, tree in MODULES.items()
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _calls(fn, "_lift_kernel"))
+    assert homs == []
+    assert kernel == ["lifting.verify_fillers", "soa.k1_step"]

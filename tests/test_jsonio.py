@@ -286,6 +286,17 @@ class TestFactorAndFillers:
         assert back.entries == ft.entries
         assert back.fallback == ft.fallback
 
+    def test_filler_table_with_one_square_twice_rejected(self):
+        """Two entries for one square are an error, whatever their order,
+        not a table that keeps the last."""
+        obj = jsonio.filler_table_to_json(FillerTable(fold_map()))
+        entry = {"dim": 0, "boundary": {}, "target": "0"}
+        for fillers in (("0.0", "1.0"), ("1.0", "0.0")):
+            obj["entries"] = [dict(entry, filler=e) for e in fillers]
+            with pytest.raises(DeltaError,
+                               match="two entries for one square over '0'"):
+                jsonio.filler_table_from_json(obj)
+
     def test_chooser_tables_not_serializable(self):
         fr = free_complex(boundary_inclusion(1))
         with pytest.raises(DeltaError):

@@ -15,11 +15,13 @@ from relcell import (
     SimplicialMap,
     Stratum,
     boundary_complex,
+    boundary_restriction,
     coalgebra_structure,
     comonad_comult,
     compose,
     compose_complexes,
     coproduct,
+    enumerate_homs,
     free_complex,
     free_fillers,
     identity_map,
@@ -151,15 +153,15 @@ class TestSolver:
                                   SimplicialMap(c.body, d1, {"v": "1"})))
         assert exc.value.square == square_key(0, "1", {})
 
-    @pytest.mark.parametrize("entries, fallback, chooser", [
-        ({square_key(0, "0", {}): "nope"}, "search", None),  # bad entry
-        ({}, "fail", None),                                  # no entry
-        ({}, "fail", lambda target, faces: "0"),             # bad choice
+    @pytest.mark.parametrize("entries, fallback", [
+        ({square_key(0, "0", {}): "nope"}, "search"),  # bad entry
+        ({}, "fail"),                                  # no entry
+        ({}, lambda target, faces: "0"),               # bad choice
     ])
-    def test_filler_errors_report_square(self, entries, fallback, chooser):
+    def test_filler_errors_report_square(self, entries, fallback):
         """The key that is built only on demand still names the square."""
         fold = fold_map()
-        ft = FillerTable(fold, entries, fallback, chooser)
+        ft = FillerTable(fold, entries, fallback)
         u = SimplicialMap(EMPTY, fold.dom, {})
         with pytest.raises(LiftError) as exc:
             ft.filler(u, "0")
@@ -174,7 +176,7 @@ class TestSolver:
             return fr.cell_over(target, faces)
 
         c = fr.kf
-        d = solve_lifting(c, FillerTable(fr.ef, chooser=chooser),
+        d = solve_lifting(c, FillerTable(fr.ef, fallback=chooser),
                           (u_of_complex(c), fr.ef))
         assert d == identity_map(c.body)
         assert calls == [(fr.ef.assign[cid], c.body.faces_of(cid))
@@ -279,6 +281,19 @@ class TestVerify:
         rep = verify_fillers(free_fillers(fr), sample_budget=3)
         assert rep["checked"] == 3 and rep["truncated"]
 
+    def test_squares_checked_in_ascending_key_order(self):
+        """The audit checks the squares of ``enumerate_homs`` (the oracle),
+        each once, in ascending ``square_key`` order, not in its order."""
+        p = free_complex(boundary_inclusion(2)).ef
+        rep = verify_fillers(FillerTable(p, fallback="fail"))
+        got = [f["square"] for f in rep["failures"]]
+        oracle = [square_key(k, b, u.assign) for k, b in p.cod.all_ids()
+                  for u in enumerate_homs(boundary_complex(k), p.dom, post=(
+                      p, boundary_restriction(p.cod, b)))]
+        assert len(got) == rep["checked"] == 33
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert got == sorted(oracle)
+
     def test_fail_fallback(self):
         pt = standard_simplex(0)
         ft = FillerTable(identity_map(pt), fallback="fail")
@@ -325,8 +340,8 @@ def reference_filler(ft, u, target):
     key = square_key(dim, target, u.assign)
     if key in ft.entries:
         return validated(ft.entries[key])
-    if ft.chooser is not None:
-        return validated(ft.chooser(target, faces))
+    if callable(ft.fallback):
+        return validated(ft.fallback(target, faces))
     if ft.fallback == "search":
         found = p.prefix_index(dim).get((target, faces))
         if found:
@@ -386,8 +401,8 @@ def _lifting_problems(fz):
 
 def _tables(rng, c, p, square, fr):
     """The four kinds of table on one square: free fillers (where p is a
-    free ef), search, explicit entries with one corrupt, and a chooser
-    that picks the first simplex of the right dimension."""
+    free ef), search, explicit entries with one corrupt, and a callable
+    fallback that picks the first simplex of the right dimension."""
     if fr is not None:
         yield free_fillers(fr)
     search = FillerTable(p, fallback="search")
@@ -407,7 +422,7 @@ def _tables(rng, c, p, square, fr):
         del corrupt[key]
         yield FillerTable(p, corrupt, fallback="fail")
         yield FillerTable(p, corrupt, fallback="search")
-    yield FillerTable(p, chooser=lambda target, faces: min(
+    yield FillerTable(p, fallback=lambda target, faces: min(
         p.dom.ids(max(len(faces) - 1, 0)), default="nope"))
 
 
