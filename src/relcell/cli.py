@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: factor, compose, normalize, pushout, lift, check, export-dot.
-Exit codes: 0 success, 2 input error, 3 safety-cap exceeded, 4 law or
-lifting failure, 5 internal error (a failed internal invariant).  All output
-is deterministic for fixed inputs and seed.
+Exit codes: 0 success, 2 input error, 3 safety cap exceeded or memory run
+out, 4 law or lifting failure, 5 internal error (a failed internal
+invariant).  All output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -325,7 +325,8 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand: the one place where an exception becomes an
-    exit code.  A DeltaError other than a LiftError is an input error."""
+    exit code.  A DeltaError other than a LiftError is an input error; a
+    run out of memory, like one past its safety cap, is exit 3."""
     args = build_parser().parse_args(argv)
     try:
         if "cap" in args and args.cap < 1:
@@ -341,8 +342,8 @@ def main(argv=None):
     except (_InputError, DeltaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except CapExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantError as err:
         print(f"internal error: {err}", file=sys.stderr)

@@ -48,7 +48,7 @@ class DeltaComplex:
     tuple of its face ids.  The empty complex has ``max_dim == -1``.
     """
 
-    __slots__ = ("simplices", "faces", "_dim_of", "_key", "_hash", "_by_faces")
+    __slots__ = ("simplices", "faces", "_dim_of", "_key", "_hash")
 
     def __init__(self, simplices=None, faces=None, validate=True):
         simp = {}
@@ -67,27 +67,27 @@ class DeltaComplex:
         self._dim_of = dim_of
         self._key = None
         self._hash = None
-        self._by_faces = None
         if validate:
             self._validate()
 
     def _validate(self):
+        faces = self.faces
         for k, ids in self.simplices.items():
             if k < 0:
                 raise DeltaError("negative dimension")
             for s in ids:
                 if k == 0:
-                    if s in self.faces:
+                    if s in faces:
                         raise DeltaError(f"vertex {s!r} must not have faces")
                     continue
-                fs = self.faces.get(s)
+                fs = faces.get(s)
                 if fs is None or len(fs) != k + 1:
                     raise DeltaError(f"simplex {s!r} needs {k + 1} faces")
                 for f in fs:
                     if self._dim_of.get(f) != k - 1:
                         raise DeltaError(
                             f"face {f!r} of {s!r} is not a ({k - 1})-simplex")
-        for s in self.faces:
+        for s in faces:
             if self._dim_of.get(s, 0) < 1:
                 raise DeltaError(f"face list for unknown simplex {s!r}")
         # simplicial identities: d_i d_j = d_(j-1) d_i for i < j
@@ -97,8 +97,8 @@ class DeltaComplex:
             for s in ids:
                 for j in range(1, k + 1):
                     for i in range(j):
-                        if self.face(self.face(s, j), i) != \
-                                self.face(self.face(s, i), j - 1):
+                        if faces[faces[s][j]][i] != \
+                                faces[faces[s][i]][j - 1]:
                             raise DeltaError(
                                 f"simplicial identity fails at {s!r} "
                                 f"(i={i}, j={j})")
@@ -114,9 +114,6 @@ class DeltaComplex:
 
     def dim(self, s):
         return self._dim_of[s]
-
-    def face(self, s, i):
-        return self.faces[s][i]
 
     def faces_of(self, s):
         return self.faces.get(s, ())
@@ -163,15 +160,6 @@ class DeltaComplex:
         sizes = ",".join(f"{k}:{len(v)}" for k, v in sorted(self.simplices.items()))
         return f"DeltaComplex({{{sizes}}})"
 
-    def by_faces(self, k, face_tuple):
-        """All k-simplices whose face tuple is exactly ``face_tuple``."""
-        if self._by_faces is None:
-            idx = {}
-            for s, fs in self.faces.items():
-                idx.setdefault((self._dim_of[s], fs), []).append(s)
-            self._by_faces = {key: tuple(sorted(v)) for key, v in idx.items()}
-        return self._by_faces.get((k, face_tuple), ())
-
     def subcomplex(self, keep):
         """The subcomplex on the given ids (must be face-closed)."""
         keep = set(keep)
@@ -200,7 +188,7 @@ class DeltaComplex:
         x.simplices = simp
         x.faces = {**self.faces, **faces}
         x._dim_of = dim_of
-        x._key = x._hash = x._by_faces = None
+        x._key = x._hash = None
         return x
 
     def is_subcomplex_of(self, other):
@@ -216,19 +204,19 @@ EMPTY = DeltaComplex()
 
 
 class SimplicialMap:
-    """A dimension-preserving, face-commuting assignment between complexes."""
+    """A dimension-preserving, face-commuting assignment between complexes,
+    checked on construction; ``_owning`` is the one unchecked path."""
 
     __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_prefixes")
 
-    def __init__(self, dom, cod, assign, validate=True):
+    def __init__(self, dom, cod, assign):
         self.dom = dom
         self.cod = cod
         self.assign = dict(assign)
         self._key = None
         self._hash = None
         self._prefixes = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         assign, dim_of = self.assign, self.dom._dim_of
@@ -242,9 +230,6 @@ class SimplicialMap:
                 raise DeltaError(f"{s!r} ({k}-simplex) maps to bad id {t!r}")
             if k and cod_faces[t] != tuple(map(image, dom_faces[s])):
                 raise DeltaError(f"face commutation fails at {s!r}")
-
-    def __call__(self, s):
-        return self.assign[s]
 
     @classmethod
     def _owning(cls, dom, cod, assign):
@@ -488,7 +473,8 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
     (e: W -> dom, u: W -> cod).  Enumeration backtracks over simplices in
     increasing dimension with face-consistency pruning, on an explicit
     stack of candidate iterators; output order is lexicographic in the
-    assignments.
+    assignments.  With no ``post``, candidates come from one ``(dim,
+    faces) -> ids`` dict of ``cod`` built per call.
     """
     pinned = {}
     if pre is not None:
@@ -509,19 +495,21 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
     if limit is not None and limit <= 0:
         return []
     if not order:
-        return [SimplicialMap(dom, cod, {}, validate=False)]
+        return [SimplicialMap._owning(dom, cod, {})]
     results = []
     assign = {}
+    by_faces = {}
+    if pmap is None:  # ids in order: ``all_ids`` sorts within a dimension
+        for k, t in cod.all_ids():
+            by_faces.setdefault((k, cod.faces_of(t)), []).append(t)
 
     def candidates(s):
         k = dom.dim(s)
         fkey = tuple(assign[f] for f in dom.faces_of(s))
         if pmap is not None:
             base = pmap.prefix_index(k).get((target.assign[s], fkey), ())
-        elif k == 0:
-            base = cod.ids(0)
         else:
-            base = cod.by_faces(k, fkey)
+            base = by_faces.get((k, fkey), ())
         if s in pinned:
             p = pinned[s]
             return (p,) if p in base else ()
@@ -540,7 +528,7 @@ def enumerate_homs(dom, cod, post=None, pre=None, limit=None):
         if i < last:
             stack.append(iter(candidates(order[i + 1])))
         else:
-            results.append(SimplicialMap(dom, cod, assign, validate=False))
+            results.append(SimplicialMap._owning(dom, cod, dict(assign)))
             if len(results) == limit:
                 break
     return results

@@ -474,6 +474,10 @@ def filler_table_from_json(obj):
                 _strings((e["target"], e["filler"])),
                 "an entry needs an integer dim, a boundary object from ids "
                 "to ids, and string target and filler")
+        # read as a cell's attach is: no other boundary can answer a square
+        _expect(e["boundary"].keys() == set(boundary_keys(e["dim"])),
+                f"entry over {e['target']!r}: boundary is not total on the "
+                f"boundary of the standard {e['dim']}-simplex")
         key = square_key(e["dim"], e["target"], e["boundary"])
         _expect(key not in entries,
                 f"two entries for one square over {e['target']!r}")

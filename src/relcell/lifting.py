@@ -104,12 +104,11 @@ class FillerTable:
             raise DeltaError(f"square over {target!r}: the target is not a "
                              f"simplex of the codomain")
         dim = self.p.cod.dim(target)
-        images = tuple(map(u.assign.get, boundary_keys(dim)))
-        if u.dom != boundary_complex(dim) or u.cod != self.p.dom or \
-                None in images:
+        if u.dom != boundary_complex(dim) or u.cod != self.p.dom:
             raise DeltaError(f"square over {target!r}: u is not a map from "
                              f"the boundary of a {dim}-simplex into the domain")
-        return self._fill(dim, target, images)
+        return self._fill(dim, target,
+                          tuple(map(u.assign.__getitem__, boundary_keys(dim))))
 
 
 def free_fillers(fr):
@@ -151,7 +150,9 @@ def solve_lifting(c, ft, square):
 def verify_fillers(ft, sample_budget=None):
     """Check filler equations on declared entries and on generating squares.
 
-    Explicit entries are checked first, in ascending key order, each
+    Explicit entries are checked first, in ascending key order: each
+    entry's boundary is built as a checked map into p's domain, so one
+    that misses or adds an id, or is not a map, fails, and the rest go
     through ``filler``, whose checks reject a malformed one.  Then every
     other generating square into p is checked, up to ``sample_budget``
     squares in all: target by target, dimension by dimension, the boundary
@@ -168,9 +169,8 @@ def verify_fillers(ft, sample_budget=None):
         except DeltaError as err:
             failures.append({"square": key, "reason": str(err)})
 
-    def entry(dim, target, items):  # u is built here: a malformed entry fails
-        ft.filler(SimplicialMap(boundary_complex(dim), p.dom, dict(items),
-                                validate=False), target)
+    def entry(dim, target, items):  # a boundary that is no map fails here
+        ft.filler(SimplicialMap(boundary_complex(dim), p.dom, items), target)
 
     for key in sorted(ft.entries):
         check(key, entry, *key)

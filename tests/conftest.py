@@ -48,8 +48,8 @@ def attach_map(k, images, cod):
     """The map from the boundary of the standard k-simplex into ``cod``
     with ``images`` in ``boundary_keys(k)`` order: a cell's attach, or a
     boundary lift, as a map.  Not validated."""
-    return SimplicialMap(boundary_complex(k), cod,
-                         zip(boundary_keys(k), images), validate=False)
+    return SimplicialMap._owning(boundary_complex(k), cod,
+                                 dict(zip(boundary_keys(k), images)))
 
 
 def images_of(u):
@@ -69,8 +69,8 @@ def boundary_lifts(f, t, new=None):
 def morphism(dom, cod, f0, p):
     """The morphism dom -> cod stated by its base map ``f0`` and its cell
     assignment ``p``: the body map that extends f0 by p, validated."""
-    return CellComplexMorphism(dom, cod, SimplicialMap(
-        dom.body, cod.body, {**f0.assign, **p}, validate=False))
+    return CellComplexMorphism(dom, cod, SimplicialMap._owning(
+        dom.body, cod.body, {**f0.assign, **p}))
 
 
 def chain_complex(n):

@@ -266,8 +266,8 @@ class TestMorphisms:
                            validate=False)
         cases = [
             (bare, v, identity_map(pt), "body map endpoints"),
-            (loop, loop, SimplicialMap(loop.body, loop.body, {
-                "0": "0", "v": "v", "e": "v"}, validate=False),
+            (loop, loop, SimplicialMap._owning(loop.body, loop.body, {
+                "0": "0", "v": "v", "e": "v"}),
              "not a map of bodies"),
             (bare, v, SimplicialMap(pt, v.body, {"0": "v"}),
              "base map endpoints do not match"),
@@ -396,11 +396,11 @@ class TestPushforward:
             out, m = pushforward_complex(c, g)
             p, px, py = pushout(u_of_complex(c), g)
             med = None
-            for h in [SimplicialMap(p, out.body, {
+            for h in [SimplicialMap._owning(p, out.body, {
                     **{px.assign[s]: u_of_morphism(m).bottom.assign[s]
                        for s in c.body.id_set},
                     **{py.assign[s]: u_of_complex(out).assign[s]
-                       for s in g.cod.id_set}}, validate=False)]:
+                       for s in g.cod.id_set}})]:
                 med = h
             assert med.is_bijective()
 

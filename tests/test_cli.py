@@ -26,7 +26,8 @@ from relcell import (
 )
 from relcell.cli import main
 from relcell import cli, jsonio
-from conftest import boundary_inclusion, fold_map, rand_cell_complex
+from conftest import (boundary_inclusion, chain_complex, fold_map,
+                      rand_cell_complex)
 
 
 @pytest.fixture
@@ -196,12 +197,16 @@ def _cell_dim_as_string(write):
     return ["export-dot", write("kf.json", obj)]
 
 
-def _table_boundary_as_list(write):
-    fold, pc, pu, pv = TestLift._fixture(write)
-    obj = jsonio.filler_table_to_json(
-        FillerTable(fold, {square_key(0, "0", {}): "0.0"}, fallback="fail"))
-    obj["entries"][0]["boundary"] = []
-    return ["lift", pc, write("t.json", obj), pu, pv]
+def _table_entry(**fields):
+    """``lift`` with a table whose one entry, over the fold's point, has
+    these fields instead."""
+    def argv(write):
+        fold, pc, pu, pv = TestLift._fixture(write)
+        obj = jsonio.filler_table_to_json(FillerTable(
+            fold, {square_key(0, "0", {}): "0.0"}, fallback="fail"))
+        obj["entries"][0].update(fields)
+        return ["lift", pc, write("t.json", obj), pu, pv]
+    return argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,7 +216,10 @@ def _table_boundary_as_list(write):
     _factor_argv(_faces_as_int),
     *[_factor_argv(_dim_key_spelled(key)) for key in ("00", " 0", "+0", "None")],
     _cell_dim_as_string,
-    _table_boundary_as_list,
+    _table_entry(boundary=[]),
+    _table_entry(dim=1, boundary={"0": "0.0"}),
+    _table_entry(boundary={"zz": "0.0"}),
+    _table_entry(dim=10),
     _normalize_attach_not_commuting,
     _factor_argv(_assign_graded({"junk": {"0": "0", "1": "1"}})),
     _factor_argv(_assign_graded({"0": {"0": "0"}, "1": {"1": "1"}})),
@@ -220,7 +228,9 @@ def _table_boundary_as_list(write):
 ], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
         "faces-as-int", "dimension-key-twice", "dimension-key-space-0",
         "dimension-key-plus-0", "dimension-key-None", "cell-dim-as-string",
-        "table-boundary-as-list", "normalize-attach-not-commuting",
+        "table-boundary-as-list", "table-boundary-misses-id",
+        "table-boundary-adds-id", "table-dim-without-simplex",
+        "normalize-attach-not-commuting",
         "assign-grade-not-numeric", "assign-vertex-under-grade-1",
         "assign-grade-5-overwrites-vertex"])
 def test_schema_invalid_json_exit_2(files, capsys, argv):
@@ -836,6 +846,29 @@ def test_input_read_as_utf_8_in_any_locale(tmp_path):
         env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0"))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert '"\\u00e9"' in out.read_text()
+
+
+@pytest.mark.parametrize("command, f", [
+    ("factor", identity_map(chain_complex(5))),
+    ("check", SimplicialMap(EMPTY, chain_complex(9), {})),
+], ids=["factor-dim-5-identity", "check-dim-9-chain"])
+def test_out_of_memory_exit_3(tmp_path, command, f):
+    """A run that exhausts its memory is exit 3 with one error line, not
+    a MemoryError traceback.  In a child process, whose address space
+    alone is capped, at 300 MB: both runs reach it within seconds."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    limit = 300 * 2 ** 20
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dumps(jsonio.map_to_json(f)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relcell.cli", command, str(path)],
+        capture_output=True, text=True, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and \
+        proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -164,3 +164,18 @@ def test_one_boundary_lift_search():
                     and _calls(fn, "_lift_kernel"))
     assert homs == []
     assert kernel == ["lifting.verify_fillers", "soa.k1_step"]
+
+
+def test_one_way_per_job_in_delta():
+    # a map is checked by its constructor or owned through ``_owning``;
+    # faces are read off ``faces`` and images off ``assign``, and
+    # ``enumerate_homs`` builds its own faces lookup
+    classes = {node.name: {fn.name: fn for fn in node.body
+                           if isinstance(fn, ast.FunctionDef)}
+               for node in MODULES["delta"].body
+               if isinstance(node, ast.ClassDef)}
+    init = classes["SimplicialMap"]["__init__"].args
+    assert [a.arg for a in init.args] == ["self", "dom", "cod", "assign"]
+    assert not init.defaults and not init.kwonlyargs
+    assert {"by_faces", "face"}.isdisjoint(classes["DeltaComplex"])
+    assert "__call__" not in classes["SimplicialMap"]

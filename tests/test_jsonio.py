@@ -297,6 +297,26 @@ class TestFactorAndFillers:
                                match="two entries for one square over '0'"):
                 jsonio.filler_table_from_json(obj)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"dim": 1, "boundary": {"0": "0.0"}},
+         "entry over '0': boundary is not total on the boundary of the "
+         "standard 1-simplex"),
+        ({"boundary": {"zz": "0.0"}},
+         "entry over '0': boundary is not total on the boundary of the "
+         "standard 0-simplex"),
+        ({"dim": -1}, "k must be >= 0"),
+        ({"dim": 10}, "k <= 9 only"),
+    ], ids=["misses-id", "adds-id", "dim-below-0", "dim-above-9"])
+    def test_filler_table_entry_read_as_an_attach(self, fields, message):
+        """An entry's boundary holds exactly the ids of the boundary of
+        its standard simplex, as a cell's attach does; else no entry
+        could ever answer a square."""
+        obj = jsonio.filler_table_to_json(FillerTable(
+            fold_map(), {square_key(0, "0", {}): "0.0"}, fallback="fail"))
+        obj["entries"][0].update(fields)
+        with pytest.raises(DeltaError, match=message):
+            jsonio.filler_table_from_json(obj)
+
     def test_chooser_tables_not_serializable(self):
         fr = free_complex(boundary_inclusion(1))
         with pytest.raises(DeltaError):

@@ -236,8 +236,9 @@ class TestSolver:
 class TestVerify:
     def test_malformed_entries_reported(self):
         """An entry of the wrong dimension for its target, over a target
-        outside p's codomain, or with a boundary missing a simplex, is a
-        failure of the report, not an exception."""
+        outside p's codomain, with a boundary missing or adding a simplex,
+        or with a boundary that is not a map, is a failure of the report,
+        not an exception nor a silent pass."""
         p = identity_map(standard_simplex(1))
         bad = {square_key(1, "0", {"0": "0", "1": "1"}): "01",
                square_key(0, "zz", {}): "0",
@@ -245,6 +246,17 @@ class TestVerify:
         rep = verify_fillers(FillerTable(p, bad, fallback="search"))
         assert [f["square"] for f in rep["failures"]] == sorted(bad)
         assert not rep["ok"]
+        p = identity_map(standard_simplex(2))
+        for entry, reason in [
+                (square_key(1, "01", {"0": "0", "1": "1", "zz": "2"}),
+                 "assignment is not total on the domain"),
+                (square_key(2, "012", {"0": "0", "01": "01", "02": "02",
+                                       "1": "2", "12": "12", "2": "2"}),
+                 "face commutation fails at '01'")]:
+            rep = verify_fillers(FillerTable(p, {entry: entry[1]},
+                                             fallback="search"))
+            assert rep["failures"] == [{"square": entry, "reason": reason}]
+            assert not rep["ok"]
 
     @pytest.mark.parametrize("dim,reason", [(-1, "k must be >= 0"),
                                             (10, "k <= 9 only")])

@@ -285,9 +285,8 @@ class TestTranspose:
         # a factorization whose ef does not restrict to f on the base
         f = boundary_inclusion(1)
         fr = free_complex(f)
-        ef = SimplicialMap(fr.ef.dom, fr.ef.cod,
-                           {**fr.ef.assign, "0": "1", "1": "0"},
-                           validate=False)
+        ef = SimplicialMap._owning(fr.ef.dom, fr.ef.cod,
+                                   {**fr.ef.assign, "0": "1", "1": "0"})
         broken = soa.FactorResult(f, fr.kf, ef)
         with pytest.raises(InvariantError,
                            match="^transpose does not factor the given "
@@ -691,8 +690,8 @@ _IMAGES = st.sampled_from(
 def lift_of(k, images):
     """The boundary lift of shape k with ``images`` in key order, as the
     oracle reads it: only its assignment."""
-    return SimplicialMap(boundary_complex(k), EMPTY,
-                         zip(boundary_keys(k), images), validate=False)
+    return SimplicialMap._owning(boundary_complex(k), EMPTY,
+                                 dict(zip(boundary_keys(k), images)))
 
 
 @settings(max_examples=200, deadline=None)
