@@ -55,7 +55,6 @@ from .cellcx import (
     horizontal_compose,
     identity_morphism,
     is_isomorphism,
-    normalize,
     pushforward_complex,
     trivial_complex,
     u_of_complex,

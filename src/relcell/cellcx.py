@@ -11,10 +11,11 @@ containment check.
 
 A derived complex is fixed by its underlying inclusion, base in body:
 ``complex_of`` reads its cells off the body and hands them to ``assemble``,
-which alone places each cell, at the least stage its attach allows.  A
-pushforward, colimit, equaliser or decoded coalgebra is the ``delta``
-construction on bodies read this way; normal forms and composites list
-their cells for ``assemble`` directly.
+which alone places each cell, at the least stage its attach allows, so
+its output is proper and connected by construction.  A pushforward,
+colimit, equaliser or decoded coalgebra is one ``delta`` construction on
+bodies read this way; composites list their cells for ``assemble``
+directly.
 """
 
 from __future__ import annotations
@@ -181,26 +182,18 @@ def complex_of(base, total):
         for k, s in total.all_ids() if s not in base])
 
 
-def normalize(boundary, strata_seq):
-    """Reorder a connected (possibly improper) stratum sequence into a
-    proper complex with the same cells, ids and underlying map."""
-    cells = []
-    for st in strata_seq:
-        cells.extend(st.cells)
-    return assemble(boundary, cells)
-
-
 def compose_complexes(a, b):
     """The composite complex: b glued on top of a.
 
-    ``b``'s boundary must be ``a``'s body.  Implemented by concatenating the
-    stratum lists and renormalizing; cells of b sink to the least stage their
+    ``b``'s boundary must be ``a``'s body.  The cells of a, then of b, go
+    to ``assemble`` over a's base; cells of b sink to the least stage their
     attaching maps allow.
     """
     if b.boundary != a.body:
         raise CellComplexError(
             "boundary of the second complex must equal the body of the first")
-    return normalize(a.boundary, a.strata + b.strata)
+    return assemble(a.boundary,
+                    [c for st in a.strata + b.strata for c in st.cells])
 
 
 # -- morphisms ------------------------------------------------------------
@@ -318,7 +311,6 @@ def pushforward_complex(c, g):
         raise CellComplexError("pushforward map must start at the base")
     total, leg, _ = pushout(u_of_complex(c), g)
     out = complex_of(g.cod, total)
-    out._validate()
     return out, CellComplexMorphism(c, out, leg)
 
 
@@ -329,23 +321,23 @@ def cellcx_colimit(objs, arrows):
     """Componentwise colimit of a finite diagram of cell complexes.
 
     ``arrows`` is a list of (src_index, dst_index, CellComplexMorphism).
-    The base is the degreewise colimit of the bases, and the complex is read
-    off the colimit of the bodies, a literal supercomplex since both name a
-    class by its least ``"<i>.<id>"`` tag.  Morphisms preserve stages, so a
-    merged cell keeps the stage of its members.  Returns (complex, cocone
-    morphisms).
+    The complex is read off the colimit of the bodies, with the image of
+    the bases under its legs as base.  A morphism sends base to base and
+    cells to cells, so each class of that colimit is all base or all cells,
+    and the base read off is the colimit of the bases, ids included.
+    Morphisms preserve stages, so a merged cell keeps the stage of its
+    members.  Returns (complex, cocone morphisms).
     """
-    base, _ = colimit([o.boundary for o in objs],
-                      [(a, b, m.f0) for a, b, m in arrows])
     for a, b, m in arrows:
         if m.dom != objs[a] or m.cod != objs[b]:
             raise CellComplexError("diagram arrow endpoints do not match")
-    total, body_legs = colimit([o.body for o in objs],
-                               [(a, b, m.body_map) for a, b, m in arrows])
+    total, legs = colimit([o.body for o in objs],
+                          [(a, b, m.body_map) for a, b, m in arrows])
+    base = total.subcomplex({leg.assign[s] for o, leg in zip(objs, legs)
+                             for s in o.boundary._dim_of})
     out = complex_of(base, total)
-    out._validate()
     return out, [CellComplexMorphism(o, out, leg)
-                 for o, leg in zip(objs, body_legs)]
+                 for o, leg in zip(objs, legs)]
 
 
 def cellcx_coproduct(parts):
@@ -355,14 +347,15 @@ def cellcx_coproduct(parts):
 def cellcx_equaliser(m1, m2):
     """Componentwise equaliser of a parallel pair of morphisms.
 
-    Returns (subcomplex, inclusion morphism).  The base is the agreement
-    subcomplex of the base maps and the complex is read off that of the body
-    maps, so its cells are those on which the assignments agree.  Each kept
+    Returns (subcomplex, inclusion morphism).  The complex is read off the
+    agreement subcomplex of the body maps, with the base ids it keeps as
+    base, so its cells are those on which the assignments agree.  Each kept
     cell keeps its stage.
     """
     if m1.dom != m2.dom or m1.cod != m2.cod:
         raise CellComplexError("equaliser needs a parallel pair")
     total, incl = equaliser(m1.body_map, m2.body_map)
-    sub = complex_of(equaliser(m1.f0, m2.f0)[0], total)
-    sub._validate()
+    base = m1.dom.boundary
+    sub = complex_of(base.subcomplex(filter(total.__contains__,
+                                            base._dim_of)), total)
     return sub, CellComplexMorphism(sub, m1.dom, incl)

@@ -15,10 +15,10 @@ Cell ids spell out (stage, shape dimension, target simplex, hashed
 boundary lift) after a short digest of the factored map; they are the JSON
 contract.  The hashed lift is 12 hex digits of the SHA-1 of the ASCII JSON
 text ``[[key, image], ...]`` of the lift, sorted by key; a batch's texts
-are written by one ``%`` fill per ``_CHUNK`` lifts.  Lookups go by
-target and faces instead: one cell is glued per generating square and a
-boundary lift is fixed by its facets, so ``FactorResult.cell_over`` finds
-the free cell that answers a square.
+are written by one ``%`` fill.  Lookups go by target and faces instead:
+one cell is glued per generating square and a boundary lift is fixed by
+its facets, so ``FactorResult.cell_over`` finds the free cell that answers
+a square.
 """
 
 from __future__ import annotations
@@ -76,30 +76,22 @@ def _lift_template(k):
                            + ", %s]" for s in boundary_keys(k)) + "]"
 
 
-_CHUNK = 256  # lifts, or jsonio records, per fill: bounds the transient text
-
-
 def _cell_ids(digest, stage, k, targets, lifts, escape):
     """The ids ``digest.stage.k.t.LIFT`` of the cells glued at ``stage``
     along the boundary lifts of shape k with images ``lifts`` (in key
     order), each over its k-simplex t of ``targets``.  LIFT is 12 hex
     digits of the SHA-1 of ``json.dumps(sorted(u.assign.items()))`` for the
-    lift u.  Up to ``_CHUNK`` lifts at a time, the texts of shape k are
-    filled by one ``%`` with the images (ids, so strings) as ``escape``
-    writes them in JSON, each text followed by a NUL, and encoded and split
-    at the NULs in one piece: an escaped id writes NUL as ``\\u0000``, and
-    the template holds only punctuation and boundary keys."""
+    lift u.  The texts of the whole batch are filled by one ``%`` with the
+    images (ids, so strings) as ``escape`` writes them in JSON, each text
+    followed by a NUL, and encoded and split at the NULs in one piece: an
+    escaped id writes NUL as ``\\u0000``, and the template holds only
+    punctuation and boundary keys."""
     head = f"{digest}.{stage}.{k}."
-    template = _lift_template(k) + "\0"
+    texts = ((_lift_template(k) + "\0") * len(lifts) % tuple(
+        map(escape, itertools.chain.from_iterable(lifts)))).encode()
     sha1 = hashlib.sha1
-    ids = []
-    for i in range(0, len(lifts), _CHUNK):
-        chunk = lifts[i:i + _CHUNK]
-        texts = (template * len(chunk) % tuple(
-            map(escape, itertools.chain.from_iterable(chunk)))).encode()
-        ids += [f"{head}{t}.{sha1(text).hexdigest()[:12]}" for t, text in
-                zip(targets[i:i + _CHUNK], texts.split(b"\0"))]
-    return ids
+    return [f"{head}{t}.{sha1(text).hexdigest()[:12]}"
+            for t, text in zip(targets, texts.split(b"\0"))]
 
 
 class _Escapes(dict):

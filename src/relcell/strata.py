@@ -104,15 +104,12 @@ def body(st):
     error.  Each grade is one merge onto the boundary's (see
     ``DeltaComplex._extended``).  The body is built on the first call and
     cached on the stratum, so every caller shares one; a stratum without
-    cells has its boundary as its body.  The boundary is a literal
-    subcomplex of the body (``inclusion_map(st.boundary, body(st))``), and
-    a cell's characteristic map is ``delta.characteristic_map(body(st),
-    id)``.
+    cells glues nothing, so its body equals its boundary.  The boundary is
+    a literal subcomplex of the body (``inclusion_map(st.boundary,
+    body(st))``), and a cell's characteristic map is
+    ``delta.characteristic_map(body(st), id)``.
     """
     if st._body is not None:
-        return st._body
-    if not st.cells:
-        st._body = st.boundary
         return st._body
     added = {}
     faces = {}

@@ -9,6 +9,7 @@ from relcell import (
     InvariantError,
     SimplicialMap,
     Stratum,
+    assemble,
     body,
     boundary_complex,
     compose,
@@ -16,7 +17,6 @@ from relcell import (
     enumerate_homs,
     identity_map,
     inclusion_map,
-    normalize,
     pushforward_complex,
     standard_simplex,
     u_of_complex,
@@ -127,6 +127,12 @@ def rand_stratum(rng, prefix="c"):
     return Stratum(boundary, cells)
 
 
+def normal_form(base, strata):
+    """The proper complex over ``base`` with the cells of a connected,
+    possibly improper, stratum sequence."""
+    return assemble(base, [c for st in strata for c in st.cells])
+
+
 def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
     """A random proper connected complex with at most ``max_cells`` cells,
     named ``prefix`` and a number, with trailing ``'`` while that names a
@@ -142,7 +148,7 @@ def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
         st = Stratum(current, [(cid, k, images)])
         strata.append(st)
         current = body(st)
-    return normalize(base, strata)
+    return normal_form(base, strata)
 
 
 def rand_complex_morphism(rng):

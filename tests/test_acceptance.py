@@ -22,7 +22,6 @@ from relcell import (
     free_fillers,
     identity_map,
     is_pullback,
-    normalize,
     pushforward_complex,
     solve_lifting,
     standard_simplex,
@@ -36,6 +35,7 @@ from conftest import (
     boundary_inclusion,
     cx,
     mec_partition_composite,
+    normal_form,
     rand_cell_complex,
     rand_complex_morphism,
     rand_stratum,
@@ -178,9 +178,9 @@ def test_criterion_5_normal_form_and_stacking():
     for _ in range(100):
         c = rand_cell_complex(rng, max_cells=5)
         sh = shuffled_strata(rng, c)
-        n1 = normalize(c.boundary, sh)
+        n1 = normal_form(c.boundary, sh)
         checked += 1
-        good += (normalize(n1.boundary, n1.strata) == n1
+        good += (normal_form(n1.boundary, n1.strata) == n1
                  and u_of_complex(n1) == u_of_complex(c)
                  and n1 == c)
     from test_cellcx import build_on

@@ -18,10 +18,12 @@ from relcell import (
     cellcx_colimit,
     cellcx_coproduct,
     cellcx_equaliser,
+    colimit,
     compose,
     compose_complexes,
     compose_morphisms,
     complex_of,
+    equaliser,
     generator_complex,
     horizontal_compose,
     identity_map,
@@ -29,7 +31,6 @@ from relcell import (
     inclusion_map,
     is_isomorphism,
     is_pullback,
-    normalize,
     pushforward_complex,
     pushout,
     standard_simplex,
@@ -38,8 +39,9 @@ from relcell import (
     u_of_morphism,
 )
 from relcell import cellcx, gen
-from conftest import (mec_partition_composite, morphism, rand_cell_complex,
-                      rand_complex_morphism, rand_images, shuffled_strata)
+from conftest import (mec_partition_composite, morphism, normal_form,
+                      rand_cell_complex, rand_complex_morphism, rand_images,
+                      shuffled_strata)
 
 
 def point_cell_complex():
@@ -108,13 +110,13 @@ class TestBasics:
 class TestNormalForm:
     def test_proper_input_unchanged(self):
         c = loop_on_new_vertex()
-        assert normalize(c.boundary, c.strata) == c
+        assert normal_form(c.boundary, c.strata) == c
 
     def test_misplaced_zero_cell_moved_down(self):
         a = point_cell_complex()
         st2 = Stratum(a.body, [("w", 0, ())],
                       validate=False)
-        c = normalize(EMPTY, [a.strata[0], st2])
+        c = normal_form(EMPTY, [a.strata[0], st2])
         assert c.height == 1
         assert {cid for cid, _, _ in c.strata[0].cells} == {"v", "w"}
 
@@ -123,8 +125,8 @@ class TestNormalForm:
         for _ in range(25):
             c = rand_cell_complex(rng, max_cells=5)
             sh = shuffled_strata(rng, c)
-            n1 = normalize(c.boundary, sh)
-            assert normalize(n1.boundary, n1.strata) == n1
+            n1 = normal_form(c.boundary, sh)
+            assert normal_form(n1.boundary, n1.strata) == n1
             assert u_of_complex(n1) == u_of_complex(c)
             assert n1 == c  # same cells, same minimal stages
 
@@ -194,7 +196,7 @@ def build_on(rng, base, max_cells, prefix):
         st = Stratum(current, [(f"{prefix}{i}", k, images)])
         strata.append(st)
         current = st_body(st)
-    return normalize(base, strata)
+    return normal_form(base, strata)
 
 
 class TestMorphisms:
@@ -365,12 +367,14 @@ class TestPushforward:
     def test_identity(self):
         c = loop_on_new_vertex()
         out, m = pushforward_complex(c, identity_map(c.boundary))
+        out._validate()
         assert out == c and is_isomorphism(m)
 
     def test_renames_a_cell_whose_id_the_codomain_holds(self):
         c = generator_complex(1)
         y = DeltaComplex({0: ["0", "1", "cell1"]})
         out, m = pushforward_complex(c, inclusion_map(c.boundary, y))
+        out._validate()
         assert out.boundary == y and out.cell_ids == {"cell1'"}
         assert m.p == {"cell1": "cell1'"}
         assert out.cell("cell1'")[1:] == c.cell("cell1")[1:]
@@ -386,6 +390,7 @@ class TestPushforward:
         c = CellComplex(b1, [Stratum(b1, [("e", 1, ("0", "1"))])])
         g = SimplicialMap(b1, standard_simplex(0), {"0": "0", "1": "0"})
         out, _ = pushforward_complex(c, g)
+        out._validate()
         assert (len(out.body.ids(0)), len(out.body.ids(1))) == (1, 1)
 
     def test_underlying_map_is_pushout(self):
@@ -394,6 +399,7 @@ class TestPushforward:
             c = rand_cell_complex(rng, max_cells=4)
             g = gen.rand_map_from(rng, c.boundary)
             out, m = pushforward_complex(c, g)
+            out._validate()
             p, px, py = pushout(u_of_complex(c), g)
             med = None
             for h in [SimplicialMap._owning(p, out.body, {
@@ -410,6 +416,7 @@ class TestColimitsAndEqualisers:
         c0 = generator_complex(0)
         c1 = generator_complex(1)
         out, legs = cellcx_coproduct([c0, c1])
+        out._validate()
         assert out.height == 1
         assert len(list(out.all_cells())) == 2
 
@@ -418,6 +425,7 @@ class TestColimitsAndEqualisers:
         c = rand_cell_complex(rng, max_cells=3)
         _, m = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
         e, inc = cellcx_equaliser(m, m)
+        e._validate()
         assert e == c
 
     def test_equaliser_drops_swapped_cells(self):
@@ -427,6 +435,7 @@ class TestColimitsAndEqualisers:
                                             ("l2", 1, a)])])
         swap = morphism(two, two, identity_map(pt), {"l1": "l2", "l2": "l1"})
         e, _ = cellcx_equaliser(identity_morphism(two), swap)
+        e._validate()
         assert list(e.all_cells()) == []
         assert e.boundary == pt
 
@@ -454,6 +463,38 @@ class TestColimitsAndEqualisers:
                     consistent = False
             assert consistent
             assert len(set(iso_assign.values())) == len(iso_assign)
+
+    def test_base_is_the_construction_on_the_bases(self):
+        # the base read off the colimit of the bodies is the colimit of the
+        # base maps, and the base the body-map equaliser keeps is the
+        # equaliser of the base maps: same ids, same faces
+        rng = random.Random(163)
+        merged = dropped = 0
+        for _ in range(20):
+            c = rand_cell_complex(rng, max_cells=4)
+            _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            two, (j0, j1) = cellcx_coproduct([c, c])
+            _, q = pushforward_complex(two,
+                                       gen.rand_map_from(rng, two.boundary))
+            q0, q1 = compose_morphisms(q, j0), compose_morphisms(q, j1)
+            for objs, arrows in (
+                    ([c, m1.cod, m2.cod], [(0, 1, m1), (0, 2, m2)]),
+                    ([c, c], []),
+                    ([c, q.cod], [(0, 1, q0), (0, 1, q1)])):
+                out, _ = cellcx_colimit(objs, arrows)
+                out._validate()
+                base, _ = colimit([o.boundary for o in objs],
+                                  [(a, b, m.f0) for a, b, m in arrows])
+                assert out.boundary == base
+                merged += base.n_simplices < sum(o.boundary.n_simplices
+                                                 for o in objs)
+            for pair in ((m1, m1), (q0, q1)):
+                e, _ = cellcx_equaliser(*pair)
+                e._validate()
+                assert e.boundary == equaliser(pair[0].f0, pair[1].f0)[0]
+                dropped += e.boundary != c.boundary
+        assert merged and dropped
 
 
 class TestImageProperty:

@@ -164,6 +164,11 @@ def _faces_as_int(obj):
     obj["cod"]["simplices"]["1"][0]["faces"] = 0
 
 
+def _one_face(obj):
+    edge = obj["cod"]["simplices"]["1"][0]
+    edge["faces"] = edge["faces"][:1]
+
+
 def _dim_key_spelled(key):
     """A second dimension key besides "0"; a spelling of 0 would
     overwrite dimension 0, and "None" once crashed the key check."""
@@ -214,6 +219,7 @@ def _table_entry(**fields):
     _factor_argv(_assign_as_list),
     _factor_argv(_simplices_as_list),
     _factor_argv(_faces_as_int),
+    _factor_argv(_one_face),
     *[_factor_argv(_dim_key_spelled(key)) for key in ("00", " 0", "+0", "None")],
     _cell_dim_as_string,
     _table_entry(boundary=[]),
@@ -226,7 +232,7 @@ def _table_entry(**fields):
     _factor_argv(_assign_graded({"0": {"0": "0", "1": "1"},
                                  "5": {"0": "1"}})),
 ], ids=["dimension-key-not-numeric", "assign-as-list", "simplices-as-list",
-        "faces-as-int", "dimension-key-twice", "dimension-key-space-0",
+        "faces-as-int", "edge-with-one-face", "dimension-key-twice", "dimension-key-space-0",
         "dimension-key-plus-0", "dimension-key-None", "cell-dim-as-string",
         "table-boundary-as-list", "table-boundary-misses-id",
         "table-boundary-adds-id", "table-dim-without-simplex",

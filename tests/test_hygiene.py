@@ -179,3 +179,42 @@ def test_one_way_per_job_in_delta():
     assert not init.defaults and not init.kwonlyargs
     assert {"by_faces", "face"}.isdisjoint(classes["DeltaComplex"])
     assert "__call__" not in classes["SimplicialMap"]
+
+
+def test_one_way_per_job_in_cellcx():
+    # ``assemble`` is the one normal form and places each cell at its least
+    # stage, so what it returns needs no second check; a derived complex is
+    # one ``delta`` construction on bodies, its base read off that
+    # construction; a stratum's body has one path; and ``soa`` fills each
+    # batch of cell ids at once, so the chunk bound is ``jsonio``'s alone
+    functions = {name: {fn.name: fn for fn in tree.body
+                        if isinstance(fn, ast.FunctionDef)}
+                 for name, tree in MODULES.items()}
+    assert not any("normalize" in fns for fns in functions.values())
+    assert "normalize" not in _names_used(MODULES["__init__"])
+
+    constructions = {"colimit", "coproduct", "coequaliser", "equaliser",
+                     "pushout"}
+    cellcx = functions["cellcx"]
+    for name in ("cellcx_colimit", "cellcx_equaliser"):
+        fn = cellcx[name]
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "f0"]
+        assert sum(len(_calls(fn, c)) for c in constructions) == 1
+    validating = [name for name, fn in cellcx.items()
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_validate"]
+    assert validating == []
+
+    chunk = sorted(name for name, tree in MODULES.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   for target in node.targets
+                   if isinstance(target, ast.Name) and target.id == "_CHUNK")
+    assert chunk == ["jsonio"]
+
+    branches = [node.lineno for node in ast.walk(functions["strata"]["body"])
+                if isinstance(node, (ast.If, ast.IfExp)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "cells"
+                    for n in ast.walk(node.test))]
+    assert branches == []

@@ -35,8 +35,8 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import boundary_keys, facet_ids
-from conftest import (boundary_inclusion, fold_map, rand_cell_complex,
-                      rand_images)
+from conftest import (boundary_inclusion, fold_map, normal_form,
+                      rand_cell_complex, rand_images)
 
 
 class TestFreeFillers:
@@ -315,7 +315,6 @@ class TestVerify:
 
 def rand_on(rng, base):
     from relcell.strata import body as st_body
-    from relcell import normalize
     strata = []
     current = base
     for j in range(rng.randint(1, 2)):
@@ -323,7 +322,7 @@ def rand_on(rng, base):
         st = Stratum(current, [(f"y{j}", k, images)])
         strata.append(st)
         current = st_body(st)
-    return normalize(base, strata)
+    return normal_form(base, strata)
 
 
 # -- the per-cell-map solver, kept as an oracle --------------------------------

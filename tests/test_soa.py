@@ -42,7 +42,6 @@ from relcell import (
     mec,
     monad_mult,
     monad_unit,
-    normalize,
     pushforward_complex,
     pushforward_left_map,
     standard_simplex,
@@ -55,7 +54,8 @@ from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
 from relcell.cli import builtin_fixtures
 from conftest import (attach_map, boundary_inclusion, fold_map, morphism,
-                      rand_cell_complex, rand_images, rand_transpose_square)
+                      normal_form, rand_cell_complex, rand_images,
+                      rand_transpose_square)
 
 
 def oracle_squares(g, prev_ids=None):
@@ -604,7 +604,7 @@ def rand_on_body(rng, base):
         st = Stratum(current, [(f"x{j}", k, images)])
         strata.append(st)
         current = st_body(st)
-    return normalize(base, strata)
+    return normal_form(base, strata)
 
 
 def renaming(x, names):
@@ -717,11 +717,11 @@ def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage,
                              escape) == want
 
 
-@pytest.mark.parametrize("n", [1, soa._CHUNK, soa._CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 256, 257])
 @pytest.mark.parametrize("k", [0, 2])
 def test_cell_ids_across_the_chunk_bound(n, k):
-    """A batch of 1, the chunk bound, or one more lift: every id is the
-    oracle's, in the order of the lifts."""
+    """A batch of 1, 256 or 257 lifts, sizes that ids were once filled
+    in chunks by: every id is the oracle's, in the order of the lifts."""
     pool = ["\x00", "%", "%s", '"]], [', "\ud800", "caf\u00e9", "a"]
     width = len(boundary_keys(k))
     lifts = [tuple(pool[(i + j) % len(pool)] for j in range(width))

@@ -440,6 +440,7 @@ class TestPushforward:
     def test_identity(self):
         st = loop_stratum()
         out, _ = pushforward_complex(cx(st), identity_map(st.boundary))
+        out._validate()
         assert stratum_of(out) == st
 
     def test_body_commutes_with_pushforward(self):
@@ -450,7 +451,9 @@ class TestPushforward:
             bx = body(st)
             inc = inclusion_map(st.boundary, bx)
             p, pbx, pz = pushout(inc, g)
-            out_body = body(stratum_of(pushforward_complex(cx(st), g)[0]))
+            out, _ = pushforward_complex(cx(st), g)
+            out._validate()
+            out_body = body(stratum_of(out))
             assert iso_over(out_body, p, compose(pz, g), compose(pbx, inc)) \
                 is not None
 
@@ -461,6 +464,7 @@ class TestColimits:
         s1 = Stratum(pt, [("v", 0, ())])
         s2 = loop_stratum()
         out, legs = cellcx_coproduct([cx(s1), cx(s2)])
+        out._validate()
         assert len(stratum_of(out).cells) == 2
         assert len(out.boundary.ids(0)) == 2
 
@@ -468,6 +472,7 @@ class TestColimits:
         st = loop_stratum()
         i = identity_morphism(cx(st))
         out, legs = cellcx_colimit([cx(st), cx(st)], [(0, 1, i), (0, 1, i)])
+        out._validate()
         assert len(stratum_of(out).cells) == len(st.cells)
         assert len(out.boundary.ids(0)) == len(st.boundary.ids(0))
 
@@ -479,6 +484,7 @@ class TestColimits:
         m1 = morphism(two, one, identity_map(pt), {"l1": "l", "l2": "l"})
         m2 = morphism(two, one, identity_map(pt), {"l1": "l", "l2": "l"})
         out, _ = cellcx_colimit([two, one], [(0, 1, m1), (0, 1, m2)])
+        out._validate()
         assert len(stratum_of(out).cells) == 1
 
     def test_u_preserves_colimits(self):
@@ -491,6 +497,7 @@ class TestColimits:
             _, m2 = pushforward_complex(c, gen.rand_map_from(rng, s0.boundary))
             out, legs = cellcx_colimit(
                 [c, m1.cod, m2.cod], [(0, 1, m1), (0, 2, m2)])
+            out._validate()
             bodies = [x.body for x in (c, m1.cod, m2.cod)]
             arrows = [(0, 1, u_of_morphism(m1).bottom),
                       (0, 2, u_of_morphism(m2).bottom)]
@@ -507,6 +514,7 @@ class TestEqualiser:
         st = rand_stratum(rng)
         _, m = pushforward_complex(cx(st), gen.rand_map_from(rng, st.boundary))
         e, inc = cellcx_equaliser(m, m)
+        e._validate()
         assert len(stratum_of(e).cells) == len(st.cells)
         assert e.boundary == st.boundary
 
@@ -518,6 +526,7 @@ class TestEqualiser:
         swap = morphism(two, two, identity_map(pt), {"l1": "l2", "l2": "l1"})
         ident = identity_morphism(two)
         e, _ = cellcx_equaliser(ident, swap)
+        e._validate()
         eb, _ = delta_equaliser(u_of_morphism(ident).bottom,
                                 u_of_morphism(swap).bottom)
         assert body(stratum_of(e)) == eb
@@ -556,4 +565,5 @@ class TestHeightAtMostOne:
                 outs.append(eq)
             assert len(outs[-2].cell_ids) == len(sub.cells)
             for out in outs:
+                out._validate()
                 assert out.height <= 1
