@@ -116,10 +116,6 @@ class CellComplex:
         return isinstance(other, CellComplex) and \
             self.boundary == other.boundary and self.strata == other.strata
 
-    def __repr__(self):
-        sizes = ",".join(str(len(st.cells)) for st in self.strata)
-        return f"CellComplex(height={self.height}, cells=[{sizes}])"
-
 
 def trivial_complex(x):
     return CellComplex(x, (), validate=False)
@@ -248,14 +244,6 @@ class CellComplexMorphism:
         """The cell assignment: the body map restricted to the cells."""
         a = self.body_map.assign
         return {cid: a[cid] for cid in self.dom._cell_stage}
-
-    def __eq__(self, other):
-        return isinstance(other, CellComplexMorphism) and \
-            (self.dom, self.cod, self.body_map) == \
-            (other.dom, other.cod, other.body_map)
-
-    def __repr__(self):
-        return f"CellComplexMorphism({self.dom!r} -> {self.cod!r})"
 
 
 def identity_morphism(c):

@@ -156,10 +156,6 @@ class DeltaComplex:
             self._hash = hash(self.key())
         return self._hash
 
-    def __repr__(self):
-        sizes = ",".join(f"{k}:{len(v)}" for k, v in sorted(self.simplices.items()))
-        return f"DeltaComplex({{{sizes}}})"
-
     def subcomplex(self, keep):
         """The subcomplex on the given ids (must be face-closed)."""
         keep = set(keep)
@@ -280,9 +276,6 @@ class SimplicialMap:
             self._hash = hash(self.key())
         return self._hash
 
-    def __repr__(self):
-        return f"SimplicialMap({self.dom!r} -> {self.cod!r})"
-
     def is_injective(self):
         return len(set(self.assign.values())) == len(self.assign)
 
@@ -348,14 +341,6 @@ class ArrowSquare:
             raise DeltaError("square endpoints do not match")
         if not composes_to(right, top, compose(bottom, left)):
             raise DeltaError("square does not commute")
-
-    def __eq__(self, other):
-        return isinstance(other, ArrowSquare) and \
-            (self.top, self.bottom, self.left, self.right) == \
-            (other.top, other.bottom, other.left, other.right)
-
-    def __repr__(self):
-        return f"ArrowSquare(top={self.top!r}, bottom={self.bottom!r})"
 
 
 # -- representable complexes ---------------------------------------------

@@ -168,10 +168,6 @@ class FactorResult:
             raise _no_cell_over(target, faces)
         return cid
 
-    def __repr__(self):
-        return f"FactorResult(height={self.kf.height}, " \
-               f"counts={self.stage_counts})"
-
 
 def k1_step(f, new=None, stage=0, digest=None):
     """One gluing step: a stratum of all generating squares into f.
@@ -319,12 +315,13 @@ def k_of_square(a, b, fr_dom, fr_cod):
 
     It is the body map of the adjunct of (a, b o ef), so ``transpose`` and
     ``compose`` raise DeltaError when a or b has the wrong endpoints or the
-    square does not commute.  It is memoized on ``fr_cod`` by ef, a and b
-    and answers only for the very complex Kf it was computed from.
+    square does not commute.  It is memoized on ``fr_cod`` by ef, a and b.
+    That key fixes Kf, a proper complex fixed by its base (a's domain) and
+    body (ef's domain), so an entry serves every ``fr_dom`` with that key.
     """
     key = (fr_dom.ef, a, b)
     m = fr_cod._k_into.get(key)
-    if m is None or m.dom is not fr_dom.kf.body:
+    if m is None:
         m = fr_cod._k_into[key] = transpose(
             fr_dom.kf, a, compose(b, fr_dom.ef), fr_cod).body_map
     return m

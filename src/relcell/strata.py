@@ -74,9 +74,6 @@ class Stratum:
         return isinstance(other, Stratum) and \
             self.boundary == other.boundary and self.cells == other.cells
 
-    def __repr__(self):
-        return f"Stratum({self.boundary!r}, {len(self.cells)} cells)"
-
 
 @functools.lru_cache(maxsize=None)
 def _attach_plan(k):

@@ -125,6 +125,16 @@ class TestFactor:
         assert code == 3 and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    def test_out_file_on_a_full_device_exit_2(self, files, capsys):
+        # the open succeeds and the write fails: one line, no traceback
+        _, write = files
+        path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
+        code, _, err = run_cli(capsys, "factor", path, "--out", "/dev/full")
+        assert code == 2
+        assert err == "error: /dev/full: No space left on device\n"
+
     def test_bad_cap_exit_2(self, files, capsys):
         _, write = files
         path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
@@ -411,6 +421,25 @@ def test_dev_full_exit_2(files, command, unbuffered):
             stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr == \
+        f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_dev_full_stdout_is_pointed_at_the_null_device(files, capsys,
+                                                       monkeypatch):
+    """In process, standard output a file on /dev/full: the failed flush
+    leaves its bytes in the buffer, and its descriptor now names the null
+    device, so closing the stream, as the interpreter does at exit, flushes
+    them without error."""
+    _, write = files
+    argv = _accepted_inputs(write, "factor")
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(["factor", *argv]) == 2
+        assert os.path.samestat(os.fstat(full.fileno()),
+                                os.stat(os.devnull))
+    assert capsys.readouterr().err == \
         f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
 
 

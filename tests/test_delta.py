@@ -35,7 +35,8 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import MAX_DIM
-from conftest import attach_map, boundary_lifts, rand_cell_complex
+from conftest import (attach_map, boundary_lifts, fold_map,
+                      rand_cell_complex)
 
 
 def brute_homs(dom, cod):
@@ -586,6 +587,14 @@ class TestPullbacks:
                          left=SimplicialMap(EMPTY, a, {}),
                          right=inclusion_map(a, d2),
                          bottom=inclusion_map(a, d2))
+        assert not is_pullback(sq)
+
+    def test_non_injective_mediating_map_fails(self):
+        # the corner's two points both go to the one point of Δ⁰ × Δ⁰
+        fold = fold_map()
+        pt = fold.cod
+        sq = ArrowSquare(top=fold, left=fold, right=identity_map(pt),
+                         bottom=identity_map(pt))
         assert not is_pullback(sq)
 
     def test_non_commuting_square_rejected(self):

@@ -81,6 +81,11 @@ ERRORS = {
     "inclusion-of-a-non-subcomplex": (
         DeltaError, "not a literal subcomplex",
         lambda: inclusion_map(EDGE, PT)),
+    "inclusion-with-other-faces": (
+        DeltaError, "not a literal subcomplex",
+        lambda: inclusion_map(
+            DeltaComplex({0: ["x", "y"], 1: ["e"]}, {"e": ("x", "y")}),
+            DeltaComplex({0: ["x", "y"], 1: ["e"]}, {"e": ("y", "x")}))),
     "inverse-of-a-fold": (
         DeltaError, "map is not bijective",
         lambda: SimplicialMap(B1, PT, {"0": "0", "1": "0"}).inverse()),

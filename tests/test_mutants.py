@@ -1,0 +1,113 @@
+"""Named mutants of the library, applied in process by ``monkeypatch``.
+
+Each test first runs the real code on a valid input, then swaps in one
+plausible bug and asserts that the internal guard or the law meant to catch
+it rejects the same input, with its own message or witness."""
+
+import pytest
+
+from relcell import (
+    ArrowSquare,
+    DeltaComplex,
+    DeltaError,
+    Factorizer,
+    FillerTable,
+    InvariantError,
+    SimplicialMap,
+    check_awfs_laws,
+    compose,
+    enumerate_homs,
+    free_complex,
+    generator_complex,
+    identity_map,
+    k_of_square,
+    mec,
+    solve_lifting,
+    u_of_complex,
+)
+from relcell import lifting, soa
+from relcell.strata import _facets
+from conftest import boundary_inclusion, fold_map
+
+
+def test_fill_that_skips_its_target_check_is_caught(monkeypatch):
+    # the vertex cell over "1.0" of the identity on two points; a filler
+    # chosen by its faces alone is the first vertex, "0.0"
+    two = fold_map().dom
+    c = generator_complex(0)
+    square = (SimplicialMap(c.boundary, two, {}),
+              SimplicialMap(c.body, two, {"cell0": "1.0"}))
+    ft = FillerTable(identity_map(two))
+    assert solve_lifting(c, ft, square).assign["cell0"] == "1.0"
+
+    def fill_by_faces(self, dim, target, images):
+        faces = _facets(dim)(images) if dim else ()
+        dom = self.p.dom
+        return next(e for e in dom.simplices[dim] if dom.faces_of(e) == faces)
+
+    monkeypatch.setattr(lifting.FillerTable, "_fill", fill_by_faces)
+    with pytest.raises(InvariantError,
+                       match="^lift does not project to the given map$"):
+        solve_lifting(c, ft, square)
+
+
+def test_cell_index_without_faces_is_caught(monkeypatch):
+    # Kf of the boundary of an edge glues three cells over the edge "01",
+    # with three different pairs of facets: keyed by target, they collide
+    assert free_complex(boundary_inclusion(1)).cell_over("0", ())
+
+    def index_by_target(kf, ef):
+        index = {(ef.assign[c], ()): c for c in kf._cell_stage}
+        return index if len(index) == len(kf._cell_stage) else None
+
+    monkeypatch.setattr(soa, "cell_index", index_by_target)
+    with pytest.raises(InvariantError, match="^two free cells share a "
+                       "target and faces; internal invariant violated$"):
+        free_complex(boundary_inclusion(1)).cell_over("0", ())
+
+
+def test_complex_equality_by_faces_alone_is_caught(monkeypatch):
+    # two points and one point have the same (empty) faces
+    fold = fold_map()
+    two, pt = fold.dom, fold.cod
+    with pytest.raises(DeltaError, match="^map must land in the top stage"):
+        mec(identity_map(two), [pt])
+
+    def equal_faces(self, other):
+        return self is other or (
+            isinstance(other, DeltaComplex) and self.faces == other.faces)
+
+    monkeypatch.setattr(DeltaComplex, "__eq__", equal_faces)
+    with pytest.raises(InvariantError,
+                       match="^image not contained in the top stage$"):
+        mec(identity_map(two), [pt])
+
+
+def test_wrong_comultiplication_fails_coassociativity_alone(monkeypatch):
+    # δ at U(Kf) replaced by another map with the same endpoints: of the
+    # nine laws only coassociativity reads δ there
+    f = fold_map()
+    fz = Factorizer()
+    square = ArrowSquare(top=identity_map(f.dom), bottom=identity_map(f.cod),
+                         left=f, right=f)
+    assert check_awfs_laws(f, [square], factorizer=fz)["all_pass"]
+    fr = fz.k(f)
+    lf = u_of_complex(fr.kf)
+    real = soa.comonad_comult
+    d = real(lf, fz)
+    wrong = next(h for h in enumerate_homs(d.dom, d.cod, limit=2) if h != d)
+
+    def comult(g, factorizer):
+        return wrong if g == lf else real(g, factorizer)
+
+    monkeypatch.setattr(soa, "comonad_comult", comult)
+    rep = check_awfs_laws(f, [square], factorizer=fz)
+    assert [law for law, ok in rep["laws"].items() if not ok] == \
+        ["comonad_coassoc"]
+    delta = real(f, fz)
+    fru = fz.k(lf)
+    kdelta = k_of_square(identity_map(f.dom), delta, fru,
+                         fz.k(u_of_complex(fru.kf)))
+    assert rep["witnesses"] == {"comonad_coassoc": {
+        "lhs": sorted(compose(wrong, delta).assign.items()),
+        "rhs": sorted(compose(kdelta, delta).assign.items())}}

@@ -482,6 +482,27 @@ class TestMemoizedStructureMaps:
                 assert k_of_square(a, b, fr_f, fr_g) is first
                 assert first == k_of_square(a, b, soa.Factorizer().k(f),
                                             soa.Factorizer().k(sq.right))
+                # an equal Kf from another session hits the same memo entry
+                other = soa.Factorizer().k(f)
+                assert k_of_square(a, b, other, fr_g) == first
+                assert first.dom == other.kf.body
+
+    def test_k_of_square_depends_on_b(self):
+        # f: empty -> point, g the identity on two points: the squares
+        # (empty map, b) for the two points b differ only in b
+        pt = standard_simplex(0)
+        f = SimplicialMap(EMPTY, pt, {})
+        g = identity_map(fold_map().dom)
+        a = SimplicialMap(EMPTY, g.dom, {})
+        fz = soa.Factorizer()
+        fr_f, fr_g = fz.k(f), fz.k(g)
+        maps = []
+        for point in sorted(g.cod.id_set):
+            b = SimplicialMap(pt, g.cod, {"0": point})
+            m = k_of_square(a, b, fr_f, fr_g)
+            assert compose(fr_g.ef, m) == compose(b, fr_f.ef)
+            maps.append(m)
+        assert maps[0] != maps[1]
 
     def test_k_of_square_rejects_a_bad_square(self):
         # (a, b): f -> g is given by its two maps; transpose and compose
