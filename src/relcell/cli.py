@@ -93,32 +93,39 @@ def _check_out(out_path):
         raise _InputError(f"{out_path}: {err.strerror}") from err
 
 
-def _emit(text, out_path=None):
-    """Write ``text`` to ``out_path`` as UTF-8, or to standard output.  It
-    is encoded first, so a text that cannot be (an id holding a lone
-    surrogate) is an input error that opens and writes nothing.  Standard
-    output is flushed here, so a failed write (a full disk, a closed pipe)
-    is an input error too, not one deferred to the interpreter's exit."""
-    encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
-    try:
-        data = text.encode(encoding)
-    except UnicodeEncodeError as err:
-        raise _InputError(f"{out_path or 'standard output'}: cannot encode "
-                          f"the output as {encoding}: {err.reason}") from err
-    if out_path:
+def _emit(text, out_path=None, summary=None):
+    """Write ``text`` to ``out_path`` as UTF-8, or to standard output, and
+    then ``summary``, if given, to standard output.  Both are encoded
+    first, so a text that cannot be (an id holding a lone surrogate) is an
+    input error that opens and writes nothing, and the summary is written
+    only after ``text`` was.  Standard output is flushed here, so a failed
+    write (a full disk, a closed pipe) is an input error too, not one
+    deferred to the interpreter's exit."""
+    outputs = [(text, out_path)] + [(summary, None)] * (summary is not None)
+    encoded = []
+    for item, path in outputs:
+        encoding = "utf-8" if path else sys.stdout.encoding or "utf-8"
         try:
-            with open(out_path, "wb") as fh:
-                fh.write(data)
-        except OSError as err:
-            raise _InputError(f"{out_path}: {err.strerror or err}") from err
-    else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as err:
-            _discard_stdout()
-            raise _InputError(
-                f"standard output: {err.strerror or err}") from err
+            encoded.append(item.encode(encoding))
+        except UnicodeEncodeError as err:
+            raise _InputError(f"{path or 'standard output'}: cannot encode "
+                              f"the output as {encoding}: {err.reason}") \
+                from err
+    for (item, path), data in zip(outputs, encoded):
+        if path:
+            try:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            except OSError as err:
+                raise _InputError(f"{path}: {err.strerror or err}") from err
+        else:
+            try:
+                sys.stdout.write(item)
+                sys.stdout.flush()
+            except OSError as err:
+                _discard_stdout()
+                raise _InputError(
+                    f"standard output: {err.strerror or err}") from err
 
 
 def _discard_stdout():
@@ -159,18 +166,16 @@ def builtin_fixtures():
 def cmd_factor(args):
     f = _load(args.map, _factorable_map)
     fr = free_complex(f, safety_cap=args.cap)
-    counts = "; ".join(
-        f"stage {n}: {c} cell" + ("s" if c != 1 else "")
-        for n, c in enumerate(fr.stage_counts))
-    line = f"{counts}; height {fr.kf.height}" if counts \
-        else f"height {fr.kf.height}"
+    summary = "; ".join([*(f"stage {n}: {c} cell" + ("s" if c != 1 else "")
+                           for n, c in enumerate(fr.stage_counts)),
+                         f"height {fr.kf.height}"]) + "\n"
     if args.format == "json":
-        _emit(jsonio.dumps({"stage_counts": fr.stage_counts,
-                            "height": fr.kf.height}))
+        summary = jsonio.dumps({"stage_counts": fr.stage_counts,
+                                "height": fr.kf.height})
+    if args.out:  # the file first: a failed write prints no counts
+        _emit(jsonio.text(fr), args.out, summary)
     else:
-        _emit(line + "\n")
-    if args.out:
-        _emit(jsonio.text(fr), args.out)
+        _emit(summary)
     return EXIT_OK
 
 

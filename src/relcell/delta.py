@@ -12,9 +12,10 @@ check and in how it names a class, and ``mediate`` is the unique map out
 of any of them.
 
 Equality compares content: a complex's ``simplices`` and ``faces`` dicts, a
-map's ``assign`` dict and endpoints.  ``key()`` is the canonical sorted form,
-kept for hashing, the map digest behind cell ids and the ``Factorizer``
-cache; equal values have equal keys.
+map's ``assign`` dict and endpoints.  Hashes come from the same content, with
+no sort; only the int is kept.  ``key()`` is the canonical sorted form, built
+on demand and kept nowhere, for the map digest behind cell ids alone; equal
+values have equal keys.
 
 All values are immutable after construction and all operations are pure.
 This is load-bearing: ``standard_simplex`` and ``boundary_complex`` return
@@ -48,7 +49,7 @@ class DeltaComplex:
     tuple of its face ids.  The empty complex has ``max_dim == -1``.
     """
 
-    __slots__ = ("simplices", "faces", "_dim_of", "_key", "_hash")
+    __slots__ = ("simplices", "faces", "_dim_of", "_hash")
 
     def __init__(self, simplices=None, faces=None, validate=True):
         simp = {}
@@ -65,7 +66,6 @@ class DeltaComplex:
                     raise DeltaError(f"duplicate simplex id {s!r}")
                 dim_of[s] = k
         self._dim_of = dim_of
-        self._key = None
         self._hash = None
         if validate:
             self._validate()
@@ -135,15 +135,11 @@ class DeltaComplex:
         return s in self._dim_of
 
     def key(self):
-        """The canonical form: the sorted items of ``simplices`` and
-        ``faces``.  It serves hashing and ``SimplicialMap.key``; ``==``
-        compares the two dicts directly."""
-        if self._key is None:
-            self._key = (
-                tuple(sorted(self.simplices.items())),
-                tuple(sorted(self.faces.items())),
-            )
-        return self._key
+        """The canonical form, the sorted items of ``simplices`` and
+        ``faces``, built anew on each call for ``SimplicialMap.key`` and so
+        for the map digest alone; ``==`` and the hash read the dicts."""
+        return (tuple(sorted(self.simplices.items())),
+                tuple(sorted(self.faces.items())))
 
     def __eq__(self, other):
         # both dicts: an extra isolated vertex leaves ``faces`` unchanged
@@ -153,7 +149,8 @@ class DeltaComplex:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((frozenset(self.simplices.items()),
+                               frozenset(self.faces.items())))
         return self._hash
 
     def subcomplex(self, keep):
@@ -184,7 +181,7 @@ class DeltaComplex:
         x.simplices = simp
         x.faces = {**self.faces, **faces}
         x._dim_of = dim_of
-        x._key = x._hash = None
+        x._hash = None
         return x
 
     def is_subcomplex_of(self, other):
@@ -203,13 +200,12 @@ class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes,
     checked on construction; ``_owning`` is the one unchecked path."""
 
-    __slots__ = ("dom", "cod", "assign", "_key", "_hash", "_prefixes")
+    __slots__ = ("dom", "cod", "assign", "_hash", "_prefixes")
 
     def __init__(self, dom, cod, assign):
         self.dom = dom
         self.cod = cod
         self.assign = dict(assign)
-        self._key = None
         self._hash = None
         self._prefixes = None
         self._validate()
@@ -235,17 +231,15 @@ class SimplicialMap:
         m.dom = dom
         m.cod = cod
         m.assign = assign
-        m._key = m._hash = m._prefixes = None
+        m._hash = m._prefixes = None
         return m
 
     def key(self):
-        """The canonical form: the endpoints' keys and the sorted
-        assignment.  It serves hashing, ``soa._map_digest`` and the
-        ``Factorizer`` cache; ``==`` compares content directly."""
-        if self._key is None:
-            self._key = (self.dom.key(), self.cod.key(),
-                         tuple(sorted(self.assign.items())))
-        return self._key
+        """The canonical form, the endpoints' keys and the sorted
+        assignment, built anew on each call: the bytes ``soa._map_digest``
+        hashes, and nothing else; ``==`` and the hash read content."""
+        return (self.dom.key(), self.cod.key(),
+                tuple(sorted(self.assign.items())))
 
     def prefix_index(self, m):
         """The face-prefix index of the m-simplices: ``(t, p)`` -> sorted
@@ -272,8 +266,10 @@ class SimplicialMap:
             and self.dom == other.dom and self.cod == other.cod)
 
     def __hash__(self):
+        # the endpoints' hashes are cached ints on the complexes
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.dom, self.cod,
+                               frozenset(self.assign.items())))
         return self._hash
 
     def is_injective(self):

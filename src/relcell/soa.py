@@ -256,11 +256,9 @@ class Factorizer:
         self._cache = {}
 
     def k(self, f):
-        key = f.key()
-        fr = self._cache.get(key)
+        fr = self._cache.get(f)
         if fr is None:
-            fr = free_complex(f, self.safety_cap)
-            self._cache[key] = fr
+            fr = self._cache[f] = free_complex(f, self.safety_cap)
         return fr
 
 

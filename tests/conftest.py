@@ -85,6 +85,22 @@ def boundary_inclusion(k):
     return inclusion_map(boundary_complex(k), standard_simplex(k))
 
 
+def rebuilt(x):
+    """An equal complex that shares no object with x."""
+    return DeltaComplex(x.simplices, x.faces)
+
+
+def rebuilt_map(f):
+    """An equal map that shares no object with f."""
+    return SimplicialMap(rebuilt(f.dom), rebuilt(f.cod), f.assign)
+
+
+def bigon(d0, d1):
+    """Two edges e, f from vertex a to vertex b, f with faces (d0, d1)."""
+    return DeltaComplex({0: ["a", "b"], 1: ["e", "f"]},
+                        {"e": ("b", "a"), "f": (d0, d1)})
+
+
 def fold_map():
     pt = standard_simplex(0)
     two, _ = coproduct([pt, pt])

@@ -128,11 +128,13 @@ class TestFactor:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs the /dev/full device")
     def test_out_file_on_a_full_device_exit_2(self, files, capsys):
-        # the open succeeds and the write fails: one line, no traceback
+        # the open succeeds and the write fails: one line, no traceback,
+        # and no stage counts, which are printed only after the file
         _, write = files
         path = write("f.json", jsonio.map_to_json(boundary_inclusion(1)))
-        code, _, err = run_cli(capsys, "factor", path, "--out", "/dev/full")
-        assert code == 2
+        code, out, err = run_cli(capsys, "factor", path, "--out",
+                                 "/dev/full")
+        assert code == 2 and out == ""
         assert err == "error: /dev/full: No space left on device\n"
 
     def test_bad_cap_exit_2(self, files, capsys):

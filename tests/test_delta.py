@@ -35,8 +35,8 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import MAX_DIM
-from conftest import (attach_map, boundary_lifts, fold_map,
-                      rand_cell_complex)
+from conftest import (attach_map, bigon, boundary_lifts, fold_map,
+                      rand_cell_complex, rebuilt, rebuilt_map)
 
 
 def brute_homs(dom, cod):
@@ -215,22 +215,6 @@ def test_validation_matches_the_oracle(seed, data):
     assert outcome(lambda: SimplicialMap(f.dom, f.cod, assign)) == want
 
 
-def _rebuilt(x):
-    """An equal complex that shares no object with x."""
-    return DeltaComplex(x.simplices, x.faces)
-
-
-def _rebuilt_map(f):
-    """An equal map that shares no object with f."""
-    return SimplicialMap(_rebuilt(f.dom), _rebuilt(f.cod), f.assign)
-
-
-def _bigon(d0, d1):
-    """Two edges e, f from vertex a to vertex b, f with faces (d0, d1)."""
-    return DeltaComplex({0: ["a", "b"], 1: ["e", "f"]},
-                        {"e": ("b", "a"), "f": (d0, d1)})
-
-
 class TestEquality:
     """``==`` compares content; it must agree with ``key()`` equality,
     and equal values must hash equal."""
@@ -251,10 +235,10 @@ class TestEquality:
             extra = DeltaComplex({**x.simplices, 0: x.ids(0) + ("v*",)},
                                  x.faces)
             assert extra.faces == x.faces and extra != x
-            values += [x, _rebuilt(x), extra]
-        values += [EMPTY, _rebuilt(EMPTY), _bigon("b", "a"),
-                   _bigon("a", "b")]
-        assert _bigon("b", "a") != _bigon("a", "b")  # permuted faces
+            values += [x, rebuilt(x), extra]
+        values += [EMPTY, rebuilt(EMPTY), bigon("b", "a"),
+                   bigon("a", "b")]
+        assert bigon("b", "a") != bigon("a", "b")  # permuted faces
         self._check_pairs(values)
 
     def test_maps_agree_with_key_and_hash(self):
@@ -262,23 +246,29 @@ class TestEquality:
         values = []
         for _ in range(25):
             f = gen.rand_map(rng, max_dim=1)
-            values += [f, _rebuilt_map(f), identity_map(f.cod)]
+            values += [f, rebuilt_map(f), identity_map(f.cod)]
         # one assignment, different endpoints
         out_of_empty = [SimplicialMap(EMPTY, standard_simplex(k), {})
                         for k in range(3)]
-        bigons = [identity_map(_bigon("b", "a")),
-                  identity_map(_bigon("a", "b"))]
+        bigons = [identity_map(bigon("b", "a")),
+                  identity_map(bigon("a", "b"))]
         assert bigons[0].assign == bigons[1].assign
         assert bigons[0] != bigons[1] and out_of_empty[0] != out_of_empty[1]
         self._check_pairs(values + out_of_empty + bigons)
 
     def test_equality_builds_no_key(self):
+        # ``==`` and the hash read content; ``key()`` is built on each
+        # call, for the map digest, and no value keeps it
         f = gen.rand_map(random.Random(7), max_dim=2)
-        a, b = _rebuilt_map(f), _rebuilt_map(f)
+        a, b = rebuilt_map(f), rebuilt_map(f)
         assert a is not b and a.dom is not b.dom and a.cod is not b.cod
-        assert a == b and a.dom == b.dom
+        assert a == b and a.dom == b.dom and hash(a) == hash(b)
         for value in (a, b, a.dom, b.dom, a.cod, b.cod):
-            assert value._key is None
+            key = value.key()
+            assert value.key() == key and value.key() is not key
+            assert isinstance(value._hash, int)
+            assert all(getattr(value, slot, None) != key
+                       for slot in type(value).__slots__)
 
 
 class TestComposesTo:
@@ -298,7 +288,7 @@ class TestComposesTo:
             wider = compose(gen.rand_map_from(rng, f.cod), fg)
             pt = standard_simplex(0)
             stray = SimplicialMap(EMPTY, pt, {})
-            for h in [fg, _rebuilt_map(fg), identity_map(g.dom),
+            for h in [fg, rebuilt_map(fg), identity_map(g.dom),
                       identity_map(f.dom), wider, stray, *others]:
                 want = compose(f, g) == h
                 assert composes_to(f, g, h) is want
@@ -312,8 +302,8 @@ class TestComposesTo:
         assert checked >= 80 and mismatched >= 20
 
     def test_same_assignments_other_endpoints(self):
-        bigons = [identity_map(_bigon("b", "a")),
-                  identity_map(_bigon("a", "b"))]
+        bigons = [identity_map(bigon("b", "a")),
+                  identity_map(bigon("a", "b"))]
         f = bigons[0]
         assert not composes_to(f, f, bigons[1])
         assert composes_to(f, f, f)

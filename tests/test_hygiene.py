@@ -218,3 +218,25 @@ def test_one_way_per_job_in_cellcx():
                     isinstance(n, ast.Attribute) and n.attr == "cells"
                     for n in ast.walk(node.test))]
     assert branches == []
+
+
+def test_no_value_keeps_a_key():
+    # ``==`` and the hash read content, so no ``delta`` class has a slot
+    # for a canonical key; ``key()`` is built on demand for the map digest,
+    # its one caller beside the ``key`` methods themselves
+    slots = {node.name: ast.literal_eval(stmt.value)
+             for node in MODULES["delta"].body
+             if isinstance(node, ast.ClassDef)
+             for stmt in node.body if isinstance(stmt, ast.Assign)
+             and [t.id for t in stmt.targets] == ["__slots__"]}
+    assert {"DeltaComplex", "SimplicialMap"} <= slots.keys()
+    assert not [name for name, names in slots.items() if "_key" in names]
+    callers = sorted(f"{name}.{fn.name}"
+                     for name, tree in MODULES.items()
+                     for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and fn.name != "key"
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "key")
+    assert callers == ["soa._map_digest"]

@@ -7,7 +7,9 @@ it rejects the same input, with its own message or witness."""
 import pytest
 
 from relcell import (
+    EMPTY,
     ArrowSquare,
+    CellComplexError,
     DeltaComplex,
     DeltaError,
     Factorizer,
@@ -23,11 +25,13 @@ from relcell import (
     k_of_square,
     mec,
     solve_lifting,
+    standard_simplex,
     u_of_complex,
 )
 from relcell import lifting, soa
 from relcell.strata import _facets
-from conftest import boundary_inclusion, fold_map
+from relcell.cli import builtin_fixtures
+from conftest import bigon, boundary_inclusion, fold_map, rebuilt_map
 
 
 def test_fill_that_skips_its_target_check_is_caught(monkeypatch):
@@ -111,3 +115,50 @@ def test_wrong_comultiplication_fails_coassociativity_alone(monkeypatch):
     assert rep["witnesses"] == {"comonad_coassoc": {
         "lhs": sorted(compose(wrong, delta).assign.items()),
         "rhs": sorted(compose(kdelta, delta).assign.items())}}
+
+
+def test_factorizer_answers_each_map_with_its_own_result():
+    # the cache is keyed by the map: different maps get their own result,
+    # though they share a codomain (out of the empty complex) or an
+    # assignment (the identities of two bigons), and an equal map rebuilt
+    # from new objects gets the very result of the first
+    fz = Factorizer()
+    maps = [SimplicialMap(EMPTY, standard_simplex(k), {}) for k in (1, 2)]
+    maps += [identity_map(bigon("b", "a")), identity_map(bigon("a", "b"))]
+    maps += [f for _, f in builtin_fixtures()]
+    results = [fz.k(g) for g in maps]
+    for g, fr in zip(maps, results):
+        assert fr.input == g
+        assert fz.k(rebuilt_map(g)) is fr
+    assert len(set(map(id, results))) == len(maps)
+
+
+def _k_keyed_by(key_of):
+    """A ``Factorizer.k`` that caches by ``key_of(f)`` instead of f."""
+    def k(self, f):
+        fr = self._cache.get(key_of(f))
+        if fr is None:
+            fr = self._cache[key_of(f)] = free_complex(f, self.safety_cap)
+        return fr
+    return k
+
+
+@pytest.mark.parametrize("key_of, error, message", [
+    # ef shares f's codomain, so K(ef) is Kf, whose boundary is not the
+    # body of Kf: the composite complex of ``monad_mult`` is rejected
+    (lambda f: f.cod, CellComplexError,
+     "^boundary of the second complex must equal the body of the first$"),
+    # the free inclusions of one base into two bodies share an
+    # assignment, so ``unit`` transposes against the other body's result
+    (lambda f: tuple(sorted(f.assign.items())), DeltaError,
+     "^transpose: body map endpoints do not match$"),
+], ids=["codomain", "assignment"])
+def test_factorizer_keyed_by_part_of_the_map_is_caught(
+        monkeypatch, key_of, error, message):
+    fixtures = [f for _, f in builtin_fixtures()]
+    for f in fixtures:
+        assert check_awfs_laws(f, [], factorizer=Factorizer())["all_pass"]
+    monkeypatch.setattr(Factorizer, "k", _k_keyed_by(key_of))
+    for f in fixtures:
+        with pytest.raises(error, match=message):
+            check_awfs_laws(f, [], factorizer=Factorizer())
