@@ -31,7 +31,6 @@ from .delta import (
     compose,
     equaliser,
     identity_map,
-    inclusion_map,
     pushout,
 )
 from .strata import _ID, Stratum, body
@@ -123,9 +122,12 @@ def trivial_complex(x):
 
 def u_of_complex(c):
     """The underlying map: the identifier inclusion of the base in the body,
-    built and checked once per complex and shared."""
+    built once per complex and shared.  It is owned, not checked: each
+    stratum's body extends its boundary literally, and each boundary is the
+    stage below, by construction or by the connectedness check."""
     if c._u is None:
-        c._u = inclusion_map(c.boundary, c.body)
+        c._u = SimplicialMap._owning(
+            c.boundary, c.body, {s: s for s in c.boundary._dim_of})
     return c._u
 
 
@@ -150,6 +152,9 @@ def assemble(boundary, cells):
     attach references ids that never appear.
     """
     remaining = sorted(cells, key=_ID)
+    for c, d in zip(remaining, remaining[1:]):  # sorted: a repeat is next
+        if c[0] == d[0]:
+            raise CellComplexError(f"duplicate cell id {c[0]!r}")
     strata = []
     current = boundary
     while remaining:
@@ -200,7 +205,9 @@ class CellComplexMorphism:
     base into the base and each cell to a cell at the same stage.
 
     Its restrictions to the base and to the cells are ``f0`` and ``p``; the
-    stagewise boundary maps are its restrictions to the stages.
+    stagewise boundary maps are its restrictions to the stages.  The body
+    map is a map already, checked or owned, so ``validate`` checks only its
+    endpoints and that it keeps the base and the stages.
     """
 
     __slots__ = ("dom", "cod", "body_map")
@@ -216,10 +223,6 @@ class CellComplexMorphism:
         m = self.body_map
         if m.dom != self.dom.body or m.cod != self.cod.body:
             raise CellComplexError("body map endpoints do not match")
-        try:
-            m._validate()
-        except DeltaError as err:
-            raise CellComplexError(f"not a map of bodies: {err}") from err
         a, base = m.assign, self.cod.boundary
         if any(a[s] not in base for s in self.dom.boundary._dim_of):
             raise CellComplexError("base map endpoints do not match")

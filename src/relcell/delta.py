@@ -13,9 +13,10 @@ of any of them.
 
 Equality compares content: a complex's ``simplices`` and ``faces`` dicts, a
 map's ``assign`` dict and endpoints.  Hashes come from the same content, with
-no sort; only the int is kept.  ``key()`` is the canonical sorted form, built
-on demand and kept nowhere, for the map digest behind cell ids alone; equal
-values have equal keys.
+no sort; only the int is kept, and no value keeps a sorted form.  Each value
+is checked once, where it is built: checked by its constructor, or owned,
+built unchecked by ``DeltaComplex._extended`` or ``SimplicialMap._owning``
+where relcell's own construction makes it valid.
 
 All values are immutable after construction and all operations are pure.
 This is load-bearing: ``standard_simplex`` and ``boundary_complex`` return
@@ -42,7 +43,8 @@ class InvariantError(AssertionError):
 
 
 class DeltaComplex:
-    """A finite graded family of simplices with face maps.
+    """A finite graded family of simplices with face maps, checked on
+    construction; ``_extended`` is the one unchecked path.
 
     ``simplices`` maps a dimension to the tuple of simplex ids of that
     dimension; ``faces`` maps each simplex id of dimension >= 1 to the ordered
@@ -51,24 +53,13 @@ class DeltaComplex:
 
     __slots__ = ("simplices", "faces", "_dim_of", "_hash")
 
-    def __init__(self, simplices=None, faces=None, validate=True):
-        simp = {}
-        for k, ids in (simplices or {}).items():
-            ids = tuple(sorted(ids))
-            if ids:
-                simp[int(k)] = ids
-        self.simplices = simp
-        self.faces = {str(s): tuple(f) for s, f in (faces or {}).items()}
-        dim_of = {}
-        for k, ids in simp.items():
-            for s in ids:
-                if s in dim_of:
-                    raise DeltaError(f"duplicate simplex id {s!r}")
-                dim_of[s] = k
-        self._dim_of = dim_of
-        self._hash = None
-        if validate:
-            self._validate()
+    def __init__(self, simplices=None, faces=None):
+        x = EMPTY._extended(
+            {int(k): list(ids) for k, ids in (simplices or {}).items()},
+            {str(s): tuple(f) for s, f in (faces or {}).items()})
+        self.simplices, self.faces = x.simplices, x.faces
+        self._dim_of, self._hash = x._dim_of, None
+        self._validate()
 
     def _validate(self):
         faces = self.faces
@@ -134,13 +125,6 @@ class DeltaComplex:
     def __contains__(self, s):
         return s in self._dim_of
 
-    def key(self):
-        """The canonical form, the sorted items of ``simplices`` and
-        ``faces``, built anew on each call for ``SimplicialMap.key`` and so
-        for the map digest alone; ``==`` and the hash read the dicts."""
-        return (tuple(sorted(self.simplices.items())),
-                tuple(sorted(self.faces.items())))
-
     def __eq__(self, other):
         # both dicts: an extra isolated vertex leaves ``faces`` unchanged
         return self is other or (
@@ -163,20 +147,25 @@ class DeltaComplex:
             for f in fs:
                 if f not in keep:
                     raise DeltaError(f"{keep!r} is not face-closed at {s!r}")
-        return DeltaComplex(simp, faces, validate=False)
+        return EMPTY._extended(simp, faces)
 
     def _extended(self, added, faces):
-        """This complex plus the ``added`` ids (dimension -> sorted list)
-        with their ``faces``, trusted: one copy of each dict, one merge per
-        grade, no validation but ``__init__``'s duplicate id check."""
+        """This complex plus the ``added`` ids (dimension -> list) with
+        their ``faces``, unchecked but that every id is new: one copy of
+        each dict, one merge per nonempty grade.  ``__init__`` is this on
+        ``EMPTY``, then ``_validate``."""
         dim_of = dict(self._dim_of)
         simp = dict(self.simplices)
         for k, ids in added.items():
-            dim_of.update(dict.fromkeys(ids, k))
-            # two sorted runs: timsort merges them in one linear pass
-            simp[k] = tuple(sorted([*simp.get(k, ()), *ids]))
+            if ids:
+                dim_of.update(dict.fromkeys(ids, k))
+                # two sorted runs: timsort merges them in one linear pass
+                simp[k] = tuple(sorted([*simp.get(k, ()), *ids]))
         if len(dim_of) != len(self._dim_of) + sum(map(len, added.values())):
-            raise DeltaError("duplicate simplex id")
+            seen = set(self._dim_of)  # the first id met twice
+            s = next(s for ids in added.values() for s in sorted(ids)
+                     if s in seen or seen.add(s))
+            raise DeltaError(f"duplicate simplex id {s!r}")
         x = _new(DeltaComplex)
         x.simplices = simp
         x.faces = {**self.faces, **faces}
@@ -193,7 +182,8 @@ class DeltaComplex:
         return True
 
 
-EMPTY = DeltaComplex()
+EMPTY = _new(DeltaComplex)  # by hand: every other complex extends it
+EMPTY.simplices, EMPTY.faces, EMPTY._dim_of, EMPTY._hash = {}, {}, {}, None
 
 
 class SimplicialMap:
@@ -233,13 +223,6 @@ class SimplicialMap:
         m.assign = assign
         m._hash = m._prefixes = None
         return m
-
-    def key(self):
-        """The canonical form, the endpoints' keys and the sorted
-        assignment, built anew on each call: the bytes ``soa._map_digest``
-        hashes, and nothing else; ``==`` and the hash read content."""
-        return (self.dom.key(), self.cod.key(),
-                tuple(sorted(self.assign.items())))
 
     def prefix_index(self, m):
         """The face-prefix index of the m-simplices: ``(t, p)`` -> sorted
@@ -365,7 +348,7 @@ def standard_simplex(k):
             if m >= 1:
                 faces[sid] = tuple(sid[:i] + sid[i + 1:] for i in range(m + 1))
         simp[m] = ids
-    return DeltaComplex(simp, faces, validate=False)
+    return EMPTY._extended(simp, faces)
 
 
 def top_simplex_id(k):
@@ -644,7 +627,7 @@ def _quotient(parts, pairs, name):
     simp = {}
     for n, k in dim_of.items():
         simp.setdefault(k, []).append(n)
-    total = DeltaComplex(simp, faces, validate=False)
+    total = EMPTY._extended(simp, faces)
     return total, [SimplicialMap._owning(x, total, assign)
                    for x, assign in zip(parts, assigns)]
 

@@ -24,6 +24,7 @@ import itertools
 import json
 
 from .delta import (
+    EMPTY,
     DeltaComplex,
     DeltaError,
     SimplicialMap,
@@ -276,8 +277,8 @@ def complex_to_json(x):
 
 
 def complex_from_json(obj, twin=None):
-    """The complex ``obj`` holds: ``twin``, a validated complex, if equal;
-    else validated."""
+    """The complex ``obj`` holds, built unchecked: ``twin``, a checked
+    complex, if equal; else checked here, once."""
     _expect(isinstance(obj, dict) and
             isinstance(obj.get("simplices"), dict),
             "complex JSON must be an object with a 'simplices' object")
@@ -302,7 +303,7 @@ def complex_from_json(obj, twin=None):
         simplices[k] = ids
     _expect(_strings(itertools.chain.from_iterable(faces.values())),
             "faces must be simplex ids")
-    x = DeltaComplex(simplices, faces, validate=False)
+    x = EMPTY._extended(simplices, faces)
     if x == twin:
         return twin
     x._validate()

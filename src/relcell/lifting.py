@@ -124,8 +124,10 @@ def solve_lifting(c, ft, square):
     ``square`` is the pair (u: boundary -> E, v: body -> B).  The lift is
     built stagewise: for each cell the table is queried at the cell's shape,
     the image of its glued simplex and its image tuple under the partial
-    lift so far, with no map built per cell.  Both lifting equations are
-    asserted on the result; a bad filler raises LiftError with its square.
+    lift so far, with no map built per cell.  The lift is owned, not
+    checked again: u is a map, and ``_fill`` checks each filler's
+    dimension, image and faces.  Both lifting equations are asserted on
+    the result; a bad filler raises LiftError with its square.
     """
     u, v = square
     i = u_of_complex(c)
@@ -139,7 +141,7 @@ def solve_lifting(c, ft, square):
     fill, lifted = ft._fill, d_assign.__getitem__
     for _, (cid, k, images) in c.all_cells():
         d_assign[cid] = fill(k, v.assign[cid], tuple(map(lifted, images)))
-    d = SimplicialMap(c.body, p.dom, d_assign)
+    d = SimplicialMap._owning(c.body, p.dom, d_assign)
     if not composes_to(d, i, u):
         raise InvariantError("lift does not restrict to the given map")
     if not composes_to(p, d, v):

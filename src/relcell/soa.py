@@ -63,7 +63,12 @@ class CapExceededError(RuntimeError):
 
 
 def _map_digest(f):
-    raw = repr(f.key()).encode()
+    """10 hex digits of the SHA-1 of the ``repr`` of f's sorted form: each
+    endpoint's sorted ``simplices`` and ``faces`` items, then the sorted
+    assignment."""
+    dom, cod = ((tuple(sorted(x.simplices.items())),
+                 tuple(sorted(x.faces.items()))) for x in (f.dom, f.cod))
+    raw = repr((dom, cod, tuple(sorted(f.assign.items())))).encode()
     return hashlib.sha1(raw).hexdigest()[:10]
 
 

@@ -68,8 +68,9 @@ def boundary_lifts(f, t, new=None):
 
 def morphism(dom, cod, f0, p):
     """The morphism dom -> cod stated by its base map ``f0`` and its cell
-    assignment ``p``: the body map that extends f0 by p, validated."""
-    return CellComplexMorphism(dom, cod, SimplicialMap._owning(
+    assignment ``p``: the body map that extends f0 by p, checked as a map
+    and then as a morphism."""
+    return CellComplexMorphism(dom, cod, SimplicialMap(
         dom.body, cod.body, {**f0.assign, **p}))
 
 
@@ -83,6 +84,17 @@ def chain_complex(n):
 
 def boundary_inclusion(k):
     return inclusion_map(boundary_complex(k), standard_simplex(k))
+
+
+def canonical(value):
+    """The sorted form of a complex, or of a map and its endpoints: an
+    oracle of content for ``==``, and the value whose ``repr`` the map
+    digest behind cell ids hashes."""
+    if isinstance(value, SimplicialMap):
+        return (canonical(value.dom), canonical(value.cod),
+                tuple(sorted(value.assign.items())))
+    return (tuple(sorted(value.simplices.items())),
+            tuple(sorted(value.faces.items())))
 
 
 def rebuilt(x):

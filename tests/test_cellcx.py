@@ -24,6 +24,7 @@ from relcell import (
     compose_morphisms,
     complex_of,
     equaliser,
+    free_complex,
     generator_complex,
     horizontal_compose,
     identity_map,
@@ -76,6 +77,32 @@ class TestBasics:
         c = point_cell_complex()
         assert u_of_complex(c).dom == EMPTY
         assert len(u_of_complex(c).cod.ids(0)) == 1
+
+    def test_u_of_complex_is_the_checked_inclusion(self):
+        # the underlying map is owned, not checked: it must be the
+        # inclusion that ``inclusion_map`` checks, on drawn complexes, on
+        # pushforward, colimit and equaliser outputs, and on free ones
+        rng = random.Random(2036)
+        complexes = []
+        for _ in range(15):
+            c = rand_cell_complex(rng, max_cells=4)
+            _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            complexes += [
+                c, m1.cod, cellcx_equaliser(m1, m1)[0],
+                cellcx_colimit([c, m1.cod, m2.cod],
+                               [(0, 1, m1), (0, 2, m2)])[0],
+                free_complex(gen.rand_map(rng, max_dim=2)).kf]
+        # a proper equaliser: the swap of two edges agrees on the base only
+        c = complex_of(standard_simplex(0), DeltaComplex(
+            {0: ["0", "a", "b"], 1: ["e", "r"]},
+            {"e": ("b", "a"), "r": ("a", "b")}))
+        swap = morphism(c, c, identity_map(c.boundary),
+                        {"a": "b", "b": "a", "e": "r", "r": "e"})
+        e, _ = cellcx_equaliser(swap, identity_morphism(c))
+        assert e.body == c.boundary
+        for c in complexes + [e]:
+            assert u_of_complex(c) == inclusion_map(c.boundary, c.body)
 
     def test_generator_complexes(self):
         for k in range(3):
@@ -242,11 +269,18 @@ class TestMorphisms:
         f0 = identity_map(c.boundary)
         swap = {"a": "b", "b": "a", "e": "r", "r": "e"}
         assert morphism(c, c, f0, swap).body_map.is_bijective()
-        for p in ({"a": "a", "b": "b", "e": "r", "r": "e"},  # not commuting
-                  {"a": "0", "b": "b", "e": "e", "r": "r"},  # to the base
-                  {"a": "e", "b": "b", "e": "e", "r": "r"}):  # across stages
-            with pytest.raises(CellComplexError):
+        # each is no map of bodies, so the body map's own check rejects it
+        for p, message in [
+                ({"a": "a", "b": "b", "e": "r", "r": "e"},  # not commuting
+                 "face commutation fails at 'e'"),
+                ({"a": "0", "b": "b", "e": "e", "r": "r"},  # to the base
+                 "face commutation fails at 'e'"),
+                ({"a": "e", "b": "b", "e": "e", "r": "r"},  # across stages
+                 "'a' (0-simplex) maps to bad id 'e'")]:
+            with pytest.raises(DeltaError) as info:
                 morphism(c, c, f0, p)
+            assert type(info.value) is DeltaError
+            assert str(info.value) == message
 
     def test_stage_preservation_required(self):
         c = loop_on_new_vertex()
@@ -268,9 +302,6 @@ class TestMorphisms:
                            validate=False)
         cases = [
             (bare, v, identity_map(pt), "body map endpoints"),
-            (loop, loop, SimplicialMap._owning(loop.body, loop.body, {
-                "0": "0", "v": "v", "e": "v"}),
-             "not a map of bodies"),
             (bare, v, SimplicialMap(pt, v.body, {"0": "v"}),
              "base map endpoints do not match"),
             (v, v, SimplicialMap(v.body, v.body, {"0": "0", "v": "0"}),

@@ -35,8 +35,8 @@ from relcell import (
 )
 from relcell import gen
 from relcell.delta import MAX_DIM
-from conftest import (attach_map, bigon, boundary_lifts, fold_map,
-                      rand_cell_complex, rebuilt, rebuilt_map)
+from conftest import (attach_map, bigon, boundary_lifts, canonical,
+                      fold_map, rand_cell_complex, rebuilt, rebuilt_map)
 
 
 def brute_homs(dom, cod):
@@ -216,14 +216,15 @@ def test_validation_matches_the_oracle(seed, data):
 
 
 class TestEquality:
-    """``==`` compares content; it must agree with ``key()`` equality,
-    and equal values must hash equal."""
+    """``==`` compares content; it must agree with equality of the sorted
+    ``canonical`` forms, and equal values must hash equal."""
 
     @staticmethod
     def _check_pairs(values):
         for a in values:
             for b in values:
-                assert (a == b) == (a.key() == b.key()) == (b == a)
+                assert (a == b) == (canonical(a) == canonical(b)) == \
+                    (b == a)
                 if a == b:
                     assert hash(a) == hash(b)
 
@@ -257,15 +258,15 @@ class TestEquality:
         self._check_pairs(values + out_of_empty + bigons)
 
     def test_equality_builds_no_key(self):
-        # ``==`` and the hash read content; ``key()`` is built on each
-        # call, for the map digest, and no value keeps it
+        # ``==`` and the hash read content, and no value keeps a sorted
+        # form
         f = gen.rand_map(random.Random(7), max_dim=2)
         a, b = rebuilt_map(f), rebuilt_map(f)
         assert a is not b and a.dom is not b.dom and a.cod is not b.cod
         assert a == b and a.dom == b.dom and hash(a) == hash(b)
         for value in (a, b, a.dom, b.dom, a.cod, b.cod):
-            key = value.key()
-            assert value.key() == key and value.key() is not key
+            key = canonical(value)
+            assert not hasattr(value, "key")
             assert isinstance(value._hash, int)
             assert all(getattr(value, slot, None) != key
                        for slot in type(value).__slots__)

@@ -12,6 +12,7 @@ from relcell import (
     EMPTY,
     SimplicialMap,
     Stratum,
+    assemble,
     boundary_complex,
     cellcx_colimit,
     cellcx_equaliser,
@@ -67,6 +68,13 @@ ERRORS = {
         lambda: DeltaComplex({0: ["a"], 1: ["e"]}, {"e": ["a"]})),
     "factor-input-edge-with-one-face": (
         DeltaError, "simplex '01' needs 2 faces", _edge_with_one_face),
+    "complex-with-a-simplex-twice": (
+        DeltaError, "duplicate simplex id 'a'",
+        lambda: DeltaComplex({0: ["b", "a"], 1: ["a"]}, {"a": ("b", "b")})),
+    "loaded-complex-with-a-vertex-twice": (
+        DeltaError, "duplicate simplex id 'a'",
+        lambda: jsonio.complex_from_json(
+            {"simplices": {"0": ["b", "a", "b", "a"]}})),
     "faces-of-unknown-simplex": (
         DeltaError, "face list for unknown simplex 'x'",
         lambda: DeltaComplex({0: ["a"]}, {"x": ["a", "a"]})),
@@ -116,6 +124,10 @@ ERRORS = {
         CellComplexError, "duplicate cell id 'v'",
         lambda: CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])] * 2,
                             validate=False)),
+    "assembled-with-a-cell-twice": (
+        CellComplexError, "duplicate cell id 'c'",
+        lambda: assemble(PT, [("c", 0, ()), ("d", 0, ()),
+                              ("c", 1, ("d", "d"))])),
     "morphisms-that-do-not-compose": (
         CellComplexError, "morphisms do not compose",
         lambda: compose_morphisms(identity_morphism(G1),

@@ -179,6 +179,31 @@ def test_one_way_per_job_in_delta():
     assert not init.defaults and not init.kwonlyargs
     assert {"by_faces", "face"}.isdisjoint(classes["DeltaComplex"])
     assert "__call__" not in classes["SimplicialMap"]
+    # a complex too: ``DeltaComplex`` checks, ``_extended`` builds unchecked
+    init = classes["DeltaComplex"]["__init__"].args
+    assert [a.arg for a in init.args] == ["self", "simplices", "faces"]
+    assert not init.kwonlyargs
+
+
+def test_each_value_is_checked_once():
+    # a value is checked where it is built: ``_validate`` runs from a
+    # constructor, and from the loader that builds a complex unchecked to
+    # compare it with its twin first; never on a value built already
+    functions = [(f"{name}.{fn.name}", fn) for name, tree in MODULES.items()
+                 for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{name}.{cls.name}.{fn.name}", fn)
+                  for name, tree in MODULES.items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    callers = sorted(qualname for qualname, fn in functions
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "_validate")
+    assert callers == ["cellcx.CellComplex.__init__",
+                       "cellcx.CellComplexMorphism.__init__",
+                       "delta.DeltaComplex.__init__",
+                       "delta.SimplicialMap.__init__",
+                       "jsonio.complex_from_json"]
 
 
 def test_one_way_per_job_in_cellcx():
@@ -222,21 +247,19 @@ def test_one_way_per_job_in_cellcx():
 
 def test_no_value_keeps_a_key():
     # ``==`` and the hash read content, so no ``delta`` class has a slot
-    # for a canonical key; ``key()`` is built on demand for the map digest,
-    # its one caller beside the ``key`` methods themselves
-    slots = {node.name: ast.literal_eval(stmt.value)
-             for node in MODULES["delta"].body
-             if isinstance(node, ast.ClassDef)
+    # for a canonical key or a ``key`` method; the map digest builds the
+    # sorted form it hashes itself
+    classes = [node for node in MODULES["delta"].body
+               if isinstance(node, ast.ClassDef)]
+    slots = {node.name: ast.literal_eval(stmt.value) for node in classes
              for stmt in node.body if isinstance(stmt, ast.Assign)
              and [t.id for t in stmt.targets] == ["__slots__"]}
     assert {"DeltaComplex", "SimplicialMap"} <= slots.keys()
     assert not [name for name, names in slots.items() if "_key" in names]
-    callers = sorted(f"{name}.{fn.name}"
-                     for name, tree in MODULES.items()
-                     for fn in ast.walk(tree)
-                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     and fn.name != "key"
-                     for node in ast.walk(fn) if isinstance(node, ast.Call)
-                     and isinstance(node.func, ast.Attribute)
-                     and node.func.attr == "key")
-    assert callers == ["soa._map_digest"]
+    assert not [node.name for node in classes for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "key"]
+    callers = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "key"]
+    assert callers == []

@@ -435,10 +435,9 @@ def _reference(value):
     return _canonical(_TO_JSON[type(value)](value))
 
 
-def _renamed_complex(x, name, validate=True):
+def _renamed_complex(x, name):
     return DeltaComplex({k: map(name, ids) for k, ids in x.simplices.items()},
-                        {name(s): map(name, fs) for s, fs in x.faces.items()},
-                        validate=validate)
+                        {name(s): map(name, fs) for s, fs in x.faces.items()})
 
 
 def _renamed_map(f, name):
@@ -451,12 +450,11 @@ def _edge_values(name):
     """Empty containers at every level of each shape: the empty complex,
     empty dimensions below the top, no strata, a stratum without cells,
     shape-0 cells (``attach == {}``), no stages and an empty assignment."""
-    sparse = _renamed_complex(DeltaComplex(
-        {0: ["a"], 2: ["t"]}, {"t": ("e", "e", "e")}, validate=False),
-        name, validate=False)
-    top_only = _renamed_complex(DeltaComplex(
-        {3: ["t"]}, {"t": ("f", "g", "h", "i")}, validate=False),
-        name, validate=False)
+    # built unchecked: faces that are no simplices of the complex
+    sparse = EMPTY._extended({0: [name("a")], 2: [name("t")]},
+                             {name("t"): (name("e"),) * 3})
+    top_only = EMPTY._extended({3: [name("t")]},
+                               {name("t"): tuple(map(name, "fghi"))})
     edge = _renamed_complex(standard_simplex(1), name)
     return [EMPTY, sparse, top_only, trivial_complex(EMPTY),
             trivial_complex(sparse),

@@ -439,15 +439,26 @@ def _tables(rng, c, p, square, fr):
 
 def test_solver_matches_per_cell_map_oracle(fz):
     """Lifts, and failures with their squares and messages, are those of
-    the solver that built one map per cell."""
+    the solver that built one map per cell.  A lift is owned, not checked,
+    so the checked constructor must accept each one: by free fillers, by
+    search and by a table of entries."""
     rng = random.Random(431)
-    kinds = set()
+    kinds, lifted_by = set(), set()
     for c, p, square, fr in _lifting_problems(fz):
         for ft in _tables(rng, c, p, square, fr):
             got = _outcome(solve_lifting, c, ft, square)
             assert got == _outcome(reference_solve, c, ft, square)
             kinds.add(re.sub("'[^']*'", "_", got[-1])
                       if isinstance(got, tuple) else "lift")
+            if not isinstance(got, tuple):
+                assert SimplicialMap(got.dom, got.cod, got.assign) == got
+                if ft.entries:
+                    lifted_by.add("entries")
+                elif fr is not None and ft.fallback == fr.cell_over:
+                    lifted_by.add("free")
+                elif ft.fallback == "search":
+                    lifted_by.add("search")
+    assert {"free", "search", "entries"} <= lifted_by
     assert kinds == {"lift", "no filler exists for target _",
                      "no table entry for target _",
                      "filler _ is not a 0-simplex of the domain",

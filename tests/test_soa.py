@@ -53,8 +53,8 @@ from relcell import (
 from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
 from relcell.cli import builtin_fixtures
-from conftest import (attach_map, boundary_inclusion, fold_map, morphism,
-                      normal_form, rand_cell_complex, rand_images,
+from conftest import (attach_map, boundary_inclusion, canonical, fold_map,
+                      morphism, normal_form, rand_cell_complex, rand_images,
                       rand_transpose_square)
 
 
@@ -527,7 +527,7 @@ class TestMemoizedStructureMaps:
         mult, compose_cx = soa.monad_mult, soa.compose_complexes
 
         def counting_mult(f, factorizer):
-            needed.add(f.key())
+            needed.add(f)
             return mult(f, factorizer)
 
         def counting_compose(a, b):
@@ -698,6 +698,17 @@ def oracle_cell_id(digest, stage, k, t, u):
     sorted assignment, then SHA-1."""
     lift = json.dumps(sorted(u.assign.items())).encode()
     return f"{digest}.{stage}.{k}.{t}.{hashlib.sha1(lift).hexdigest()[:12]}"
+
+
+def test_map_digest_hashes_the_canonical_form():
+    """A cell id's map digest is 10 hex digits of the SHA-1 of the
+    ``repr`` of the map's sorted form, endpoints first."""
+    rng = random.Random(2035)
+    maps = [gen.rand_map(rng, max_dim=3) for _ in range(30)]
+    maps += [SimplicialMap(EMPTY, EMPTY, {}), fold_map()]
+    for f in maps:
+        raw = repr(canonical(f)).encode()
+        assert soa._map_digest(f) == hashlib.sha1(raw).hexdigest()[:10]
 
 
 _IMAGES = st.sampled_from(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcell import (
-    CellComplexError,
     CellComplexMorphism,
     DeltaComplex,
     DeltaError,
@@ -104,6 +103,11 @@ def rebuilt_body(st):
     return DeltaComplex(simp, faces)
 
 
+def _assigned(h):
+    """A sort key of maps with common endpoints: the sorted assignment."""
+    return sorted(h.assign.items())
+
+
 class TestImages:
     def test_image_tuple_and_attach_agree(self):
         """A cell's images, read in ``boundary_keys`` order, are the
@@ -128,9 +132,9 @@ class TestImages:
                 homs = enumerate_homs(boundary_complex(k), f.dom, post=(
                     f, boundary_restriction(f.cod, t)))
                 _, lifts = _lift_kernel(k)(f, (t,), None)
-                assert sorted(attach_map(k, images, f.dom).key()
-                              for images in lifts) == \
-                    sorted(h.key() for h in homs)
+                lifted = [attach_map(k, images, f.dom) for images in lifts]
+                assert sorted(lifted, key=_assigned) == \
+                    sorted(homs, key=_assigned)
 
     def test_one_search_over_many_targets(self):
         """The search over every k-simplex of a stage's codomain is the
@@ -291,7 +295,7 @@ class TestBody:
             strata += rand_cell_complex(rng, prefix="0.1").strata
         for st in strata:
             got, want = body(st), rebuilt_body(st)
-            assert got == want and got.key() == want.key()
+            assert got == want and hash(got) == hash(want)
             assert got._dim_of == want._dim_of
             for k, ids in got.simplices.items():
                 assert type(ids) is tuple and list(ids) == sorted(ids)
@@ -386,8 +390,10 @@ class TestMorphisms:
         a = ("0", "0")
         st = Stratum(pt, [("l", 1, a)])
         z = Stratum(pt, [("v", 0, ())])
-        with pytest.raises(DeltaError):
+        with pytest.raises(DeltaError) as info:
             morphism(cx(st), cx(z), identity_map(pt), {"l": "v"})  # dim
+        assert type(info.value) is DeltaError
+        assert str(info.value) == "'l' (1-simplex) maps to bad id 'v'"
 
     def test_validation_through_the_body_map(self):
         b1 = boundary_complex(1)
@@ -395,10 +401,16 @@ class TestMorphisms:
         st = Stratum(b1, [("e", 1, ("0", "1")), ("r", 1, ("1", "0"))])
         m = morphism(cx(st), cx(st), swap, {"e": "r", "r": "e"})
         assert m.body_map.is_bijective()
-        for p in ({"e": "r", "r": "e"},  # not commuting with faces
-                  {"e": "0", "r": "r"}):  # to a boundary simplex
-            with pytest.raises(CellComplexError):
+        # each is no map of bodies, so the body map's own check rejects it
+        for p, message in [
+                ({"e": "r", "r": "e"},  # not commuting with faces
+                 "face commutation fails at 'e'"),
+                ({"e": "0", "r": "r"},  # to a boundary simplex
+                 "'e' (1-simplex) maps to bad id '0'")]:
+            with pytest.raises(DeltaError) as info:
                 morphism(cx(st), cx(st), identity_map(b1), p)
+            assert type(info.value) is DeltaError
+            assert str(info.value) == message
 
     def test_pullback_lemma(self):
         rng = random.Random(37)

@@ -5,19 +5,19 @@ Usage, from the root of the repository::
     PYTHONPATH=src python tests/unrun_lines.py
 
 One ``sys.settrace`` tracer is installed before anything imports
-``relcell``; then the Tier-1 suite runs in this process.  Its exit status is
-ignored, since the Tier-1 run gates that: under a tracer the two tests that
-count reference cycles with ``gc.collect()`` fail, and the suite takes about
-four times as long.  Hypothesis runs at a fixed seed, so that the lines run
-do not depend on its draws.
+``relcell``; then the Tier-1 suite runs in this process, about four times as
+slowly, and must pass there too.  The tracer makes no function per call (one
+local trace function serves every call), so the tests that count reference
+cycles with ``gc.collect()`` count only relcell's.  Hypothesis
+runs at a fixed seed, so that the lines run do not depend on its draws.
 
 Every executable line of every function and class body (``co_lines()`` of
 each code object but the module's own) must have run, or be named in
 ``ALLOWED`` with the reason it cannot run in process.  An entry is keyed by
 module, qualified name and stripped line text, so that it survives edits
 elsewhere in the file.  An entry that matches no unrun line is stale and
-fails too, so the list only shrinks.  Exit status 0 means no unrun line is
-missing from the list and no entry is stale.
+fails too, so the list only shrinks.  Exit status 0 means Tier-1 passed, no
+unrun line is missing from the list and no entry is stale.
 """
 
 import importlib.util
@@ -75,43 +75,44 @@ def _executable(files):
 
 
 def _run_traced(files):
-    """Run Tier-1 under the tracer; return (file, qualname, first line) ->
-    the lines run.  A call counts its first line, whose setup instruction
-    has no line event."""
+    """Run Tier-1 under the tracer; return its exit status and (file,
+    qualname, first line) -> the lines run.  A call counts its first line,
+    whose setup instruction has no line event."""
     run = {}
+
+    # one local trace function for every call: a closure made per call
+    # would refer to itself, and leave a cycle behind each traced call
+    def local(frame, event, arg):
+        if event == "line":
+            run[frame.f_code].add(frame.f_lineno)
+        return local
 
     def trace(frame, event, arg):
         code = frame.f_code
         if code.co_filename not in files:
             return None
-        lines = run.setdefault(code, set())
-        lines.add(frame.f_lineno)
-        add = lines.add
-
-        def local(frame, event, arg):
-            if event == "line":
-                add(frame.f_lineno)
-            return local
+        run.setdefault(code, set()).add(frame.f_lineno)
         return local
 
     sys.settrace(trace)
     try:
         import pytest
-        pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-                     "--continue-on-collection-errors",
-                     os.path.join(REPO, "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider",
+                              "--hypothesis-seed=0",
+                              "--continue-on-collection-errors",
+                              os.path.join(REPO, "tests")])
     finally:
         sys.settrace(None)
     keyed = {}
     for code, lines in run.items():
         keyed.setdefault((code.co_filename, code.co_qualname,
                           code.co_firstlineno), set()).update(lines)
-    return keyed
+    return status, keyed
 
 
 def main():
     files = _package_files()
-    run = _run_traced(files)
+    status, run = _run_traced(files)
     executable = _executable(files)
     ran, unrun, missing = set(), set(), []
     for (path, qualname, first), lines in executable.items():
@@ -133,7 +134,9 @@ def main():
     for key in stale:
         print(f"stale allowlist entry: {key}: "
               f"{'now runs' if key in ran else 'matches no line'}")
-    return 1 if missing or stale else 0
+    if status != 0:
+        print(f"Tier-1 failed under the tracer: pytest exit status {status}")
+    return 1 if missing or stale or status != 0 else 0
 
 
 if __name__ == "__main__":
