@@ -24,6 +24,8 @@ from .delta import (
     ArrowSquare,
     DeltaError,
     SimplicialMap,
+    _first_repeat,
+    _new,
     boundary_complex,
     boundary_keys,
     boundary_restriction,
@@ -41,28 +43,35 @@ class CellComplexError(DeltaError):
 
 
 class CellComplex:
-    """A finite proper connected sequence of strata over a base complex.
+    """A finite proper connected sequence of strata over a base complex,
+    checked by the constructor; ``_owning`` is the one unchecked path.
 
     Its underlying map is built on first use and kept (``u_of_complex``).
     """
 
     __slots__ = ("boundary", "strata", "_stages", "_cell_stage", "_u")
 
-    def __init__(self, boundary, strata, validate=True):
-        self.boundary = boundary
-        self.strata = tuple(strata)
-        self._stages = (boundary, *map(body, self.strata))
-        self._u = None
-        stage = self._cell_stage = {}
-        for n, st in enumerate(self.strata):
+    def __init__(self, boundary, strata):
+        c = CellComplex._owning(boundary, strata)
+        self.boundary, self.strata, self._u = boundary, c.strata, None
+        self._stages, self._cell_stage = c._stages, c._cell_stage
+        self._validate()
+
+    @classmethod
+    def _owning(cls, boundary, strata):
+        """Unchecked, but that its cell ids are distinct."""
+        c = _new(cls)
+        c.boundary = boundary
+        c.strata = tuple(strata)
+        c._stages = (boundary, *map(body, c.strata))
+        c._u = None
+        stage = c._cell_stage = {}
+        for n, st in enumerate(c.strata):
             stage.update(dict.fromkeys(st._by_id, n))
-        if len(stage) != sum(len(st.cells) for st in self.strata):
-            seen = set()  # the first id met twice
-            cid = next(c for st in self.strata for c in st._by_id
-                       if c in seen or seen.add(c))
+        if len(stage) != sum(len(st.cells) for st in c.strata):
+            cid = _first_repeat(s for st in c.strata for s in st._by_id)
             raise CellComplexError(f"duplicate cell id {cid!r}")
-        if validate:
-            self._validate()
+        return c
 
     def _validate(self):
         for n, st in enumerate(self.strata):
@@ -117,7 +126,7 @@ class CellComplex:
 
 
 def trivial_complex(x):
-    return CellComplex(x, (), validate=False)
+    return CellComplex._owning(x, ())
 
 
 def u_of_complex(c):
@@ -135,8 +144,7 @@ def generator_complex(k):
     """The canonical height-one single-cell complex over the k-th generator."""
     bd = boundary_complex(k)
     cell = (f"cell{k}", k, boundary_keys(k))  # attached by the identity
-    return CellComplex(bd, (Stratum(bd, [cell], validate=False),),
-                       validate=False)
+    return CellComplex._owning(bd, (Stratum._owning(bd, [cell]),))
 
 
 # -- normal form ----------------------------------------------------------
@@ -152,9 +160,9 @@ def assemble(boundary, cells):
     attach references ids that never appear.
     """
     remaining = sorted(cells, key=_ID)
-    for c, d in zip(remaining, remaining[1:]):  # sorted: a repeat is next
-        if c[0] == d[0]:
-            raise CellComplexError(f"duplicate cell id {c[0]!r}")
+    cid = _first_repeat(map(_ID, remaining))
+    if cid is not None:
+        raise CellComplexError(f"duplicate cell id {cid!r}")
     strata = []
     current = boundary
     while remaining:
@@ -166,11 +174,11 @@ def assemble(boundary, cells):
             raise CellComplexError(
                 f"cells {list(map(_ID, remaining))} can never be placed; "
                 f"unreachable simplices include {missing[:5]}")
-        st = Stratum(current, placeable, validate=False)
+        st = Stratum._owning(current, placeable)
         strata.append(st)
         current = body(st)
         remaining = [c for c in remaining if c[0] not in st._by_id]
-    return CellComplex(boundary, strata, validate=False)
+    return CellComplex._owning(boundary, strata)
 
 
 def complex_of(base, total):
@@ -206,33 +214,37 @@ class CellComplexMorphism:
 
     Its restrictions to the base and to the cells are ``f0`` and ``p``; the
     stagewise boundary maps are its restrictions to the stages.  The body
-    map is a map already, checked or owned, so ``validate`` checks only its
-    endpoints and that it keeps the base and the stages.
+    map is checked or owned, so the constructor checks only the endpoints,
+    base and stages, and ``_owning`` nothing.
     """
 
     __slots__ = ("dom", "cod", "body_map")
 
-    def __init__(self, dom, cod, body_map, validate=True):
+    def __init__(self, dom, cod, body_map):
         self.dom = dom
         self.cod = cod
         self.body_map = body_map
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        m = self.body_map
-        if m.dom != self.dom.body or m.cod != self.cod.body:
+        if body_map.dom != dom.body or body_map.cod != cod.body:
             raise CellComplexError("body map endpoints do not match")
-        a, base = m.assign, self.cod.boundary
-        if any(a[s] not in base for s in self.dom.boundary._dim_of):
+        a, base = body_map.assign, cod.boundary
+        if any(a[s] not in base for s in dom.boundary._dim_of):
             raise CellComplexError("base map endpoints do not match")
-        stage = self.cod._cell_stage
-        for cid, n in self.dom._cell_stage.items():
+        stage = cod._cell_stage
+        for cid, n in dom._cell_stage.items():
             if a[cid] not in stage:
                 raise CellComplexError(f"unknown target cell {a[cid]!r}")
             if stage[a[cid]] != n:
                 raise CellComplexError(
                     f"cell {cid!r} at stage {n} maps across stages")
+
+    @classmethod
+    def _owning(cls, dom, cod, body_map):
+        """Unchecked: it keeps the base and the stages by construction."""
+        m = _new(cls)
+        m.dom = dom
+        m.cod = cod
+        m.body_map = body_map
+        return m
 
     @property
     def f0(self):
@@ -250,15 +262,14 @@ class CellComplexMorphism:
 
 
 def identity_morphism(c):
-    return CellComplexMorphism(c, c, identity_map(c.body), validate=False)
+    return CellComplexMorphism._owning(c, c, identity_map(c.body))
 
 
 def compose_morphisms(m2, m1):
     if m1.cod != m2.dom:
         raise CellComplexError("morphisms do not compose")
-    return CellComplexMorphism(m1.dom, m2.cod,
-                               compose(m2.body_map, m1.body_map),
-                               validate=False)
+    return CellComplexMorphism._owning(m1.dom, m2.cod,
+                                      compose(m2.body_map, m1.body_map))
 
 
 def u_of_morphism(m):
@@ -302,7 +313,7 @@ def pushforward_complex(c, g):
         raise CellComplexError("pushforward map must start at the base")
     total, leg, _ = pushout(u_of_complex(c), g)
     out = complex_of(g.cod, total)
-    return out, CellComplexMorphism(c, out, leg)
+    return out, CellComplexMorphism._owning(c, out, leg)
 
 
 # -- (co)limits -----------------------------------------------------------
@@ -327,7 +338,7 @@ def cellcx_colimit(objs, arrows):
     base = total.subcomplex({leg.assign[s] for o, leg in zip(objs, legs)
                              for s in o.boundary._dim_of})
     out = complex_of(base, total)
-    return out, [CellComplexMorphism(o, out, leg)
+    return out, [CellComplexMorphism._owning(o, out, leg)
                  for o, leg in zip(objs, legs)]
 
 
@@ -349,4 +360,4 @@ def cellcx_equaliser(m1, m2):
     base = m1.dom.boundary
     sub = complex_of(base.subcomplex(filter(total.__contains__,
                                             base._dim_of)), total)
-    return sub, CellComplexMorphism(sub, m1.dom, incl)
+    return sub, CellComplexMorphism._owning(sub, m1.dom, incl)

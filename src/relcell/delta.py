@@ -34,6 +34,12 @@ import operator
 _new = object.__new__
 
 
+def _first_repeat(ids, seen=()):
+    """The first of ``ids`` met twice, or met in ``seen``; else None."""
+    seen = set(seen)
+    return next((s for s in ids if s in seen or seen.add(s)), None)
+
+
 class DeltaError(ValueError):
     """Malformed complex, map or square."""
 
@@ -162,9 +168,8 @@ class DeltaComplex:
                 # two sorted runs: timsort merges them in one linear pass
                 simp[k] = tuple(sorted([*simp.get(k, ()), *ids]))
         if len(dim_of) != len(self._dim_of) + sum(map(len, added.values())):
-            seen = set(self._dim_of)  # the first id met twice
-            s = next(s for ids in added.values() for s in sorted(ids)
-                     if s in seen or seen.add(s))
+            s = _first_repeat(itertools.chain.from_iterable(
+                map(sorted, added.values())), self._dim_of)
             raise DeltaError(f"duplicate simplex id {s!r}")
         x = _new(DeltaComplex)
         x.simplices = simp
@@ -721,27 +726,19 @@ def equaliser(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         raise DeltaError("equaliser needs a parallel pair")
     keep = {s for s in f.dom._dim_of if f.assign[s] == g.assign[s]}
-    e = f.dom.subcomplex(keep)
-    return e, inclusion_map(e, f.dom)
+    e = f.dom.subcomplex(keep)  # literal: its inclusion is owned
+    return e, SimplicialMap._owning(e, f.dom, {s: s for s in e._dim_of})
 
 
 def is_pullback(sq):
     """True iff the square's corner is the degreewise pullback of its cospan."""
-    b, c = sq.top.cod, sq.left.cod
     fibers = {}
     for s, t in sq.bottom.assign.items():
         fibers.setdefault(t, []).append(s)
-    pairs = set()
-    for s in b._dim_of:
-        for t in fibers.get(sq.right.assign[s], ()):
-            pairs.add((s, t))
-    med = {}
-    for a in sq.top.dom._dim_of:
-        image = (sq.top.assign[a], sq.left.assign[a])
-        if image in med.values():
-            return False  # mediating map not injective
-        med[a] = image
-    return set(med.values()) == pairs
+    pairs = {(s, t) for s in sq.top.cod._dim_of
+             for t in fibers.get(sq.right.assign[s], ())}
+    med = [(sq.top.assign[a], sq.left.assign[a]) for a in sq.top.dom._dim_of]
+    return len(set(med)) == len(med) and set(med) == pairs  # a bijection
 
 
 # -- filtrations ----------------------------------------------------------

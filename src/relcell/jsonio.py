@@ -395,7 +395,7 @@ def cellcx_cells_from_json(obj):
     """
     base, entries = _complex_parts(obj)
     cells = [_cell_from_json(c) for c in itertools.chain(*entries)]
-    Stratum(body(Stratum(base, cells, validate=False)), cells)
+    Stratum(body(Stratum._owning(base, cells)), cells)
     return base, cells
 
 

@@ -34,6 +34,7 @@ from .delta import (
     DeltaError,
     InvariantError,
     SimplicialMap,
+    _first_repeat,
     _lift_kernel,
     boundary_keys,
     compose,
@@ -207,14 +208,13 @@ def k1_step(f, new=None, stage=0, digest=None):
         cells += zip(ids, itertools.repeat(k), lifts)
         glued.update(zip(ids, targets))
     if not cells:
-        return Stratum(a, cells, validate=False), f
+        return Stratum._owning(a, cells), f
     e_assign = {**f.assign, **glued}
     if len(e_assign) != len(f.assign) + len(cells):
-        seen = set(f.assign)  # the first id met twice
-        cid = next(c for c, _, _ in cells if c in seen or seen.add(c))
+        cid = _first_repeat((c for c, _, _ in cells), f.assign)
         raise InvariantError(f"cell id {cid!r} glued twice: a collision of "
                              f"hashed lifts; internal invariant violated")
-    st = Stratum(a, cells, validate=False)
+    st = Stratum._owning(a, cells)
     return st, SimplicialMap._owning(body(st), b, e_assign)
 
 
@@ -244,7 +244,7 @@ def free_complex(f, safety_cap=32):
         new = st._by_id
         g = e1
         n += 1
-    kf = CellComplex(f.dom, strata, validate=False)
+    kf = CellComplex._owning(f.dom, strata)
     return FactorResult(f, kf, g)
 
 
@@ -308,7 +308,7 @@ def transpose(c, g0, h, fr):
                    map(ha.__getitem__, assign))):
         raise InvariantError("transpose does not factor the given square")
     body_map = SimplicialMap._owning(c.body, fr.kf.body, assign)
-    return CellComplexMorphism(c, fr.kf, body_map, validate=False)
+    return CellComplexMorphism._owning(c, fr.kf, body_map)
 
 
 def k_of_square(a, b, fr_dom, fr_cod):

@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 import operator
 
-from .delta import DeltaError, boundary_complex, boundary_keys, facet_ids
+from .delta import (DeltaError, _first_repeat, _new, boundary_complex,
+                    boundary_keys, facet_ids)
 
 
 class StrataError(DeltaError):
@@ -37,35 +38,44 @@ class Stratum:
     """A boundary complex plus a finite set of cells, each the tuple
     ``(id, k, images)``, ordered by id.
 
-    With ``validate``, each cell's images must be a map from the boundary
-    of the standard simplex of its shape into ``boundary``.  They are
-    checked in ``boundary_keys`` order against the shape's plan, the
-    dimension before the faces at each position, so the first bad position
-    raises what validating the images as a ``SimplicialMap`` would.
+    Each cell's images must be a map from the boundary of the standard
+    simplex of its shape into ``boundary``.  The constructor checks them in
+    ``boundary_keys`` order against the shape's plan, the dimension before
+    the faces at each position, so the first bad position raises what a
+    checked ``SimplicialMap`` would; ``_owning`` is the one unchecked path.
     """
 
     __slots__ = ("boundary", "cells", "_by_id", "_body")
 
-    def __init__(self, boundary, cells, validate=True):
-        self.boundary = boundary
-        self.cells = tuple(sorted(cells, key=_ID))
-        self._by_id = {c[0]: c for c in self.cells}
+    def __init__(self, boundary, cells):
+        st = Stratum._owning(boundary, cells)
+        self.boundary, self.cells, self._by_id = boundary, st.cells, st._by_id
         self._body = None
-        if len(self._by_id) != len(self.cells):
-            raise StrataError("duplicate cell ids in stratum")
-        if validate:
-            dim_of, faces = boundary._dim_of.get, boundary.faces
-            for cid, k, images in self.cells:
-                plan = _attach_plan(k)
-                if len(images) != len(plan):
-                    raise StrataError(f"cell {cid!r}: {len(images)} "
-                                      f"images for {len(plan)} boundary ids")
-                for (s, d, get), t in zip(plan, images):
-                    if dim_of(t) != d:
-                        raise DeltaError(
-                            f"{s!r} ({d}-simplex) maps to bad id {t!r}")
-                    if d and faces[t] != get(images):
-                        raise DeltaError(f"face commutation fails at {s!r}")
+        dim_of, faces = boundary._dim_of.get, boundary.faces
+        for cid, k, images in self.cells:
+            plan = _attach_plan(k)
+            if len(images) != len(plan):
+                raise StrataError(f"cell {cid!r}: {len(images)} "
+                                  f"images for {len(plan)} boundary ids")
+            for (s, d, get), t in zip(plan, images):
+                if dim_of(t) != d:
+                    raise DeltaError(
+                        f"{s!r} ({d}-simplex) maps to bad id {t!r}")
+                if d and faces[t] != get(images):
+                    raise DeltaError(f"face commutation fails at {s!r}")
+
+    @classmethod
+    def _owning(cls, boundary, cells):
+        """Unchecked, but that its cell ids are distinct."""
+        st = _new(cls)
+        st.boundary = boundary
+        st.cells = tuple(sorted(cells, key=_ID))
+        st._by_id = {c[0]: c for c in st.cells}
+        st._body = None
+        if len(st._by_id) != len(st.cells):
+            raise StrataError(f"duplicate cell id "
+                              f"{_first_repeat(map(_ID, st.cells))!r}")
+        return st
 
     def cell(self, cid):
         return self._by_id[cid]

@@ -161,6 +161,12 @@ def normal_form(base, strata):
     return assemble(base, [c for st in strata for c in st.cells])
 
 
+def checked_complex(c):
+    """``c`` rebuilt through the checked ``Stratum`` and ``CellComplex``."""
+    return CellComplex(c.boundary, [Stratum(st.boundary, st.cells)
+                                    for st in c.strata])
+
+
 def rand_cell_complex(rng, max_dim=2, max_cells=6, prefix="c"):
     """A random proper connected complex with at most ``max_cells`` cells,
     named ``prefix`` and a number, with trailing ``'`` while that names a
@@ -205,8 +211,8 @@ def shuffled_strata(rng, c):
     strata = []
     current = c.boundary
     for stage in sorted({s for s, _ in placed}):
-        st = Stratum(current, [cl for s, cl in placed if s == stage],
-                     validate=False)
+        st = Stratum._owning(current,
+                             [cl for s, cl in placed if s == stage])
         strata.append(st)
         current = body(st)
     return strata
@@ -244,8 +250,8 @@ def mec_partition_composite(a, b):
             if pending:
                 raise CellComplexError("unplaceable cells in composite")
             break
-        st = Stratum(current, cells, validate=False)
+        st = Stratum._owning(current, cells)
         strata.append(st)
         current = body(st)
         n += 1
-    return CellComplex(a.boundary, strata, validate=False)
+    return CellComplex._owning(a.boundary, strata)

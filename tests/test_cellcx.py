@@ -23,6 +23,7 @@ from relcell import (
     compose_complexes,
     compose_morphisms,
     complex_of,
+    enumerate_homs,
     equaliser,
     free_complex,
     generator_complex,
@@ -35,14 +36,16 @@ from relcell import (
     pushforward_complex,
     pushout,
     standard_simplex,
+    transpose,
     trivial_complex,
     u_of_complex,
     u_of_morphism,
+    unit,
 )
 from relcell import cellcx, gen
-from conftest import (mec_partition_composite, morphism, normal_form,
-                      rand_cell_complex, rand_complex_morphism, rand_images,
-                      shuffled_strata)
+from conftest import (checked_complex, mec_partition_composite, morphism,
+                      normal_form, rand_cell_complex, rand_complex_morphism,
+                      rand_images, rand_transpose_square, shuffled_strata)
 
 
 def point_cell_complex():
@@ -104,6 +107,53 @@ class TestBasics:
         for c in complexes + [e]:
             assert u_of_complex(c) == inclusion_map(c.boundary, c.body)
 
+    def test_owned_values_pass_the_checks_they_skip(self, fz):
+        # what relcell builds through ``_owning`` must be what the checked
+        # constructors accept: on drawn inputs, each owned complex is
+        # rebuilt through ``Stratum`` and ``CellComplex``, and each owned
+        # morphism through ``CellComplexMorphism``
+        rng = random.Random(2037)
+        complexes = [trivial_complex(EMPTY),
+                     trivial_complex(standard_simplex(2))]
+        complexes += [generator_complex(k) for k in range(4)]
+        morphisms = []
+        for _ in range(12):
+            c = rand_cell_complex(rng, max_cells=4)
+            assert checked_complex(c) == c  # as ``assemble`` built it
+            _, m1 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            _, m2 = pushforward_complex(c, gen.rand_map_from(rng, c.boundary))
+            colim, legs = cellcx_colimit([c, m1.cod, m2.cod],
+                                         [(0, 1, m1), (0, 2, m2)])
+            e, incl = cellcx_equaliser(compose_morphisms(legs[1], m1),
+                                       compose_morphisms(legs[2], m2))
+            f, g0, h = rand_transpose_square(rng, c)
+            kf = fz.k(gen.rand_map_from(rng, c.body)).kf
+            stacked = compose_complexes(c, kf)
+            complexes += [m1.cod, colim, e, kf, stacked]
+            morphisms += [m1, m2, *legs, incl, unit(c, fz),
+                          transpose(c, g0, h, fz.k(f)),
+                          identity_morphism(stacked),
+                          compose_morphisms(legs[1], m1)]
+        # a proper equaliser: the swap of two edges agrees on the base only
+        c = complex_of(standard_simplex(0), DeltaComplex(
+            {0: ["0", "a", "b"], 1: ["e", "r"]},
+            {"e": ("b", "a"), "r": ("a", "b")}))
+        swap = morphism(c, c, identity_map(c.boundary),
+                        {"a": "b", "b": "a", "e": "r", "r": "e"})
+        e, incl = cellcx_equaliser(swap, identity_morphism(c))
+        complexes.append(e)
+        morphisms.append(incl)
+        for c in complexes:
+            assert checked_complex(c) == c
+        for m in morphisms:
+            CellComplexMorphism(m.dom, m.cod, m.body_map)
+        # ``delta.equaliser``'s inclusion is the checked one
+        for _ in range(12):
+            f = gen.rand_map_from(rng, gen.rand_complex(rng))
+            for g in enumerate_homs(f.dom, f.cod, limit=4):
+                e, incl = equaliser(f, g)
+                assert incl == inclusion_map(e, f.dom)
+
     def test_generator_complexes(self):
         for k in range(3):
             c = generator_complex(k)
@@ -141,8 +191,7 @@ class TestNormalForm:
 
     def test_misplaced_zero_cell_moved_down(self):
         a = point_cell_complex()
-        st2 = Stratum(a.body, [("w", 0, ())],
-                      validate=False)
+        st2 = Stratum._owning(a.body, [("w", 0, ())])
         c = normal_form(EMPTY, [a.strata[0], st2])
         assert c.height == 1
         assert {cid for cid, _, _ in c.strata[0].cells} == {"v", "w"}
@@ -297,9 +346,9 @@ class TestMorphisms:
         loop = CellComplex(pt, [Stratum(pt, [("v", 0, ()),
                                              ("e", 1, ("0", "0"))])])
         # improper: the loop attaches inside stage 0 but is glued at 1
-        late = CellComplex(pt, [Stratum(pt, [("v", 0, ())]),
-                                Stratum(v.body, [("e", 1, ("0", "0"))])],
-                           validate=False)
+        late = CellComplex._owning(
+            pt, [Stratum(pt, [("v", 0, ())]),
+                 Stratum(v.body, [("e", 1, ("0", "0"))])])
         cases = [
             (bare, v, identity_map(pt), "body map endpoints"),
             (bare, v, SimplicialMap(pt, v.body, {"0": "v"}),

@@ -94,9 +94,27 @@ class TestFactor:
         payload = jsonio.cellcx_to_json(free_complex(boundary_inclusion(1)).kf)
         cells = payload["strata"][0]["cells"]
         cells.append(dict(cells[0]))
-        code, _, err = run_cli(capsys, "export-dot", write("c.json", payload))
+        path = write("c.json", payload)
+        code, _, err = run_cli(capsys, "export-dot", path)
         assert code == 2
-        assert "duplicate cell ids" in err
+        assert err == f"error: {path}: duplicate cell id {cells[0]['id']!r}\n"
+
+    @pytest.mark.parametrize("command", ["compose", "normalize",
+                                         "export-dot"])
+    def test_stratum_with_a_cell_twice_exit_2(self, files, command, capsys):
+        # one stratum that lists cell c twice: the strict and the lax
+        # loader name it, each as one error line
+        _, write = files
+        pt = standard_simplex(0)
+        payload = jsonio.cellcx_to_json(trivial_complex(pt))
+        cell = {"id": "c", "dim": 0, "attach": {}}
+        payload["strata"] = [{"cells": [cell, dict(cell)]}]
+        path = write("c.json", payload)
+        other = write("pt.json", jsonio.cellcx_to_json(trivial_complex(pt)))
+        argv = [path, other] if command == "compose" else [path]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: duplicate cell id 'c'\n"
 
     def test_malformed_json_exit_2(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"

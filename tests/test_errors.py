@@ -11,6 +11,7 @@ from relcell import (
     DeltaError,
     EMPTY,
     SimplicialMap,
+    StrataError,
     Stratum,
     assemble,
     boundary_complex,
@@ -120,10 +121,14 @@ ERRORS = {
     "mec-outside-the-top-stage": (
         DeltaError, "map must land in the top stage of the filtration",
         lambda: mec(identity_map(PT), [EMPTY, B1])),
+    "stratum-with-a-cell-twice": (
+        StrataError, "duplicate cell id 'c'",
+        lambda: Stratum(PT, [("d", 0, ()), ("c", 0, ()),
+                             ("c", 1, ("0", "0"))])),
     "complex-with-a-cell-twice": (
         CellComplexError, "duplicate cell id 'v'",
-        lambda: CellComplex(EMPTY, [Stratum(EMPTY, [("v", 0, ())])] * 2,
-                            validate=False)),
+        lambda: CellComplex._owning(
+            EMPTY, [Stratum(EMPTY, [("v", 0, ())])] * 2)),
     "assembled-with-a-cell-twice": (
         CellComplexError, "duplicate cell id 'c'",
         lambda: assemble(PT, [("c", 0, ()), ("d", 0, ()),

@@ -185,25 +185,82 @@ def test_one_way_per_job_in_delta():
     assert not init.kwonlyargs
 
 
-def test_each_value_is_checked_once():
-    # a value is checked where it is built: ``_validate`` runs from a
-    # constructor, and from the loader that builds a complex unchecked to
-    # compare it with its twin first; never on a value built already
+def _functions():
+    """Each module-level function and method, by qualified name; a nested
+    function counts as part of the one that holds it."""
     functions = [(f"{name}.{fn.name}", fn) for name, tree in MODULES.items()
                  for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     functions += [(f"{name}.{cls.name}.{fn.name}", fn)
                   for name, tree in MODULES.items()
                   for cls in tree.body if isinstance(cls, ast.ClassDef)
                   for fn in cls.body if isinstance(fn, ast.FunctionDef)]
-    callers = sorted(qualname for qualname, fn in functions
+    return functions
+
+
+def test_each_value_is_checked_once():
+    # a value is checked where it is built: ``_validate`` runs from a
+    # constructor, and from the loader that builds a complex unchecked to
+    # compare it with its twin first; never on a value built already.
+    # ``Stratum`` and ``CellComplexMorphism`` check in the constructor itself
+    callers = sorted(qualname for qualname, fn in _functions()
                      for node in ast.walk(fn) if isinstance(node, ast.Call)
                      and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "_validate")
     assert callers == ["cellcx.CellComplex.__init__",
-                       "cellcx.CellComplexMorphism.__init__",
                        "delta.DeltaComplex.__init__",
                        "delta.SimplicialMap.__init__",
                        "jsonio.complex_from_json"]
+
+
+def _builds_unchecked(node):
+    """A call that makes an instance without running its ``__init__``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "_new" or
+        isinstance(node.func, ast.Attribute) and node.func.attr == "__new__")
+
+
+def test_checked_or_owned():
+    # no value has a ``validate`` flag: each constructor always checks, and
+    # the unchecked builders are ``DeltaComplex._extended`` and one
+    # ``_owning`` class method per class, for values valid by construction
+    flagged = sorted(f"{name}:{fn.lineno}" for name, tree in MODULES.items()
+                     for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.Lambda))
+                     and "validate" in {a.arg for a in (
+                         fn.args.posonlyargs + fn.args.args +
+                         fn.args.kwonlyargs)})
+    assert flagged == []
+    classes = {f"{name}.{node.name}": {fn.name: fn for fn in node.body
+                                       if isinstance(fn, ast.FunctionDef)}
+               for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    for cls, params in (("strata.Stratum", ["boundary", "cells"]),
+                        ("cellcx.CellComplex", ["boundary", "strata"]),
+                        ("cellcx.CellComplexMorphism",
+                         ["dom", "cod", "body_map"])):
+        init = classes[cls]["__init__"].args
+        assert [a.arg for a in init.args] == ["self", *params]
+        assert not init.defaults and not init.kwonlyargs
+        owning = classes[cls]["_owning"]
+        assert [a.arg for a in owning.args.args] == ["cls", *params]
+        assert [d.id for d in owning.decorator_list] == ["classmethod"]
+    builders = sorted(qualname for qualname, fn in _functions()
+                      if any(map(_builds_unchecked, ast.walk(fn))))
+    assert builders == ["cellcx.CellComplex._owning",
+                        "cellcx.CellComplexMorphism._owning",
+                        "delta.DeltaComplex._extended",
+                        "delta.SimplicialMap._owning",
+                        "strata.Stratum._owning"]
+    owners = sorted(qualname for qualname, _ in _functions()
+                    if qualname.endswith("._owning"))
+    assert owners == [b for b in builders if b.endswith("._owning")]
+    # at module level, only ``EMPTY``, which every other complex extends
+    by_hand = [f"{name}: {ast.unparse(stmt)}"
+               for name, tree in MODULES.items() for stmt in tree.body
+               if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and any(map(_builds_unchecked, ast.walk(stmt)))]
+    assert by_hand == ["delta: EMPTY = _new(DeltaComplex)"]
 
 
 def test_one_way_per_job_in_cellcx():

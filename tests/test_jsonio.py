@@ -458,7 +458,7 @@ def _edge_values(name):
     edge = _renamed_complex(standard_simplex(1), name)
     return [EMPTY, sparse, top_only, trivial_complex(EMPTY),
             trivial_complex(sparse),
-            CellComplex(edge, [Stratum(edge, [])], validate=False),
+            CellComplex._owning(edge, [Stratum(edge, [])]),
             SimplicialMap(EMPTY, sparse, {}),
             free_complex(SimplicialMap(EMPTY, EMPTY, {})),
             free_complex(SimplicialMap(EMPTY, standard_simplex(0), {})),

@@ -9,6 +9,7 @@ import pytest
 from relcell import (
     EMPTY,
     ArrowSquare,
+    CellComplex,
     CellComplexError,
     DeltaComplex,
     DeltaError,
@@ -16,8 +17,11 @@ from relcell import (
     FillerTable,
     InvariantError,
     SimplicialMap,
+    Stratum,
+    body,
     check_awfs_laws,
     compose,
+    compose_complexes,
     enumerate_homs,
     free_complex,
     generator_complex,
@@ -26,12 +30,14 @@ from relcell import (
     mec,
     solve_lifting,
     standard_simplex,
+    trivial_complex,
     u_of_complex,
 )
-from relcell import lifting, soa
-from relcell.strata import _facets
+from relcell import cellcx, lifting, soa
+from relcell.strata import _ID, _facets
 from relcell.cli import builtin_fixtures
-from conftest import bigon, boundary_inclusion, fold_map, rebuilt_map
+from conftest import (bigon, boundary_inclusion, checked_complex, fold_map,
+                      rebuilt_map)
 
 
 def test_fill_that_skips_its_target_check_is_caught(monkeypatch):
@@ -162,3 +168,29 @@ def test_factorizer_keyed_by_part_of_the_map_is_caught(
     for f in fixtures:
         with pytest.raises(error, match=message):
             check_awfs_laws(f, [], factorizer=Factorizer())
+
+
+def test_assemble_that_drops_properness_is_caught(monkeypatch):
+    # ``assemble`` places each cell at the least stage its attach allows,
+    # and its output is owned; one that glues only the first placeable
+    # cell each round places the others late, and the checked rebuild of
+    # what it returns (the test of owned values in test_cellcx.py) fails
+    kf = free_complex(boundary_inclusion(1)).kf  # 3 cells at each stage
+    stacked = compose_complexes(kf, trivial_complex(kf.body))
+    assert checked_complex(stacked) == stacked == kf
+
+    def one_cell_per_stage(boundary, cells):
+        remaining, strata, current = sorted(cells, key=_ID), [], boundary
+        while remaining:
+            ids = current.id_set
+            first = next(c for c in remaining if ids.issuperset(c[2]))
+            strata.append(Stratum._owning(current, [first]))
+            current = body(strata[-1])
+            remaining.remove(first)
+        return CellComplex._owning(boundary, strata)
+
+    monkeypatch.setattr(cellcx, "assemble", one_cell_per_stage)
+    late = compose_complexes(kf, trivial_complex(kf.body))
+    assert late.height == 6
+    with pytest.raises(CellComplexError, match="sequence is improper$"):
+        checked_complex(late)

@@ -244,7 +244,7 @@ class TestTranspose:
         v = Stratum(pt, [("v", 0, ())])
         bv = body(v)
         e = Stratum(bv, [("e", 1, ("0", "0"))])
-        c = CellComplex(pt, [v, e], validate=False)
+        c = CellComplex._owning(pt, [v, e])
         fr = free_complex(u_of_complex(c))
         with pytest.raises(InvariantError, match="not at stage 1"):
             transpose(c, identity_map(pt), identity_map(c.body), fr)

@@ -206,7 +206,7 @@ class TestStratumChecksAttach:
             with pytest.raises(StrataError, match="images for"):
                 Stratum(pt, [("c", k, images)])
             # unchecked, the stratum takes it as it is
-            Stratum(pt, [("c", k, images)], validate=False)
+            Stratum._owning(pt, [("c", k, images)])
 
     def test_image_outside_or_of_wrong_dimension_rejected(self):
         d1 = standard_simplex(1)
@@ -226,7 +226,7 @@ class TestStratumChecksAttach:
                        ("a", "l", "l", "b", "l", "a")):
             with pytest.raises(DeltaError, match="face commutation"):
                 Stratum(x, [("c", 2, images)])
-            Stratum(x, [("c", 2, images)], validate=False)
+            Stratum._owning(x, [("c", 2, images)])
 
 
 def attach_oracle(k, images, boundary):
@@ -359,7 +359,7 @@ class TestBody:
         c = ("c", 0, ())
         same_id = ("c", 1, ("0", "0"))
         with pytest.raises(StrataError, match="duplicate"):
-            Stratum(pt, [c, same_id], validate=False)
+            Stratum._owning(pt, [c, same_id])
 
     def test_glued_once_per_stratum(self):
         st = rand_stratum(random.Random(5))
