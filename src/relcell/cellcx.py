@@ -25,6 +25,7 @@ from .delta import (
     DeltaError,
     SimplicialMap,
     _first_repeat,
+    _id_inclusion,
     _new,
     boundary_complex,
     boundary_keys,
@@ -135,8 +136,7 @@ def u_of_complex(c):
     stratum's body extends its boundary literally, and each boundary is the
     stage below, by construction or by the connectedness check."""
     if c._u is None:
-        c._u = SimplicialMap._owning(
-            c.boundary, c.body, {s: s for s in c.boundary._dim_of})
+        c._u = _id_inclusion(c.boundary, c.body)
     return c._u
 
 

@@ -31,7 +31,8 @@ from .delta import (
     standard_simplex,
 )
 from .cellcx import assemble, compose_complexes
-from .soa import CapExceededError, check_awfs_laws, free_complex, Factorizer
+from .soa import (DEFAULT_CAP, CapExceededError, Factorizer, check_awfs_laws,
+                  free_complex)
 from .lifting import LiftError, solve_lifting
 from .gen import rand_nat_square
 from . import jsonio
@@ -93,39 +94,31 @@ def _check_out(out_path):
         raise _InputError(f"{out_path}: {err.strerror}") from err
 
 
-def _emit(text, out_path=None, summary=None):
-    """Write ``text`` to ``out_path`` as UTF-8, or to standard output, and
-    then ``summary``, if given, to standard output.  Both are encoded
-    first, so a text that cannot be (an id holding a lone surrogate) is an
-    input error that opens and writes nothing, and the summary is written
-    only after ``text`` was.  Standard output is flushed here, so a failed
-    write (a full disk, a closed pipe) is an input error too, not one
-    deferred to the interpreter's exit."""
-    outputs = [(text, out_path)] + [(summary, None)] * (summary is not None)
-    encoded = []
-    for item, path in outputs:
-        encoding = "utf-8" if path else sys.stdout.encoding or "utf-8"
-        try:
-            encoded.append(item.encode(encoding))
-        except UnicodeEncodeError as err:
-            raise _InputError(f"{path or 'standard output'}: cannot encode "
-                              f"the output as {encoding}: {err.reason}") \
-                from err
-    for (item, path), data in zip(outputs, encoded):
-        if path:
-            try:
-                with open(path, "wb") as fh:
-                    fh.write(data)
-            except OSError as err:
-                raise _InputError(f"{path}: {err.strerror or err}") from err
+def _emit(text, out_path=None):
+    """Write one document, ``text``, to ``out_path`` as UTF-8, or to
+    standard output.  It is encoded first, so a text that cannot be (an id
+    holding a lone surrogate) is an input error that opens and writes
+    nothing.  Standard output is flushed here, so a failed write (a full
+    disk, a closed pipe) is an input error too, not one deferred to the
+    interpreter's exit."""
+    encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
+    try:
+        data = text.encode(encoding)
+    except UnicodeEncodeError as err:
+        raise _InputError(f"{out_path or 'standard output'}: cannot encode "
+                          f"the output as {encoding}: {err.reason}") from err
+    try:
+        if out_path:
+            with open(out_path, "wb") as fh:
+                fh.write(data)
         else:
-            try:
-                sys.stdout.write(item)
-                sys.stdout.flush()
-            except OSError as err:
-                _discard_stdout()
-                raise _InputError(
-                    f"standard output: {err.strerror or err}") from err
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as err:
+        if not out_path:
+            _discard_stdout()
+        raise _InputError(f"{out_path or 'standard output'}: "
+                          f"{err.strerror or err}") from err
 
 
 def _discard_stdout():
@@ -173,9 +166,8 @@ def cmd_factor(args):
         summary = jsonio.dumps({"stage_counts": fr.stage_counts,
                                 "height": fr.kf.height})
     if args.out:  # the file first: a failed write prints no counts
-        _emit(jsonio.text(fr), args.out, summary)
-    else:
-        _emit(summary)
+        _emit(jsonio.text(fr), args.out)
+    _emit(summary)
     return EXIT_OK
 
 
@@ -250,9 +242,9 @@ def cmd_export_dot(args):
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["digraph body {"]
-    for v in sorted(body.ids(0)):
+    for v in body.ids(0):
         lines.append(f'  {quote(v)} [color="{color(stage_of(v))}"];')
-    for e in sorted(body.ids(1)) if body.max_dim >= 1 else []:
+    for e in body.ids(1):
         d0, d1 = body.faces_of(e)
         lines.append(f'  {quote(d1)} -> {quote(d0)} [label={quote(e)} '
                      f'color="{color(stage_of(e))}"];')
@@ -273,7 +265,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def factoring(p):
-        p.add_argument("--cap", type=int, default=32,
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="safety cap on factorization height (>= 1)")
         p.add_argument("--format", choices=("json", "text"), default="text")
 

@@ -53,16 +53,26 @@ class DeltaComplex:
     construction; ``_extended`` is the one unchecked path.
 
     ``simplices`` maps a dimension to the tuple of simplex ids of that
-    dimension; ``faces`` maps each simplex id of dimension >= 1 to the ordered
-    tuple of its face ids.  The empty complex has ``max_dim == -1``.
+    dimension, sorted: every complex is built by ``_extended``, which sorts
+    each grade it adds to, so no reader sorts a grade again.
+    ``faces`` maps each simplex id of dimension >= 1 to the ordered tuple
+    of its face ids.  The empty complex has ``max_dim == -1``.
     """
 
     __slots__ = ("simplices", "faces", "_dim_of", "_hash")
 
     def __init__(self, simplices=None, faces=None):
+        grades = {}
+        for k, ids in (simplices or {}).items():
+            if isinstance(ids, str):  # not split into one id per character
+                raise DeltaError(f"the {k}-simplices are the string "
+                                 f"{ids!r}, not a list of ids")
+            grades[int(k)] = ids = list(ids)
+            for s in ids:
+                if not isinstance(s, str):
+                    raise DeltaError(f"simplex id {s!r} is not a string")
         x = EMPTY._extended(
-            {int(k): list(ids) for k, ids in (simplices or {}).items()},
-            {str(s): tuple(f) for s, f in (faces or {}).items()})
+            grades, {str(s): tuple(f) for s, f in (faces or {}).items()})
         self.simplices, self.faces = x.simplices, x.faces
         self._dim_of, self._hash = x._dim_of, None
         self._validate()
@@ -107,6 +117,7 @@ class DeltaComplex:
         return max(self.simplices) if self.simplices else -1
 
     def ids(self, k):
+        """The k-simplices, a sorted tuple (empty past ``max_dim``)."""
         return self.simplices.get(k, ())
 
     def dim(self, s):
@@ -274,15 +285,20 @@ class SimplicialMap:
             self.cod, self.dom, {t: s for s, t in self.assign.items()})
 
 
+def _id_inclusion(sub, ambient):
+    """The identifier inclusion of a known literal subcomplex, owned."""
+    return SimplicialMap._owning(sub, ambient, {s: s for s in sub._dim_of})
+
+
 def identity_map(x):
-    return SimplicialMap._owning(x, x, {s: s for s in x._dim_of})
+    return _id_inclusion(x, x)
 
 
 def inclusion_map(sub, ambient):
     """The identifier-preserving inclusion of a literal subcomplex."""
     if not sub.is_subcomplex_of(ambient):
         raise DeltaError("not a literal subcomplex")
-    return SimplicialMap._owning(sub, ambient, {s: s for s in sub._dim_of})
+    return _id_inclusion(sub, ambient)
 
 
 def compose(f, g):
@@ -727,7 +743,7 @@ def equaliser(f, g):
         raise DeltaError("equaliser needs a parallel pair")
     keep = {s for s in f.dom._dim_of if f.assign[s] == g.assign[s]}
     e = f.dom.subcomplex(keep)  # literal: its inclusion is owned
-    return e, SimplicialMap._owning(e, f.dom, {s: s for s in e._dim_of})
+    return e, _id_inclusion(e, f.dom)
 
 
 def is_pullback(sq):

@@ -29,7 +29,7 @@ def rand_complex(rng, max_dim=2):
              for _ in range(rng.randint(1, 3))]
     x, _ = coproduct(parts)
     for _ in range(rng.randint(0, 3)):
-        verts = sorted(x.ids(0))
+        verts = x.ids(0)
         if len(verts) < 2:
             break
         a, b = rng.sample(verts, 2)
@@ -44,7 +44,7 @@ def rand_subcomplex(rng, x):
     kept before its own dimension comes up."""
     keep = set()
     for k in range(x.max_dim, -1, -1):
-        for s in sorted(x.ids(k)):
+        for s in x.ids(k):
             if s in keep or rng.random() < 0.6:
                 keep.add(s)
                 if k >= 1:
@@ -58,7 +58,7 @@ def rand_quotient(rng, x):
     if not choices or rng.random() < 0.2:
         return identity_map(x)
     k = rng.choice(choices)
-    a, b = rng.sample(sorted(x.ids(k)), 2)
+    a, b = rng.sample(x.ids(k), 2)
     _, q = coequaliser(characteristic_map(x, a), characteristic_map(x, b))
     return q
 

@@ -178,7 +178,7 @@ def verify_fillers(ft, sample_budget=None):
         check(key, entry, *key)
     checked = len(ft.entries)
     squares = ((k, b, images) for k in range(p.cod.max_dim + 1)
-               for b in sorted(p.cod.ids(k))
+               for b in p.cod.ids(k)
                for images in sorted(_lift_kernel(k)(p, (b,), None)[1]))
     done = False
     for k, b, images in squares:

@@ -53,6 +53,9 @@ from .cellcx import (
 )
 
 
+DEFAULT_CAP = 32  # the safety cap on the factorization height, by default
+
+
 class CapExceededError(RuntimeError):
     """The factorization did not stabilize within the safety cap."""
 
@@ -218,7 +221,7 @@ def k1_step(f, new=None, stage=0, digest=None):
     return st, SimplicialMap._owning(body(st), b, e_assign)
 
 
-def free_complex(f, safety_cap=32):
+def free_complex(f, safety_cap=DEFAULT_CAP):
     """Iterate the gluing step with properness filtering until it stabilizes.
 
     Each step is passed the ids the step before it glued.  Returns a
@@ -256,7 +259,7 @@ class Factorizer:
     computed once per session too.
     """
 
-    def __init__(self, safety_cap=32):
+    def __init__(self, safety_cap=DEFAULT_CAP):
         self.safety_cap = safety_cap
         self._cache = {}
 

@@ -419,6 +419,23 @@ def test_full_stdout_exit_2(files, capsys, monkeypatch, command, fails):
     assert err == f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_factor_out_then_full_stdout(files, capsys, monkeypatch, fails):
+    """``factor --format json --out FILE`` writes the whole document to
+    FILE first, and only then the summary, whose failed write, or flush,
+    is an input error naming standard output."""
+    tmp_path, write = files
+    m = write("m.json", jsonio.map_to_json(boundary_inclusion(1)))
+    out = tmp_path / "fr.json"
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fails))
+    code = main(["factor", m, "--format", "json", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == \
+        jsonio.text(free_complex(boundary_inclusion(1))).encode()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs the /dev/full device")
 @pytest.mark.parametrize("command", ["check", "export-dot", "factor"])

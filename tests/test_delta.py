@@ -33,7 +33,7 @@ from relcell import (
     standard_simplex,
     top_simplex_id,
 )
-from relcell import gen
+from relcell import body, gen, jsonio
 from relcell.delta import MAX_DIM
 from conftest import (attach_map, bigon, boundary_lifts, canonical,
                       fold_map, rand_cell_complex, rebuilt, rebuilt_map)
@@ -107,6 +107,42 @@ class TestComplexes:
     def test_validation_rejects_duplicate_ids(self):
         with pytest.raises(DeltaError):
             DeltaComplex({0: ["a", "a"]}, {})
+
+    def test_every_builder_leaves_each_grade_sorted(self):
+        # each grade is a sorted tuple however the complex was built, so no
+        # reader of ``ids`` needs to sort it again
+        def assert_sorted(x):
+            for k, ids in x.simplices.items():
+                assert type(ids) is tuple and list(ids) == sorted(ids), k
+
+        faces = {"z": ("b", "a"), "e": ("c", "b")}
+        given = DeltaComplex({1: ["z", "e"], 0: ["c", "a", "b"]}, faces)
+        loaded = jsonio.complex_from_json({"simplices": {
+            "0": ["c", "a", "b"],
+            "1": [{"id": s, "faces": list(faces[s])} for s in ("z", "e")]}})
+        assert given.ids(0) == loaded.ids(0) == ("a", "b", "c")
+        assert given.ids(1) == loaded.ids(1) == ("e", "z")
+        built = [given, loaded, given.subcomplex({"c", "b", "e"})]
+        built += [f(k) for f in (standard_simplex, boundary_complex)
+                  for k in range(MAX_DIM + 1)]
+        rng = random.Random(35)
+        for _ in range(20):
+            x, y = gen.rand_complex(rng, 3), gen.rand_complex(rng, 3)
+            f = gen.rand_map_from(rng, x)
+            sub = gen.rand_subcomplex(rng, x)
+            incl = inclusion_map(sub, x)
+            built += [coproduct([x, y, x])[0],
+                      pushout(incl, compose(f, incl))[0],
+                      colimit([sub, x, f.cod],
+                              [(0, 1, incl), (1, 2, f)])[0],
+                      coequaliser(*[characteristic_map(x, s) for s in
+                                    rng.sample(x.ids(0), 2)])[0]
+                      if len(x.ids(0)) > 1 else x,
+                      equaliser(*pushout(incl, incl)[1:])[0],
+                      rand_cell_complex(rng, prefix="0.1").body,
+                      *map(body, free_complex(f).kf.strata)]
+        for x in built:
+            assert_sorted(x)
 
     def test_subcomplex_and_containment(self):
         d1 = standard_simplex(1)

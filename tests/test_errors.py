@@ -76,6 +76,16 @@ ERRORS = {
         DeltaError, "duplicate simplex id 'a'",
         lambda: jsonio.complex_from_json(
             {"simplices": {"0": ["b", "a", "b", "a"]}})),
+    "complex-with-int-ids": (
+        DeltaError, "simplex id 1 is not a string",
+        lambda: DeltaComplex({0: [1, 2]})),
+    "complex-with-an-int-id-among-strings": (
+        DeltaError, "simplex id 5 is not a string",
+        lambda: DeltaComplex({0: ["a", "b"], 1: ["e", 5]},
+                             {"e": ("a", "b"), 5: ("b", "a")})),
+    "complex-with-a-grade-given-as-a-string": (
+        DeltaError, "the 0-simplices are the string 'ab', not a list of ids",
+        lambda: DeltaComplex({0: "ab"})),
     "faces-of-unknown-simplex": (
         DeltaError, "face list for unknown simplex 'x'",
         lambda: DeltaComplex({0: ["a"]}, {"x": ["a", "a"]})),

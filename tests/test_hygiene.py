@@ -320,3 +320,45 @@ def test_no_value_keeps_a_key():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "key"]
     assert callers == []
+
+
+def test_each_fact_has_one_owner():
+    functions = dict(_functions())
+    # the identifier inclusion is built by ``delta._id_inclusion`` alone
+    identity = sorted(
+        qualname for qualname, fn in functions.items()
+        for node in ast.walk(fn) if isinstance(node, ast.DictComp)
+        and len(node.generators) == 1
+        and isinstance(node.generators[0].target, ast.Name)
+        and {ast.dump(node.key), ast.dump(node.value)} ==
+        {ast.dump(ast.Name(node.generators[0].target.id, ast.Load()))})
+    assert identity == ["delta._id_inclusion"]
+    # every grade is a sorted tuple already; only the reference emitter,
+    # the oracle ``jsonio.text`` is tested against, sorts one
+    sorts = sorted(qualname for qualname, fn in functions.items()
+                   for call in _calls(fn, "sorted")
+                   for node in ast.walk(call)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "ids")
+    assert sorts == ["jsonio.complex_to_json"]
+    # ``_emit`` writes one document; a second output is a second call
+    emit = functions["cli._emit"].args
+    assert [a.arg for a in emit.args] == ["text", "out_path"]
+    assert [ast.literal_eval(d) for d in emit.defaults] == [None]
+    assert not (emit.posonlyargs or emit.kwonlyargs or emit.vararg or
+                emit.kwarg)
+    # one default height cap, ``soa.DEFAULT_CAP``, read by all three
+    caps = [f"{name}: {ast.unparse(stmt)}" for name, tree in MODULES.items()
+            for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and "DEFAULT_CAP" in map(ast.unparse, stmt.targets)]
+    assert caps == ["soa: DEFAULT_CAP = 32"]
+    defaults = [ast.unparse(functions[name].args.defaults[-1])
+                for name in ("soa.free_complex", "soa.Factorizer.__init__")]
+    defaults += [ast.unparse(kw.value) for node in ast.walk(MODULES["cli"])
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "add_argument"
+                 and ast.literal_eval(node.args[0]) == "--cap"
+                 for kw in node.keywords if kw.arg == "default"]
+    assert defaults == ["DEFAULT_CAP"] * 3
