@@ -12,9 +12,11 @@ The complexes, maps, cell complexes and factorizations that the CLI writes
 go through ``text``, which is ``dumps`` of a skeleton of the value whose
 simplices, cells and assignments are written from their shape without
 building the JSON value: one ``%`` fill per chunk of records, each id
-escaped once per document.  Loaders validate through the ordinary
-constructors and raise DeltaError subclasses on bad input; a complex that
-a factorization repeats is the object it repeats, or validated if unequal.
+escaped once per document.  The fills are ASCII bytes, half the cost of a
+``str`` fill per slot, since an escaped id is ASCII.  Loaders validate
+through the ordinary constructors and raise DeltaError subclasses on bad
+input; a complex that a factorization repeats is the object it repeats,
+or validated if unequal.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 
 from .delta import (
     EMPTY,
@@ -74,7 +77,8 @@ def _walk(node, n, out):
                 out.append(head + int.__repr__(v))
             elif type(v) is bool:
                 out.append(head + ("true" if v else "false"))
-            elif type(v) is list and v and _strings(v):
+            # two ``is`` tests: ``in (list, tuple)`` builds a tuple per value
+            elif (type(v) is list or type(v) is tuple) and v and _strings(v):
                 out.append(head + "[" + inner + ("," + inner).join(
                     map(_quote, v)) + _level(n) + "]")
             elif isinstance(v, (dict, list, tuple)):
@@ -96,8 +100,8 @@ def dumps(obj):
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set, which made writing a factorization cost more than computing it.
     Here one Python walk writes dicts, lists and tuples, a non-empty list
-    of strings (a simplex's faces, a vertex list) in one piece, and writes
-    a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
+    or tuple of strings (a simplex's faces, a vertex grade) in one piece,
+    and writes a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
     ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
     writes them.  Floats, ``None`` and subclasses (``IntEnum``, a ``str``
     subclass) go through one module-level ``json`` encoder.  Dict keys must
@@ -118,11 +122,14 @@ def dumps(obj):
 # and lists, except that each container of simplices, cells or assignment
 # entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records at a time,
 # each chunk by one ``%`` fill of its records' templates joined: a template
-# cached per (shape, depth) for simplices and cells, one per depth for
-# assignment entries.  The chunk bounds the transient text of a large leaf:
-# one fill per leaf raised the ``factor`` workload's peak memory by 11%.
-# The fill's arguments are the records' ids as JSON text, read from one memo
-# per document, so each id is escaped once.  Ids are ``%`` arguments, never
+# cached per (shape, depth) for simplices and cells, repeated once per run
+# of same-shape cells, and one per depth for assignment entries.  The chunk
+# bounds the transient text of a large leaf: one fill per leaf raised the
+# ``factor`` workload's peak memory by 11%.  The fill's arguments are the
+# records' ids as JSON text, read from one memo per document, so each id is
+# escaped once.  Templates and arguments are ASCII bytes, since an escaped
+# id is ASCII: a bytes ``%`` costs about half a ``str`` one per slot, and
+# each chunk's text is decoded once.  Ids are ``%`` arguments, never
 # template text, and template text writes a literal ``%`` as ``%%``, so no
 # id is parsed as a format.
 
@@ -133,8 +140,9 @@ _CHUNK = 256  # records per fill
 def _template(k, n, cell):
     """A k-simplex, or a k-cell, as a list item ``n`` levels deep: the
     ``%`` template of its faces, or of its attach images in the order of
-    ``boundary_keys(k)``, then its id.  NUL marks a slot while the text,
-    made only of punctuation and the shape's keys, is built."""
+    ``boundary_keys(k)``, then its id, as ASCII bytes.  NUL marks a slot
+    while the text, made only of punctuation and the shape's keys, is
+    built."""
     i, j, lead = _level(n + 1), _level(n + 2), _level(n)
     if cell:
         keys = boundary_keys(k)
@@ -143,17 +151,19 @@ def _template(k, n, cell):
     else:
         head = '"faces": [' + ",".join([j + "\0"] * (k + 1)) + i + "],"
     item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
-    return item.replace("%", "%%").replace("\0", "%s")
+    return item.replace("%", "%%").replace("\0", "%s").encode()
 
 
 def _leaf(brackets, records, template, ids, quote):
     """A leaf of ``records`` (a sequence), written a chunk at a time: the
     chunk's ``template(chunk, n)`` filled with the texts, by ``quote``, of
-    the ids ``ids(chunk)`` yields in the template's slot order."""
+    the ids ``ids(chunk)`` yields in the template's slot order, all ASCII
+    bytes, and decoded once."""
     def items(n):
         for i in range(0, len(records), _CHUNK):
             chunk = records[i:i + _CHUNK]
-            yield template(chunk, n) % tuple(map(quote, ids(chunk)))
+            yield (template(chunk, n) %
+                   tuple(map(quote, ids(chunk)))).decode()
 
     return _Leaf((brackets, items))
 
@@ -177,8 +187,8 @@ def _map(f, quote):
 
     def grade(ids):
         return _leaf("{}", ids,
-                     lambda chunk, n: ("," + _level(n) + "%s: %s") *
-                     len(chunk),
+                     lambda chunk, n: (b"," + _level(n).encode() +
+                                       b"%s: %s") * len(chunk),
                      lambda chunk: itertools.chain.from_iterable(
                          zip(chunk, map(assign, chunk))),
                      quote)
@@ -189,7 +199,8 @@ def _map(f, quote):
 
 
 def _cell_template(chunk, n):
-    return "".join([_template(k, n, True) for _, k, _ in chunk])
+    return b"".join([_template(k, n, True) * len(list(run)) for k, run in
+                     itertools.groupby(chunk, operator.itemgetter(1))])
 
 
 def _cell_ids(chunk):

@@ -15,7 +15,9 @@ Cell ids spell out (stage, shape dimension, target simplex, hashed
 boundary lift) after a short digest of the factored map; they are the JSON
 contract.  The hashed lift is 12 hex digits of the SHA-1 of the ASCII JSON
 text ``[[key, image], ...]`` of the lift, sorted by key; a batch's texts
-are written by one ``%`` fill.  Lookups go by target and faces instead:
+are written by one ``%`` fill of ASCII bytes, which costs about half a
+``str`` fill per slot and is what SHA-1 reads, from one memo of the ids'
+escaped texts per factorization.  Lookups go by target and faces instead:
 one cell is glued per generating square and a boundary lift is fixed by
 its facets, so ``FactorResult.cell_over`` finds the free cell that answers
 a square.
@@ -79,10 +81,12 @@ def _map_digest(f):
 @functools.lru_cache(maxsize=None)
 def _lift_template(k):
     """The JSON text ``[["0", %s], ["01", %s], ...]`` of a boundary lift of
-    shape k, keys sorted, as a ``%`` template with one slot per image in
-    the order of ``boundary_keys(k)``.  Shape 0 has no keys."""
-    return "[" + ", ".join("[" + encode_basestring_ascii(s).replace("%", "%%")
-                           + ", %s]" for s in boundary_keys(k)) + "]"
+    shape k, keys sorted, then a NUL, as an ASCII bytes ``%`` template with
+    one slot per image in the order of ``boundary_keys(k)``.  Shape 0 has
+    no keys."""
+    return ("[" + ", ".join("[" + encode_basestring_ascii(s).replace("%", "%%")
+                            + ", %s]" for s in boundary_keys(k))
+            + "]\0").encode()
 
 
 def _cell_ids(digest, stage, k, targets, lifts, escape):
@@ -90,26 +94,29 @@ def _cell_ids(digest, stage, k, targets, lifts, escape):
     along the boundary lifts of shape k with images ``lifts`` (in key
     order), each over its k-simplex t of ``targets``.  LIFT is 12 hex
     digits of the SHA-1 of ``json.dumps(sorted(u.assign.items()))`` for the
-    lift u.  The texts of the whole batch are filled by one ``%`` with the
-    images (ids, so strings) as ``escape`` writes them in JSON, each text
-    followed by a NUL, and encoded and split at the NULs in one piece: an
-    escaped id writes NUL as ``\\u0000``, and the template holds only
-    punctuation and boundary keys."""
+    lift u.  The texts of the whole batch are filled by one bytes ``%``
+    with the images (ids, so strings) as ``escape`` writes them in JSON,
+    ASCII bytes, each text followed by a NUL, and split at the NULs in one
+    piece: an escaped id writes NUL as ``\\u0000``, and the template holds
+    only punctuation and boundary keys.  A bytes fill costs about half a
+    ``str`` fill per slot, and needs no encoding before the hash."""
     head = f"{digest}.{stage}.{k}."
-    texts = ((_lift_template(k) + "\0") * len(lifts) % tuple(
-        map(escape, itertools.chain.from_iterable(lifts)))).encode()
+    texts = _lift_template(k) * len(lifts) % tuple(
+        map(escape, itertools.chain.from_iterable(lifts)))
     sha1 = hashlib.sha1
     return [f"{head}{t}.{sha1(text).hexdigest()[:12]}"
             for t, text in zip(targets, texts.split(b"\0"))]
 
 
 class _Escapes(dict):
-    """The ASCII JSON text of each id, computed on its first lookup."""
+    """The ASCII JSON text of each id, computed on its first lookup, as
+    bytes: what the bytes ``%`` fills of cell-id hash texts and of
+    ``jsonio.text`` take."""
 
     __slots__ = ()
 
     def __missing__(self, s):
-        text = self[s] = encode_basestring_ascii(s)
+        text = self[s] = encode_basestring_ascii(s).encode()
         return text
 
 
@@ -178,7 +185,7 @@ class FactorResult:
         return cid
 
 
-def k1_step(f, new=None, stage=0, digest=None):
+def k1_step(f, new=None, stage=0, digest=None, escape=None):
     """One gluing step: a stratum of all generating squares into f.
 
     One cell per pair of a k-simplex b of the codomain and a boundary lift
@@ -194,15 +201,17 @@ def k1_step(f, new=None, stage=0, digest=None):
     a shape's lifts are computed together, by ``_cell_ids``.  Returns
     (stratum, extended codomain map from the stratum's body), which is f
     itself, with nothing copied, when no cell is glued.  An id glued twice
-    can only be a collision of hashed lifts: InvariantError.
+    can only be a collision of hashed lifts: InvariantError.  ``digest``
+    and ``escape`` (an ``_Escapes`` lookup) are made here unless given.
     """
     if digest is None:
         digest = _map_digest(f)
+    if escape is None:
+        escape = _Escapes().__getitem__
     a, b = f.dom, f.cod
     new_dims = None if new is None else set(map(a._dim_of.__getitem__, new))
     cells = []
     glued = {}
-    escape = _Escapes().__getitem__  # ids recur across lifts: escape once
     for k in range(b.max_dim + 1):
         if new_dims is not None and k - 1 not in new_dims:
             continue
@@ -224,7 +233,8 @@ def k1_step(f, new=None, stage=0, digest=None):
 def free_complex(f, safety_cap=DEFAULT_CAP):
     """Iterate the gluing step with properness filtering until it stabilizes.
 
-    Each step is passed the ids the step before it glued.  Returns a
+    Each step is passed the ids the step before it glued, and one memo of
+    escaped ids, since ids recur across lifts and stages.  Returns a
     FactorResult whose complex is proper and connected by construction and
     whose counit map satisfies ``ef o u == f``.  Raises CapExceededError
     with per-stage diagnostics if the cap is reached.
@@ -232,12 +242,13 @@ def free_complex(f, safety_cap=DEFAULT_CAP):
     if safety_cap < 1:
         raise ValueError("safety_cap must be >= 1")
     digest = _map_digest(f)
+    escape = _Escapes().__getitem__
     strata = []
     new = None
     g = f
     n = 0
     while True:
-        st, e1 = k1_step(g, new, n, digest)
+        st, e1 = k1_step(g, new, n, digest, escape)
         if not st.cells:
             break
         if n >= safety_cap:

@@ -1,3 +1,7 @@
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from relcell import (
@@ -24,6 +28,32 @@ from relcell import (
 from relcell import jsonio
 from relcell.delta import _lift_kernel, boundary_keys
 from relcell.gen import rand_complex, rand_map_from
+
+
+# Each test is bounded in time, so that a hang (a mutant that loops, say)
+# fails Tier-1 in a minute with the hung test's traceback, not at CI's job
+# timeout.  The slowest test takes about 2.3 s, and about 6 s under
+# ``unrun_lines.py``'s tracer.
+_TIME_BOUND_S = 60
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of standard error taken while no test captures it, so that the
+    # traceback of a test that runs out of time reaches the terminal
+    config.stash[_STDERR_FD] = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def _time_bound(request):
+    faulthandler.dump_traceback_later(
+        _TIME_BOUND_S, exit=True, file=request.config.stash[_STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -334,7 +334,8 @@ class TestFactorAndFillers:
 
 _TEXT = st.text(max_size=6) | st.sampled_from(
     ["", ", ", '", "', '"', "\\", "[", "]", "{", "}", "\n", "\x00", "\x1f",
-     "\u2028", "caf\u00e9", "\U0001f600", '{"a": [1, 2]}'])
+     "\u2028", "caf\u00e9", "\U0001f600", "\ud800", "\udfff", "%s",
+     '{"a": [1, 2]}'])
 _LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT |
          st.sampled_from([10 ** 30, -0.0]))
 
@@ -389,6 +390,10 @@ _SCALAR_ROWS = {"t": True, "f": False, "one": 1, "zero": 0, "neg": -7,
 @example({"faces": ["a", _Id("b\"")], "0": [["x", "\u00e9"], [], ["y"]],
           "mixed": ["a", 1], "tail": ["a", ["b"]]})
 @example([{"attach": {}, "dim": 0, "id": "v"}, [True, _Level.THREE]])
+# lists and tuples of strings, which ``dumps`` writes in one piece
+@example({"tuple": ("\ud800", "\U0001f600", "\x00", '"'), "empty": (),
+          "list": ["%s", "\\", "\udfff"], "nested": [("a",), (), ["b"]]})
+@example(("\udfff", "%%", "\u2028"))
 @example({"all_pass": False,
           "laws": {"factorization": True, "monad_assoc": False},
           "witnesses": {"monad_assoc": {"lhs": [("a", "b"), ("e\"", "f")],
@@ -472,6 +477,8 @@ def _edge_values(name):
 @example(1, '{}"', "\\\x07\u00e9")
 @example(2, "%(x)s", "%%d%")
 @example(0, "0.", "")  # cell ids that spell base ids
+@example(3, "\ud800", "\udfff")  # lone surrogates, escaped as \\udXXX
+@example(4, "", "\U0001f600")  # a surrogate pair once escaped
 def test_text_is_dumps_of_to_json(seed, prefix, suffix):
     """``text`` writes exactly ``dumps(x_to_json(x))``, that is the
     stdlib's sorted, indented text of it, for every shape."""

@@ -1,5 +1,6 @@
 """The free factorization, adjunction, and the monad/comonad law suite."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -53,9 +54,9 @@ from relcell import (
 from relcell import gen, soa
 from relcell.delta import MAX_DIM, boundary_keys
 from relcell.cli import builtin_fixtures
-from conftest import (attach_map, boundary_inclusion, canonical, fold_map,
-                      morphism, normal_form, rand_cell_complex, rand_images,
-                      rand_transpose_square)
+from conftest import (attach_map, boundary_inclusion, canonical,
+                      chain_complex, fold_map, morphism, normal_form,
+                      rand_cell_complex, rand_images, rand_transpose_square)
 
 
 def oracle_squares(g, prev_ids=None):
@@ -754,7 +755,8 @@ def test_cell_id_matches_the_json_dumps_oracle(k, pool, picks, stage,
 def test_cell_ids_across_the_chunk_bound(n, k):
     """A batch of 1, 256 or 257 lifts, sizes that ids were once filled
     in chunks by: every id is the oracle's, in the order of the lifts."""
-    pool = ["\x00", "%", "%s", '"]], [', "\ud800", "caf\u00e9", "a"]
+    pool = ["\x00", "%", "%s", '"]], [', "\ud800", "caf\u00e9", "a",
+            "\U0001f600"]
     width = len(boundary_keys(k))
     lifts = [tuple(pool[(i + j) % len(pool)] for j in range(width))
              for i in range(n)]
@@ -763,3 +765,20 @@ def test_cell_ids_across_the_chunk_bound(n, k):
                         soa._Escapes().__getitem__)
     assert ids == [oracle_cell_id("0123456789", 3, k, t, lift_of(k, images))
                    for t, images in zip(targets, lifts)]
+
+
+def test_free_complex_escapes_each_id_once(monkeypatch):
+    """One factorization shares one memo of escaped ids across its stages,
+    so no id is escaped twice, though the ids a stage glues recur as
+    images in the lifts of later stages."""
+    counts = collections.Counter()
+    missing = soa._Escapes.__missing__
+
+    def counted(self, s):
+        counts[s] += 1
+        return missing(self, s)
+
+    monkeypatch.setattr(soa._Escapes, "__missing__", counted)
+    fr = free_complex(identity_map(chain_complex(3)))
+    assert len(fr.stage_counts) > 2
+    assert counts and max(counts.values()) == 1
