@@ -31,8 +31,8 @@ from .delta import (
     standard_simplex,
 )
 from .cellcx import assemble, compose_complexes
-from .soa import (DEFAULT_CAP, CapExceededError, Factorizer, check_awfs_laws,
-                  free_complex)
+from .soa import (DEFAULT_CAP, CapExceededError, Factorizer, _Escapes,
+                  check_awfs_laws, free_complex)
 from .lifting import LiftError, solve_lifting
 from .gen import rand_nat_square
 from . import jsonio
@@ -95,24 +95,32 @@ def _check_out(out_path):
 
 
 def _emit(text, out_path=None):
-    """Write one document, ``text``, to ``out_path`` as UTF-8, or to
-    standard output.  It is encoded first, so a text that cannot be (an id
-    holding a lone surrogate) is an input error that opens and writes
-    nothing.  Standard output is flushed here, so a failed write (a full
-    disk, a closed pipe) is an input error too, not one deferred to the
-    interpreter's exit."""
-    encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
-    try:
-        data = text.encode(encoding)
-    except UnicodeEncodeError as err:
-        raise _InputError(f"{out_path or 'standard output'}: cannot encode "
-                          f"the output as {encoding}: {err.reason}") from err
+    """Write one document, a ``str`` or the ASCII bytes chunks of
+    ``jsonio.document``, to ``out_path`` or to standard output.  A file
+    gets the chunks by ``writelines``, never joined or encoded again, or
+    the ``str`` as UTF-8.  A ``str`` is encoded first, so one that cannot
+    be (an id holding a lone surrogate) is an input error that opens and
+    writes nothing.  Standard output is flushed here, so a failed write (a
+    full disk, a closed pipe) is an input error too, not one deferred to
+    the interpreter's exit."""
+    if type(text) is str:
+        encoding = "utf-8" if out_path else sys.stdout.encoding or "utf-8"
+        try:
+            chunks = [text.encode(encoding)]
+        except UnicodeEncodeError as err:
+            raise _InputError(f"{out_path or 'standard output'}: cannot "
+                              f"encode the output as {encoding}: "
+                              f"{err.reason}") from err
+        texts = [text]
+    else:
+        chunks, texts = text, map(bytes.decode, text)
     try:
         if out_path:
             with open(out_path, "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            for part in texts:
+                sys.stdout.write(part)
             sys.stdout.flush()
     except OSError as err:
         if not out_path:
@@ -158,7 +166,8 @@ def builtin_fixtures():
 
 def cmd_factor(args):
     f = _load(args.map, _factorable_map)
-    fr = free_complex(f, safety_cap=args.cap)
+    escape = _Escapes().__getitem__  # one memo for the ids and the file
+    fr = free_complex(f, safety_cap=args.cap, escape=escape)
     summary = "; ".join([*(f"stage {n}: {c} cell" + ("s" if c != 1 else "")
                            for n, c in enumerate(fr.stage_counts)),
                          f"height {fr.kf.height}"]) + "\n"
@@ -166,7 +175,7 @@ def cmd_factor(args):
         summary = jsonio.dumps({"stage_counts": fr.stage_counts,
                                 "height": fr.kf.height})
     if args.out:  # the file first: a failed write prints no counts
-        _emit(jsonio.text(fr), args.out)
+        _emit(jsonio.document(fr, escape), args.out)
     _emit(summary)
     return EXIT_OK
 
@@ -174,13 +183,13 @@ def cmd_factor(args):
 def cmd_compose(args):
     a = _load(args.first, jsonio.cellcx_from_json)
     b = _load(args.second, jsonio.cellcx_from_json)
-    _emit(jsonio.text(compose_complexes(a, b)), args.out)
+    _emit(jsonio.document(compose_complexes(a, b)), args.out)
     return EXIT_OK
 
 
 def cmd_normalize(args):
     base, cells = _load(args.complex, jsonio.cellcx_cells_from_json)
-    _emit(jsonio.text(assemble(base, cells)), args.out)
+    _emit(jsonio.document(assemble(base, cells)), args.out)
     return EXIT_OK
 
 
@@ -188,8 +197,8 @@ def cmd_pushout(args):
     f = _load(args.first, jsonio.map_from_json)
     g = _load(args.second, jsonio.map_from_json)
     total, px, py = pushout(f, g)
-    _emit(jsonio.text({"complex": total, "leg_first": px,
-                       "leg_second": py}), args.out)
+    _emit(jsonio.document({"complex": total, "leg_first": px,
+                           "leg_second": py}), args.out)
     return EXIT_OK
 
 
@@ -198,7 +207,7 @@ def cmd_lift(args):
     ft = _load(args.table, jsonio.filler_table_from_json)
     u = _load(args.top, jsonio.map_from_json)
     v = _load(args.bottom, jsonio.map_from_json)
-    _emit(jsonio.text(solve_lifting(c, ft, (u, v))), args.out)
+    _emit(jsonio.document(solve_lifting(c, ft, (u, v))), args.out)
     return EXIT_OK
 
 

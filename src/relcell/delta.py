@@ -56,7 +56,9 @@ class DeltaComplex:
     dimension, sorted: every complex is built by ``_extended``, which sorts
     each grade it adds to, so no reader sorts a grade again.
     ``faces`` maps each simplex id of dimension >= 1 to the ordered tuple
-    of its face ids.  The empty complex has ``max_dim == -1``.
+    of its face ids.  The empty complex has ``max_dim == -1``.  The
+    constructor takes ``int`` dimensions and ``str`` ids and coerces no
+    key: any other raises DeltaError naming it.
     """
 
     __slots__ = ("simplices", "faces", "_dim_of", "_hash")
@@ -64,15 +66,21 @@ class DeltaComplex:
     def __init__(self, simplices=None, faces=None):
         grades = {}
         for k, ids in (simplices or {}).items():
+            if type(k) is not int:  # so no two keys name one dimension
+                raise DeltaError(f"dimension key {k!r} is not an integer")
             if isinstance(ids, str):  # not split into one id per character
                 raise DeltaError(f"the {k}-simplices are the string "
                                  f"{ids!r}, not a list of ids")
-            grades[int(k)] = ids = list(ids)
+            grades[k] = ids = list(ids)
             for s in ids:
                 if not isinstance(s, str):
                     raise DeltaError(f"simplex id {s!r} is not a string")
+        faces = faces or {}
+        for s in faces:
+            if not isinstance(s, str):
+                raise DeltaError(f"face list key {s!r} is not a string")
         x = EMPTY._extended(
-            grades, {str(s): tuple(f) for s, f in (faces or {}).items()})
+            grades, {s: tuple(f) for s, f in faces.items()})
         self.simplices, self.faces = x.simplices, x.faces
         self._dim_of, self._hash = x._dim_of, None
         self._validate()

@@ -9,11 +9,13 @@ itself (see ``dumps``).  ``dumps`` of an emitter's value
 (``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
 ``factor_result_to_json``) stays the reference format, and writes reports.
 The complexes, maps, cell complexes and factorizations that the CLI writes
-go through ``text``, which is ``dumps`` of a skeleton of the value whose
+go through ``document``, the same walk over a skeleton of the value whose
 simplices, cells and assignments are written from their shape without
 building the JSON value: one ``%`` fill per chunk of records, each id
-escaped once per document.  The fills are ASCII bytes, half the cost of a
-``str`` fill per slot, since an escaped id is ASCII.  Loaders validate
+escaped once per document, or once per ``factor`` run with the memo its
+factorization filled.  The fills are ASCII bytes, half the cost of a
+``str`` fill per slot, since an escaped id is ASCII, and the document is
+the list of them, never decoded on its way to a file.  Loaders validate
 through the ordinary constructors and raise DeltaError subclasses on bad
 input; a complex that a factorization repeats is the object it repeats,
 or validated if unequal.
@@ -51,41 +53,45 @@ def _level(n):
 
 
 class _Leaf(tuple):
-    """A shaped leaf ``(brackets, items)`` of a ``text`` skeleton, whose
-    ``items(n)`` yields the texts of its items ``n`` levels deep, a chunk
-    of items per text, each item led by a comma.  A type of its own, since
-    a plain tuple is a JSON array."""
+    """A shaped leaf ``(brackets, items)`` of a ``document`` skeleton,
+    whose ``items(n)`` yields the ASCII bytes of its items ``n`` levels
+    deep, a chunk of items per ``bytes``, each item led by a comma but the
+    first, led by the opening bracket.  A type of its own, since a plain
+    tuple is a JSON array."""
 
 
 def _walk(node, n, out):
     """Append the text of a dict, list, tuple or leaf whose items are ``n``
     levels deep: its items, each led by a comma that then becomes the
-    opening bracket, or the empty container."""
+    opening bracket, or the empty container.  Every piece is a ``str``
+    but a leaf's chunks: ASCII bytes, the first opened by the leaf."""
     start = len(out)
     if type(node) is _Leaf:
         brackets, items = node
         out.extend(items(n))
-    else:
-        lead, inner = "," + _level(n), _level(n + 1)
-        is_dict = isinstance(node, dict)
-        brackets = "{}" if is_dict else "[]"
-        for k, v in sorted(node.items()) if is_dict else enumerate(node):
-            head = lead + _quote(k) + ": " if is_dict else lead
-            if type(v) is str:
-                out.append(head + _quote(v))
-            elif type(v) is int:
-                out.append(head + int.__repr__(v))
-            elif type(v) is bool:
-                out.append(head + ("true" if v else "false"))
-            # two ``is`` tests: ``in (list, tuple)`` builds a tuple per value
-            elif (type(v) is list or type(v) is tuple) and v and _strings(v):
-                out.append(head + "[" + inner + ("," + inner).join(
-                    map(_quote, v)) + _level(n) + "]")
-            elif isinstance(v, (dict, list, tuple)):
-                out.append(head)
-                _walk(v, n + 1, out)
-            else:
-                out.append(head + _encode(v))
+        out.append(_level(n - 1) + brackets[1] if len(out) > start
+                   else brackets)
+        return
+    lead, inner = "," + _level(n), _level(n + 1)
+    is_dict = isinstance(node, dict)
+    brackets = "{}" if is_dict else "[]"
+    for k, v in sorted(node.items()) if is_dict else enumerate(node):
+        head = lead + _quote(k) + ": " if is_dict else lead
+        if type(v) is str:
+            out.append(head + _quote(v))
+        elif type(v) is int:
+            out.append(head + int.__repr__(v))
+        elif type(v) is bool:
+            out.append(head + ("true" if v else "false"))
+        # two ``is`` tests: ``in (list, tuple)`` builds a tuple per value
+        elif (type(v) is list or type(v) is tuple) and v and _strings(v):
+            out.append(head + "[" + inner + ("," + inner).join(
+                map(_quote, v)) + _level(n) + "]")
+        elif isinstance(v, (dict, list, tuple)):
+            out.append(head)
+            _walk(v, n + 1, out)
+        else:
+            out.append(head + _encode(v))
     if len(out) == start:
         out.append(brackets)
     else:
@@ -118,20 +124,20 @@ def dumps(obj):
 
 # -- shape writers -----------------------------------------------------------
 #
-# ``text`` is ``dumps`` of a skeleton of a value's ``*_to_json``: its dicts
-# and lists, except that each container of simplices, cells or assignment
-# entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records at a time,
-# each chunk by one ``%`` fill of its records' templates joined: a template
-# cached per (shape, depth) for simplices and cells, repeated once per run
-# of same-shape cells, and one per depth for assignment entries.  The chunk
-# bounds the transient text of a large leaf: one fill per leaf raised the
-# ``factor`` workload's peak memory by 11%.  The fill's arguments are the
-# records' ids as JSON text, read from one memo per document, so each id is
-# escaped once.  Templates and arguments are ASCII bytes, since an escaped
-# id is ASCII: a bytes ``%`` costs about half a ``str`` one per slot, and
-# each chunk's text is decoded once.  Ids are ``%`` arguments, never
-# template text, and template text writes a literal ``%`` as ``%%``, so no
-# id is parsed as a format.
+# ``document`` writes ``dumps`` of a skeleton of a value's ``*_to_json``:
+# its dicts and lists, except that each container of simplices, cells or
+# assignment entries is a ``_Leaf``.  A leaf is written ``_CHUNK`` records
+# at a time, each chunk by one ``%`` fill of its records' templates joined:
+# a template cached per (shape, depth) for simplices and cells, repeated
+# once per run of same-shape cells, and one per depth for assignment
+# entries.  The chunk bounds the transient text of a large leaf: one fill
+# per leaf raised the ``factor`` workload's peak memory by 11%.  The fill's
+# arguments are the records' ids as JSON text, read from one memo, so each
+# id is escaped once.  Templates and arguments are ASCII bytes, since an
+# escaped id is ASCII: a bytes ``%`` costs about half a ``str`` one per
+# slot, and a chunk is never decoded on its way to a file.  Ids are ``%``
+# arguments, never template text, and template text writes a literal ``%``
+# as ``%%``, so no id is parsed as a format.
 
 _CHUNK = 256  # records per fill
 
@@ -157,13 +163,16 @@ def _template(k, n, cell):
 def _leaf(brackets, records, template, ids, quote):
     """A leaf of ``records`` (a sequence), written a chunk at a time: the
     chunk's ``template(chunk, n)`` filled with the texts, by ``quote``, of
-    the ids ``ids(chunk)`` yields in the template's slot order, all ASCII
-    bytes, and decoded once."""
+    the ids ``ids(chunk)`` lists in the template's slot order, all ASCII
+    bytes.  The first chunk's leading comma becomes the opening
+    bracket."""
+    opening = brackets[0].encode()
+
     def items(n):
         for i in range(0, len(records), _CHUNK):
             chunk = records[i:i + _CHUNK]
-            yield (template(chunk, n) %
-                   tuple(map(quote, ids(chunk)))).decode()
+            text = template(chunk, n) % tuple(map(quote, ids(chunk)))
+            yield text if i else opening + text[1:]
 
     return _Leaf((brackets, items))
 
@@ -171,12 +180,17 @@ def _leaf(brackets, records, template, ids, quote):
 def _complex(x, quote):
     faces = x.faces
 
+    def ids(chunk):
+        out = []
+        for s in chunk:
+            out.extend(faces[s])
+            out.append(s)
+        return out
+
     def simplices(k):
         return _leaf("[]", x.ids(k),
                      lambda chunk, n: _template(k, n, False) * len(chunk),
-                     lambda chunk: itertools.chain.from_iterable(
-                         [(*faces[s], s) for s in chunk]),
-                     quote)
+                     ids, quote)
 
     return {"simplices": {str(k): simplices(k) if k else x.ids(0)
                           for k in range(x.max_dim + 1)}}
@@ -204,8 +218,11 @@ def _cell_template(chunk, n):
 
 
 def _cell_ids(chunk):
-    return itertools.chain.from_iterable(
-        [(*images, cid) for cid, _, images in chunk])
+    out = []
+    for cid, _, images in chunk:
+        out.extend(images)
+        out.append(cid)
+    return out
 
 
 def _cellcx(c, quote):
@@ -224,16 +241,24 @@ _SKELETONS = {DeltaComplex: _complex, SimplicialMap: _map,
               CellComplex: _cellcx, FactorResult: _factor_result}
 
 
-def text(value):
-    """The ``dumps`` text of a complex, map, cell complex or factorization,
-    or of a dict of them, written from its shape: exactly ``dumps`` of its
-    ``*_to_json`` (of each value's, for a dict), the reference format.
-    One memo of the ids' JSON texts serves the whole document."""
-    quote = _Escapes().__getitem__
+def document(value, escape=None):
+    """The document of a complex, map, cell complex or factorization, or
+    of a dict of them, written from its shape: a list of ASCII bytes
+    chunks whose join is exactly ``dumps`` of its ``*_to_json`` (of each
+    value's, for a dict), encoded.  ``escape``, an ``soa._Escapes``
+    lookup, gives the ids' JSON texts: the one of the factorization that
+    built the value, so that an id is escaped once across both, or else
+    one made here."""
+    quote = _Escapes().__getitem__ if escape is None else escape
     if isinstance(value, dict):
-        return dumps({k: _SKELETONS[type(v)](v, quote)
-                      for k, v in value.items()})
-    return dumps(_SKELETONS[type(value)](value, quote))
+        skeleton = {k: _SKELETONS[type(v)](v, quote)
+                    for k, v in value.items()}
+    else:
+        skeleton = _SKELETONS[type(value)](value, quote)
+    out = []
+    _walk(skeleton, 1, out)
+    out.append("\n")
+    return [p if type(p) is bytes else p.encode() for p in out]
 
 
 def _expect(cond, msg):

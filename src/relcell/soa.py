@@ -17,7 +17,8 @@ contract.  The hashed lift is 12 hex digits of the SHA-1 of the ASCII JSON
 text ``[[key, image], ...]`` of the lift, sorted by key; a batch's texts
 are written by one ``%`` fill of ASCII bytes, which costs about half a
 ``str`` fill per slot and is what SHA-1 reads, from one memo of the ids'
-escaped texts per factorization.  Lookups go by target and faces instead:
+escaped texts per factorization, which ``relcell factor`` then passes to
+the document it writes.  Lookups go by target and faces instead:
 one cell is glued per generating square and a boundary lift is fixed by
 its facets, so ``FactorResult.cell_over`` finds the free cell that answers
 a square.
@@ -111,7 +112,7 @@ def _cell_ids(digest, stage, k, targets, lifts, escape):
 class _Escapes(dict):
     """The ASCII JSON text of each id, computed on its first lookup, as
     bytes: what the bytes ``%`` fills of cell-id hash texts and of
-    ``jsonio.text`` take."""
+    ``jsonio.document`` take."""
 
     __slots__ = ()
 
@@ -230,11 +231,13 @@ def k1_step(f, new=None, stage=0, digest=None, escape=None):
     return st, SimplicialMap._owning(body(st), b, e_assign)
 
 
-def free_complex(f, safety_cap=DEFAULT_CAP):
+def free_complex(f, safety_cap=DEFAULT_CAP, *, escape=None):
     """Iterate the gluing step with properness filtering until it stabilizes.
 
     Each step is passed the ids the step before it glued, and one memo of
-    escaped ids, since ids recur across lifts and stages.  Returns a
+    escaped ids, since ids recur across lifts and stages: ``escape``, an
+    ``_Escapes`` lookup, which a caller that then writes the factorization
+    (``jsonio.document``) passes to both; else one is made here.  Returns a
     FactorResult whose complex is proper and connected by construction and
     whose counit map satisfies ``ef o u == f``.  Raises CapExceededError
     with per-stage diagnostics if the cap is reached.
@@ -242,7 +245,8 @@ def free_complex(f, safety_cap=DEFAULT_CAP):
     if safety_cap < 1:
         raise ValueError("safety_cap must be >= 1")
     digest = _map_digest(f)
-    escape = _Escapes().__getitem__
+    if escape is None:
+        escape = _Escapes().__getitem__
     strata = []
     new = None
     g = f

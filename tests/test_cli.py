@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from relcell import (
     u_of_complex,
 )
 from relcell.cli import main
-from relcell import cli, jsonio
+from relcell import cli, jsonio, soa
 from conftest import (boundary_inclusion, chain_complex, fold_map,
                       rand_cell_complex)
 
@@ -386,6 +387,39 @@ def test_unwritable_out_exit_2(files, capsys, monkeypatch, command, where):
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compose", "normalize", "pushout",
+                                     "lift"])
+def test_stdout_and_out_carry_the_same_bytes(files, capsys, command):
+    """A document goes to a file as its ASCII chunks and to standard
+    output decoded: the bytes are the same either way."""
+    tmp_path, write = files
+    argv = [command, *_accepted_inputs(write, command)]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and stdout.startswith("{")
+    out = tmp_path / "out.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, printed) == (0, "")
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_factor_document_is_written_at_its_own_size(tmp_path):
+    """``factor --out`` writes its document as the chunks it was filled
+    in, never joined nor decoded: on the dim-4 chain's identity (a 13 MB
+    document) writing it peaks within a quarter of its size."""
+    escape = soa._Escapes().__getitem__
+    fr = free_complex(identity_map(chain_complex(4)), escape=escape)
+    out = tmp_path / "fr.json"
+    tracemalloc.start()
+    try:
+        cli._emit(jsonio.document(fr, escape), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 10 ** 7
+    assert peak <= 1.25 * size, f"peak {peak / size:.2f}x the document"
+
+
 class _FullStdout:
     """A standard output on a full disk: ``fails`` ("write" or "flush")
     raises ENOSPC."""
@@ -433,7 +467,7 @@ def test_factor_out_then_full_stdout(files, capsys, monkeypatch, fails):
     assert capsys.readouterr().err == \
         f"error: standard output: {os.strerror(errno.ENOSPC)}\n"
     assert out.read_bytes() == \
-        jsonio.text(free_complex(boundary_inclusion(1))).encode()
+        b"".join(jsonio.document(free_complex(boundary_inclusion(1))))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -86,6 +86,28 @@ ERRORS = {
     "complex-with-a-grade-given-as-a-string": (
         DeltaError, "the 0-simplices are the string 'ab', not a list of ids",
         lambda: DeltaComplex({0: "ab"})),
+    # keys are taken as given, never coerced: a key of another type would
+    # otherwise merge with, and drop, the grade or faces it spells
+    "complex-with-a-float-dimension-key": (
+        DeltaError, "dimension key 0.9 is not an integer",
+        lambda: DeltaComplex({0.9: ["a", "b"]})),
+    "complex-with-a-string-dimension-key": (
+        DeltaError, "dimension key '1' is not an integer",
+        lambda: DeltaComplex({0: ["a", "b"], "1": ["e"]},
+                             {"e": ("a", "b")})),
+    "complex-with-a-bool-dimension-key": (
+        DeltaError, "dimension key False is not an integer",
+        lambda: DeltaComplex({False: ["a"]})),
+    "complex-with-an-int-faces-key": (
+        DeltaError, "face list key 5 is not a string",
+        lambda: DeltaComplex({0: ["a", "b"], 1: ["5"]}, {5: ("a", "b")})),
+    "complex-with-a-grade-under-two-keys": (
+        DeltaError, "dimension key '0' is not an integer",
+        lambda: DeltaComplex({0: ["a"], "0": ["b"]})),
+    "complex-with-faces-under-two-keys": (
+        DeltaError, "face list key 5 is not a string",
+        lambda: DeltaComplex({0: ["a", "b"], 1: ["5"]},
+                             {"5": ("a", "b"), 5: ("b", "a")})),
     "faces-of-unknown-simplex": (
         DeltaError, "face list for unknown simplex 'x'",
         lambda: DeltaComplex({0: ["a"]}, {"x": ["a", "a"]})),

@@ -334,7 +334,7 @@ def test_each_fact_has_one_owner():
         {ast.dump(ast.Name(node.generators[0].target.id, ast.Load()))})
     assert identity == ["delta._id_inclusion"]
     # every grade is a sorted tuple already; only the reference emitter,
-    # the oracle ``jsonio.text`` is tested against, sorts one
+    # the oracle ``jsonio.document`` is tested against, sorts one
     sorts = sorted(qualname for qualname, fn in functions.items()
                    for call in _calls(fn, "sorted")
                    for node in ast.walk(call)

@@ -221,7 +221,7 @@ class TestFactorAndFillers:
         input, instead of letting the free-filler lift fail on it."""
         two, _ = coproduct([standard_simplex(0)] * 2)
         fr = free_complex(SimplicialMap(EMPTY, two, {}))
-        payload = json.loads(jsonio.text(fr))
+        payload = json.loads(_joined(fr))
         grade = payload["ef"]["assign"]["0"]
         first, second = sorted(grade)
         assert grade[first] != grade[second]
@@ -235,7 +235,7 @@ class TestFactorAndFillers:
     def test_loaded_factorization_keeps_its_cell_index(self):
         fr = free_complex(boundary_inclusion(2))
         back = jsonio.factor_result_from_json(
-            json.loads(jsonio.text(fr)))
+            json.loads(_joined(fr)))
         assert back._cells_over is not None
         for _, (cid, _, _) in back.kf.all_cells():
             faces = back.kf.body.faces_of(cid)
@@ -248,7 +248,7 @@ class TestFactorAndFillers:
         """The strict loader builds its maps and boundary complexes per
         document, not per cell: the counts are the same for 6 cells and
         for 266."""
-        docs = [json.loads(jsonio.text(free_complex(boundary_inclusion(k))))
+        docs = [json.loads(_joined(free_complex(boundary_inclusion(k))))
                 for k in (1, 3)]
         for doc in docs:  # shapes seen once, so per-shape caches are warm
             jsonio.factor_result_from_json(doc)
@@ -433,11 +433,20 @@ _TO_JSON = {DeltaComplex: jsonio.complex_to_json,
 
 
 def _reference(value):
-    """The stdlib's text of the value's ``*_to_json``: an oracle that
-    shares no code with the writer ``text`` and ``dumps`` share."""
+    """The stdlib's text of the value's ``*_to_json``, encoded: an oracle
+    that shares no code with the walk ``document`` and ``dumps`` share."""
     if isinstance(value, dict):
-        return _canonical({k: _TO_JSON[type(v)](v) for k, v in value.items()})
-    return _canonical(_TO_JSON[type(value)](value))
+        value = {k: _TO_JSON[type(v)](v) for k, v in value.items()}
+    else:
+        value = _TO_JSON[type(value)](value)
+    return _canonical(value).encode()
+
+
+def _joined(value):
+    """The document of a value, its chunks joined; each must be bytes."""
+    chunks = jsonio.document(value)
+    assert chunks and all(type(c) is bytes for c in chunks)
+    return b"".join(chunks)
 
 
 def _renamed_complex(x, name):
@@ -480,8 +489,9 @@ def _edge_values(name):
 @example(3, "\ud800", "\udfff")  # lone surrogates, escaped as \\udXXX
 @example(4, "", "\U0001f600")  # a surrogate pair once escaped
 def test_text_is_dumps_of_to_json(seed, prefix, suffix):
-    """``text`` writes exactly ``dumps(x_to_json(x))``, that is the
-    stdlib's sorted, indented text of it, for every shape."""
+    """``document`` writes exactly ``dumps(x_to_json(x))``, that is the
+    stdlib's sorted, indented text of it, as ASCII bytes chunks, for every
+    shape."""
     def name(s):
         return prefix + s + suffix
 
@@ -493,23 +503,23 @@ def test_text_is_dumps_of_to_json(seed, prefix, suffix):
               rand_cell_complex(rng, max_cells=4, prefix=prefix),
               {"complex": x, "leg_first": f, "leg_second": fr.ef}]
     for value in values + _edge_values(name):
-        assert jsonio.text(value) == _reference(value)
+        assert _joined(value) == _reference(value)
 
 
-# Deterministic values whose leaves cross ``text``'s chunks of records.
+# Deterministic values whose leaves cross ``document``'s chunks of records.
 _CHUNK = jsonio._CHUNK
 _FORMAT_AFFIXES = ["", "%", "%%", "%(x)s"]
 
 
 def _check_text(value):
-    """``text`` is the reference; a mismatch names its first offset, since
-    a diff of two multi-megabyte texts would take minutes."""
-    got, want = jsonio.text(value), _reference(value)
+    """``document`` is the reference; a mismatch names its first offset,
+    since a diff of two multi-megabyte texts would take minutes."""
+    got, want = _joined(value), _reference(value)
     if got != want:
         at = next((i for i, pair in enumerate(zip(got, want))
                    if pair[0] != pair[1]), min(len(got), len(want)))
         near = slice(max(at - 60, 0), at + 60)
-        pytest.fail(f"text differs from the reference at offset {at}: "
+        pytest.fail(f"document differs from the reference at offset {at}: "
                     f"{got[near]!r} != {want[near]!r}")
 
 

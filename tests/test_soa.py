@@ -51,9 +51,9 @@ from relcell import (
     u_of_complex,
     unit,
 )
-from relcell import gen, soa
+from relcell import gen, jsonio, soa
 from relcell.delta import MAX_DIM, boundary_keys
-from relcell.cli import builtin_fixtures
+from relcell.cli import builtin_fixtures, main
 from conftest import (attach_map, boundary_inclusion, canonical,
                       chain_complex, fold_map, morphism, normal_form,
                       rand_cell_complex, rand_images, rand_transpose_square)
@@ -767,10 +767,12 @@ def test_cell_ids_across_the_chunk_bound(n, k):
                    for t, images in zip(targets, lifts)]
 
 
-def test_free_complex_escapes_each_id_once(monkeypatch):
+def test_free_complex_escapes_each_id_once(monkeypatch, tmp_path):
     """One factorization shares one memo of escaped ids across its stages,
     so no id is escaped twice, though the ids a stage glues recur as
-    images in the lifts of later stages."""
+    images in the lifts of later stages.  ``relcell factor --out`` passes
+    that memo on to the document it writes, so over the whole run each id
+    the file holds is escaped exactly once."""
     counts = collections.Counter()
     missing = soa._Escapes.__missing__
 
@@ -782,3 +784,10 @@ def test_free_complex_escapes_each_id_once(monkeypatch):
     fr = free_complex(identity_map(chain_complex(3)))
     assert len(fr.stage_counts) > 2
     assert counts and max(counts.values()) == 1
+    counts.clear()
+    src, out = tmp_path / "f.json", tmp_path / "fr.json"
+    src.write_text(jsonio.dumps(jsonio.map_to_json(fr.input)))
+    assert main(["factor", str(src), "--out", str(out)]) == 0
+    assert counts.keys() == fr.kf.body.id_set | fr.input.cod.id_set
+    assert max(counts.values()) == 1
+    assert out.read_bytes() == b"".join(jsonio.document(fr))
