@@ -4,8 +4,8 @@ All emitters produce deterministic structures (sorted keys, sorted id
 lists); ``dumps`` fixes the byte-level format, which is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
 ``json`` encodes in pure Python, so one Python walk of this module's own
-(``_walk``) writes every document, and writes strings, ints and bools
-itself (see ``dumps``).  ``dumps`` of an emitter's value
+(``_walk``) writes every document, and writes strings, ints, bools and
+lists of records itself (see ``dumps``).  ``dumps`` of an emitter's value
 (``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
 ``factor_result_to_json``) stays the reference format, and writes reports.
 The complexes, maps, cell complexes and factorizations that the CLI writes
@@ -63,8 +63,9 @@ class _Leaf(tuple):
 def _walk(node, n, out):
     """Append the text of a dict, list, tuple or leaf whose items are ``n``
     levels deep: its items, each led by a comma that then becomes the
-    opening bracket, or the empty container.  Every piece is a ``str``
-    but a leaf's chunks: ASCII bytes, the first opened by the leaf."""
+    opening bracket, or the empty container; a list of records as
+    ``_records`` writes it.  Every piece is a ``str`` but a leaf's chunks:
+    ASCII bytes, the first opened by the leaf."""
     start = len(out)
     if type(node) is _Leaf:
         brackets, items = node
@@ -75,7 +76,9 @@ def _walk(node, n, out):
     lead, inner = "," + _level(n), _level(n + 1)
     is_dict = isinstance(node, dict)
     brackets = "{}" if is_dict else "[]"
-    for k, v in sorted(node.items()) if is_dict else enumerate(node):
+    items = (sorted(node.items()) if is_dict else
+             () if _records(node, n, out) else enumerate(node))
+    for k, v in items:
         head = lead + _quote(k) + ": " if is_dict else lead
         if type(v) is str:
             out.append(head + _quote(v))
@@ -109,10 +112,12 @@ def dumps(obj):
     or tuple of strings (a simplex's faces, a vertex grade) in one piece,
     and writes a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
     ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
-    writes them.  Floats, ``None`` and subclasses (``IntEnum``, a ``str``
-    subclass) go through one module-level ``json`` encoder.  Dict keys must
-    be strings, as every emitter here makes them; any other key raises
-    TypeError rather than change the bytes.
+    writes them, and a list of records (a grade of simplices) by
+    ``_records``, one ``%`` fill per chunk.  Floats, ``None`` and
+    subclasses (``IntEnum``, a ``str`` subclass) outside those lists go
+    through one module-level ``json`` encoder.  Dict keys must be strings,
+    as every emitter here makes them; any other key raises TypeError
+    rather than change the bytes.
     """
     if not isinstance(obj, (dict, list, tuple)):
         return _encode(obj) + "\n"
@@ -130,34 +135,80 @@ def dumps(obj):
 # at a time, each chunk by one ``%`` fill of its records' templates joined:
 # a template cached per (shape, depth) for simplices and cells, repeated
 # once per run of same-shape cells, and one per depth for assignment
-# entries.  The chunk bounds the transient text of a large leaf: one fill
-# per leaf raised the ``factor`` workload's peak memory by 11%.  The fill's
-# arguments are the records' ids as JSON text, read from one memo, so each
-# id is escaped once.  Templates and arguments are ASCII bytes, since an
-# escaped id is ASCII: a bytes ``%`` costs about half a ``str`` one per
-# slot, and a chunk is never decoded on its way to a file.  Ids are ``%``
+# entries.  ``dumps`` writes a list of records so too, filled with its
+# strings, escaped, from one ``_record`` template.  The chunk bounds the
+# transient text of a large leaf or list: one fill per leaf raised the
+# ``factor`` workload's peak memory by 11%.  A leaf's fill arguments are
+# its records' ids as JSON text, read from one memo, so each id is escaped
+# once.  Its templates and arguments are ASCII bytes, since an escaped id
+# is ASCII: a bytes ``%`` costs about half a ``str`` one per slot, and a
+# chunk is never decoded on its way to a file.  Ids and strings are ``%``
 # arguments, never template text, and template text writes a literal ``%``
 # as ``%%``, so no id is parsed as a format.
 
 _CHUNK = 256  # records per fill
 
 
+def _record(shape, n):
+    """The ``%`` template of a record as a list item ``n`` levels deep: a
+    slot per string of a dict whose ``shape`` lists its keys in order, each
+    with the length of its list of strings, or None for a string."""
+    i, j, lead = _level(n + 1), _level(n + 2), _level(n)
+    fields = [_quote(key).replace("%", "%%") + ": " +
+              ("%s" if m is None else "[" + ",".join([j + "%s"] * m) + i + "]")
+              for key, m in shape]
+    return "," + lead + "{" + i + ("," + i).join(fields) + lead + "}"
+
+
+def _records(node, n, out):
+    """Append a list of records ``n`` levels deep a ``_CHUNK`` per piece,
+    and return True; for any other list or tuple, append nothing and
+    return False.  Records are plain dicts of one set of string keys, each
+    value a string, or a non-empty list of strings of one length per key."""
+    first = node[0] if node else None
+    if type(first) is not dict or not first or not _strings(first):
+        return False
+    # 0 marks a value that is neither a string nor a non-empty list, so a
+    # list of cells, whose attach is a dict, is given up at its first
+    shape = [(key, len(v) if type(v) is list else
+              None if isinstance(v, str) else 0)
+             for key, v in sorted(first.items())]
+    if any(m == 0 for _, m in shape):
+        return False
+    keys, args = first.keys(), []
+    for d in node:
+        if type(d) is not dict or d.keys() != keys:
+            return False
+        for key, m in shape:
+            v = d[key]
+            if m is None:
+                args.append(v)
+            elif type(v) is list and len(v) == m:
+                args.extend(v)
+            else:
+                return False
+    if not all(map(isinstance, args, itertools.repeat(str))):
+        return False
+    item, slots = _record(shape, n), len(args) // len(node)
+    for i in range(0, len(args), slots * _CHUNK):
+        chunk = tuple(map(_quote, args[i:i + slots * _CHUNK]))
+        out.append(item * (len(chunk) // slots) % chunk)
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _template(k, n, cell):
     """A k-simplex, or a k-cell, as a list item ``n`` levels deep: the
     ``%`` template of its faces, or of its attach images in the order of
-    ``boundary_keys(k)``, then its id, as ASCII bytes.  NUL marks a slot
-    while the text, made only of punctuation and the shape's keys, is
-    built."""
+    ``boundary_keys(k)`` (digits, so no ``%``), then its id, as ASCII
+    bytes.  A simplex is the record ``{"faces": [k + 1 slots], "id":
+    slot}``."""
+    if not cell:
+        return _record((("faces", k + 1), ("id", None)), n).encode()
     i, j, lead = _level(n + 1), _level(n + 2), _level(n)
-    if cell:
-        keys = boundary_keys(k)
-        attach = ",".join(j + _quote(s) + ": \0" for s in keys)
-        head = f'"attach": {{{attach + i if keys else ""}}},{i}"dim": {k},'
-    else:
-        head = '"faces": [' + ",".join([j + "\0"] * (k + 1)) + i + "],"
-    item = "," + lead + "{" + i + head + i + '"id": \0' + lead + "}"
-    return item.replace("%", "%%").replace("\0", "%s").encode()
+    attach = ",".join(j + _quote(s) + ": %s" for s in boundary_keys(k))
+    head = f'"attach": {{{attach + i if attach else ""}}},{i}"dim": {k},'
+    return f',{lead}{{{i}{head}{i}"id": %s{lead}}}'.encode()
 
 
 def _leaf(brackets, records, template, ids, quote):
