@@ -9,13 +9,11 @@ Because glued simplices reuse cell ids, every filtration stage is a literal
 subcomplex of the body and "factors through stage n" is a plain
 containment check.
 
-A derived complex is fixed by its underlying inclusion, base in body:
-``complex_of`` reads its cells off the body and hands them to ``assemble``,
-which alone places each cell, at the least stage its attach allows, so
-its output is proper and connected by construction.  A pushforward,
+A derived complex is fixed by its underlying inclusion, base in body, and
+its cells are placed by ``_place`` alone, at the least stage each attach
+allows, so it is proper and connected by construction.  A pushforward,
 colimit, equaliser or decoded coalgebra is one ``delta`` construction on
-bodies read this way; composites list their cells for ``assemble``
-directly.
+bodies read by ``complex_of``; composites list their cells directly.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .delta import (
     identity_map,
     pushout,
 )
-from .strata import _ID, Stratum, body
+from .strata import _ID, Stratum, _cells, body
 
 
 class CellComplexError(DeltaError):
@@ -53,6 +51,9 @@ class CellComplex:
     __slots__ = ("boundary", "strata", "_stages", "_cell_stage", "_u")
 
     def __init__(self, boundary, strata):
+        strata = tuple(strata)
+        if not all(isinstance(st, Stratum) for st in strata):
+            raise CellComplexError("strata must be Stratum values")
         c = CellComplex._owning(boundary, strata)
         self.boundary, self.strata, self._u = boundary, c.strata, None
         self._stages, self._cell_stage = c._stages, c._cell_stage
@@ -151,18 +152,20 @@ def generator_complex(k):
 
 
 def assemble(boundary, cells):
-    """Build the proper complex with the given cells over the base.
-
-    ``cells`` attach into the union of the base and all glued simplices
-    (cell ids).  Each cell is placed at the least stage containing its
-    attach image (the set of its ``images``); placement iterates to a
-    fixpoint, and each cell is placed as it is.  Fails if some cell's
-    attach references ids that never appear.
+    """The proper complex with the given cells over the base: each cell
+    checked as ``Stratum`` takes it, placed at the least stage containing
+    its attach image (the set of its ``images``), in the union of the base
+    and all glued simplices, and its attach checked as a map into the body.
     """
+    cells = _cells(cells)
+    c = _place(boundary, cells)
+    Stratum(c.body, cells)
+    return c
+
+
+def _place(boundary, cells):
+    """``assemble`` of well-typed cells, unchecked but for unplaceable ones."""
     remaining = sorted(cells, key=_ID)
-    cid = _first_repeat(map(_ID, remaining))
-    if cid is not None:
-        raise CellComplexError(f"duplicate cell id {cid!r}")
     strata = []
     current = boundary
     while remaining:
@@ -185,7 +188,7 @@ def complex_of(base, total):
     """The proper complex whose underlying inclusion is ``base`` in
     ``total``: every other simplex of ``total`` is a cell, attached along
     its faces."""
-    return assemble(base, [
+    return _place(base, [
         (s, k, tuple(map(boundary_restriction(total, s).assign.get,
                          boundary_keys(k))))
         for k, s in total.all_ids() if s not in base])
@@ -195,14 +198,14 @@ def compose_complexes(a, b):
     """The composite complex: b glued on top of a.
 
     ``b``'s boundary must be ``a``'s body.  The cells of a, then of b, go
-    to ``assemble`` over a's base; cells of b sink to the least stage their
+    to ``_place`` over a's base; cells of b sink to the least stage their
     attaching maps allow.
     """
     if b.boundary != a.body:
         raise CellComplexError(
             "boundary of the second complex must equal the body of the first")
-    return assemble(a.boundary,
-                    [c for st in a.strata + b.strata for c in st.cells])
+    return _place(a.boundary,
+                  [c for st in a.strata + b.strata for c in st.cells])
 
 
 # -- morphisms ------------------------------------------------------------

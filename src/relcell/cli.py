@@ -188,8 +188,9 @@ def cmd_compose(args):
 
 
 def cmd_normalize(args):
-    base, cells = _load(args.complex, jsonio.cellcx_cells_from_json)
-    _emit(jsonio.document(assemble(base, cells)), args.out)
+    c = _load(args.complex,
+              lambda obj: assemble(*jsonio.cellcx_cells_from_json(obj)))
+    _emit(jsonio.document(c), args.out)
     return EXIT_OK
 
 

@@ -40,8 +40,37 @@ def _first_repeat(ids, seen=()):
     return next((s for s in ids if s in seen or seen.add(s)), None)
 
 
+def _strings(values):
+    """True iff every value is a string, in one C-level pass."""
+    try:
+        "".join(values)
+    except TypeError:  # a value that is not a string, or not iterable
+        return False
+    return True
+
+
 class DeltaError(ValueError):
     """Malformed complex, map or square."""
+
+
+def _checked_faces(simplices, keys, lists):
+    """Check a complex's input types, coercing none; return its face tuples."""
+    for k, ids in simplices.items():
+        if type(k) is not int:  # so no two keys name one dimension
+            raise DeltaError(f"dimension key {k!r} is not an integer")
+        if not isinstance(ids, (list, tuple)):  # not split, nor ordered
+            raise DeltaError(f"the {k}-simplices are not a list or tuple")
+    for what, ids in (("simplex id", [*itertools.chain(*simplices.values())]),
+                      ("face list key", keys)):
+        if not _strings(ids):
+            bad = next(s for s in ids if not isinstance(s, str))
+            raise DeltaError(f"{what} {bad!r} is not a string")
+    if not (all(map(isinstance, lists, itertools.repeat((list, tuple))))
+            and _strings(itertools.chain.from_iterable(lists))):
+        s = next(s for s, fs in zip(keys, lists)
+                 if not (isinstance(fs, (list, tuple)) and _strings(fs)))
+        raise DeltaError(f"the faces of {s!r} are not a list or tuple of ids")
+    return dict(zip(keys, map(tuple, lists)))
 
 
 class InvariantError(AssertionError):
@@ -57,30 +86,16 @@ class DeltaComplex:
     each grade it adds to, so no reader sorts a grade again.
     ``faces`` maps each simplex id of dimension >= 1 to the ordered tuple
     of its face ids.  The empty complex has ``max_dim == -1``.  The
-    constructor takes ``int`` dimensions and ``str`` ids and coerces no
-    key: any other raises DeltaError naming it.
+    constructor takes ``int`` dimensions (not ``bool``) and lists or tuples
+    of ``str`` ids, coercing none: DeltaError names any other input.
     """
 
     __slots__ = ("simplices", "faces", "_dim_of", "_hash")
 
     def __init__(self, simplices=None, faces=None):
-        grades = {}
-        for k, ids in (simplices or {}).items():
-            if type(k) is not int:  # so no two keys name one dimension
-                raise DeltaError(f"dimension key {k!r} is not an integer")
-            if isinstance(ids, str):  # not split into one id per character
-                raise DeltaError(f"the {k}-simplices are the string "
-                                 f"{ids!r}, not a list of ids")
-            grades[k] = ids = list(ids)
-            for s in ids:
-                if not isinstance(s, str):
-                    raise DeltaError(f"simplex id {s!r} is not a string")
-        faces = faces or {}
-        for s in faces:
-            if not isinstance(s, str):
-                raise DeltaError(f"face list key {s!r} is not a string")
-        x = EMPTY._extended(
-            grades, {s: tuple(f) for s, f in faces.items()})
+        simplices, faces = simplices or {}, faces or {}
+        x = EMPTY._extended(simplices, _checked_faces(
+            simplices, faces.keys(), faces.values()))
         self.simplices, self.faces = x.simplices, x.faces
         self._dim_of, self._hash = x._dim_of, None
         self._validate()
@@ -212,7 +227,8 @@ EMPTY.simplices, EMPTY.faces, EMPTY._dim_of, EMPTY._hash = {}, {}, {}, None
 
 class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes,
-    checked on construction; ``_owning`` is the one unchecked path."""
+    of ``str`` ids, checked on construction; ``_owning`` is the one
+    unchecked path."""
 
     __slots__ = ("dom", "cod", "assign", "_hash", "_prefixes")
 
@@ -225,9 +241,15 @@ class SimplicialMap:
         self._validate()
 
     def _validate(self):
+        if not (isinstance(self.dom, DeltaComplex) and
+                isinstance(self.cod, DeltaComplex)):
+            raise DeltaError("map endpoints must be complexes")
         assign, dim_of = self.assign, self.dom._dim_of
         if assign.keys() != dim_of.keys():
             raise DeltaError("assignment is not total on the domain")
+        if not _strings(assign.values()):
+            s = next(s for s, t in assign.items() if not isinstance(t, str))
+            raise DeltaError(f"{s!r} maps to {assign[s]!r}, not an id")
         dom_faces, cod_faces = self.dom.faces, self.cod.faces
         cod_dim, image = self.cod._dim_of.get, assign.__getitem__
         for s, t in assign.items():

@@ -1,24 +1,15 @@
 """JSON serialization for every value the command-line interface handles.
 
 All emitters produce deterministic structures (sorted keys, sorted id
-lists); ``dumps`` fixes the byte-level format, which is exactly
-``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  With ``indent`` set,
-``json`` encodes in pure Python, so one Python walk of this module's own
-(``_walk``) writes every document, and writes strings, ints, bools and
-lists of records itself (see ``dumps``).  ``dumps`` of an emitter's value
-(``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
+lists), and one Python walk of this module's own (``_walk``) writes every
+document.  ``dumps`` fixes the byte-level format, and ``dumps`` of an
+emitter's value (``complex_to_json``, ``map_to_json``, ``cellcx_to_json``,
 ``factor_result_to_json``) stays the reference format, and writes reports.
 The complexes, maps, cell complexes and factorizations that the CLI writes
-go through ``document``, the same walk over a skeleton of the value whose
-simplices, cells and assignments are written from their shape without
-building the JSON value: one ``%`` fill per chunk of records, each id
-escaped once per document, or once per ``factor`` run with the memo its
-factorization filled.  The fills are ASCII bytes, half the cost of a
-``str`` fill per slot, since an escaped id is ASCII, and the document is
-the list of them, never decoded on its way to a file.  Loaders validate
-through the ordinary constructors and raise DeltaError subclasses on bad
-input; a complex that a factorization repeats is the object it repeats,
-or validated if unequal.
+go through ``document`` (see the shape writers).  Loaders check the JSON
+shape, and types through the checks the constructors run, so bad input
+raises one DeltaError subclass either way; a complex that a factorization
+repeats is the object it repeats, or validated if unequal.
 """
 
 from __future__ import annotations
@@ -33,12 +24,14 @@ from .delta import (
     DeltaComplex,
     DeltaError,
     SimplicialMap,
+    _checked_faces,
+    _strings,
     boundary_keys,
     composes_to,
 )
-from .strata import Stratum, body
+from .strata import Stratum, StrataError, _boundary_ids, body
 from .cellcx import CellComplex, u_of_complex
-from .lifting import FillerTable, square_key
+from .lifting import FillerTable, _check_entry, square_key
 from .soa import FactorResult, _Escapes, cell_index
 
 
@@ -317,21 +310,6 @@ def _expect(cond, msg):
         raise DeltaError(msg)
 
 
-# Type checks for well-formed JSON of the wrong shape: containers are
-# checked where they are read, and ids (the leaves) in one pass per list
-# or object, so that every bad input raises DeltaError.
-
-
-def _strings(values):
-    """True iff every value is a string, as every simplex id is; ``join``
-    makes the check in one C-level pass."""
-    try:
-        "".join(values)
-    except TypeError:
-        return False
-    return True
-
-
 def _expect_list(value, what):
     _expect(isinstance(value, list), f"{what} must be given as a list")
 
@@ -364,33 +342,23 @@ def complex_to_json(x):
 
 
 def complex_from_json(obj, twin=None):
-    """The complex ``obj`` holds, built unchecked: ``twin``, a checked
-    complex, if equal; else checked here, once."""
+    """The complex ``obj`` holds: ``twin`` if equal, else checked once."""
     _expect(isinstance(obj, dict) and
             isinstance(obj.get("simplices"), dict),
             "complex JSON must be an object with a 'simplices' object")
-    simplices = {}
-    faces = {}
+    simplices, keys, lists = {}, [], []
     for key, entries in obj["simplices"].items():
         k = _dim_key(key)
-        _expect_list(entries, f"the {key}-simplices")
-        if k == 0:
-            _expect(_strings(entries), "0-simplices must be strings")
-            ids = entries
-        else:
-            ids = []
-            for e in entries:
-                _expect(isinstance(e, dict) and
-                        isinstance(e.get("id"), str) and
-                        isinstance(e.get("faces"), list),
-                        f"{k}-simplices must be objects with a string id "
-                        f"and a list of faces")
-                ids.append(e["id"])
-                faces[e["id"]] = tuple(e["faces"])
-        simplices[k] = ids
-    _expect(_strings(itertools.chain.from_iterable(faces.values())),
-            "faces must be simplex ids")
-    x = EMPTY._extended(simplices, faces)
+        if k:
+            try:  # an entry that is no object, or lacks a key, raises here
+                lists += map(operator.itemgetter("faces"), entries)
+                entries = list(map(operator.itemgetter("id"), entries))
+            except (TypeError, KeyError):
+                raise DeltaError(f"{k}-simplices must be objects with an id "
+                                 f"and faces") from None
+            keys += entries
+        simplices[k] = entries
+    x = EMPTY._extended(simplices, _checked_faces(simplices, keys, lists))
     if x == twin:
         return twin
     x._validate()
@@ -417,8 +385,8 @@ def map_from_json(obj, dom=None, cod=None):
     assign = {}
     for key, graded in obj["assign"].items():
         k = _dim_key(key)
-        _expect(isinstance(graded, dict) and _strings(graded.values()),
-                "each graded assignment must map ids to ids")
+        _expect(isinstance(graded, dict),
+                "each graded assignment must be an object")
         _expect(graded.keys() <= set(dom.ids(k)),
                 f"the grade-{k} assignment maps ids that are not "
                 f"{k}-simplices of the domain")
@@ -435,19 +403,15 @@ def _cell_to_json(c):
 
 
 def _cell_from_json(obj):
-    """The cell an object holds, its attach read off as an image tuple;
-    the stratum it joins checks the attach as a map."""
-    _expect(isinstance(obj, dict) and isinstance(obj.get("id"), str) and
-            type(obj.get("dim")) is int and
-            isinstance(obj.get("attach"), dict) and
-            _strings(obj["attach"].values()),
-            "cell JSON must carry a string id, an integer dim and an "
-            "attach object from ids to ids")
+    """The cell an object holds, its attach read off as an image tuple."""
+    _expect(isinstance(obj, dict) and {"id", "dim", "attach"} <= obj.keys()
+            and isinstance(obj["attach"], dict),
+            "cell JSON must carry an id, a dim and an attach object")
     cid, k, attach = obj["id"], obj["dim"], obj["attach"]
-    keys = boundary_keys(k)
-    _expect(attach.keys() == set(keys),
-            f"cell {cid!r}: attach is not total on the boundary of the "
-            f"standard {k}-simplex")
+    keys = _boundary_ids(cid, k)
+    if attach.keys() != set(keys):
+        raise StrataError(f"cell {cid!r}: attach is not total on the "
+                          f"boundary of the standard {k}-simplex")
     return cid, k, tuple(map(attach.__getitem__, keys))
 
 
@@ -472,18 +436,10 @@ def _complex_parts(obj, twin=None):
 
 
 def cellcx_cells_from_json(obj):
-    """Lax loader: the base complex and a flat cell list (stage ignored).
-
-    Suitable for renormalization, where only the base and the cells matter.
-    Each attach is checked as a map into the identifier pool, not a
-    particular stage: the body of all the cells glued onto the base at
-    once, each glued simplex with the cell's attach on the facets as its
-    faces.
-    """
+    """Lax loader: the base complex and a flat cell list (stage ignored),
+    for ``assemble`` to check and place, as renormalization does."""
     base, entries = _complex_parts(obj)
-    cells = [_cell_from_json(c) for c in itertools.chain(*entries)]
-    Stratum(body(Stratum._owning(base, cells)), cells)
-    return base, cells
+    return base, [_cell_from_json(c) for c in itertools.chain(*entries)]
 
 
 def cellcx_from_json(obj, twin=None):
@@ -558,18 +514,11 @@ def filler_table_from_json(obj):
     entries = {}
     for e in obj["entries"]:
         _expect(isinstance(e, dict) and
-                {"dim", "boundary", "target", "filler"} <= set(e),
-                "entry must carry dim, boundary, target, filler")
-        _expect(type(e["dim"]) is int and isinstance(e["boundary"], dict) and
-                _strings(e["boundary"].values()) and
-                _strings((e["target"], e["filler"])),
-                "an entry needs an integer dim, a boundary object from ids "
-                "to ids, and string target and filler")
-        # read as a cell's attach is: no other boundary can answer a square
-        _expect(e["boundary"].keys() == set(boundary_keys(e["dim"])),
-                f"entry over {e['target']!r}: boundary is not total on the "
-                f"boundary of the standard {e['dim']}-simplex")
+                {"dim", "boundary", "target", "filler"} <= set(e) and
+                isinstance(e["boundary"], dict),
+                "entry must carry dim, a boundary object, target, filler")
         key = square_key(e["dim"], e["target"], e["boundary"])
+        _check_entry(key, e["filler"])  # so that the key is hashable
         _expect(key not in entries,
                 f"two entries for one square over {e['target']!r}")
         entries[key] = e["filler"]

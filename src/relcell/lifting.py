@@ -2,11 +2,8 @@
 
 A filler table for a map p: E -> B answers generating lifting problems:
 given a k-simplex b of B and a boundary lift u into E commuting with p, it
-returns a k-simplex of E with faces u and image b.  A table holds explicit
-entries (finite key -> filler dictionaries) and, for every other square, a
-fallback: search (deterministic lexicographic first fit), fail, or a
-function of the target and faces; the free factorization's fallback looks
-each free cell up by its target and faces.
+returns a k-simplex of E with faces u and image b, from its entries or its
+fallback (``FillerTable``).
 
 The solver extends a lift over a cell complex one stratum at a time; cells
 within a stratum attach only to the stratum boundary, so the extension
@@ -20,6 +17,7 @@ from .delta import (
     InvariantError,
     SimplicialMap,
     _lift_kernel,
+    _strings,
     boundary_complex,
     boundary_keys,
     compose,
@@ -47,14 +45,29 @@ def _key(dim, target, images):
     return (dim, target, tuple(zip(boundary_keys(dim), images)))
 
 
+def _check_entry(key, filler):
+    """Raise DeltaError unless ``key`` is ``square_key`` of an ``int`` dim
+    and ``boundary_keys(dim)``, and all its ids and ``filler`` strings."""
+    if not (type(key) is tuple and len(key) == 3 and type(key[0]) is int
+            and type(key[2]) is tuple):
+        raise DeltaError(f"filler table key {key!r} is not a square key")
+    dim, target, items = key
+    if tuple(p[0] if type(p) is tuple and len(p) == 2 else None
+             for p in items) != boundary_keys(dim):
+        raise DeltaError(f"entry over {target!r}: boundary is not total on "
+                         f"the boundary of the standard {dim}-simplex")
+    if not _strings((target, filler, *(t for _, t in items))):
+        raise DeltaError(f"entry {key!r} -> {filler!r}: an id is not a string")
+
+
 class FillerTable:
     """A choice of filler for generating lifting squares into ``p``.
 
-    ``entries`` maps square keys to simplex ids.  A square without an
-    entry goes to ``fallback``: "search" (first valid filler in
-    lexicographic order), "fail", or a callable ``fallback(target,
-    faces)``, given the facets that fix the boundary lift.  Every filler
-    an entry or a callable gives is validated against both equations.
+    ``entries`` maps square keys to simplex ids, checked by
+    ``_check_entry``.  Any other square goes to ``fallback``: "search"
+    (first valid filler in lexicographic order), "fail", or a callable
+    ``fallback(target, faces)``, given the facets that fix the boundary
+    lift.  Every filler is validated against both equations.
     """
 
     __slots__ = ("p", "entries", "fallback")
@@ -64,6 +77,8 @@ class FillerTable:
             raise DeltaError(f"unknown fallback {fallback!r}")
         self.p = p
         self.entries = dict(entries or {})
+        for key, filler in self.entries.items():
+            _check_entry(key, filler)
         self.fallback = fallback
 
     def _fill(self, dim, target, images):
@@ -153,12 +168,11 @@ def verify_fillers(ft, sample_budget=None):
     """Check filler equations on declared entries and on generating squares.
 
     Explicit entries are checked first, in ascending key order: each
-    entry's boundary is built as a checked map into p's domain, so one
-    that misses or adds an id, or is not a map, fails, and the rest go
-    through ``filler``, whose checks reject a malformed one.  Then every
-    other generating square into p is checked, up to ``sample_budget``
-    squares in all: target by target, dimension by dimension, the boundary
-    lifts that ``_lift_kernel`` finds for the target, in ascending
+    entry's boundary is built as a checked map into p's domain, then goes
+    through ``filler``, so a malformed one fails.  Then every other
+    generating square into p is checked, up to ``sample_budget`` squares
+    in all: target by target, dimension by dimension, the boundary lifts
+    that ``_lift_kernel`` finds for the target, in ascending
     ``square_key`` order.  Returns a report with the number of squares
     checked and a list of failures (square key and reason).
     """

@@ -4,15 +4,9 @@ A stratum is a boundary complex together with a finite set of cells; each
 cell has a shape dimension k and an attaching map from the boundary of the
 standard k-simplex into the stratum's boundary.  A cell is the plain tuple
 ``(id, k, images)``: its attach is stored as the images of the boundary ids
-in ``boundary_keys(k)`` order.  The codomain is the stratum's boundary, so
-``Stratum`` checks each attach, position by position against a plan cached
-per shape: each image must have its boundary id's dimension and, above
-dimension 0, the images of that id's faces as its faces, which is exactly
-what makes the images a map into the boundary.  No map is built per cell.
-The body of a stratum glues one fresh top simplex per cell onto the
-boundary, its faces read off the image tuple by position; the fresh simplex
-reuses the cell's id, so the boundary is a literal subcomplex of the body.
-Strata are immutable, so each one glues its body at most once.
+in ``boundary_keys(k)`` order, checked by ``Stratum`` as a map into the
+boundary without building a map per cell.  The body of a stratum glues one
+top simplex per cell onto the boundary, reusing the cell's id (``body``).
 
 A stratum is a cell complex of height at most one: its morphisms,
 pushforwards, colimits and equalisers are those of ``cellcx``.
@@ -21,10 +15,11 @@ pushforwards, colimits and equalisers are those of ``cellcx``.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
-from .delta import (DeltaError, _first_repeat, _new, boundary_complex,
-                    boundary_keys, facet_ids)
+from .delta import (DeltaError, _first_repeat, _new, _strings,
+                    boundary_complex, boundary_keys, facet_ids)
 
 
 class StrataError(DeltaError):
@@ -34,30 +29,46 @@ class StrataError(DeltaError):
 _ID = operator.itemgetter(0)  # a cell's id
 
 
-class Stratum:
-    """A boundary complex plus a finite set of cells, each the tuple
-    ``(id, k, images)``, ordered by id.
+def _boundary_ids(cid, k):
+    """``boundary_keys(k)`` for the shape k of cell ``cid``, an ``int``."""
+    if type(k) is not int:
+        raise StrataError(f"cell {cid!r}: dimension {k!r} is not an integer")
+    return boundary_keys(k)
 
-    Each cell's images must be a map from the boundary of the standard
-    simplex of its shape into ``boundary``.  The constructor checks them in
-    ``boundary_keys`` order against the shape's plan, the dimension before
-    the faces at each position, so the first bad position raises what a
-    checked ``SimplicialMap`` would; ``_owning`` is the one unchecked path.
+
+def _cells(cells):
+    """The cells as a tuple, each checked as ``Stratum`` takes it."""
+    cells = tuple(cells)
+    for c in cells:
+        if type(c) is not tuple or len(c) != 3 or type(c[2]) is not tuple \
+                or len(c[2]) != len(_boundary_ids(c[0], c[1])):
+            raise StrataError(f"{c!r} is not (id, k, images for boundary ids)")
+    if not _strings(itertools.chain(map(_ID, cells),
+                                    *map(operator.itemgetter(2), cells))):
+        c = next(c for c in cells if not _strings((c[0], *c[2])))
+        raise StrataError(f"cell {c!r}: its id and images must be strings")
+    return cells
+
+
+class Stratum:
+    """A boundary complex plus a finite set of cells ordered by id, each
+    an exact tuple ``(id, k, images)`` of a ``str`` id, an ``int`` shape k
+    and an exact tuple of ``str`` images: a map from the boundary of the
+    standard k-simplex into ``boundary``, checked against a plan cached per
+    shape, at each position the image's dimension, then its faces, so the
+    first bad position raises what a checked ``SimplicialMap`` would.
+    ``_owning`` is the one unchecked path.
     """
 
     __slots__ = ("boundary", "cells", "_by_id", "_body")
 
     def __init__(self, boundary, cells):
-        st = Stratum._owning(boundary, cells)
+        st = Stratum._owning(boundary, _cells(cells))
         self.boundary, self.cells, self._by_id = boundary, st.cells, st._by_id
         self._body = None
         dim_of, faces = boundary._dim_of.get, boundary.faces
         for cid, k, images in self.cells:
-            plan = _attach_plan(k)
-            if len(images) != len(plan):
-                raise StrataError(f"cell {cid!r}: {len(images)} "
-                                  f"images for {len(plan)} boundary ids")
-            for (s, d, get), t in zip(plan, images):
+            for (s, d, get), t in zip(_attach_plan(k), images):
                 if dim_of(t) != d:
                     raise DeltaError(
                         f"{s!r} ({d}-simplex) maps to bad id {t!r}")

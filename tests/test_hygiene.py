@@ -362,3 +362,60 @@ def test_each_fact_has_one_owner():
                  and ast.literal_eval(node.args[0]) == "--cap"
                  for kw in node.keywords if kw.arg == "default"]
     assert defaults == ["DEFAULT_CAP"] * 3
+
+
+# the types a value's input is checked against: ids, dimensions, a map's
+# endpoints and a cell complex's strata
+_INPUT_TYPES = {"str", "int", "DeltaComplex", "Stratum"}
+
+
+def _types_tested(fn):
+    """The input types ``fn`` tests a value against: by ``isinstance``
+    (also mapped), by ``type(x) is`` or ``is not``, or, for ``str``, by
+    ``_strings``."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = node.args
+            if node.func.id == "map" and args and isinstance(
+                    args[0], ast.Name) and args[0].id == "isinstance":
+                args = args[1:]
+            elif node.func.id == "_strings":
+                names.add("str")
+                continue
+            elif node.func.id != "isinstance":
+                continue
+            names.update(n.id for arg in args[1:] for n in ast.walk(arg)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Compare) and \
+                isinstance(node.ops[0], (ast.Is, ast.IsNot)) and \
+                _calls(node.left, "type"):
+            names.update(n.id for n in node.comparators
+                         if isinstance(n, ast.Name))
+    return sorted(names & _INPUT_TYPES)
+
+
+def test_one_owner_of_each_input_type_check():
+    # each value kind's input contract is one private check in the module
+    # that owns the kind, which its constructor runs and the JSON loaders
+    # reach; the loaders hold no type check of their own.  ``__eq__``
+    # tests the other operand, not an input.
+    owners = {qualname: types for qualname, fn in _functions()
+              if not qualname.endswith(".__eq__")
+              for types in [_types_tested(fn)] if types}
+    assert owners == {
+        # complexes, maps, cells, cell complexes and filler tables
+        "delta._checked_faces": ["int", "str"],
+        "delta.SimplicialMap._validate": ["DeltaComplex", "str"],
+        "strata._boundary_ids": ["int"],
+        "strata._cells": ["str"],
+        "cellcx.CellComplex.__init__": ["Stratum"],
+        "lifting._check_entry": ["int", "str"],
+        # writers, which pick how to write a value by its type
+        "jsonio._walk": ["int", "str"],
+        "jsonio._records": ["str"],
+        "cli._emit": ["str"],
+        # a factorization's stage counts, which no constructor takes: JSON
+        # integers, not ``true`` or ``1.0``
+        "jsonio.factor_result_from_json": ["int"],
+    }

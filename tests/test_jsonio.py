@@ -107,12 +107,14 @@ class TestStratumAndComplex:
                 load(payload)
 
     def test_lax_loader_rejects_dangling_attach(self):
+        # the lax loader only parses; ``assemble``, which places what it
+        # reads (``relcell normalize``), checks the cells
         payload = {"base": jsonio.complex_to_json(EMPTY),
                    "strata": [{"cells": [
                        {"id": "e", "dim": 1,
                         "attach": {"0": "ghost", "1": "ghost"}}]}]}
         with pytest.raises(DeltaError):
-            jsonio.cellcx_cells_from_json(payload)
+            assemble(*jsonio.cellcx_cells_from_json(payload))
 
 
 def _collapsed_ends():
@@ -547,8 +549,10 @@ def _joined(value):
 
 
 def _renamed_complex(x, name):
-    return DeltaComplex({k: map(name, ids) for k, ids in x.simplices.items()},
-                        {name(s): map(name, fs) for s, fs in x.faces.items()})
+    return DeltaComplex({k: tuple(map(name, ids))
+                         for k, ids in x.simplices.items()},
+                        {name(s): tuple(map(name, fs))
+                         for s, fs in x.faces.items()})
 
 
 def _renamed_map(f, name):

@@ -236,20 +236,19 @@ class TestSolver:
 class TestVerify:
     def test_malformed_entries_reported(self):
         """An entry of the wrong dimension for its target, over a target
-        outside p's codomain, with a boundary missing or adding a simplex,
-        or with a boundary that is not a map, is a failure of the report,
-        not an exception nor a silent pass."""
+        outside p's codomain, or with a boundary that is not a map, is a
+        failure of the report, not an exception nor a silent pass."""
         p = identity_map(standard_simplex(1))
         bad = {square_key(1, "0", {"0": "0", "1": "1"}): "01",
                square_key(0, "zz", {}): "0",
-               square_key(1, "01", {"0": "0"}): "01"}
+               square_key(1, "01", {"0": "01", "1": "1"}): "01"}
         rep = verify_fillers(FillerTable(p, bad, fallback="search"))
         assert [f["square"] for f in rep["failures"]] == sorted(bad)
         assert not rep["ok"]
         p = identity_map(standard_simplex(2))
         for entry, reason in [
-                (square_key(1, "01", {"0": "0", "1": "1", "zz": "2"}),
-                 "assignment is not total on the domain"),
+                (square_key(1, "01", {"0": "0", "1": "zz"}),
+                 "'1' (0-simplex) maps to bad id 'zz'"),
                 (square_key(2, "012", {"0": "0", "01": "01", "02": "02",
                                        "1": "2", "12": "12", "2": "2"}),
                  "face commutation fails at '01'")]:
@@ -260,15 +259,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("dim,reason", [(-1, "k must be >= 0"),
                                             (10, "k <= 9 only")])
-    def test_entry_of_a_dim_out_of_range_reported(self, dim, reason):
-        """An entry whose dim has no standard simplex is a failure of the
-        report too, not an exception out of the audit."""
-        key = (dim, "01", ())
-        rep = verify_fillers(FillerTable(boundary_inclusion(1), {key: "0"},
-                                         "fail"))
-        assert rep["failures"][0]["square"] == key
-        assert reason in rep["failures"][0]["reason"]
-        assert not rep["ok"]
+    def test_entry_of_a_dim_out_of_range_rejected(self, dim, reason):
+        """An entry whose dim has no standard simplex can answer no
+        square, so the table rejects it, as it does an entry whose
+        boundary misses or adds a simplex."""
+        with pytest.raises(DeltaError, match=reason):
+            FillerTable(boundary_inclusion(1), {(dim, "01", ()): "0"}, "fail")
+        p = identity_map(standard_simplex(2))
+        for boundary in ({"0": "0"}, {"0": "0", "1": "1", "zz": "2"}):
+            with pytest.raises(DeltaError, match="boundary is not total"):
+                FillerTable(p, {square_key(1, "01", boundary): "01"})
 
     def test_corrupted_entry_single_failure(self):
         two, _ = coproduct([standard_simplex(0), standard_simplex(0)])

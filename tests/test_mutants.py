@@ -123,6 +123,67 @@ def test_wrong_comultiplication_fails_coassociativity_alone(monkeypatch):
         "rhs": sorted(compose(kdelta, delta).assign.items())}}
 
 
+def _laws_with(monkeypatch, name, f):
+    """The law report for f once the ``soa`` function ``name`` is
+    replaced at ``ef`` only by another map with the same endpoints, the
+    first of ``enumerate_homs`` that differs, after the real one passed
+    every law; then the factorizer and the replacement."""
+    fz = Factorizer()
+    square = ArrowSquare(top=identity_map(f.dom), bottom=identity_map(f.cod),
+                         left=f, right=f)
+    assert check_awfs_laws(f, [square], factorizer=fz)["all_pass"]
+    ef = fz.k(f).ef
+    real = getattr(soa, name)
+    d = real(ef, fz)
+    wrong = next(h for h in enumerate_homs(d.dom, d.cod, limit=2) if h != d)
+
+    def replaced(g, factorizer):
+        return wrong if g == ef else real(g, factorizer)
+
+    monkeypatch.setattr(soa, name, replaced)
+    return check_awfs_laws(f, [square], factorizer=fz), fz, wrong
+
+
+MAPS = {"fold": fold_map(), "boundary-1": boundary_inclusion(1)}
+
+
+@pytest.mark.parametrize("f", MAPS.values(), ids=MAPS.keys())
+def test_wrong_multiplication_at_ef_fails_associativity_alone(
+        monkeypatch, f):
+    # μ at Ef replaced: of the nine laws only associativity reads it
+    real = soa.monad_mult
+    rep, fz, wrong = _laws_with(monkeypatch, "monad_mult", f)
+    assert [law for law, ok in rep["laws"].items() if not ok] == \
+        ["monad_assoc"]
+    fr2 = fz.k(fz.k(f).ef)
+    mu = real(f, fz)
+    kmu = k_of_square(mu, identity_map(f.cod), fz.k(fr2.ef), fr2)
+    assert rep["witnesses"] == {"monad_assoc": {
+        "lhs": sorted(compose(mu, wrong).assign.items()),
+        "rhs": sorted(compose(mu, kmu).assign.items())}}
+
+
+@pytest.mark.parametrize("f", MAPS.values(), ids=MAPS.keys())
+def test_wrong_comultiplication_at_ef_fails_distributivity_alone(
+        monkeypatch, f):
+    # δ at Ef replaced: of the nine laws only distributivity reads it
+    rep, fz, wrong = _laws_with(monkeypatch, "comonad_comult", f)
+    assert [law for law, ok in rep["laws"].items() if not ok] == \
+        ["distributivity"]
+    fr = fz.k(f)
+    lf = u_of_complex(fr.kf)
+    fru = fz.k(lf)
+    delta = soa.comonad_comult(f, fz)  # the real δ: f is not ef
+    mu = soa.monad_mult(f, fz)
+    kdm = k_of_square(delta, mu, fz.k(u_of_complex(fz.k(fr.ef).kf)),
+                      fz.k(fru.ef))
+    rhs = compose(fru.ef, compose(soa.monad_mult(lf, fz),
+                                  compose(kdm, wrong)))
+    assert rep["witnesses"] == {"distributivity": {
+        "lhs": sorted(compose(fru.ef, compose(delta, mu)).assign.items()),
+        "rhs": sorted(rhs.assign.items())}}
+
+
 def test_factorizer_answers_each_map_with_its_own_result():
     # the cache is keyed by the map: different maps get their own result,
     # though they share a codomain (out of the empty complex) or an
@@ -172,9 +233,10 @@ def test_factorizer_keyed_by_part_of_the_map_is_caught(
 
 def test_assemble_that_drops_properness_is_caught(monkeypatch):
     # ``assemble`` places each cell at the least stage its attach allows,
-    # and its output is owned; one that glues only the first placeable
-    # cell each round places the others late, and the checked rebuild of
-    # what it returns (the test of owned values in test_cellcx.py) fails
+    # by ``_place``, which ``compose_complexes`` calls directly, and its
+    # output is owned; one that glues only the first placeable cell each
+    # round places the others late, and the checked rebuild of what it
+    # returns (the test of owned values in test_cellcx.py) fails
     kf = free_complex(boundary_inclusion(1)).kf  # 3 cells at each stage
     stacked = compose_complexes(kf, trivial_complex(kf.body))
     assert checked_complex(stacked) == stacked == kf
@@ -189,7 +251,7 @@ def test_assemble_that_drops_properness_is_caught(monkeypatch):
             remaining.remove(first)
         return CellComplex._owning(boundary, strata)
 
-    monkeypatch.setattr(cellcx, "assemble", one_cell_per_stage)
+    monkeypatch.setattr(cellcx, "_place", one_cell_per_stage)
     late = compose_complexes(kf, trivial_complex(kf.body))
     assert late.height == 6
     with pytest.raises(CellComplexError, match="sequence is improper$"):

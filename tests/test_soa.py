@@ -633,8 +633,10 @@ def renaming(x, names):
     """The bijection from x onto the complex with each id s renamed to
     ``names[s]``; ``names`` must be one-to-one on x's ids."""
     name = names.__getitem__
-    y = DeltaComplex({k: map(name, ids) for k, ids in x.simplices.items()},
-                     {name(s): map(name, fs) for s, fs in x.faces.items()})
+    y = DeltaComplex({k: tuple(map(name, ids))
+                      for k, ids in x.simplices.items()},
+                     {name(s): tuple(map(name, fs))
+                      for s, fs in x.faces.items()})
     return SimplicialMap(x, y, names)
 
 
