@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .delta import (
     ArrowSquare,
+    DeltaComplex,
     DeltaError,
     SimplicialMap,
     _first_repeat,
@@ -51,7 +52,10 @@ class CellComplex:
     __slots__ = ("boundary", "strata", "_stages", "_cell_stage", "_u")
 
     def __init__(self, boundary, strata):
-        strata = tuple(strata)
+        if not (isinstance(boundary, DeltaComplex) and
+                isinstance(strata, (list, tuple))):
+            raise CellComplexError("a cell complex takes a complex and a "
+                                   "list or tuple of strata")
         if not all(isinstance(st, Stratum) for st in strata):
             raise CellComplexError("strata must be Stratum values")
         c = CellComplex._owning(boundary, strata)
@@ -157,7 +161,7 @@ def assemble(boundary, cells):
     its attach image (the set of its ``images``), in the union of the base
     and all glued simplices, and its attach checked as a map into the body.
     """
-    cells = _cells(cells)
+    cells = _cells(boundary, cells)
     c = _place(boundary, cells)
     Stratum(c.body, cells)
     return c

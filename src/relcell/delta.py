@@ -53,8 +53,11 @@ class DeltaError(ValueError):
     """Malformed complex, map or square."""
 
 
-def _checked_faces(simplices, keys, lists):
+def _checked_faces(simplices, faces):
     """Check a complex's input types, coercing none; return its face tuples."""
+    if not (isinstance(simplices, dict) and isinstance(faces, dict)):
+        raise DeltaError("a complex's grades and faces must be dicts")
+    keys, lists = faces.keys(), faces.values()
     for k, ids in simplices.items():
         if type(k) is not int:  # so no two keys name one dimension
             raise DeltaError(f"dimension key {k!r} is not an integer")
@@ -86,16 +89,16 @@ class DeltaComplex:
     each grade it adds to, so no reader sorts a grade again.
     ``faces`` maps each simplex id of dimension >= 1 to the ordered tuple
     of its face ids.  The empty complex has ``max_dim == -1``.  The
-    constructor takes ``int`` dimensions (not ``bool``) and lists or tuples
-    of ``str`` ids, coercing none: DeltaError names any other input.
+    constructor takes dicts of ``int`` dimensions (not ``bool``) and of
+    lists or tuples of ``str`` ids, coercing none: DeltaError names any
+    other input.
     """
 
     __slots__ = ("simplices", "faces", "_dim_of", "_hash")
 
     def __init__(self, simplices=None, faces=None):
         simplices, faces = simplices or {}, faces or {}
-        x = EMPTY._extended(simplices, _checked_faces(
-            simplices, faces.keys(), faces.values()))
+        x = EMPTY._extended(simplices, _checked_faces(simplices, faces))
         self.simplices, self.faces = x.simplices, x.faces
         self._dim_of, self._hash = x._dim_of, None
         self._validate()
@@ -227,7 +230,7 @@ EMPTY.simplices, EMPTY.faces, EMPTY._dim_of, EMPTY._hash = {}, {}, {}, None
 
 class SimplicialMap:
     """A dimension-preserving, face-commuting assignment between complexes,
-    of ``str`` ids, checked on construction; ``_owning`` is the one
+    a dict of ``str`` ids, checked on construction; ``_owning`` is the one
     unchecked path."""
 
     __slots__ = ("dom", "cod", "assign", "_hash", "_prefixes")
@@ -235,15 +238,18 @@ class SimplicialMap:
     def __init__(self, dom, cod, assign):
         self.dom = dom
         self.cod = cod
-        self.assign = dict(assign)
+        self.assign = assign
         self._hash = None
         self._prefixes = None
         self._validate()
+        self.assign = dict(assign)  # its own copy of the checked dict
 
     def _validate(self):
         if not (isinstance(self.dom, DeltaComplex) and
                 isinstance(self.cod, DeltaComplex)):
             raise DeltaError("map endpoints must be complexes")
+        if not isinstance(self.assign, dict):
+            raise DeltaError("a map's assignment must be a dict")
         assign, dim_of = self.assign, self.dom._dim_of
         if assign.keys() != dim_of.keys():
             raise DeltaError("assignment is not total on the domain")

@@ -63,36 +63,27 @@ def _walk(node, n, out):
     if type(node) is _Leaf:
         brackets, items = node
         out.extend(items(n))
-        out.append(_level(n - 1) + brackets[1] if len(out) > start
-                   else brackets)
-        return
-    lead, inner = "," + _level(n), _level(n + 1)
-    is_dict = isinstance(node, dict)
-    brackets = "{}" if is_dict else "[]"
-    items = (sorted(node.items()) if is_dict else
-             () if _records(node, n, out) else enumerate(node))
-    for k, v in items:
-        head = lead + _quote(k) + ": " if is_dict else lead
-        if type(v) is str:
-            out.append(head + _quote(v))
-        elif type(v) is int:
-            out.append(head + int.__repr__(v))
-        elif type(v) is bool:
-            out.append(head + ("true" if v else "false"))
-        # two ``is`` tests: ``in (list, tuple)`` builds a tuple per value
-        elif (type(v) is list or type(v) is tuple) and v and _strings(v):
-            out.append(head + "[" + inner + ("," + inner).join(
-                map(_quote, v)) + _level(n) + "]")
-        elif isinstance(v, (dict, list, tuple)):
-            out.append(head)
-            _walk(v, n + 1, out)
-        else:
-            out.append(head + _encode(v))
-    if len(out) == start:
-        out.append(brackets)
     else:
-        out[start] = brackets[0] + out[start][1:]
-        out.append(_level(n - 1) + brackets[1])
+        lead, is_dict = "," + _level(n), isinstance(node, dict)
+        brackets = "{}" if is_dict else "[]"
+        items = (sorted(node.items()) if is_dict else
+                 () if _records(node, n, out) else enumerate(node))
+        for k, v in items:
+            head = lead + _quote(k) + ": " if is_dict else lead
+            if type(v) is str:
+                out.append(head + _quote(v))
+            elif type(v) is int:
+                out.append(head + int.__repr__(v))
+            elif type(v) is bool:
+                out.append(head + ("true" if v else "false"))
+            elif isinstance(v, (dict, list, tuple)):
+                out.append(head)
+                _walk(v, n + 1, out)
+            else:
+                out.append(head + _encode(v))
+        if len(out) > start:
+            out[start] = brackets[0] + out[start][1:]
+    out.append(_level(n - 1) + brackets[1] if len(out) > start else brackets)
 
 
 def dumps(obj):
@@ -101,9 +92,8 @@ def dumps(obj):
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set, which made writing a factorization cost more than computing it.
-    Here one Python walk writes dicts, lists and tuples, a non-empty list
-    or tuple of strings (a simplex's faces, a vertex grade) in one piece,
-    and writes a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
+    Here one Python walk writes dicts, lists and tuples item by item, and
+    writes a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
     ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
     writes them, and a list of records (a grade of simplices) by
     ``_records``, one ``%`` fill per chunk.  Floats, ``None`` and
@@ -346,19 +336,20 @@ def complex_from_json(obj, twin=None):
     _expect(isinstance(obj, dict) and
             isinstance(obj.get("simplices"), dict),
             "complex JSON must be an object with a 'simplices' object")
-    simplices, keys, lists = {}, [], []
+    simplices, faces = {}, {}
     for key, entries in obj["simplices"].items():
         k = _dim_key(key)
         if k:
             try:  # an entry that is no object, or lacks a key, raises here
-                lists += map(operator.itemgetter("faces"), entries)
-                entries = list(map(operator.itemgetter("id"), entries))
+                ids = list(map(operator.itemgetter("id"), entries))
+                faces.update(zip(ids, map(operator.itemgetter("faces"),
+                                          entries)))
+                entries = ids
             except (TypeError, KeyError):
                 raise DeltaError(f"{k}-simplices must be objects with an id "
                                  f"and faces") from None
-            keys += entries
         simplices[k] = entries
-    x = EMPTY._extended(simplices, _checked_faces(simplices, keys, lists))
+    x = EMPTY._extended(simplices, _checked_faces(simplices, faces))
     if x == twin:
         return twin
     x._validate()
@@ -449,7 +440,7 @@ def cellcx_from_json(obj, twin=None):
     strata = []
     current = base
     for cells in entries:
-        st = Stratum(current, map(_cell_from_json, cells))
+        st = Stratum(current, [*map(_cell_from_json, cells)])
         strata.append(st)
         current = body(st)
     return CellComplex(base, strata)

@@ -101,7 +101,7 @@ class FillerTable:
         else:
             e = self.fallback(target, faces)
         dom = self.p.dom
-        if e not in dom or dom.dim(e) != dim:
+        if not isinstance(e, str) or dom._dim_of.get(e) != dim:
             problem = f"is not a {dim}-simplex of the domain"
         elif self.p.assign[e] != target:
             problem = f"does not map to {target!r}"
@@ -186,7 +186,8 @@ def verify_fillers(ft, sample_budget=None):
             failures.append({"square": key, "reason": str(err)})
 
     def entry(dim, target, items):  # a boundary that is no map fails here
-        ft.filler(SimplicialMap(boundary_complex(dim), p.dom, items), target)
+        ft.filler(SimplicialMap(boundary_complex(dim), p.dom, dict(items)),
+                  target)
 
     for key in sorted(ft.entries):
         check(key, entry, *key)

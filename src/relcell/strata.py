@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 
-from .delta import (DeltaError, _first_repeat, _new, _strings,
+from .delta import (DeltaComplex, DeltaError, _first_repeat, _new, _strings,
                     boundary_complex, boundary_keys, facet_ids)
 
 
@@ -36,8 +36,12 @@ def _boundary_ids(cid, k):
     return boundary_keys(k)
 
 
-def _cells(cells):
+def _cells(boundary, cells):
     """The cells as a tuple, each checked as ``Stratum`` takes it."""
+    if not (isinstance(boundary, DeltaComplex) and
+            isinstance(cells, (list, tuple))):
+        raise StrataError("a stratum takes a complex and a list or tuple "
+                          "of cells")
     cells = tuple(cells)
     for c in cells:
         if type(c) is not tuple or len(c) != 3 or type(c[2]) is not tuple \
@@ -63,7 +67,7 @@ class Stratum:
     __slots__ = ("boundary", "cells", "_by_id", "_body")
 
     def __init__(self, boundary, cells):
-        st = Stratum._owning(boundary, _cells(cells))
+        st = Stratum._owning(boundary, _cells(boundary, cells))
         self.boundary, self.cells, self._by_id = boundary, st.cells, st._by_id
         self._body = None
         dim_of, faces = boundary._dim_of.get, boundary.faces

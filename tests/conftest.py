@@ -1,5 +1,6 @@
 import faulthandler
 import os
+import random
 import sys
 
 import pytest
@@ -10,18 +11,23 @@ from relcell import (
     CellComplexMorphism,
     DeltaComplex,
     Factorizer,
+    FillerTable,
     InvariantError,
     SimplicialMap,
     Stratum,
     assemble,
     body,
     boundary_complex,
+    coalgebra_structure,
     compose,
     coproduct,
     enumerate_homs,
+    free_fillers,
     identity_map,
     inclusion_map,
+    k_of_square,
     pushforward_complex,
+    solve_lifting,
     standard_simplex,
     u_of_complex,
 )
@@ -255,6 +261,30 @@ def rand_transpose_square(rng, c):
         f = compose(h, u_of_complex(c))
         return f, identity_map(c.boundary), h
     return h, u_of_complex(c), h
+
+
+def awfs_lifts(fz, draws, swap=False):
+    """Criterion 10's pairs: both sides of the AWFS's lift of a coalgebra
+    against an algebra, ``solve_lifting(c, T, (u, v))`` and ``s_T ∘ K(u,
+    v) ∘ α_c``, for ``draws`` squares at seed 11 and each of two total
+    tables T for p.  The square: a random complex c, v a random map from
+    its body, g = v∘U(c), p = e_g and u = U(K_g).  s_T is the table's
+    algebra ``solve_lifting(Kp, T, (id_E, e_p))``, solved with the other
+    table if ``swap``."""
+    rng = random.Random(11)
+    for _ in range(draws):
+        c = rand_cell_complex(rng, max_dim=2, max_cells=4)
+        v = rand_map_from(rng, c.body)
+        frg = fz.k(compose(v, u_of_complex(c)))
+        p, u = frg.ef, u_of_complex(frg.kf)
+        frp = fz.k(p)
+        k_alpha = compose(k_of_square(u, v, fz.k(u_of_complex(c)), frp),
+                          coalgebra_structure(c, fz))
+        tables = [free_fillers(frg), FillerTable(p, fallback="search")]
+        algebras = [solve_lifting(frp.kf, t, (identity_map(p.dom), frp.ef))
+                    for t in tables]
+        for t, s in zip(tables, algebras[::-1] if swap else algebras):
+            yield solve_lifting(c, t, (u, v)), compose(s, k_alpha)
 
 
 def mec_partition_composite(a, b):

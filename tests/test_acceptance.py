@@ -32,6 +32,7 @@ from relcell import (
 from relcell import gen, jsonio
 from relcell.cli import builtin_fixtures, main
 from conftest import (
+    awfs_lifts,
     boundary_inclusion,
     cx,
     mec_partition_composite,
@@ -320,3 +321,12 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     report(9, all(okays),
            f"{sum(okays)}/{len(okays)} CLI golden-output, determinism, and "
            f"exit-code checks passed")
+
+
+def test_criterion_10_lifting_solver_is_the_awfs_lift(fz):
+    pairs = list(awfs_lifts(fz, 300))
+    good = sum(lift == canonical for lift, canonical in pairs)
+    report(10, good == len(pairs) == 600,
+           f"{good}/600 lifts of a cell complex against a total filler "
+           f"table (free and search tables, 300 squares, dims <= 2, <= 4 "
+           f"cells) equal s_T after K(u, v) after the structure map")

@@ -365,6 +365,10 @@ CONTRACT = {
             "0": ["a", "b"], "1": [{"id": "a", "faces": ["b", "b"]}]}})),
     "faces-given-for-a-vertex": (
         DeltaError, lambda: DeltaComplex({0: ["v"]}, {"v": ()}), None),
+    "complex-of-a-list-of-grades": (
+        DeltaError, lambda: DeltaComplex([["a"]]), None),
+    "complex-of-a-list-of-faces": (
+        DeltaError, lambda: DeltaComplex({0: ["a"]}, [("a", "b")]), None),
     "map": (
         None, lambda: SimplicialMap(B1, PT, {"0": "0", "1": "0"}),
         lambda: jsonio.map_from_json(
@@ -375,6 +379,8 @@ CONTRACT = {
     "map-from-a-dict": (
         DeltaError, lambda: SimplicialMap({}, PT, {}),
         lambda: jsonio.map_from_json(_map_doc({}, PT, {}))),
+    "map-of-an-int-assignment": (
+        DeltaError, lambda: SimplicialMap(EMPTY, EMPTY, 5), None),
     "cell": (
         None, lambda: _one_stratum(("c", 1, ("0", "1"))),
         lambda: jsonio.cellcx_from_json(_cells_doc(("c", 1, ATTACH)))),
@@ -398,9 +404,17 @@ CONTRACT = {
         StrataError, lambda: _one_stratum(("c", 1, ["0", "1"])), None),
     "cell-given-as-a-list": (
         StrataError, lambda: _one_stratum(["c", 1, ("0", "1")]), None),
+    "stratum-over-a-dict": (
+        StrataError, lambda: Stratum({}, []), None),
+    "stratum-of-an-int": (
+        StrataError, lambda: Stratum(EMPTY, 5), None),
     "complex-of-a-list-of-cells": (
         CellComplexError,
         lambda: CellComplex(B1, [[("c", 1, ("0", "1"))]]), None),
+    "complex-over-a-dict": (
+        CellComplexError, lambda: CellComplex({}, []), None),
+    "complex-of-an-int": (
+        CellComplexError, lambda: CellComplex(EMPTY, 5), None),
     "assembled-cell": (
         None, lambda: assemble(B1, [("c", 1, ("0", "1"))]),
         lambda: _assembled_doc(("c", 1, ATTACH))),

@@ -43,6 +43,62 @@ def test_every_export_is_used():
     assert dead == []
 
 
+_STRUCTURE = "the paper's category structure"
+_PERFBENCH = "perfbench reads it; it moves with item 19 after item 18"
+
+# the top-level names that no ``src/`` code calls, each kept on purpose
+PUBLIC_API = {
+    "cellcx.cellcx_coproduct": _STRUCTURE,
+    "cellcx.cellcx_equaliser": _STRUCTURE,
+    "cellcx.compose_morphisms": _STRUCTURE,
+    "cellcx.generator_complex": _STRUCTURE,
+    "cellcx.horizontal_compose": _STRUCTURE,
+    "cellcx.identity_morphism": _STRUCTURE,
+    "cellcx.is_isomorphism": _STRUCTURE,
+    "cellcx.pushforward_complex": _STRUCTURE,
+    "cellcx.trivial_complex": _STRUCTURE,
+    "cellcx.u_of_morphism": _STRUCTURE,
+    "delta.is_pullback": _STRUCTURE,
+    "soa.composite_left_map": _STRUCTURE,
+    "soa.decode": _STRUCTURE,
+    "soa.monad_unit": _STRUCTURE,
+    "soa.pushforward_left_map": _STRUCTURE,
+    "lifting.free_fillers": _STRUCTURE,
+    "lifting.verify_fillers": "a public audit of a filler table",
+    "jsonio.factor_result_from_json": "a public loader",
+    "jsonio.filler_table_to_json": "the only writer of the filler-table "
+                                   "format that relcell lift reads",
+    "jsonio.factor_result_to_json": "a reference emitter that perfbench "
+                                    "reads; it moves to tests/ with item 8 "
+                                    "after item 18",
+    "delta.enumerate_homs": _PERFBENCH,
+    "delta.mec": _PERFBENCH,
+    "gen.rand_map": _PERFBENCH,
+}
+
+
+def test_every_name_has_a_caller_or_a_reason():
+    # a top-level function or class that no other ``src/`` code names, as
+    # a bare name or an attribute of a package module, is public API with
+    # its reason, or dead; a listed name that gains a caller leaves the list
+    modules = {name: tree for name, tree in MODULES.items()
+               if name != "__init__"}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, ast.Name) or
+                isinstance(n, ast.Attribute) and
+                isinstance(n.value, ast.Name) and n.value.id in modules}
+
+    tops = [(name, node, names(node)) for name, tree in modules.items()
+            for node in tree.body]
+    uncalled = [f"{name}.{node.name}" for name, node, _ in tops
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and
+                not any(node.name in used
+                        for _, other, used in tops if other is not node)]
+    assert sorted(uncalled) == sorted(PUBLIC_API)
+
+
 def test_no_unused_import():
     unused = []
     # the package's own ``__init__`` is left out: its imports are the exports
@@ -367,9 +423,11 @@ def test_each_fact_has_one_owner():
 # the types a value's input is checked against: ids, dimensions, a map's
 # endpoints and a cell complex's strata
 _INPUT_TYPES = {"str", "int", "DeltaComplex", "Stratum"}
+# and the containers a constructor takes them in
+_CONTAINERS = {"dict", "list", "tuple"}
 
 
-def _types_tested(fn):
+def _types_tested(fn, types=_INPUT_TYPES):
     """The input types ``fn`` tests a value against: by ``isinstance``
     (also mapped), by ``type(x) is`` or ``is not``, or, for ``str``, by
     ``_strings``."""
@@ -392,7 +450,7 @@ def _types_tested(fn):
                 _calls(node.left, "type"):
             names.update(n.id for n in node.comparators
                          if isinstance(n, ast.Name))
-    return sorted(names & _INPUT_TYPES)
+    return sorted(names & types)
 
 
 def test_one_owner_of_each_input_type_check():
@@ -408,9 +466,11 @@ def test_one_owner_of_each_input_type_check():
         "delta._checked_faces": ["int", "str"],
         "delta.SimplicialMap._validate": ["DeltaComplex", "str"],
         "strata._boundary_ids": ["int"],
-        "strata._cells": ["str"],
-        "cellcx.CellComplex.__init__": ["Stratum"],
+        "strata._cells": ["DeltaComplex", "str"],
+        "cellcx.CellComplex.__init__": ["DeltaComplex", "Stratum"],
         "lifting._check_entry": ["int", "str"],
+        # a callable fallback's answer, which must be an id
+        "lifting.FillerTable._fill": ["str"],
         # writers, which pick how to write a value by its type
         "jsonio._walk": ["int", "str"],
         "jsonio._records": ["str"],
@@ -418,4 +478,16 @@ def test_one_owner_of_each_input_type_check():
         # a factorization's stage counts, which no constructor takes: JSON
         # integers, not ``true`` or ``1.0``
         "jsonio.factor_result_from_json": ["int"],
+    }
+    # the argument containers are checked by the same owners; ``jsonio``,
+    # left out, checks JSON shape and writes a value by its container
+    containers = {qualname: types for qualname, fn in _functions()
+                  if not qualname.startswith("jsonio.")
+                  for types in [_types_tested(fn, _CONTAINERS)] if types}
+    assert containers == {
+        "delta._checked_faces": ["dict", "list", "tuple"],
+        "delta.SimplicialMap._validate": ["dict"],
+        "strata._cells": ["list", "tuple"],
+        "cellcx.CellComplex.__init__": ["list", "tuple"],
+        "lifting._check_entry": ["tuple"],
     }

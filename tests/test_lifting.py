@@ -24,6 +24,7 @@ from relcell import (
     enumerate_homs,
     free_complex,
     free_fillers,
+    generator_complex,
     identity_map,
     inclusion_map,
     solve_lifting,
@@ -165,6 +166,19 @@ class TestSolver:
         u = SimplicialMap(EMPTY, fold.dom, {})
         with pytest.raises(LiftError) as exc:
             ft.filler(u, "0")
+        assert exc.value.square == square_key(0, "0", {})
+
+    def test_chooser_answer_that_is_no_id_reports_square(self):
+        # an unhashable answer is a bad filler like any other, not a
+        # TypeError from the domain's lookup
+        fold = fold_map()
+        c = generator_complex(0)
+        ft = FillerTable(fold, fallback=lambda target, faces: ["x"])
+        square = (SimplicialMap(c.boundary, fold.dom, {}),
+                  SimplicialMap(c.body, fold.cod, {"cell0": "0"}))
+        with pytest.raises(LiftError, match=r"^filler \['x'\] is not a "
+                           r"0-simplex of the domain$") as exc:
+            solve_lifting(c, ft, square)
         assert exc.value.square == square_key(0, "0", {})
 
     def test_chooser_receives_target_and_facets(self, fz):

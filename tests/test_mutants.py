@@ -36,8 +36,8 @@ from relcell import (
 from relcell import cellcx, lifting, soa
 from relcell.strata import _ID, _facets
 from relcell.cli import builtin_fixtures
-from conftest import (bigon, boundary_inclusion, checked_complex, fold_map,
-                      rebuilt_map)
+from conftest import (awfs_lifts, bigon, boundary_inclusion, checked_complex,
+                      fold_map, rebuilt_map)
 
 
 def test_fill_that_skips_its_target_check_is_caught(monkeypatch):
@@ -229,6 +229,16 @@ def test_factorizer_keyed_by_part_of_the_map_is_caught(
     for f in fixtures:
         with pytest.raises(error, match=message):
             check_awfs_laws(f, [], factorizer=Factorizer())
+
+
+def test_lift_against_the_other_tables_algebra_is_caught():
+    # criterion 10 with each s_T solved from the other total table: the
+    # lift depends on the table, and the criterion's equality tells the two
+    # apart (148 of its 600 pairs differ, the first on its second square)
+    fz = Factorizer()
+    assert all(lift == canonical for lift, canonical in awfs_lifts(fz, 2))
+    assert any(lift != canonical
+               for lift, canonical in awfs_lifts(fz, 300, swap=True))
 
 
 def test_assemble_that_drops_properness_is_caught(monkeypatch):

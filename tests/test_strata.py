@@ -233,7 +233,7 @@ def attach_oracle(k, images, boundary):
     """The attach check as it was: the cell's images as a validated map
     from the boundary of the standard k-simplex into ``boundary``."""
     SimplicialMap(boundary_complex(k), boundary,
-                  zip(boundary_keys(k), images))
+                  dict(zip(boundary_keys(k), images)))
 
 
 _STAGES = [chain_complex(3), standard_simplex(3),
