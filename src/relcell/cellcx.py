@@ -228,6 +228,8 @@ class CellComplexMorphism:
     __slots__ = ("dom", "cod", "body_map")
 
     def __init__(self, dom, cod, body_map):
+        if not isinstance(body_map, SimplicialMap):
+            raise CellComplexError("a morphism's body map must be a map")
         self.dom = dom
         self.cod = cod
         self.body_map = body_map

@@ -21,11 +21,11 @@ import operator
 
 from .delta import (
     EMPTY,
+    MAX_DIM,
     DeltaComplex,
     DeltaError,
     SimplicialMap,
     _checked_faces,
-    _strings,
     boundary_keys,
     composes_to,
 )
@@ -56,7 +56,7 @@ class _Leaf(tuple):
 def _walk(node, n, out):
     """Append the text of a dict, list, tuple or leaf whose items are ``n``
     levels deep: its items, each led by a comma that then becomes the
-    opening bracket, or the empty container; a list of records as
+    opening bracket, or the empty container; a grade of simplices as
     ``_records`` writes it.  Every piece is a ``str`` but a leaf's chunks:
     ASCII bytes, the first opened by the leaf."""
     start = len(out)
@@ -95,12 +95,14 @@ def dumps(obj):
     Here one Python walk writes dicts, lists and tuples item by item, and
     writes a ``str`` by ``json``'s ASCII string escaper, an ``int`` by
     ``int.__repr__`` and a ``bool`` as ``true`` or ``false``, as ``json``
-    writes them, and a list of records (a grade of simplices) by
-    ``_records``, one ``%`` fill per chunk.  Floats, ``None`` and
-    subclasses (``IntEnum``, a ``str`` subclass) outside those lists go
-    through one module-level ``json`` encoder.  Dict keys must be strings,
-    as every emitter here makes them; any other key raises TypeError
-    rather than change the bytes.
+    writes them, and a grade of simplices (a list of ``{"faces": [...],
+    "id": ...}`` records, as ``complex_to_json`` writes one) by
+    ``_records``: one ``%`` fill per chunk of the simplex template that
+    ``document`` fills.  Any other list is walked item by item.  Floats,
+    ``None`` and subclasses (``IntEnum``, a ``str`` subclass) outside
+    those grades go through one module-level ``json`` encoder.  Dict keys
+    must be strings, as every emitter here makes them; any other key
+    raises TypeError rather than change the bytes.
     """
     if not isinstance(obj, (dict, list, tuple)):
         return _encode(obj) + "\n"
@@ -118,61 +120,40 @@ def dumps(obj):
 # at a time, each chunk by one ``%`` fill of its records' templates joined:
 # a template cached per (shape, depth) for simplices and cells, repeated
 # once per run of same-shape cells, and one per depth for assignment
-# entries.  ``dumps`` writes a list of records so too, filled with its
-# strings, escaped, from one ``_record`` template.  The chunk bounds the
+# entries.  ``dumps`` writes a grade of simplices so too, from the same
+# simplex template, filled with its strings, escaped.  The chunk bounds the
 # transient text of a large leaf or list: one fill per leaf raised the
 # ``factor`` workload's peak memory by 11%.  A leaf's fill arguments are
 # its records' ids as JSON text, read from one memo, so each id is escaped
 # once.  Its templates and arguments are ASCII bytes, since an escaped id
 # is ASCII: a bytes ``%`` costs about half a ``str`` one per slot, and a
 # chunk is never decoded on its way to a file.  Ids and strings are ``%``
-# arguments, never template text, and template text writes a literal ``%``
-# as ``%%``, so no id is parsed as a format.
+# arguments, never template text, so no id is parsed as a format.
 
 _CHUNK = 256  # records per fill
-
-
-def _record(shape, n):
-    """The ``%`` template of a record as a list item ``n`` levels deep: a
-    slot per string of a dict whose ``shape`` lists its keys in order, each
-    with the length of its list of strings, or None for a string."""
-    i, j, lead = _level(n + 1), _level(n + 2), _level(n)
-    fields = [_quote(key).replace("%", "%%") + ": " +
-              ("%s" if m is None else "[" + ",".join([j + "%s"] * m) + i + "]")
-              for key, m in shape]
-    return "," + lead + "{" + i + ("," + i).join(fields) + lead + "}"
+_SIMPLEX = {"faces", "id"}  # the keys of a simplex record
 
 
 def _records(node, n, out):
-    """Append a list of records ``n`` levels deep a ``_CHUNK`` per piece,
-    and return True; for any other list or tuple, append nothing and
-    return False.  Records are plain dicts of one set of string keys, each
-    value a string, or a non-empty list of strings of one length per key."""
-    first = node[0] if node else None
-    if type(first) is not dict or not first or not _strings(first):
+    """Append a grade of simplices ``n`` levels deep a ``_CHUNK`` per
+    piece, from the template ``document`` fills for it, and return True;
+    for any other list or tuple, append nothing and return False.  A grade
+    is plain dicts of the keys "faces" and "id", each id a string and each
+    faces a list of strings, of one length from 2 to ``MAX_DIM + 1``."""
+    faces = node[0].get("faces") if node and type(node[0]) is dict else None
+    m = len(faces) if type(faces) is list else 0
+    if not 2 <= m <= MAX_DIM + 1:
         return False
-    # 0 marks a value that is neither a string nor a non-empty list, so a
-    # list of cells, whose attach is a dict, is given up at its first
-    shape = [(key, len(v) if type(v) is list else
-              None if isinstance(v, str) else 0)
-             for key, v in sorted(first.items())]
-    if any(m == 0 for _, m in shape):
-        return False
-    keys, args = first.keys(), []
+    args = []
     for d in node:
-        if type(d) is not dict or d.keys() != keys:
+        if (type(d) is not dict or d.keys() != _SIMPLEX or
+                type(d["faces"]) is not list or len(d["faces"]) != m):
             return False
-        for key, m in shape:
-            v = d[key]
-            if m is None:
-                args.append(v)
-            elif type(v) is list and len(v) == m:
-                args.extend(v)
-            else:
-                return False
+        args.extend(d["faces"])
+        args.append(d["id"])
     if not all(map(isinstance, args, itertools.repeat(str))):
         return False
-    item, slots = _record(shape, n), len(args) // len(node)
+    item, slots = _template(m - 1, n, False).decode(), m + 1
     for i in range(0, len(args), slots * _CHUNK):
         chunk = tuple(map(_quote, args[i:i + slots * _CHUNK]))
         out.append(item * (len(chunk) // slots) % chunk)
@@ -185,12 +166,13 @@ def _template(k, n, cell):
     ``%`` template of its faces, or of its attach images in the order of
     ``boundary_keys(k)`` (digits, so no ``%``), then its id, as ASCII
     bytes.  A simplex is the record ``{"faces": [k + 1 slots], "id":
-    slot}``."""
-    if not cell:
-        return _record((("faces", k + 1), ("id", None)), n).encode()
+    slot}``, the one text of a simplex that both writers fill."""
     i, j, lead = _level(n + 1), _level(n + 2), _level(n)
-    attach = ",".join(j + _quote(s) + ": %s" for s in boundary_keys(k))
-    head = f'"attach": {{{attach + i if attach else ""}}},{i}"dim": {k},'
+    if cell:
+        attach = ",".join(j + _quote(s) + ": %s" for s in boundary_keys(k))
+        head = f'"attach": {{{attach + i if attach else ""}}},{i}"dim": {k},'
+    else:
+        head = f'"faces": [{",".join([j + "%s"] * (k + 1))}{i}],'
     return f',{lead}{{{i}{head}{i}"id": %s{lead}}}'.encode()
 
 

@@ -73,6 +73,10 @@ class FillerTable:
     __slots__ = ("p", "entries", "fallback")
 
     def __init__(self, p, entries=None, fallback="search"):
+        if not isinstance(p, SimplicialMap):
+            raise DeltaError("a filler table's p must be a map")
+        if entries is not None and not isinstance(entries, dict):
+            raise DeltaError("filler table entries must be a dict")
         if not callable(fallback) and fallback not in ("search", "fail"):
             raise DeltaError(f"unknown fallback {fallback!r}")
         self.p = p

@@ -19,7 +19,9 @@ from relcell import (
     body,
     boundary_complex,
     coalgebra_structure,
+    comonad_comult,
     compose,
+    composes_to,
     coproduct,
     enumerate_homs,
     free_fillers,
@@ -285,6 +287,28 @@ def awfs_lifts(fz, draws, swap=False):
                     for t in tables]
         for t, s in zip(tables, algebras[::-1] if swap else algebras):
             yield solve_lifting(c, t, (u, v)), compose(s, k_alpha)
+
+
+def is_coalgebra(f, alpha, fz):
+    """Whether ``alpha: cod(f) -> body(Kf)`` is a coalgebra structure on
+    f for the comonad L: a section of ``ef`` that extends ``lf`` (the
+    counit laws), and coassociative: ``delta o alpha == K(1, alpha) o
+    alpha``.  A test oracle of Garner's conjecture, criterion 11."""
+    fr = fz.k(f)
+    lf = u_of_complex(fr.kf)
+    if not (composes_to(fr.ef, alpha, identity_map(f.cod))
+            and composes_to(alpha, f, lf)):
+        return False
+    k_alpha = k_of_square(identity_map(f.dom), alpha, fr, fz.k(lf))
+    return compose(comonad_comult(f, fz), alpha) == compose(k_alpha, alpha)
+
+
+def is_coalgebra_morphism(f, alpha, g, beta, a, b, fz):
+    """Whether the square ``(a, b): f -> g`` is a morphism of the
+    coalgebras ``(f, alpha)`` and ``(g, beta)``: ``K(a, b) o alpha == beta
+    o b``."""
+    return (compose(k_of_square(a, b, fz.k(f), fz.k(g)), alpha)
+            == compose(beta, b))
 
 
 def mec_partition_composite(a, b):

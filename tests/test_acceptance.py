@@ -4,20 +4,25 @@ Each criterion is checked exactly, at the stated corpus sizes, with zero
 numerical tolerance — all comparisons are equalities of finite structures.
 """
 
+import collections
 import random
 from pathlib import Path
 
 from relcell import (
     EMPTY,
+    CellComplexError,
+    CellComplexMorphism,
     Factorizer,
     SimplicialMap,
     cellcx_colimit,
     cellcx_equaliser,
     coalgebra_structure,
     check_awfs_laws,
+    complex_of,
     compose,
     compose_complexes,
     decode,
+    enumerate_homs,
     free_complex,
     free_fillers,
     identity_map,
@@ -35,6 +40,8 @@ from conftest import (
     awfs_lifts,
     boundary_inclusion,
     cx,
+    is_coalgebra,
+    is_coalgebra_morphism,
     mec_partition_composite,
     normal_form,
     rand_cell_complex,
@@ -330,3 +337,82 @@ def test_criterion_10_lifting_solver_is_the_awfs_lift(fz):
            f"{good}/600 lifts of a cell complex against a total filler "
            f"table (free and search tables, 300 squares, dims <= 2, <= 4 "
            f"cells) equal s_T after K(u, v) after the structure map")
+
+
+def test_criterion_11_coalgebras_are_cell_complexes(fz):
+    """Garner's conjecture at dimension <= 1, as an isomorphism over the
+    arrow category: a map carries a coalgebra structure exactly when it is
+    injective, then exactly one, which for an identifier inclusion is the
+    structure map of the complex it underlies; a square of underlying
+    inclusions is a coalgebra morphism exactly when it is a morphism of
+    the complexes."""
+    rng = random.Random(2036)
+    maps = [u_of_complex(rand_cell_complex(rng, max_dim=1, max_cells=4))
+            for _ in range(60)]
+    maps += [gen.rand_map(rng, max_dim=1) for _ in range(60)]
+    good, seen = collections.Counter(), collections.Counter()
+
+    def tally(check, ok):
+        good[check] += ok
+        seen[check] += 1
+
+    for f in maps:
+        fr = fz.k(f)
+        sections = enumerate_homs(f.cod, fr.kf.body,
+                                  post=(fr.ef, identity_map(f.cod)),
+                                  pre=(f, u_of_complex(fr.kf)))
+        if len(set(f.assign.values())) == len(f.assign):
+            tally("one", len(sections) == 1)
+        else:
+            tally("none", not sections)
+        if all(s == t for s, t in f.assign.items()):
+            tally("own", sections == [
+                coalgebra_structure(complex_of(f.dom, f.cod), fz)])
+        for alpha in sections:
+            tally("coassociative", is_coalgebra(f, alpha, fz))
+    # squares U(c) -> U(d): for each of a few base maps g0, a few body
+    # maps h that extend it
+    rng = random.Random(2037)
+    while seen["square"] < 300:
+        c = rand_cell_complex(rng, max_dim=1, max_cells=3)
+        d = rand_cell_complex(rng, max_dim=1, max_cells=3)
+        uc, ud = u_of_complex(c), u_of_complex(d)
+        alpha, beta = coalgebra_structure(c, fz), coalgebra_structure(d, fz)
+        for g0 in enumerate_homs(c.boundary, d.boundary, limit=3):
+            for h in enumerate_homs(c.body, d.body,
+                                    pre=(uc, compose(ud, g0)), limit=4):
+                coalgebraic = is_coalgebra_morphism(uc, alpha, ud, beta,
+                                                    g0, h, fz)
+                try:
+                    CellComplexMorphism(c, d, h)
+                    of_complexes = True
+                except CellComplexError:
+                    of_complexes = False
+                tally("square", coalgebraic == of_complexes)
+                good["coalgebraic"] += coalgebraic
+
+    def n(check):
+        return f"{good[check]}/{seen[check]}"
+
+    report(11, all(good[c] == seen[c] for c in seen),
+           f"of 120 maps (dims <= 1), {n('one')} injective maps carry one "
+           f"coalgebra structure, {n('none')} others carry none, "
+           f"{n('own')} identifier inclusions carry their complex's "
+           f"structure map, {n('coassociative')} structures are "
+           f"coassociative; {n('square')} squares of complexes' inclusions "
+           f"are coalgebra morphisms exactly when they are morphisms of "
+           f"complexes ({good['coalgebraic']} are)")
+
+
+def test_criterion_13_awfs_laws_at_dimension_2():
+    rng = random.Random(2035)
+    good = 0
+    for _ in range(40):
+        f = gen.rand_map(rng, max_dim=2)
+        squares = [gen.rand_nat_square(rng, f) for _ in range(2)]
+        rep = check_awfs_laws(f, squares, factorizer=Factorizer())
+        good += rep["all_pass"] and len(rep["laws"]) == 9
+    report(13, good == 40,
+           f"{good}/40 maps (dims <= 2, 2 naturality squares each, a "
+           f"factorization session per map) satisfy all nine identities "
+           f"exactly")

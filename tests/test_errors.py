@@ -9,6 +9,7 @@ from relcell import (
     ArrowSquare,
     CellComplex,
     CellComplexError,
+    CellComplexMorphism,
     DeltaComplex,
     DeltaError,
     EMPTY,
@@ -415,6 +416,8 @@ CONTRACT = {
         CellComplexError, lambda: CellComplex({}, []), None),
     "complex-of-an-int": (
         CellComplexError, lambda: CellComplex(EMPTY, 5), None),
+    "morphism-of-an-int-body-map": (
+        CellComplexError, lambda: CellComplexMorphism(G1, G1, 5), None),
     "assembled-cell": (
         None, lambda: assemble(B1, [("c", 1, ("0", "1"))]),
         lambda: _assembled_doc(("c", 1, ATTACH))),
@@ -435,6 +438,14 @@ CONTRACT = {
     "filler-table": (
         None, lambda: _table({square_key(0, "0", {}): "0.0"}),
         lambda: _table_doc((0, {}, "0", "0.0"))),
+    "filler-table-without-entries": (
+        None, lambda: _table(None), lambda: _table_doc()),
+    "filler-table-of-an-int-map": (
+        DeltaError, lambda: FillerTable(5), None),
+    "filler-table-of-int-entries": (
+        DeltaError, lambda: _table(5), None),
+    "filler-table-of-a-list-of-entries": (
+        DeltaError, lambda: _table([]), None),
     "filler-table-with-a-junk-key": (
         DeltaError, lambda: _table({"junk": 5}), None),
     "filler-entry-missing-an-id": (

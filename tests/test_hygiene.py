@@ -421,8 +421,9 @@ def test_each_fact_has_one_owner():
 
 
 # the types a value's input is checked against: ids, dimensions, a map's
-# endpoints and a cell complex's strata
-_INPUT_TYPES = {"str", "int", "DeltaComplex", "Stratum"}
+# endpoints, a cell complex's strata, and the map a filler table or a
+# morphism of cell complexes is given
+_INPUT_TYPES = {"str", "int", "DeltaComplex", "Stratum", "SimplicialMap"}
 # and the containers a constructor takes them in
 _CONTAINERS = {"dict", "list", "tuple"}
 
@@ -469,6 +470,9 @@ def test_one_owner_of_each_input_type_check():
         "strata._cells": ["DeltaComplex", "str"],
         "cellcx.CellComplex.__init__": ["DeltaComplex", "Stratum"],
         "lifting._check_entry": ["int", "str"],
+        "lifting.FillerTable.__init__": ["SimplicialMap"],
+        # morphisms of cell complexes
+        "cellcx.CellComplexMorphism.__init__": ["SimplicialMap"],
         # a callable fallback's answer, which must be an id
         "lifting.FillerTable._fill": ["str"],
         # writers, which pick how to write a value by its type
@@ -490,4 +494,5 @@ def test_one_owner_of_each_input_type_check():
         "strata._cells": ["list", "tuple"],
         "cellcx.CellComplex.__init__": ["list", "tuple"],
         "lifting._check_entry": ["tuple"],
+        "lifting.FillerTable.__init__": ["dict"],
     }

@@ -421,10 +421,11 @@ def test_dumps_non_string_keys_match_json_or_raise(value):
     assert got == _canonical(value)
 
 
-# Lists of records, which ``dumps`` writes ``_CHUNK`` records per ``%``
-# fill: plain dicts of one key set, each value a string or a list of
-# strings of one length per key.  Keys and strings hold format syntax,
-# escapes, NUL, lone surrogates and a non-BMP character.
+# Lists of records: plain dicts of one key set, each value a string or a
+# list of strings of one length per key.  ``dumps`` writes a grade of
+# simplices among them ``_CHUNK`` records per ``%`` fill and walks any
+# other item by item.  Keys and strings hold format syntax, escapes, NUL,
+# lone surrogates and a non-BMP character.
 _RECORD_TEXT = st.text(max_size=3) | st.sampled_from(
     ["", "%s", "%%", "%(x)s", '"', "\\", "\x00", "\ud800", "\udfff",
      "\U0001f600", "id", "faces"])
@@ -509,11 +510,78 @@ def test_dumps_of_simplex_records_across_the_chunk(n, brk):
 
 
 def test_a_str_subclass_takes_the_records_path():
-    """The records' items, each led by a comma, as ``json`` writes them."""
+    """A grade of simplices whose ids are a ``str`` subclass is written by
+    ``_records``: its items, each led by a comma, as ``json`` writes the
+    same grade of plain strings."""
     out = []
-    assert jsonio._records([{"id": _Id("a"), "faces": [_Id("%s")]}], 1, out)
-    text = _canonical([{"id": "a", "faces": ["%s"]}])
+    edge = {"id": _Id("a"), "faces": [_Id("%s"), "b"]}
+    assert jsonio._records([edge], 1, out)
+    text = _canonical([{"id": "a", "faces": ["%s", "b"]}])
     assert "".join(out) == "," + text[1:-len("\n]\n")]
+
+
+def test_dumps_fills_the_simplex_template_of_each_grade(monkeypatch):
+    """``dumps`` of a map writes each grade of simplices from the template
+    ``document`` fills: one ``_template(k, n, False)`` per grade, filled
+    once per chunk; grade 1 here spans two chunks."""
+    edges = [f"e{i:04d}" for i in range(jsonio._CHUNK + 1)]
+    x = standard_simplex(2)
+    x = DeltaComplex({**x.simplices, 1: x.ids(1) + tuple(edges)},
+                     {**x.faces, **dict.fromkeys(edges, ("1", "0"))})
+    calls = []
+
+    def counted(*args, template=jsonio._template):
+        calls.append(args)
+        return template(*args)
+
+    monkeypatch.setattr(jsonio, "_template", counted)
+    obj = jsonio.map_to_json(identity_map(x))
+    assert jsonio.dumps(obj) == _canonical(obj)
+    # cod, then dom; each grade four levels deep
+    assert calls == [(1, 4, False), (2, 4, False)] * 2
+    out = []
+    assert jsonio._records(obj["dom"]["simplices"]["1"], 4, out)
+    assert len(out) == 2
+
+
+_MAX_FACES = ["a"] * (delta.MAX_DIM + 1)
+_EDGE = {"faces": ["a", "b"], "id": "e"}
+
+# Lists that are no grade of simplices: ``_records`` leaves each to the
+# walk, item by item.
+_NOT_SIMPLICES = {
+    "another key set": {"faces": ["a", "b"], "id": "e", "dim": "1"},
+    "no faces": {"face": ["a", "b"], "id": "e"},
+    "faces as a string": {"faces": "ab", "id": "e"},
+    "faces as a tuple": {"faces": ("a", "b"), "id": "e"},
+    "an empty faces list": {"faces": [], "id": "e"},
+    "a single face": {"faces": ["a"], "id": "e"},
+    "MAX_DIM + 2 faces": {"faces": _MAX_FACES + ["a"], "id": "e"},
+    "an int id": {"faces": ["a", "b"], "id": 1},
+    "a dict subclass": _Record(_EDGE),
+}
+
+
+@pytest.mark.parametrize("grade", [lambda r: [r], lambda r: [r, _EDGE],
+                                   lambda r: [_EDGE, r]],
+                         ids=["alone", "first", "after an edge"])
+@pytest.mark.parametrize("record", _NOT_SIMPLICES.values(),
+                         ids=_NOT_SIMPLICES.keys())
+def test_records_take_only_grades_of_simplices(record, grade):
+    """Alone, first or after an edge, such a record makes ``_records``
+    append nothing and return False, and ``dumps`` still writes
+    ``json``'s bytes."""
+    out = []
+    assert not jsonio._records(grade(record), 1, out)
+    assert out == []
+    _check_records(grade(record))
+
+
+def test_records_take_grades_up_to_max_dim():
+    """A grade of ``MAX_DIM``-simplices takes the template path."""
+    out = []
+    assert jsonio._records([{"faces": _MAX_FACES, "id": "t"}], 1, out)
+    _check_records([{"faces": _MAX_FACES, "id": "t"}])
 
 
 # -- the shape writers -------------------------------------------------------
